@@ -24,21 +24,42 @@ std::vector<std::size_t> greedy_cover(const DetectionMatrix& m) {
   std::vector<std::uint64_t> covered(m.words_per_row, 0);
   std::size_t remaining = static_cast<std::size_t>(m.covered_count);
 
-  while (remaining > 0) {
-    std::size_t best = 0;
-    std::size_t best_gain = 0;
-    for (std::size_t t = 0; t < m.n_tests; ++t) {
-      const std::size_t gain = count_new(m.row(t), covered);
-      if (gain > best_gain) {
-        best_gain = gain;
-        best = t;
-      }
+  // Lazy greedy (Minoux 1978): gains only shrink as coverage grows, so a
+  // stored gain is an upper bound. The heap orders by (gain desc, index
+  // asc); when the top's refreshed gain still equals its stored gain, no
+  // other test can beat it, and any tie has a stored gain equal to it and a
+  // higher index. The picks are therefore exactly the eager loop's: the
+  // largest gain, lowest index first.
+  struct Entry {
+    std::size_t gain;
+    std::size_t test;
+  };
+  const auto below = [](const Entry& a, const Entry& b) {
+    return a.gain != b.gain ? a.gain < b.gain : a.test > b.test;
+  };
+  std::vector<Entry> heap;
+  heap.reserve(m.n_tests);
+  for (std::size_t t = 0; t < m.n_tests; ++t)
+    if (const std::size_t gain = count_new(m.row(t), covered); gain > 0)
+      heap.push_back({gain, t});
+  std::make_heap(heap.begin(), heap.end(), below);
+
+  while (remaining > 0 && !heap.empty()) {
+    std::pop_heap(heap.begin(), heap.end(), below);
+    Entry& top = heap.back();
+    const std::size_t gain = count_new(m.row(top.test), covered);
+    if (gain < top.gain) {
+      // Stale: re-queue with the true gain (drop it once it covers nothing).
+      top.gain = gain;
+      if (gain == 0) heap.pop_back();
+      else std::push_heap(heap.begin(), heap.end(), below);
+      continue;
     }
-    if (best_gain == 0) break;  // Only uncoverable faults remain.
-    picks.push_back(best);
-    const std::uint64_t* row = m.row(best);
+    picks.push_back(top.test);
+    const std::uint64_t* row = m.row(top.test);
     for (std::size_t w = 0; w < covered.size(); ++w) covered[w] |= row[w];
-    remaining -= best_gain;
+    remaining -= gain;
+    heap.pop_back();
   }
   return picks;
 }

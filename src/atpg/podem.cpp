@@ -2,46 +2,43 @@
 
 #include <algorithm>
 #include <chrono>
+#include <functional>
+#include <queue>
 
 namespace obd::atpg {
 namespace {
 
 using logic::Gate;
-using logic::GateType;
 using logic::Tri;
 
-/// 3-valued evaluation with one net optionally forced (the faulty circuit).
-void eval3_forced(const Circuit& c, const std::vector<Tri>& pi,
-                  NetId forced_net, Tri forced_value,
-                  std::vector<Tri>* values) {
-  values->assign(c.num_nets(), Tri::kX);
-  for (std::size_t i = 0; i < c.inputs().size(); ++i) {
-    const NetId n = c.inputs()[i];
-    (*values)[static_cast<std::size_t>(n)] =
-        (n == forced_net) ? forced_value : pi[i];
-  }
-  Tri ins[8];
-  for (int g : c.topo_order()) {
-    const Gate& gate = c.gate(g);
-    for (std::size_t k = 0; k < gate.inputs.size(); ++k)
-      ins[k] = (*values)[static_cast<std::size_t>(gate.inputs[k])];
-    (*values)[static_cast<std::size_t>(gate.output)] =
-        (gate.output == forced_net) ? forced_value
-                                    : logic::gate_eval3(gate.type, ins);
-  }
-}
-
+/// One PODEM search (see podem.hpp). Invariant after every imply(): good_,
+/// and faulty_ on the forced net's cone, hold exactly what a full 3-valued
+/// evaluation of the current PI assignment gives.
 class Engine {
  public:
   Engine(const Circuit& c, std::vector<NetConstraint> constraints,
          std::optional<StuckFault> fault, bool require_propagation,
          const PodemOptions& opt)
       : c_(c),
+        topo_(c.topo_order()),
         constraints_(std::move(constraints)),
         fault_(fault),
         require_propagation_(require_propagation),
         opt_(opt),
-        pi_(c.inputs().size(), Tri::kX) {
+        pi_(c.inputs().size(), Tri::kX),
+        good_(c.num_nets(), Tri::kX),
+        faulty_(c.num_nets(), Tri::kX),
+        in_cone_(c.num_nets(), 0),
+        pi_index_(c.num_nets(), -1),
+        topo_pos_(c.num_gates(), -1),
+        queued_(c.num_gates(), 0) {
+    for (std::size_t p = 0; p < topo_.size(); ++p)
+      topo_pos_[static_cast<std::size_t>(topo_[p])] = static_cast<int>(p);
+    for (std::size_t i = 0; i < c.inputs().size(); ++i) {
+      int& slot = pi_index_[static_cast<std::size_t>(c.inputs()[i])];
+      if (slot < 0) slot = static_cast<int>(i);
+    }
+    if (fault_) seed_cone();
     if (opt_.time_budget_s > 0.0)
       deadline_ = std::chrono::steady_clock::now() +
                   std::chrono::duration_cast<std::chrono::steady_clock::duration>(
@@ -85,7 +82,7 @@ class Engine {
         continue;
       }
       decisions_.push_back(Decision{pi_choice->first, pi_choice->second, false});
-      pi_[pi_choice->first] = logic::tri_of(pi_choice->second);
+      assign(pi_choice->first, logic::tri_of(pi_choice->second));
       imply();
     }
     if (result.status == PodemStatus::kAborted) result.reason = reason_;
@@ -101,19 +98,87 @@ class Engine {
     bool flipped;
   };
 
-  void imply() {
-    ++implications_;
-    eval3_forced(c_, pi_, logic::kNoNet, Tri::kX, &good_);
-    if (fault_) {
-      eval3_forced(c_, pi_, fault_->net, logic::tri_of(fault_->value),
-                   &faulty_);
-    } else {
-      faulty_ = good_;
+  /// Marks the forced net's fanout cone and seeds the faulty copy there:
+  /// the forced value is pinned and its fanout queued, so the first
+  /// imply() settles the cone under all-X inputs. Cone gates are kept in
+  /// gate-index order, the order the D-frontier is reported in.
+  void seed_cone() {
+    const NetId forced = fault_->net;
+    const auto fi = static_cast<std::size_t>(forced);
+    in_cone_[fi] = 1;
+    faulty_[fi] = logic::tri_of(fault_->value);
+    std::vector<NetId> stack{forced};
+    while (!stack.empty()) {
+      const NetId n = stack.back();
+      stack.pop_back();
+      for (int g : c_.fanout_of(n)) {
+        const NetId out = c_.gate(g).output;
+        if (in_cone_[static_cast<std::size_t>(out)]) continue;
+        in_cone_[static_cast<std::size_t>(out)] = 1;
+        cone_gates_.push_back(g);
+        stack.push_back(out);
+      }
+    }
+    std::sort(cone_gates_.begin(), cone_gates_.end());
+    schedule_fanout(forced);
+  }
+
+  /// Sets PI `i` and queues its fanout when the value actually changes.
+  void assign(std::size_t i, Tri v) {
+    if (pi_[i] == v) return;
+    pi_[i] = v;
+    const NetId n = c_.inputs()[i];
+    good_[static_cast<std::size_t>(n)] = v;
+    schedule_fanout(n);
+  }
+
+  void schedule_fanout(NetId n) {
+    for (int g : c_.fanout_of(n)) {
+      const auto gi = static_cast<std::size_t>(g);
+      if (queued_[gi] || topo_pos_[gi] < 0) continue;
+      queued_[gi] = 1;
+      events_.push(topo_pos_[gi]);
     }
   }
 
+  /// Drains the event queue. Popping in topological position means every
+  /// gate is evaluated at most once, after all of its changed inputs.
+  void imply() {
+    ++implications_;
+    Tri ins[8];
+    while (!events_.empty()) {
+      const int g = topo_[static_cast<std::size_t>(events_.top())];
+      events_.pop();
+      queued_[static_cast<std::size_t>(g)] = 0;
+      const Gate& gate = c_.gate(g);
+      const auto out = static_cast<std::size_t>(gate.output);
+      bool changed = false;
+      for (std::size_t k = 0; k < gate.inputs.size(); ++k)
+        ins[k] = good_of(gate.inputs[k]);
+      const Tri gv = logic::gate_eval3(gate.type, ins);
+      if (gv != good_[out]) {
+        good_[out] = gv;
+        changed = true;
+      }
+      if (in_cone_[out] && gate.output != fault_->net) {
+        for (std::size_t k = 0; k < gate.inputs.size(); ++k)
+          ins[k] = faulty_of(gate.inputs[k]);
+        const Tri fv = logic::gate_eval3(gate.type, ins);
+        if (fv != faulty_[out]) {
+          faulty_[out] = fv;
+          changed = true;
+        }
+      }
+      if (changed) schedule_fanout(gate.output);
+    }
+    frontier_valid_ = false;
+  }
+
   Tri good_of(NetId n) const { return good_[static_cast<std::size_t>(n)]; }
-  Tri faulty_of(NetId n) const { return faulty_[static_cast<std::size_t>(n)]; }
+  Tri faulty_of(NetId n) const {
+    const auto i = static_cast<std::size_t>(n);
+    return in_cone_[i] ? faulty_[i] : good_[i];
+  }
 
   /// Determined differing value (a D or D') on the net.
   bool diff(NetId n) const {
@@ -134,25 +199,28 @@ class Engine {
   }
 
   /// D-frontier: gates with a differing input whose output is not yet
-  /// fully determined-equal.
-  std::vector<int> d_frontier() const {
-    std::vector<int> out;
-    for (std::size_t gi = 0; gi < c_.num_gates(); ++gi) {
-      const Gate& g = c_.gate(static_cast<int>(gi));
+  /// fully determined-equal. A difference exists only inside the forced
+  /// net's cone, so only cone gates are scanned, once per implication.
+  const std::vector<int>& d_frontier() {
+    if (frontier_valid_) return frontier_;
+    frontier_.clear();
+    for (int gi : cone_gates_) {
+      const Gate& g = c_.gate(gi);
       if (diff(g.output)) continue;
       const bool blocked = good_of(g.output) != Tri::kX &&
                            faulty_of(g.output) != Tri::kX;
       if (blocked) continue;
       for (NetId in : g.inputs)
         if (diff(in)) {
-          out.push_back(static_cast<int>(gi));
+          frontier_.push_back(gi);
           break;
         }
     }
-    return out;
+    frontier_valid_ = true;
+    return frontier_;
   }
 
-  bool conflicted() const {
+  bool conflicted() {
     for (const auto& k : constraints_) {
       const Tri v = good_of(k.net);
       if (v != Tri::kX && v != logic::tri_of(k.value)) return true;
@@ -179,7 +247,7 @@ class Engine {
   }
 
   /// Next (net, value) goal.
-  std::optional<std::pair<NetId, bool>> pick_objective() const {
+  std::optional<std::pair<NetId, bool>> pick_objective() {
     for (const auto& k : constraints_)
       if (good_of(k.net) == Tri::kX) return std::make_pair(k.net, k.value);
     if (fault_ && good_of(fault_->net) == Tri::kX)
@@ -220,19 +288,21 @@ class Engine {
     return !(og != Tri::kX && of != Tri::kX && og == of);
   }
 
-  /// Walks the objective back to an unassigned PI.
+  /// Walks the objective back to an unassigned PI. Each step moves to an
+  /// input of the current net's driver, so on an acyclic (validate()d)
+  /// circuit the walk ends within depth() steps. It must not be capped: a
+  /// cap below the depth reports reachable objectives as conflicts.
   std::optional<std::pair<std::size_t, bool>> backtrace(NetId net,
                                                         bool value) const {
     NetId n = net;
     bool v = value;
-    for (int guard = 0; guard < 10000; ++guard) {
+    for (;;) {
       const int drv = c_.driver_of(n);
       if (drv < 0) {
         // PI (or floating net: then it is not a PI and cannot be set).
-        for (std::size_t i = 0; i < c_.inputs().size(); ++i)
-          if (c_.inputs()[i] == n)
-            return std::make_pair(i, v);
-        return std::nullopt;
+        const int pi = pi_index_[static_cast<std::size_t>(n)];
+        if (pi < 0) return std::nullopt;
+        return std::make_pair(static_cast<std::size_t>(pi), v);
       }
       const Gate& g = c_.gate(drv);
       // Choose an undetermined input and a value that can still produce v.
@@ -250,7 +320,6 @@ class Engine {
       }
       if (!advanced) return std::nullopt;
     }
-    return std::nullopt;
   }
 
   /// With input slot `k` of gate `gi` set to `cand` (and other X inputs
@@ -272,6 +341,9 @@ class Engine {
     return false;
   }
 
+  /// Flips the newest unflipped decision, resetting the flipped ones above
+  /// it to X. The resets and the flip are queued as PI events and settled
+  /// by one imply(), which replaces an undo trail.
   bool backtrack() {
     while (!decisions_.empty()) {
       Decision& d = decisions_.back();
@@ -283,18 +355,18 @@ class Engine {
           reason_ = AbortReason::kBacktracks;
           return false;
         }
-        // One clock read per backtrack is noise next to the full 3-valued
-        // re-evaluation each backtrack already pays in imply().
+        // One clock read per backtrack costs tens of nanoseconds, small
+        // next to the fanout propagation of the resets and the flip.
         if (deadline_ && std::chrono::steady_clock::now() > *deadline_) {
           aborted_ = true;
           reason_ = AbortReason::kTime;
           return false;
         }
-        pi_[d.pi] = logic::tri_of(!d.value);
+        assign(d.pi, logic::tri_of(!d.value));
         imply();
         return true;
       }
-      pi_[d.pi] = Tri::kX;
+      assign(d.pi, Tri::kX);
       decisions_.pop_back();
     }
     imply();
@@ -315,13 +387,27 @@ class Engine {
   }
 
   const Circuit& c_;
+  const std::vector<int>& topo_;
   std::vector<NetConstraint> constraints_;
   std::optional<StuckFault> fault_;
   bool require_propagation_;
   PodemOptions opt_;
   std::vector<Tri> pi_;
   std::vector<Tri> good_;
+  /// Faulty values, meaningful only where in_cone_ is set.
   std::vector<Tri> faulty_;
+  std::vector<std::uint8_t> in_cone_;
+  /// Net -> PI index (-1 for non-PIs), for backtrace.
+  std::vector<int> pi_index_;
+  /// Gate -> position in topo_ (-1 for gates outside it).
+  std::vector<int> topo_pos_;
+  std::vector<std::uint8_t> queued_;
+  /// Pending gate evaluations, as topological positions, lowest first.
+  std::priority_queue<int, std::vector<int>, std::greater<>> events_;
+  /// Forced net's fanout-cone gates, ascending gate index.
+  std::vector<int> cone_gates_;
+  std::vector<int> frontier_;
+  bool frontier_valid_ = false;
   std::vector<Decision> decisions_;
   long backtracks_ = 0;
   long implications_ = 0;

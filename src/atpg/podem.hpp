@@ -13,6 +13,17 @@
 // Decisions are made only at primary inputs, so exhausting the decision tree
 // proves untestability. A backtrack budget guards against blowup; hitting it
 // reports kAborted (counted separately from kUntestable, as ATPG tools do).
+//
+// Implication is event-driven. Both valuations persist across decisions;
+// each changed PI (a decision, a flip, or a reset to X on backtrack) is
+// propagated through its fanout only, gates popping in topological order.
+// The faulty copy exists only inside the forced net's fanout cone (faulty ==
+// good elsewhere), and the D-frontier is scanned over that cone once per
+// implication. The values after each implication equal a full 3-valued
+// re-evaluation, so the decisions, tests and effort counts are those of the
+// textbook search. Backtrace maps a net to its PI through an index and walks
+// at most depth() drivers, so deep objectives are never cut short. The
+// circuit must therefore be acyclic, as Circuit::validate() checks.
 #pragma once
 
 #include <cstdint>

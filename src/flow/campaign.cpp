@@ -35,6 +35,9 @@ struct FlowMetricIds {
   obs::MetricId podem_found;
   obs::MetricId podem_untestable;
   obs::MetricId podem_aborted;
+  obs::MetricId podem_implications;
+  obs::MetricId podem_backtracks;
+  obs::MetricId podem_implications_per_fault;
   obs::MetricId sat_conflicts;
   obs::MetricId sat_decisions;
   obs::MetricId sat_restarts;
@@ -53,6 +56,10 @@ struct FlowMetricIds {
       m.podem_found = obs::counter("atpg.podem_found");
       m.podem_untestable = obs::counter("atpg.podem_untestable");
       m.podem_aborted = obs::counter("atpg.podem_aborted");
+      m.podem_implications = obs::counter("atpg.podem_implications");
+      m.podem_backtracks = obs::counter("atpg.podem_backtracks");
+      m.podem_implications_per_fault =
+          obs::histogram("atpg.podem_implications_per_fault");
       m.sat_conflicts = obs::counter("sat.conflicts");
       m.sat_decisions = obs::counter("sat.decisions");
       m.sat_restarts = obs::counter("sat.restarts");
@@ -240,6 +247,12 @@ void drive_ctx(const detail::CampaignContext& ctx, const CampaignOptions& opt,
         }
       }
       const TwoFrameResult res = ctx.generate(i);
+      // Search effort: deterministic counts with no times, so a fixed
+      // configuration always reports the same values.
+      csheet.add(mids.podem_implications, res.implications);
+      csheet.add(mids.podem_backtracks, res.backtracks);
+      csheet.observe(mids.podem_implications_per_fault,
+                     static_cast<std::uint64_t>(res.implications));
       switch (res.status) {
         case PodemStatus::kFound:
           tests.push_back(res.test);
@@ -488,6 +501,8 @@ CampaignContext make_context(const logic::SequentialCircuit& seq,
       t.status = pr.status;
       t.reason = pr.reason;
       t.test = TwoVectorTest{pr.vector.bits, pr.vector.bits};
+      t.backtracks = pr.backtracks;
+      t.implications = pr.implications;
       return t;
     };
     ctx.matrix = [data, patterns_of](FaultSimScheduler& s,

@@ -1,8 +1,14 @@
 // Fault simulators, detection matrices, compaction.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <string>
+
 #include "atpg/atpg.hpp"
+#include "io/bench.hpp"
 #include "logic/zoo.hpp"
+#include "util/prng.hpp"
 
 namespace obd::atpg {
 namespace {
@@ -186,6 +192,96 @@ TEST(Compact, ExactNoWorseThanGreedy) {
   const auto exact = exact_cover(m);
   EXPECT_TRUE(covers_all(m, exact));
   EXPECT_LE(exact.size(), greedy.size());
+}
+
+/// The eager greedy loop: every round rescans every row and keeps the
+/// first test with the strictly largest gain. greedy_cover must reproduce
+/// its picks exactly, order included.
+std::vector<std::size_t> eager_greedy_cover(const DetectionMatrix& m) {
+  std::vector<std::size_t> picks;
+  std::vector<std::uint64_t> covered(m.words_per_row, 0);
+  std::size_t remaining = static_cast<std::size_t>(m.covered_count);
+  while (remaining > 0) {
+    std::size_t best = 0;
+    std::size_t best_gain = 0;
+    for (std::size_t t = 0; t < m.n_tests; ++t) {
+      std::size_t gain = 0;
+      for (std::size_t w = 0; w < covered.size(); ++w)
+        gain += static_cast<std::size_t>(
+            std::popcount(m.row(t)[w] & ~covered[w]));
+      if (gain > best_gain) {
+        best_gain = gain;
+        best = t;
+      }
+    }
+    if (best_gain == 0) break;
+    picks.push_back(best);
+    for (std::size_t w = 0; w < covered.size(); ++w)
+      covered[w] |= m.row(best)[w];
+    remaining -= best_gain;
+  }
+  return picks;
+}
+
+/// Sparse random rows over few faults, so many tests tie on gain; some
+/// rows are empty and some faults stay uncovered.
+DetectionMatrix random_matrix(std::size_t n_tests, std::size_t n_faults,
+                              std::uint64_t max_bits, util::Prng& prng) {
+  DetectionMatrix m;
+  m.n_tests = n_tests;
+  m.n_faults = n_faults;
+  m.words_per_row = (n_faults + 63) / 64;
+  m.rows.assign(n_tests * m.words_per_row, 0);
+  m.covered.assign(n_faults, false);
+  for (std::size_t t = 0; t < n_tests; ++t) {
+    const std::uint64_t bits = prng.next_below(max_bits + 1);
+    for (std::uint64_t k = 0; k < bits; ++k) {
+      const std::size_t f = prng.next_below(n_faults);
+      m.rows[t * m.words_per_row + (f >> 6)] |= 1ull << (f & 63);
+      m.covered[f] = true;
+    }
+  }
+  m.covered_count = static_cast<int>(
+      std::count(m.covered.begin(), m.covered.end(), true));
+  return m;
+}
+
+TEST(Compact, LazyGreedyPicksEqualEagerOnTiedRandomMatrices) {
+  util::Prng prng(0x1a2c0fe5ull);
+  int trials = 0;
+  for (const std::size_t n_faults : {1u, 7u, 63u, 64u, 65u, 200u}) {
+    for (const std::size_t n_tests : {1u, 5u, 40u, 300u}) {
+      for (const std::uint64_t max_bits : {1u, 3u, 12u}) {
+        const DetectionMatrix m =
+            random_matrix(n_tests, n_faults, max_bits, prng);
+        const auto lazy = greedy_cover(m);
+        EXPECT_EQ(lazy, eager_greedy_cover(m))
+            << n_tests << "x" << n_faults << " max_bits " << max_bits;
+        EXPECT_TRUE(covers_all(m, lazy));
+        ++trials;
+      }
+    }
+  }
+  EXPECT_EQ(trials, 72);
+}
+
+TEST(Compact, LazyGreedyPicksEqualEagerOnCorpusMatrix) {
+  const io::BenchParseResult p =
+      io::load_bench_file(std::string(OBD_CORPUS_DIR) + "/c880.bench");
+  ASSERT_TRUE(p.ok) << p.error;
+  const Circuit c = logic::decompose_composites(p.seq.core());
+  const auto faults = enumerate_obd_faults(c);
+  const auto tests =
+      random_pairs(static_cast<int>(c.inputs().size()), 256, 0xc880ull);
+  const DetectionMatrix m = build_obd_matrix(c, tests, faults);
+  ASSERT_GT(m.covered_count, 0);
+  const auto lazy = greedy_cover(m);
+  EXPECT_EQ(lazy, eager_greedy_cover(m));
+  EXPECT_TRUE(covers_all(m, lazy));
+  // exact_cover seeds from greedy_cover and may only improve on it.
+  const auto exact = exact_cover(m, 20'000);
+  EXPECT_TRUE(covers_all(m, exact));
+  EXPECT_LE(exact.size(), lazy.size());
 }
 
 TEST(Compact, EmptyMatrix) {

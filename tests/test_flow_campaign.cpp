@@ -54,6 +54,58 @@ TEST(FlowCampaign, C432BitIdenticalAcrossThreads) {
   }
 }
 
+const obs::MetricValue* find_metric(const CampaignReport& r,
+                                    const std::string& name) {
+  for (const obs::MetricValue& m : r.metrics)
+    if (m.name == name) return &m;
+  return nullptr;
+}
+
+long long metric_value(const CampaignReport& r, const std::string& name) {
+  const obs::MetricValue* m = find_metric(r, name);
+  return m ? m->value : 0;
+}
+
+TEST(FlowCampaign, ObdGoldenDecisionIdentity) {
+  // Fixed values, not just cross-run equality: a PODEM rewrite that keeps
+  // every test valid but changes one decision moves the implication or
+  // backtrack count, and usually tests_final and the hash. Recorded from
+  // the full-re-evaluation engine; the event-driven engine must match.
+  struct Golden {
+    const char* file;
+    std::uint64_t matrix_hash;
+    int tests_final;
+    long long implications;
+    long long backtracks;
+  };
+  for (const Golden& g :
+       {Golden{"c880.bench", 0xab4af0760b18a4e0ull, 175, 12829, 78},
+        Golden{"c2670.bench", 0x879931ea3ebbcb87ull, 221, 8268, 3223}}) {
+    const io::BenchParseResult p = io::load_bench_file(corpus(g.file));
+    ASSERT_TRUE(p.ok) << p.error;
+    CampaignOptions opt;
+    opt.model = FaultModel::kObd;
+    opt.sim.threads = 1;
+    const CampaignReport r = run_campaign(p.seq, opt);
+    ASSERT_TRUE(r.ok()) << r.error;
+    EXPECT_EQ(r.matrix_hash, g.matrix_hash) << g.file;
+    EXPECT_EQ(r.tests_final, g.tests_final) << g.file;
+    EXPECT_EQ(metric_value(r, "atpg.podem_implications"), g.implications)
+        << g.file;
+    EXPECT_EQ(metric_value(r, "atpg.podem_backtracks"), g.backtracks)
+        << g.file;
+    // One histogram observation per PODEM search, summing to the counter.
+    const obs::MetricValue* hist =
+        find_metric(r, "atpg.podem_implications_per_fault");
+    ASSERT_NE(hist, nullptr) << g.file;
+    EXPECT_EQ(static_cast<long long>(hist->hist.sum), g.implications);
+    EXPECT_EQ(static_cast<long long>(hist->hist.count),
+              metric_value(r, "atpg.podem_found") +
+                  metric_value(r, "atpg.podem_untestable") +
+                  metric_value(r, "atpg.podem_aborted"));
+  }
+}
+
 TEST(FlowCampaign, ScanSequentialCampaign) {
   const io::BenchParseResult p = io::load_bench_file(corpus("s27.bench"));
   ASSERT_TRUE(p.ok) << p.error;

@@ -170,6 +170,41 @@ TEST(Podem, BacktrackBudgetAborts) {
   EXPECT_EQ(podem_stuck_at(c, {q1, true}, opt).status, PodemStatus::kAborted);
 }
 
+/// `n` inverters in series from PI "a" to one PO: logic depth n.
+Circuit inverter_chain(int n) {
+  Circuit c("chain");
+  logic::NetId prev = c.add_input("a");
+  for (int i = 0; i < n; ++i) {
+    const logic::NetId next = c.net("n" + std::to_string(i));
+    c.add_gate(GateType::kInv, "inv" + std::to_string(i), {prev}, next);
+    prev = next;
+  }
+  c.mark_output(prev);
+  return c;
+}
+
+TEST(Podem, DeepChainsAreNotFalselyUntestable) {
+  // Backtrace walks one driver per step from the objective to a PI. A
+  // step cap below the circuit depth turned these objectives into
+  // conflicts and reported the faults untestable.
+  for (const int depth : {10500, 12000}) {
+    const Circuit c = inverter_chain(depth);
+    ASSERT_EQ(c.depth(), depth);
+    const logic::NetId po = c.outputs()[0];
+    const bool a_for_po1 = depth % 2 == 0;
+
+    const StuckFault sa0{po, false};
+    const PodemResult r = podem_stuck_at(c, sa0);
+    ASSERT_EQ(r.status, PodemStatus::kFound) << depth;
+    EXPECT_EQ(r.vector.bits.bit(0), a_for_po1) << depth;
+    EXPECT_TRUE(simulate_stuck_at(c, r.vector.bits, {sa0})[0]) << depth;
+
+    const PodemResult j = podem_justify(c, {{po, true}});
+    ASSERT_EQ(j.status, PodemStatus::kFound) << depth;
+    EXPECT_TRUE(c.eval(j.vector.bits)[static_cast<std::size_t>(po)]) << depth;
+  }
+}
+
 TEST(Podem, FullCoverageOnIrredundantCircuit) {
   // The parity tree has no redundancy: every stuck fault is testable.
   const Circuit c = logic::parity_tree(4);
