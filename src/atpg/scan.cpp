@@ -29,7 +29,9 @@ ScanObdResult generate_enhanced(const SequentialCircuit& seq,
   // scan_view preserves gate order, so the fault index carries over.
   const TwoFrameResult r = generate_obd_test(sv, site, opt);
   result.status = r.status;
+  result.reason = r.reason;
   result.backtracks = r.backtracks;
+  result.implications = r.implications;
   if (r.status != PodemStatus::kFound) return result;
   const std::size_t n_pi = seq.core().inputs().size();
   const std::size_t n_ff = seq.flops().size();
@@ -53,6 +55,7 @@ ScanObdResult generate_loc(const SequentialCircuit& seq,
   if (!topo.has_value()) return result;
 
   bool any_aborted = false;
+  AbortReason abort_reason = AbortReason::kNone;
   for (const auto& tv : core::obd_excitations(*topo, site.transistor)) {
     std::vector<NetConstraint> constraints = pin_gate_inputs(u, g1, tv.v1);
     const auto pins2 = pin_gate_inputs(u, g2, tv.v2);
@@ -61,7 +64,11 @@ ScanObdResult generate_loc(const SequentialCircuit& seq,
     const PodemResult r = podem_constrained_fault(
         u, constraints, u.gate(g2).output, old_out, opt);
     result.backtracks += r.backtracks;
-    if (r.status == PodemStatus::kAborted) any_aborted = true;
+    result.implications += r.implications;
+    if (r.status == PodemStatus::kAborted) {
+      any_aborted = true;
+      if (abort_reason != AbortReason::kTime) abort_reason = r.reason;
+    }
     if (r.status != PodemStatus::kFound) continue;
 
     const std::size_t n_pi = seq.core().inputs().size();
@@ -91,6 +98,7 @@ ScanObdResult generate_loc(const SequentialCircuit& seq,
   }
   result.status =
       any_aborted ? PodemStatus::kAborted : PodemStatus::kUntestable;
+  if (any_aborted) result.reason = abort_reason;
   return result;
 }
 

@@ -42,8 +42,12 @@ struct ScanObdTest {
 
 struct ScanObdResult {
   PodemStatus status = PodemStatus::kUntestable;
+  /// Set when status == kAborted; a time abort anywhere dominates, as in
+  /// TwoFrameResult.
+  AbortReason reason = AbortReason::kNone;
   ScanObdTest test;
   long backtracks = 0;
+  long implications = 0;
 };
 
 /// Generates a scan OBD test for a fault on core gate `site.gate_index`.

@@ -3,12 +3,10 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <functional>
 #include <memory>
 
 #include "flow/campaign_detail.hpp"
 #include "obs/trace.hpp"
-#include "util/prng.hpp"
 #include "util/table.hpp"
 
 namespace obd::flow {
@@ -49,7 +47,6 @@ struct FlowMetricIds {
   obs::MetricId sat_inc_fresh;
   obs::MetricId sat_inc_vars_shared;
   obs::MetricId sat_inc_clauses_kept;
-  obs::MetricId seeded_tests;
   static const FlowMetricIds& get() {
     static const FlowMetricIds ids = [] {
       FlowMetricIds m;
@@ -71,7 +68,6 @@ struct FlowMetricIds {
       m.sat_inc_fresh = obs::counter("sat.fresh_fallbacks");
       m.sat_inc_vars_shared = obs::counter("sat.vars_shared");
       m.sat_inc_clauses_kept = obs::counter("sat.clauses_kept");
-      m.seeded_tests = obs::counter("atpg.seeded_tests");
       return m;
     }();
     return ids;
@@ -89,270 +85,165 @@ std::vector<Fault> select_reps(const std::vector<Fault>& reps,
   return out;
 }
 
-/// Launch-on-capture scan campaign (OBD model): the two-frame scan ATPG
-/// generates machine-consistent (state, PI) tests, whose scan-view images
-/// then feed the same matrix/compaction tail as the enhanced path. The
-/// gross-delay semantics of matrix_obd on the scan view match
-/// verify_scan_obd_test exactly because the LOC state coupling is already
-/// baked into each test's frame-2 state.
-void drive_loc_scan(const logic::SequentialCircuit& seq,
-                    const CampaignOptions& opt, CampaignReport& r) {
-  const auto t_total = Clock::now();
-  const logic::SequentialCircuit prim = logic::decompose_composites(seq);
-  const logic::Circuit view = prim.scan_view();
-  detail::fill_structure(view, r);
-  const std::string diag = prim.validate();
-  if (!diag.empty()) {
-    r.error = diag;
-    return;
-  }
-
-  obs::Span collapse_span("collapse");
-  const auto t0 = Clock::now();
-  auto faults = enumerate_obd_faults(prim.core());
-  r.faults_total = faults.size();
-  const CollapsedFaults collapsed = collapse_obd_faults(prim.core(), faults);
-  const std::vector<ObdFaultSite>& reps = collapsed.representatives;
-  r.faults_collapsed = reps.size();
-  r.time.collapse_s = seconds_since(t0);
-  collapse_span.close();
-  if (reps.empty()) {
-    r.coverage = 1.0;
-    r.provable_coverage = 1.0;
-    r.time.total_s = seconds_since(t_total);
-    return;
-  }
-
-  PodemOptions popt;
-  popt.max_backtracks = opt.max_backtracks;
-  popt.time_budget_s = opt.podem_time_budget_s;
-  popt.sim = opt.sim;
-  popt.random_phase = opt.random_patterns;
-  popt.random_phase_seed = opt.seed;
-
-  const auto t1 = Clock::now();
-  const ScanCampaign sc = run_scan_obd_atpg(prim, reps, opt.scan_style, popt);
-  r.tests_random = sc.random_tests;
-  r.tests_deterministic = sc.found - sc.random_found;
-  r.untestable = sc.untestable;
-  r.aborted = sc.aborted;
-  r.fault_block_evals = sc.fault_block_evals;
-  r.time.random_s = sc.random_seconds;
-  r.time.atpg_s = seconds_since(t1) - sc.random_seconds;
-
-  // Matrix + compaction over the scan-view images of the LOC tests.
-  std::vector<TwoVectorTest> vectors;
-  vectors.reserve(sc.tests.size());
-  for (const ScanObdTest& t : sc.tests)
-    vectors.push_back(scan_view_vectors(prim, t));
-  FaultSimScheduler sched(view, opt.sim);
-  detail::matrix_and_compact(opt, vectors.size(),
-                             [&] { return sched.matrix_obd(vectors, reps); },
-                             r);
-  detail::fill_sim_stats(sched, r);
-  r.metrics = obs::snapshot(sched.merged_metrics());
-  r.coverage =
-      static_cast<double>(r.detected) / static_cast<double>(reps.size());
-  const std::size_t provable =
-      reps.size() - static_cast<std::size_t>(r.untestable);
-  r.provable_coverage =
-      provable == 0 ? 1.0
-                    : static_cast<double>(r.detected) /
-                          static_cast<double>(provable);
-  r.time.total_s = seconds_since(t_total);
+/// Keeps det_tests sorted by local_index (resume can revisit a
+/// time-budget abort whose index precedes already-committed tests).
+void insert_det_test(std::vector<ShardDetTest>& det, std::uint32_t local,
+                     const TwoVectorTest& test) {
+  const auto pos = std::lower_bound(
+      det.begin(), det.end(), local,
+      [](const ShardDetTest& d, std::uint32_t l) { return d.local_index < l; });
+  det.insert(pos, ShardDetTest{local, test});
 }
 
-/// Shared campaign skeleton over the model context: prepass, deterministic
-/// top-off, matrix, compaction. The one-shot counterpart of the shard
-/// executor — both call the same ctx hooks, so a sharded merge reproducing
-/// this path bit-for-bit is structural, not coincidental.
-/// Deterministic random completion of a SAT cube's don't-care bits. Stuck
-/// campaigns keep the single-vector convention (v1 == v2); two-frame ones
-/// fill each frame independently.
-TwoVectorTest fill_cube(const XTwoVectorTest& cube, std::size_t n_pi,
-                        FaultModel model, util::Prng& prng) {
-  TwoVectorTest t = cube.concrete();
-  for (std::size_t b = 0; b < n_pi; ++b)
-    if (!cube.v2.care_mask.bit(b)) t.v2.set_bit(b, prng.next_bool());
-  if (model == FaultModel::kStuck) {
-    t.v1 = t.v2;
-    return t;
-  }
-  for (std::size_t b = 0; b < n_pi; ++b)
-    if (!cube.v1.care_mask.bit(b)) t.v1.set_bit(b, prng.next_bool());
+// Per-fault-type adapters: the scheduler calls, the deterministic search
+// and the SAT generators each fault model maps to, so one template binds
+// every model's context hooks. Stuck-at tests apply a single vector (v2).
+
+std::vector<logic::InputVec> patterns_of(const std::vector<TwoVectorTest>& ts) {
+  std::vector<logic::InputVec> p(ts.size());
+  for (std::size_t i = 0; i < ts.size(); ++i) p[i] = ts[i].v2;
+  return p;
+}
+
+FaultSimEngine::Campaign sim_prepass(FaultSimScheduler& s,
+                                     const std::vector<TwoVectorTest>& ts,
+                                     const std::vector<StuckFault>& f) {
+  return s.campaign_stuck(patterns_of(ts), f);
+}
+FaultSimEngine::Campaign sim_prepass(FaultSimScheduler& s,
+                                     const std::vector<TwoVectorTest>& ts,
+                                     const std::vector<TransitionFault>& f) {
+  return s.campaign_transition(ts, f);
+}
+FaultSimEngine::Campaign sim_prepass(FaultSimScheduler& s,
+                                     const std::vector<TwoVectorTest>& ts,
+                                     const std::vector<ObdFaultSite>& f) {
+  return s.campaign_obd(ts, f);
+}
+
+DetectionMatrix sim_matrix(FaultSimScheduler& s,
+                           const std::vector<TwoVectorTest>& ts,
+                           const std::vector<StuckFault>& f) {
+  return s.matrix_stuck(patterns_of(ts), f);
+}
+DetectionMatrix sim_matrix(FaultSimScheduler& s,
+                           const std::vector<TwoVectorTest>& ts,
+                           const std::vector<TransitionFault>& f) {
+  return s.matrix_transition(ts, f);
+}
+DetectionMatrix sim_matrix(FaultSimScheduler& s,
+                           const std::vector<TwoVectorTest>& ts,
+                           const std::vector<ObdFaultSite>& f) {
+  return s.matrix_obd(ts, f);
+}
+
+TwoFrameResult search(const logic::Circuit& c, const StuckFault& f,
+                      const PodemOptions& popt) {
+  const PodemResult pr = podem_stuck_at(c, f, popt);
+  TwoFrameResult t;
+  t.status = pr.status;
+  t.reason = pr.reason;
+  t.test = TwoVectorTest{pr.vector.bits, pr.vector.bits};
+  t.backtracks = pr.backtracks;
+  t.implications = pr.implications;
   return t;
 }
+TwoFrameResult search(const logic::Circuit& c, const TransitionFault& f,
+                      const PodemOptions& popt) {
+  return generate_transition_test(c, f, popt);
+}
+TwoFrameResult search(const logic::Circuit& c, const ObdFaultSite& f,
+                      const PodemOptions& popt) {
+  return generate_obd_test(c, f, popt);
+}
 
-void drive_ctx(const detail::CampaignContext& ctx, const CampaignOptions& opt,
-               CampaignReport& r,
-               detail::RepSubset* sat_untestable_out = nullptr) {
-  const auto t_total = Clock::now();
-  r.faults_total = ctx.faults_total;
-  r.faults_collapsed = ctx.n_reps;
-  if (ctx.n_reps == 0) {
-    r.coverage = 1.0;
-    r.provable_coverage = 1.0;
-    r.time.total_s = seconds_since(t_total);
-    return;
-  }
+sat::SatAtpgResult sat_fresh(const logic::Circuit& c, const StuckFault& f,
+                             const sat::SatAtpgOptions& o) {
+  return sat::sat_generate_stuck_test(c, f, o);
+}
+sat::SatAtpgResult sat_fresh(const logic::Circuit& c, const TransitionFault& f,
+                             const sat::SatAtpgOptions& o) {
+  return sat::sat_generate_transition_test(c, f, o);
+}
+sat::SatAtpgResult sat_fresh(const logic::Circuit& c, const ObdFaultSite& f,
+                             const sat::SatAtpgOptions& o) {
+  return sat::sat_generate_obd_test(c, f, o);
+}
 
-  FaultSimScheduler sched(ctx.view, opt.sim);
-  std::vector<TwoVectorTest> tests;
-  std::vector<std::uint8_t> skip(ctx.n_reps, 0);
+sat::SatAtpgResult sat_in(sat::SatSession& s, const StuckFault& f) {
+  return s.generate_stuck_test(f);
+}
+sat::SatAtpgResult sat_in(sat::SatSession& s, const TransitionFault& f) {
+  return s.generate_transition_test(f);
+}
+sat::SatAtpgResult sat_in(sat::SatSession& s, const ObdFaultSite& f) {
+  return s.generate_obd_test(f);
+}
 
-  // Random-pattern fault-dropping prepass: detected faults skip the
-  // deterministic search; each first-detecting pattern joins the set.
-  if (opt.random_patterns > 0) {
-    const obs::Span span("prepass");
-    const auto t0 = Clock::now();
-    const std::vector<TwoVectorTest> pool = detail::random_pool(ctx.view, opt);
-    const FaultSimEngine::Campaign campaign = ctx.prepass(sched, pool, {});
-    r.fault_block_evals = campaign.fault_block_evals;
-    const PrepassMarks marks = mark_first_detections(campaign, pool.size());
-    skip = marks.skip;
-    for (std::size_t t = 0; t < pool.size(); ++t)
-      if (marks.useful[t]) tests.push_back(pool[t]);
-    r.tests_random = static_cast<int>(tests.size());
-    r.time.random_s = seconds_since(t0);
-  }
+/// Typed per-model state referenced by the context closures. shared_ptr
+/// capture keeps a context copyable and self-contained.
+template <typename Fault>
+struct ModelData {
+  logic::Circuit view;
+  std::vector<Fault> reps;
+  PodemOptions popt;
+  /// Lazily constructed on the first escalation when sat_incremental is
+  /// on; one persistent solver serves the whole campaign (or shard).
+  /// Declared after `view` so the session's circuit reference outlives it.
+  std::shared_ptr<sat::SatSession> session;
+};
 
-  // Deterministic top-off over the surviving representatives. Backtrack
-  // aborts optionally escalate inline to the SAT backend — the cube (or
-  // proof) lands at the same position a PODEM test would have, so
-  // escalation preserves the cross-thread/shard determinism contract.
-  obs::Sheet csheet;
-  {
-    const obs::Span span("topoff");
-    const FlowMetricIds& mids = FlowMetricIds::get();
-    const auto t0 = Clock::now();
-    const auto record_abort = [&](std::uint32_t i, bool timed) {
-      ++r.aborted;
-      if (timed) ++r.aborted_time;
-      else ++r.aborted_backtracks;
-      if (ctx.rep_name) r.aborted_faults.push_back(ctx.rep_name(i));
-    };
-    std::vector<TwoVectorTest> seed_pool;
-    for (std::uint32_t i = 0; i < ctx.n_reps; ++i) {
-      if (skip[i]) continue;
-      // SAT-cube seed pool: before paying for a PODEM search, try the
-      // random completions of earlier escalation cubes — aborts cluster
-      // structurally, so one hard fault's cube often covers its neighbors.
-      if (!seed_pool.empty()) {
-        const FaultSimEngine::Campaign sc = ctx.prepass(sched, seed_pool, {i});
-        if (sc.first_test[0] >= 0) {
-          tests.push_back(seed_pool[static_cast<std::size_t>(sc.first_test[0])]);
-          ++r.seeded_tests;
-          csheet.add(mids.seeded_tests);
-          continue;
-        }
-      }
-      const TwoFrameResult res = ctx.generate(i);
-      // Search effort: deterministic counts with no times, so a fixed
-      // configuration always reports the same values.
-      csheet.add(mids.podem_implications, res.implications);
-      csheet.add(mids.podem_backtracks, res.backtracks);
-      csheet.observe(mids.podem_implications_per_fault,
-                     static_cast<std::uint64_t>(res.implications));
-      switch (res.status) {
-        case PodemStatus::kFound:
-          tests.push_back(res.test);
-          ++r.tests_deterministic;
-          csheet.add(mids.podem_found);
-          break;
-        case PodemStatus::kUntestable:
-          ++r.untestable;
-          csheet.add(mids.podem_untestable);
-          break;
-        case PodemStatus::kAborted: {
-          const bool timed = res.reason == AbortReason::kTime;
-          csheet.add(mids.podem_aborted);
-          if (timed || !opt.sat_escalate || !ctx.escalate) {
-            record_abort(i, timed);
-            break;
-          }
-          const auto t_sat = Clock::now();
-          const obs::Span sat_span("sat-escalate");
-          const sat::SatAtpgResult sr = ctx.escalate(i);
-          r.time.sat_s += seconds_since(t_sat);
-          r.sat_conflicts += sr.conflicts;
-          r.sat_decisions += sr.decisions;
-          r.sat_restarts += sr.restarts;
-          ++r.sat_conflicts_hist[static_cast<std::size_t>(
-              obs::log2_bucket(static_cast<std::uint64_t>(sr.conflicts)))];
-          csheet.add(mids.sat_conflicts, sr.conflicts);
-          csheet.add(mids.sat_decisions, sr.decisions);
-          csheet.add(mids.sat_restarts, sr.restarts);
-          csheet.observe(mids.sat_conflicts_per_fault,
-                         static_cast<std::uint64_t>(sr.conflicts));
-          switch (sr.verdict) {
-            case sat::SatVerdict::kCube:
-              tests.push_back(sr.cube.concrete());
-              ++r.sat_detected;
-              if (opt.seed_sat_cubes) {
-                util::Prng prng(opt.seed ^ (0x5eedc0beull + i));
-                for (int k = 0; k < 4; ++k)
-                  seed_pool.push_back(fill_cube(sr.cube,
-                                                ctx.view.inputs().size(),
-                                                opt.model, prng));
-              }
-              break;
-            case sat::SatVerdict::kUntestable:
-              ++r.sat_untestable;
-              if (sat_untestable_out) sat_untestable_out->push_back(i);
-              break;
-            case sat::SatVerdict::kUnknown:
-              ++r.sat_unknown;
-              record_abort(i, false);
-              break;
-          }
-          break;
-        }
-      }
-    }
-    // Incremental-session totals (nullptr when nothing escalated or the
-    // session is off). Deterministic per configuration: escalation order
-    // and the persistent solver are both deterministic.
-    if (ctx.escalate_stats) {
-      if (const sat::SatSessionStats* ss = ctx.escalate_stats()) {
-        r.sat_pairs = ss->pairs_total;
-        r.sat_cone_encodes = ss->cone_encodes;
-        r.sat_cone_hits = ss->cone_hits;
-        r.sat_unobservable_hits = ss->unobservable_hits;
-        r.sat_incremental_refutes = ss->incremental_refutes;
-        r.sat_fresh_fallbacks = ss->fresh_fallbacks;
-        r.sat_vars_shared = ss->vars_shared;
-        r.sat_clauses_kept = ss->clauses_kept;
-        csheet.add(mids.sat_inc_pairs, ss->pairs_total);
-        csheet.add(mids.sat_inc_cone_encodes, ss->cone_encodes);
-        csheet.add(mids.sat_inc_cone_hits, ss->cone_hits);
-        csheet.add(mids.sat_inc_refutes, ss->incremental_refutes);
-        csheet.add(mids.sat_inc_fresh, ss->fresh_fallbacks);
-        csheet.add(mids.sat_inc_vars_shared, ss->vars_shared);
-        csheet.add(mids.sat_inc_clauses_kept, ss->clauses_kept);
-      }
-    }
-    r.time.atpg_s = seconds_since(t0);
-  }
+/// Binds the model hooks of `ctx` over the collapsed representatives.
+template <typename Fault>
+std::shared_ptr<ModelData<Fault>> bind_model(detail::CampaignContext& ctx,
+                                             std::vector<Fault> reps,
+                                             const CampaignOptions& opt) {
+  auto data = std::make_shared<ModelData<Fault>>();
+  data->view = ctx.view;
+  data->reps = std::move(reps);
+  data->popt = ctx.popt;
+  ctx.n_reps = data->reps.size();
+  ctx.prepass = [data](FaultSimScheduler& s,
+                       const std::vector<TwoVectorTest>& ts,
+                       const detail::RepSubset& subset) {
+    return sim_prepass(s, ts, select_reps(data->reps, subset));
+  };
+  ctx.matrix = [data](FaultSimScheduler& s,
+                      const std::vector<TwoVectorTest>& ts,
+                      const detail::RepSubset& subset) {
+    return sim_matrix(s, ts, select_reps(data->reps, subset));
+  };
+  ctx.generate = [data](std::uint32_t i) {
+    return search(data->view, data->reps[i], data->popt);
+  };
+  sat::SatAtpgOptions satopt;
+  satopt.conflict_budget = opt.sat_conflict_budget;
+  ctx.escalate = [data, satopt, inc = opt.sat_incremental](std::uint32_t i) {
+    if (!inc) return sat_fresh(data->view, data->reps[i], satopt);
+    if (!data->session)
+      data->session = std::make_shared<sat::SatSession>(data->view, satopt);
+    return sat_in(*data->session, data->reps[i]);
+  };
+  ctx.escalate_stats = [data]() -> const sat::SatSessionStats* {
+    return data->session ? &data->session->stats() : nullptr;
+  };
+  ctx.rep_name = [data](std::uint32_t i) {
+    return fault_name(data->view, data->reps[i]);
+  };
+  return data;
+}
 
-  // Detection matrix over the final set: recounts every detection (the
-  // prepass only tracked first hits) and is the cross-thread witness.
-  detail::matrix_and_compact(opt, tests.size(),
-                             [&] { return ctx.matrix(sched, tests, {}); }, r);
-  detail::fill_sim_stats(sched, r);
-  {
-    obs::Sheet merged = sched.merged_metrics();
-    merged.merge_from(csheet);
-    r.metrics = obs::snapshot(merged);
-  }
-  r.coverage = static_cast<double>(r.detected) /
-               static_cast<double>(ctx.n_reps);
-  const std::size_t provable =
-      ctx.n_reps - static_cast<std::size_t>(r.untestable + r.sat_untestable);
-  r.provable_coverage =
-      provable == 0 ? 1.0
-                    : static_cast<double>(r.detected) /
-                          static_cast<double>(provable);
-  r.time.total_s = seconds_since(t_total);
+/// Collapsed OBD representatives of `core` (timed into ctx.collapse_s).
+std::vector<ObdFaultSite> collapse_obd(const logic::Circuit& core,
+                                       detail::CampaignContext& ctx) {
+  const obs::Span span("collapse");
+  const auto t0 = Clock::now();
+  const auto faults = enumerate_obd_faults(core);
+  ctx.faults_total = faults.size();
+  std::vector<ObdFaultSite> reps =
+      collapse_obd_faults(core, faults).representatives;
+  ctx.collapse_s = seconds_since(t0);
+  return reps;
 }
 
 }  // namespace
@@ -375,46 +266,6 @@ void fill_structure(const logic::Circuit& view, CampaignReport& r) {
   r.depth = view.depth();
 }
 
-void fill_sim_stats(const FaultSimScheduler& sched, CampaignReport& r) {
-  const atpg::SimStats s = sched.stats();
-  r.cone_evictions = s.cone_evictions;
-  r.cone_resident = s.cone_resident;
-  r.cone_peak_bytes = s.cone_peak_bytes;
-  r.propagations = s.propagations;
-  r.frontier_events = s.frontier_events;
-  r.frontier_gate_evals = s.frontier_gate_evals;
-  r.frontier_early_exits = s.frontier_early_exits;
-}
-
-void matrix_and_compact(const CampaignOptions& opt, std::size_t n_tests,
-                        const std::function<DetectionMatrix()>& build,
-                        CampaignReport& r) {
-  const auto t0 = Clock::now();
-  obs::Span matrix_span("matrix");
-  const DetectionMatrix m = build();
-  matrix_span.close();
-  r.detected = m.covered_count;
-  r.matrix_hash = hash_matrix(m);
-  r.time.matrix_s = seconds_since(t0);
-  r.tests_final = static_cast<int>(n_tests);
-  if (opt.compact && n_tests > 0) {
-    const obs::Span span("compact");
-    const auto t1 = Clock::now();
-    r.tests_final = static_cast<int>(greedy_cover(m).size());
-    r.time.compact_s = seconds_since(t1);
-  }
-}
-
-std::vector<TwoVectorTest> random_pool(const logic::Circuit& view,
-                                       const CampaignOptions& opt) {
-  if (opt.random_patterns <= 0) return {};
-  std::vector<TwoVectorTest> pool = random_pairs(
-      static_cast<int>(view.inputs().size()), opt.random_patterns, opt.seed);
-  if (opt.model == FaultModel::kStuck)
-    for (auto& t : pool) t.v1 = t.v2;  // single-vector application
-  return pool;
-}
-
 void init_report(const logic::SequentialCircuit& seq,
                  const CampaignOptions& opt, CampaignReport& r) {
   r.model = opt.model;
@@ -424,32 +275,68 @@ void init_report(const logic::SequentialCircuit& seq,
   r.scan = !seq.flops().empty();
   r.flops = seq.flops().size();
   r.circuit = seq.core().name();
+  if (r.scan) r.scan_style = to_string(opt.scan_style);
 }
-
-namespace {
-
-/// Typed per-model state referenced by the context closures. shared_ptr
-/// capture keeps a context copyable and self-contained.
-template <typename Fault>
-struct ModelData {
-  logic::Circuit view;
-  std::vector<Fault> reps;
-  PodemOptions popt;
-  /// Lazily constructed on the first escalation when sat_incremental is
-  /// on; one persistent solver serves the whole campaign (or shard).
-  /// Declared after `view` so the session's circuit reference outlives it.
-  std::shared_ptr<sat::SatSession> session;
-};
-
-}  // namespace
 
 CampaignContext make_context(const logic::SequentialCircuit& seq,
                              const CampaignOptions& opt) {
   CampaignContext ctx;
+  ctx.popt.max_backtracks = opt.max_backtracks;
+  ctx.popt.time_budget_s = opt.podem_time_budget_s;
+  ctx.popt.sim = opt.sim;
   const bool scan = !seq.flops().empty();
+
   if (scan && opt.scan_style != ScanMode::kEnhanced) {
-    ctx.error = "launch-on-capture scan styles use the dedicated scan "
-                "driver, not the shared campaign context";
+    // Launch-on-capture: the two-frame scan ATPG generates machine-
+    // consistent (state, PI) tests, and their scan-view images feed the
+    // same prepass/matrix hooks as the enhanced path. matrix_obd on the
+    // scan view matches verify_scan_obd_test exactly because the LOC state
+    // coupling is already baked into each test's frame-2 state.
+    const std::string style =
+        opt.scan_style == ScanMode::kLaunchOnCapture ? "loc" : "loc-held";
+    if (opt.model != FaultModel::kObd) {
+      ctx.error = "--scan-style " + style + " requires the obd fault model";
+      return ctx;
+    }
+    if (opt.ndetect > 0) {
+      // n-detect growth builds unconstrained combinational tests, which
+      // would violate the LOC state coupling — reject rather than silently
+      // dropping the option.
+      ctx.error = "--ndetect is not supported with --scan-style " + style;
+      return ctx;
+    }
+    if (opt.sat_escalate) {
+      // The SAT backend encodes unconstrained two-frame instances; it does
+      // not model the LOC state coupling. Reject rather than emit cubes the
+      // scan machinery cannot apply.
+      ctx.error = "--sat-escalate is not supported with --scan-style " + style;
+      return ctx;
+    }
+    const auto prim = std::make_shared<const logic::SequentialCircuit>(
+        logic::decompose_composites(seq));
+    ctx.view = prim->scan_view();
+    ctx.error = prim->validate();
+    if (!ctx.error.empty()) return ctx;
+    // Core fault indices carry over: scan_view preserves gate order.
+    auto data = bind_model(ctx, collapse_obd(prim->core(), ctx), opt);
+    ctx.escalate = nullptr;
+    ctx.generate = [data, prim, mode = opt.scan_style](std::uint32_t i) {
+      const ScanObdResult sr =
+          generate_scan_obd_test(*prim, data->reps[i], mode, data->popt);
+      TwoFrameResult t;
+      t.status = sr.status;
+      t.reason = sr.reason;
+      if (sr.status == PodemStatus::kFound)
+        t.test = scan_view_vectors(*prim, sr.test);
+      t.backtracks = sr.backtracks;
+      t.implications = sr.implications;
+      return t;
+    };
+    if (opt.random_patterns > 0)
+      for (const ScanObdTest& t :
+           random_broadside_tests(*prim, ctx.view, opt.scan_style,
+                                  opt.random_patterns, opt.seed))
+        ctx.pool.push_back(scan_view_vectors(*prim, t));
     return ctx;
   }
 
@@ -459,149 +346,33 @@ CampaignContext make_context(const logic::SequentialCircuit& seq,
   ctx.view = scan ? seq.scan_view() : seq.core();
   if (opt.model == FaultModel::kObd)
     ctx.view = logic::decompose_composites(ctx.view);
+  ctx.error = ctx.view.validate();
+  if (!ctx.error.empty()) return ctx;
 
-  const std::string diag = ctx.view.validate();
-  if (!diag.empty()) {
-    ctx.error = diag;
-    return ctx;
+  if (opt.random_patterns > 0) {
+    ctx.pool = random_pairs(static_cast<int>(ctx.view.inputs().size()),
+                            opt.random_patterns, opt.seed);
+    if (opt.model == FaultModel::kStuck)
+      for (auto& t : ctx.pool) t.v1 = t.v2;  // single-vector application
   }
 
-  ctx.popt.max_backtracks = opt.max_backtracks;
-  ctx.popt.time_budget_s = opt.podem_time_budget_s;
-  ctx.popt.sim = opt.sim;
-
-  sat::SatAtpgOptions satopt;
-  satopt.conflict_budget = opt.sat_conflict_budget;
-
   if (opt.model == FaultModel::kStuck) {
-    auto data = std::make_shared<ModelData<StuckFault>>();
-    data->view = ctx.view;
-    data->popt = ctx.popt;
     const obs::Span span("collapse");
     const auto t0 = Clock::now();
-    const auto faults = enumerate_stuck_faults(data->view);
+    const auto faults = enumerate_stuck_faults(ctx.view);
     ctx.faults_total = faults.size();
-    data->reps = collapse_stuck_faults(data->view, faults).representatives;
+    auto reps = collapse_stuck_faults(ctx.view, faults).representatives;
     ctx.collapse_s = seconds_since(t0);
-    ctx.n_reps = data->reps.size();
-    auto patterns_of = [](const std::vector<TwoVectorTest>& ts) {
-      std::vector<logic::InputVec> p(ts.size());
-      for (std::size_t i = 0; i < ts.size(); ++i) p[i] = ts[i].v2;
-      return p;
-    };
-    ctx.prepass = [data, patterns_of](FaultSimScheduler& s,
-                                      const std::vector<TwoVectorTest>& ts,
-                                      const RepSubset& subset) {
-      return s.campaign_stuck(patterns_of(ts), select_reps(data->reps, subset));
-    };
-    ctx.generate = [data](std::uint32_t i) {
-      const PodemResult pr = podem_stuck_at(data->view, data->reps[i],
-                                            data->popt);
-      TwoFrameResult t;
-      t.status = pr.status;
-      t.reason = pr.reason;
-      t.test = TwoVectorTest{pr.vector.bits, pr.vector.bits};
-      t.backtracks = pr.backtracks;
-      t.implications = pr.implications;
-      return t;
-    };
-    ctx.matrix = [data, patterns_of](FaultSimScheduler& s,
-                                     const std::vector<TwoVectorTest>& ts,
-                                     const RepSubset& subset) {
-      return s.matrix_stuck(patterns_of(ts), select_reps(data->reps, subset));
-    };
-    ctx.escalate = [data, satopt, inc = opt.sat_incremental](std::uint32_t i) {
-      if (inc) {
-        if (!data->session)
-          data->session =
-              std::make_shared<sat::SatSession>(data->view, satopt);
-        return data->session->generate_stuck_test(data->reps[i]);
-      }
-      return sat::sat_generate_stuck_test(data->view, data->reps[i], satopt);
-    };
-    ctx.escalate_stats = [data]() -> const sat::SatSessionStats* {
-      return data->session ? &data->session->stats() : nullptr;
-    };
-    ctx.rep_name = [data](std::uint32_t i) {
-      return fault_name(data->view, data->reps[i]);
-    };
+    bind_model(ctx, std::move(reps), opt);
   } else if (opt.model == FaultModel::kTransition) {
-    auto data = std::make_shared<ModelData<TransitionFault>>();
-    data->view = ctx.view;
-    data->popt = ctx.popt;
-    data->reps = enumerate_transition_faults(data->view);
-    ctx.faults_total = data->reps.size();  // no structural collapse
-    ctx.n_reps = data->reps.size();
-    ctx.prepass = [data](FaultSimScheduler& s,
-                         const std::vector<TwoVectorTest>& ts,
-                         const RepSubset& subset) {
-      return s.campaign_transition(ts, select_reps(data->reps, subset));
-    };
-    ctx.generate = [data](std::uint32_t i) {
-      return generate_transition_test(data->view, data->reps[i], data->popt);
-    };
-    ctx.matrix = [data](FaultSimScheduler& s,
-                        const std::vector<TwoVectorTest>& ts,
-                        const RepSubset& subset) {
-      return s.matrix_transition(ts, select_reps(data->reps, subset));
-    };
-    ctx.escalate = [data, satopt, inc = opt.sat_incremental](std::uint32_t i) {
-      if (inc) {
-        if (!data->session)
-          data->session =
-              std::make_shared<sat::SatSession>(data->view, satopt);
-        return data->session->generate_transition_test(data->reps[i]);
-      }
-      return sat::sat_generate_transition_test(data->view, data->reps[i],
-                                               satopt);
-    };
-    ctx.escalate_stats = [data]() -> const sat::SatSessionStats* {
-      return data->session ? &data->session->stats() : nullptr;
-    };
-    ctx.rep_name = [data](std::uint32_t i) {
-      return fault_name(data->view, data->reps[i]);
-    };
+    auto reps = enumerate_transition_faults(ctx.view);
+    ctx.faults_total = reps.size();  // no structural collapse
+    bind_model(ctx, std::move(reps), opt);
   } else {
-    auto data = std::make_shared<ModelData<ObdFaultSite>>();
-    data->view = ctx.view;
-    data->popt = ctx.popt;
-    const obs::Span span("collapse");
-    const auto t0 = Clock::now();
-    const auto faults = enumerate_obd_faults(data->view);
-    ctx.faults_total = faults.size();
-    data->reps = collapse_obd_faults(data->view, faults).representatives;
-    ctx.collapse_s = seconds_since(t0);
-    ctx.n_reps = data->reps.size();
-    ctx.prepass = [data](FaultSimScheduler& s,
-                         const std::vector<TwoVectorTest>& ts,
-                         const RepSubset& subset) {
-      return s.campaign_obd(ts, select_reps(data->reps, subset));
-    };
-    ctx.generate = [data](std::uint32_t i) {
-      return generate_obd_test(data->view, data->reps[i], data->popt);
-    };
-    ctx.matrix = [data](FaultSimScheduler& s,
-                        const std::vector<TwoVectorTest>& ts,
-                        const RepSubset& subset) {
-      return s.matrix_obd(ts, select_reps(data->reps, subset));
-    };
-    ctx.escalate = [data, satopt, inc = opt.sat_incremental](std::uint32_t i) {
-      if (inc) {
-        if (!data->session)
-          data->session =
-              std::make_shared<sat::SatSession>(data->view, satopt);
-        return data->session->generate_obd_test(data->reps[i]);
-      }
-      return sat::sat_generate_obd_test(data->view, data->reps[i], satopt);
-    };
-    ctx.escalate_stats = [data]() -> const sat::SatSessionStats* {
-      return data->session ? &data->session->stats() : nullptr;
-    };
-    ctx.rep_name = [data](std::uint32_t i) {
-      return fault_name(data->view, data->reps[i]);
-    };
+    auto data = bind_model(ctx, collapse_obd(ctx.view, ctx), opt);
     ctx.ndetect = [data](const CampaignOptions& o,
-                         const RepSubset& sat_untestable, CampaignReport& r) {
+                         const std::vector<FaultStatus>& status,
+                         CampaignReport& r) {
       if (data->reps.empty()) return;
       const obs::Span span("ndetect");
       const auto t1 = Clock::now();
@@ -614,18 +385,13 @@ CampaignContext make_context(const logic::SequentialCircuit& seq,
       // SAT-proven-untestable representatives can never reach n
       // detections; growing toward them wastes the whole random pool.
       std::vector<ObdFaultSite> targets;
-      const std::vector<ObdFaultSite>* reps = &data->reps;
-      if (!sat_untestable.empty()) {
-        std::vector<std::uint8_t> drop(data->reps.size(), 0);
-        for (const std::uint32_t u : sat_untestable) drop[u] = 1;
-        targets.reserve(data->reps.size() - sat_untestable.size());
-        for (std::size_t i = 0; i < data->reps.size(); ++i)
-          if (!drop[i]) targets.push_back(data->reps[i]);
-        reps = &targets;
-        r.ndetect_pruned_untestable =
-            static_cast<int>(sat_untestable.size());
-      }
-      const NDetectResult nd = build_ndetect_set(data->view, *reps, nopt);
+      targets.reserve(data->reps.size());
+      for (std::size_t i = 0; i < data->reps.size(); ++i)
+        if (status[i] != FaultStatus::kSatUntestable)
+          targets.push_back(data->reps[i]);
+      r.ndetect_pruned_untestable =
+          static_cast<int>(data->reps.size() - targets.size());
+      const NDetectResult nd = build_ndetect_set(data->view, targets, nopt);
       r.ndetect_tests = static_cast<int>(nd.tests.size());
       r.ndetect_satisfied = nd.satisfied;
       r.time.ndetect_s = seconds_since(t1);
@@ -633,6 +399,259 @@ CampaignContext make_context(const logic::SequentialCircuit& seq,
     };
   }
   return ctx;
+}
+
+ShardState start_partition(const CampaignContext& ctx, FaultSimScheduler& sched,
+                           std::uint32_t shard_index,
+                           std::uint32_t shard_count) {
+  ShardState s;
+  s.shard_index = shard_index;
+  s.shard_count = shard_count;
+  s.n_reps_total = ctx.n_reps;
+  s.pool_size = ctx.pool.size();
+  const std::size_t assigned =
+      ShardState::assigned_count(ctx.n_reps, shard_index, shard_count);
+  s.status.assign(assigned, FaultStatus::kPending);
+  if (ctx.pool.empty() || assigned == 0) return s;
+
+  // first_test[j] is the value the one-shot campaign computes for this
+  // fault, so the useful-test marks merge losslessly across partitions.
+  const obs::Span span("prepass");
+  RepSubset subset;  // empty = every representative
+  if (shard_count > 1)
+    for (std::size_t j = 0; j < assigned; ++j)
+      subset.push_back(shard_index +
+                       static_cast<std::uint32_t>(j) * shard_count);
+  const FaultSimEngine::Campaign campaign =
+      ctx.prepass(sched, ctx.pool, subset);
+  s.fault_block_evals = campaign.fault_block_evals;
+  const PrepassMarks marks = mark_first_detections(campaign, ctx.pool.size());
+  for (std::size_t j = 0; j < assigned; ++j)
+    if (marks.skip[j]) s.status[j] = FaultStatus::kRandomDetected;
+  for (std::size_t t = 0; t < ctx.pool.size(); ++t)
+    if (marks.useful[t]) s.useful_pool.push_back(static_cast<std::uint32_t>(t));
+  return s;
+}
+
+double resolve_fault(const CampaignContext& ctx, const CampaignOptions& opt,
+                     ShardState& s, std::uint32_t local, obs::Sheet& effort) {
+  const FlowMetricIds& mids = FlowMetricIds::get();
+  const std::uint32_t global = s.shard_index + local * s.shard_count;
+  FaultStatus& st = s.status[local];
+  if (st == FaultStatus::kPending) {
+    const TwoFrameResult res = ctx.generate(global);
+    // Search effort: deterministic counts with no times, so a fixed
+    // configuration always reports the same values.
+    effort.add(mids.podem_implications, res.implications);
+    effort.add(mids.podem_backtracks, res.backtracks);
+    effort.observe(mids.podem_implications_per_fault,
+                   static_cast<std::uint64_t>(res.implications));
+    switch (res.status) {
+      case PodemStatus::kFound:
+        st = FaultStatus::kTestFound;
+        insert_det_test(s.det_tests, local, res.test);
+        effort.add(mids.podem_found);
+        return 0.0;
+      case PodemStatus::kUntestable:
+        st = FaultStatus::kUntestable;
+        effort.add(mids.podem_untestable);
+        return 0.0;
+      case PodemStatus::kAborted:
+        effort.add(mids.podem_aborted);
+        // Time aborts are load-dependent, not verdicts: they are
+        // re-attempted on resume instead of escalated.
+        if (res.reason == AbortReason::kTime) {
+          st = FaultStatus::kAbortedTime;
+          return 0.0;
+        }
+        st = FaultStatus::kAbortedBacktracks;
+        if (!opt.sat_escalate) return 0.0;
+        break;
+    }
+  }
+
+  // Inline SAT escalation: the cube (or proof) lands at the fault's own
+  // position, where a PODEM test would have, so escalation preserves the
+  // cross-thread/shard determinism contract.
+  const auto t0 = Clock::now();
+  const obs::Span span("sat-escalate");
+  const sat::SatAtpgResult sr = ctx.escalate(global);
+  s.sat_conflicts += sr.conflicts;
+  s.sat_decisions += sr.decisions;
+  s.sat_restarts += sr.restarts;
+  ++s.sat_hist[static_cast<std::size_t>(
+      obs::log2_bucket(static_cast<std::uint64_t>(sr.conflicts)))];
+  effort.add(mids.sat_conflicts, sr.conflicts);
+  effort.add(mids.sat_decisions, sr.decisions);
+  effort.add(mids.sat_restarts, sr.restarts);
+  effort.observe(mids.sat_conflicts_per_fault,
+                 static_cast<std::uint64_t>(sr.conflicts));
+  switch (sr.verdict) {
+    case sat::SatVerdict::kCube:
+      st = FaultStatus::kSatCube;
+      insert_det_test(s.det_tests, local, sr.cube.concrete());
+      break;
+    case sat::SatVerdict::kUntestable:
+      st = FaultStatus::kSatUntestable;
+      break;
+    case sat::SatVerdict::kUnknown:
+      st = FaultStatus::kSatUnknown;
+      break;
+  }
+  return seconds_since(t0);
+}
+
+void build_report(const CampaignContext& ctx, const CampaignOptions& opt,
+                  FaultSimScheduler& sched,
+                  const std::vector<const ShardState*>& states,
+                  const obs::Sheet* effort, CampaignReport& r) {
+  r.faults_total = ctx.faults_total;
+  r.faults_collapsed = ctx.n_reps;
+  r.time.collapse_s = ctx.collapse_s;
+  if (ctx.n_reps == 0) {
+    r.coverage = 1.0;
+    r.provable_coverage = 1.0;
+    return;
+  }
+
+  // Pool tests that first-detected a fault in any partition, in pool
+  // order: the union reproduces the one-shot prepass test list.
+  std::vector<std::uint32_t> useful;
+  for (const ShardState* s : states)
+    useful.insert(useful.end(), s->useful_pool.begin(), s->useful_pool.end());
+  std::sort(useful.begin(), useful.end());
+  useful.erase(std::unique(useful.begin(), useful.end()), useful.end());
+
+  // Top-off tests back in global representative order.
+  struct DetEntry {
+    std::uint64_t global;
+    TwoVectorTest test;
+  };
+  std::vector<DetEntry> det;
+  for (const ShardState* s : states)
+    for (const ShardDetTest& d : s->det_tests)
+      det.push_back({s->shard_index + static_cast<std::uint64_t>(
+                                          d.local_index) * s->shard_count,
+                     d.test});
+  std::sort(det.begin(), det.end(),
+            [](const DetEntry& a, const DetEntry& b) {
+              return a.global < b.global;
+            });
+
+  std::vector<TwoVectorTest> tests;
+  tests.reserve(useful.size() + det.size());
+  for (const std::uint32_t t : useful) tests.push_back(ctx.pool[t]);
+  for (const DetEntry& d : det) tests.push_back(d.test);
+  r.tests_random = static_cast<int>(useful.size());
+  r.tests_deterministic = static_cast<int>(det.size());
+
+  std::vector<std::uint64_t> aborted_globals;
+  for (const ShardState* s : states) {
+    r.fault_block_evals += s->fault_block_evals;
+    r.sat_conflicts += s->sat_conflicts;
+    r.sat_decisions += s->sat_decisions;
+    r.sat_restarts += s->sat_restarts;
+    for (std::size_t k = 0; k < s->sat_hist.size(); ++k)
+      r.sat_conflicts_hist[k] += s->sat_hist[k];
+    for (std::size_t j = 0; j < s->status.size(); ++j) {
+      const auto record_abort = [&] {
+        ++r.aborted;
+        aborted_globals.push_back(s->shard_index + j * s->shard_count);
+      };
+      switch (s->status[j]) {
+        case FaultStatus::kUntestable: ++r.untestable; break;
+        case FaultStatus::kAbortedBacktracks:
+          record_abort();
+          ++r.aborted_backtracks;
+          break;
+        case FaultStatus::kAbortedTime:
+          record_abort();
+          ++r.aborted_time;
+          break;
+        case FaultStatus::kSatCube: ++r.sat_detected; break;
+        case FaultStatus::kSatUntestable: ++r.sat_untestable; break;
+        case FaultStatus::kSatUnknown:
+          // Budget-exhausted escalation: still an unresolved backtrack
+          // abort from the campaign's point of view.
+          ++r.sat_unknown;
+          record_abort();
+          ++r.aborted_backtracks;
+          break;
+        default: break;
+      }
+    }
+  }
+  // Shards visit faults in shard-major order; canonicalize to ascending
+  // representative order.
+  std::sort(aborted_globals.begin(), aborted_globals.end());
+  for (const std::uint64_t g : aborted_globals)
+    r.aborted_faults.push_back(ctx.rep_name(static_cast<std::uint32_t>(g)));
+
+  // Incremental-session totals: only the process that escalated holds a
+  // session (a merge's context never escalates, so it reports zeros).
+  // Deterministic per configuration: escalation order and the persistent
+  // solver are both deterministic.
+  const sat::SatSessionStats* ss = ctx.escalate_stats();
+  if (ss) {
+    r.sat_pairs = ss->pairs_total;
+    r.sat_cone_encodes = ss->cone_encodes;
+    r.sat_cone_hits = ss->cone_hits;
+    r.sat_unobservable_hits = ss->unobservable_hits;
+    r.sat_incremental_refutes = ss->incremental_refutes;
+    r.sat_fresh_fallbacks = ss->fresh_fallbacks;
+    r.sat_vars_shared = ss->vars_shared;
+    r.sat_clauses_kept = ss->clauses_kept;
+  }
+
+  // Detection matrix over the final set: recounts every detection (the
+  // prepass only tracked first hits) and is the cross-run witness.
+  const auto t0 = Clock::now();
+  obs::Span matrix_span("matrix");
+  const DetectionMatrix m = ctx.matrix(sched, tests, {});
+  matrix_span.close();
+  r.detected = m.covered_count;
+  r.matrix_hash = hash_matrix(m);
+  r.time.matrix_s = seconds_since(t0);
+  r.tests_final = static_cast<int>(tests.size());
+  if (opt.compact && !tests.empty()) {
+    const obs::Span span("compact");
+    const auto t1 = Clock::now();
+    r.tests_final = static_cast<int>(greedy_cover(m).size());
+    r.time.compact_s = seconds_since(t1);
+  }
+
+  const SimStats sim = sched.stats();
+  r.cone_evictions = sim.cone_evictions;
+  r.cone_resident = sim.cone_resident;
+  r.cone_peak_bytes = sim.cone_peak_bytes;
+  r.propagations = sim.propagations;
+  r.frontier_events = sim.frontier_events;
+  r.frontier_gate_evals = sim.frontier_gate_evals;
+  r.frontier_early_exits = sim.frontier_early_exits;
+  if (effort) {
+    obs::Sheet merged = sched.merged_metrics();
+    merged.merge_from(*effort);
+    if (ss) {
+      const FlowMetricIds& mids = FlowMetricIds::get();
+      merged.add(mids.sat_inc_pairs, ss->pairs_total);
+      merged.add(mids.sat_inc_cone_encodes, ss->cone_encodes);
+      merged.add(mids.sat_inc_cone_hits, ss->cone_hits);
+      merged.add(mids.sat_inc_refutes, ss->incremental_refutes);
+      merged.add(mids.sat_inc_fresh, ss->fresh_fallbacks);
+      merged.add(mids.sat_inc_vars_shared, ss->vars_shared);
+      merged.add(mids.sat_inc_clauses_kept, ss->clauses_kept);
+    }
+    r.metrics = obs::snapshot(merged);
+  }
+
+  r.coverage = static_cast<double>(r.detected) /
+               static_cast<double>(ctx.n_reps);
+  const std::size_t provable =
+      ctx.n_reps - static_cast<std::size_t>(r.untestable + r.sat_untestable);
+  r.provable_coverage =
+      provable == 0 ? 1.0
+                    : static_cast<double>(r.detected) /
+                          static_cast<double>(provable);
 }
 
 }  // namespace detail
@@ -666,49 +685,34 @@ CampaignReport run_campaign(const logic::SequentialCircuit& seq,
                             const CampaignOptions& opt) {
   CampaignReport r;
   detail::init_report(seq, opt, r);
-
-  // Launch-on-capture scan styles run the two-frame scan ATPG instead of
-  // the enhanced-scan (any-pair) skeleton below.
-  if (r.scan && opt.scan_style != ScanMode::kEnhanced) {
-    r.scan_style = to_string(opt.scan_style);
-    const std::string style =
-        opt.scan_style == ScanMode::kLaunchOnCapture ? "loc" : "loc-held";
-    if (opt.model != FaultModel::kObd) {
-      r.error = "--scan-style " + style + " requires the obd fault model";
-      return r;
-    }
-    if (opt.ndetect > 0) {
-      // n-detect growth builds unconstrained combinational tests, which
-      // would violate the LOC state coupling — reject rather than silently
-      // dropping the option.
-      r.error = "--ndetect is not supported with --scan-style " + style;
-      return r;
-    }
-    if (opt.sat_escalate) {
-      // The SAT backend encodes unconstrained two-frame instances; it does
-      // not model the LOC state coupling. Reject rather than emit cubes the
-      // scan machinery cannot apply.
-      r.error = "--sat-escalate is not supported with --scan-style " + style;
-      return r;
-    }
-    drive_loc_scan(seq, opt, r);
-    return r;
-  }
-  if (r.scan) r.scan_style = to_string(ScanMode::kEnhanced);
-
   const detail::CampaignContext ctx = detail::make_context(seq, opt);
   detail::fill_structure(ctx.view, r);
   if (!ctx.error.empty()) {
     r.error = ctx.error;
     return r;
   }
-  r.time.collapse_s = ctx.collapse_s;
-  detail::RepSubset sat_untestable_reps;
-  drive_ctx(ctx, opt, r, &sat_untestable_reps);
-  if (opt.ndetect > 0 && ctx.ndetect) ctx.ndetect(opt, sat_untestable_reps, r);
-  // drive_ctx only spans random..compact; fold in the enumerate+collapse
-  // phase so total == sum of the reported phases.
-  r.time.total_s += r.time.collapse_s;
+
+  // The in-memory partition 0 of 1: a sharded run's prepass, per-fault
+  // resolution and report builder, with one scheduler for the prepass and
+  // the matrix.
+  const auto t_total = Clock::now();
+  FaultSimScheduler sched(ctx.view, opt.sim);
+  const auto t0 = Clock::now();
+  ShardState s = detail::start_partition(ctx, sched, 0, 1);
+  r.time.random_s = seconds_since(t0);
+  obs::Sheet effort;
+  {
+    const obs::Span span("topoff");
+    const auto t1 = Clock::now();
+    for (std::uint32_t i = 0; i < s.status.size(); ++i)
+      if (s.status[i] == FaultStatus::kPending)
+        r.time.sat_s += detail::resolve_fault(ctx, opt, s, i, effort);
+    r.time.atpg_s = seconds_since(t1);
+  }
+  detail::build_report(ctx, opt, sched, {&s}, &effort, r);
+  // total == the sum of the reported phases (ndetect adds its own).
+  r.time.total_s = seconds_since(t_total) + ctx.collapse_s;
+  if (opt.ndetect > 0 && ctx.ndetect) ctx.ndetect(opt, s.status, r);
   return r;
 }
 
@@ -790,7 +794,6 @@ std::string report_json(const CampaignReport& r) {
   j += "],\n";
   j += "  \"tests\": {\"random\": " + std::to_string(r.tests_random) +
        ", \"deterministic\": " + std::to_string(r.tests_deterministic) +
-       ", \"seeded\": " + std::to_string(r.seeded_tests) +
        ", \"final\": " + std::to_string(r.tests_final) +
        ", \"ndetect\": " + std::to_string(r.ndetect_tests) +
        ", \"ndetect_satisfied\": " + std::to_string(r.ndetect_satisfied) +
@@ -965,10 +968,7 @@ void print_report(const CampaignReport& r) {
   t.add_row({"tests random / determ / final",
              std::to_string(r.tests_random) + " / " +
                  std::to_string(r.tests_deterministic) + " / " +
-                 std::to_string(r.tests_final) +
-                 (r.seeded_tests > 0
-                      ? "  (+" + std::to_string(r.seeded_tests) + " seeded)"
-                      : "")});
+                 std::to_string(r.tests_final)});
   if (r.ndetect_tests > 0)
     t.add_row({"n-detect tests / satisfied",
                std::to_string(r.ndetect_tests) + " / " +

@@ -75,12 +75,6 @@ struct CampaignOptions {
   /// fresh path — so matrix_hash, checkpoint, and --resume semantics are
   /// unchanged; only the effort counters move.
   bool sat_incremental = true;
-  /// Seed the deterministic top-off with random completions of SAT cubes:
-  /// each escalation cube contributes a few fills of its don't-care bits,
-  /// and later aborted faults try that pool before PODEM. Off by default —
-  /// seeded detections change which tests join the set (and therefore the
-  /// matrix hash); one-shot campaigns only.
-  bool seed_sat_cubes = false;
   /// Greedy set-cover compaction of the final test set.
   bool compact = true;
   /// Grow an n-detect set on top (OBD model only); 0 = off.
@@ -168,10 +162,10 @@ struct CampaignReport {
 
   /// Prepass tests that first-detected some fault (the ones kept).
   int tests_random = 0;
+  /// Top-off tests: PODEM tests plus SAT escalation cubes, one per fault
+  /// they were generated for. random + deterministic is exactly the set
+  /// the detection matrix is built over.
   int tests_deterministic = 0;
-  /// Aborted faults detected by a SAT-cube seed fill instead of PODEM
-  /// (CampaignOptions::seed_sat_cubes).
-  int seeded_tests = 0;
   /// After compaction (== random + deterministic when compaction is off).
   int tests_final = 0;
   int ndetect_tests = 0;

@@ -1,17 +1,24 @@
-// Campaign internals shared between the one-shot driver (run_campaign),
-// the per-shard executor (run_campaign_shard), and the supervisor's merge.
+// The campaign executor shared by every run shape: the one-shot driver
+// (run_campaign), the per-shard executor (run_campaign_shard), and the
+// supervisor's merge.
 //
 // The crash-tolerance layer's central correctness claim — a sharded run,
 // even one interrupted and resumed, merges to a detection matrix
-// bit-identical to the one-shot campaign — holds because all three paths
-// run through the *same* model hooks below. A CampaignContext packages the
-// model-specific machinery (collapsed representatives, prepass campaign,
-// deterministic generator, matrix builder) behind fault-subset-aware
-// closures: the one-shot path passes the full representative list, a shard
-// passes its strided partition, and the merge rebuilds the matrix over the
-// union of tests against the full list. The fault-sim scheduler's
-// determinism contract (first detections independent of which other faults
-// are co-simulated) does the rest.
+// bit-identical to the one-shot campaign — holds by structure: every run
+// works on a ShardState (one status per fault of a strided partition) and
+// goes through the same three steps. start_partition runs the prepass,
+// resolve_fault turns each surviving fault into a final status, and
+// build_report folds the states into the report and rebuilds the matrix
+// over all representatives. A one-shot campaign is partition 0 of 1 kept
+// in memory; a shard checkpoints its partition; the merge hands
+// build_report every completed shard. The fault-sim scheduler's
+// determinism contract (first detections independent of which other
+// faults are co-simulated) does the rest.
+//
+// A CampaignContext packages the model-specific machinery (collapsed
+// representatives, prepass pool, prepass campaign, deterministic
+// generator, matrix builder) behind fault-subset-aware closures, so the
+// three steps never branch on the fault model or scan style.
 #pragma once
 
 #include <cstdint>
@@ -23,7 +30,9 @@
 #include "atpg/sat/incremental.hpp"
 #include "atpg/sat/sat_atpg.hpp"
 #include "flow/campaign.hpp"
+#include "flow/checkpoint.hpp"
 #include "logic/sequential.hpp"
+#include "obs/metrics.hpp"
 
 namespace obd::flow::detail {
 
@@ -44,6 +53,12 @@ struct CampaignContext {
   std::size_t n_reps = 0;        ///< collapsed representatives
   double collapse_s = 0.0;       ///< enumerate+collapse wall clock
   atpg::PodemOptions popt;       ///< budgets for the deterministic search
+  /// The seeded random-prepass pool (CampaignOptions::random_patterns
+  /// tests from CampaignOptions::seed) in the model's application form:
+  /// single vectors for stuck-at, any pair for enhanced scan, broadside
+  /// launch/capture pairs for the LOC styles. Regenerated identically by
+  /// every process, which is what lets checkpoints store pool indices.
+  std::vector<atpg::TwoVectorTest> pool;
 
   /// Fault-dropping prepass over the subset's representatives. The
   /// returned Campaign's first_test is indexed by subset position.
@@ -58,6 +73,7 @@ struct CampaignContext {
   /// permitting. Configured from CampaignOptions::sat_conflict_budget.
   /// With CampaignOptions::sat_incremental the calls share one lazily
   /// constructed persistent SatSession (verdicts identical either way).
+  /// Null for the LOC styles, which reject sat_escalate.
   std::function<atpg::sat::SatAtpgResult(std::uint32_t rep_index)> escalate;
   /// The incremental session's counters, or nullptr when no escalation ran
   /// incrementally (sat_incremental off, or no fault escalated).
@@ -69,27 +85,51 @@ struct CampaignContext {
       atpg::FaultSimScheduler&, const std::vector<atpg::TwoVectorTest>&,
       const RepSubset&)>
       matrix;
-  /// n-detect growth tail (OBD model only; null otherwise). The subset
-  /// lists SAT-proven-untestable representatives to drop from the target
-  /// set — they can never reach n detections.
-  std::function<void(const CampaignOptions&, const RepSubset& sat_untestable,
-                     CampaignReport&)>
+  /// n-detect growth tail (OBD model only; null otherwise) over a one-shot
+  /// campaign's statuses: SAT-proven-untestable representatives are dropped
+  /// from the target set — they can never reach n detections.
+  std::function<void(const CampaignOptions&,
+                     const std::vector<FaultStatus>& status, CampaignReport&)>
       ndetect;
 };
 
-/// Builds the model context for the enhanced-scan / combinational paths:
-/// view construction (+ composite lowering for OBD), validation, fault
-/// enumeration and collapse, and the model hooks. Launch-on-capture scan
-/// styles use a separate driver and are rejected here.
+/// Builds the model context: view construction (full-scan view, composite
+/// lowering for OBD), validation, fault enumeration and collapse, the
+/// prepass pool, and the model hooks. The LOC scan styles plug the
+/// two-frame scan generator and a broadside pool into the same hooks.
 CampaignContext make_context(const logic::SequentialCircuit& seq,
                              const CampaignOptions& opt);
 
-/// The seeded random-prepass pool, with the model's application fixup
-/// (stuck-at collapses each pair to a single vector). Regenerating the
-/// pool from CampaignOptions::seed is what lets checkpoints store pool
-/// *indices* instead of vectors.
-std::vector<atpg::TwoVectorTest> random_pool(const logic::Circuit& view,
-                                             const CampaignOptions& opt);
+/// A fresh partition `shard_index` of `shard_count` with its random
+/// prepass run on `sched`: faults the pool detects become kRandomDetected,
+/// every other fault kPending, and the pool tests that first-detected some
+/// assigned fault are recorded as useful. Checkpoint identity fields
+/// (circuit, options fingerprint, prng state) are left to the caller.
+ShardState start_partition(const CampaignContext& ctx,
+                           atpg::FaultSimScheduler& sched,
+                           std::uint32_t shard_index,
+                           std::uint32_t shard_count);
+
+/// Resolves one fault of the partition (local index) — the only place a
+/// search result becomes a status, a test, and effort counters. A kPending
+/// fault runs PODEM and, when CampaignOptions::sat_escalate is on, a
+/// backtrack abort escalates inline to SAT; a kSatUnknown fault (a
+/// reopened abort on resume) goes straight to SAT. Search effort lands on
+/// `effort`, SAT effort also on the state. Returns the seconds spent in SAT.
+double resolve_fault(const CampaignContext& ctx, const CampaignOptions& opt,
+                     ShardState& s, std::uint32_t local, obs::Sheet& effort);
+
+/// The only report builder. Folds partition states (the one in-memory
+/// partition of a one-shot run, or every completed shard of a merge) into
+/// `r`: useful prepass tests in pool order, then top-off tests in global
+/// fault order, with the matrix rebuilt on `sched` over all
+/// representatives — bit-identical to the one-shot campaign when every
+/// partition is present. `effort` (the one-shot top-off sheet) adds the
+/// metrics snapshot; a merge passes nullptr and reports no metrics.
+void build_report(const CampaignContext& ctx, const CampaignOptions& opt,
+                  atpg::FaultSimScheduler& sched,
+                  const std::vector<const ShardState*>& states,
+                  const obs::Sheet* effort, CampaignReport& r);
 
 /// FNV-1a over the packed matrix (dims + row words) — the cross-run,
 /// cross-shard, cross-resume witness.
@@ -98,19 +138,8 @@ std::uint64_t hash_matrix(const atpg::DetectionMatrix& m);
 /// Structure stats shared by every campaign path.
 void fill_structure(const logic::Circuit& view, CampaignReport& r);
 
-/// Copies the scheduler's aggregated cone/frontier counters into the
-/// report (taken after the last fault-sim call so prepass + matrix work is
-/// included).
-void fill_sim_stats(const atpg::FaultSimScheduler& sched, CampaignReport& r);
-
-/// Shared campaign tail: detection matrix over the final test set, greedy
-/// compaction, and the derived report fields.
-void matrix_and_compact(const CampaignOptions& opt, std::size_t n_tests,
-                        const std::function<atpg::DetectionMatrix()>& build,
-                        CampaignReport& r);
-
 /// Report preamble common to run_campaign and the supervisor's merge:
-/// circuit identity, model, sim configuration, scan detection.
+/// circuit identity, model, sim configuration, scan detection and style.
 void init_report(const logic::SequentialCircuit& seq,
                  const CampaignOptions& opt, CampaignReport& r);
 

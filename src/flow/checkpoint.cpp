@@ -12,17 +12,11 @@
 namespace obd::flow {
 namespace {
 
-using atpg::DetectionMatrix;
 using logic::InputVec;
 
 constexpr char kMagic[8] = {'O', 'B', 'D', 'C', 'K', 'P', 'T', '\n'};
 constexpr std::size_t kHeaderSize = 8 + 4 + 4 + 8;  // magic+version+flags+len
 constexpr std::size_t kCrcSize = 4;
-
-/// Hard sanity ceilings on decoded element counts. Every length is also
-/// bounds-checked against the remaining payload bytes; these just keep a
-/// hypothetical CRC-colliding forgery from requesting absurd allocations.
-constexpr std::uint64_t kMaxElems = 1ull << 32;
 
 // --- Little-endian encode/decode ----------------------------------------
 
@@ -70,14 +64,6 @@ class ByteReader {
     pos_ += len;
     return true;
   }
-  /// Reads `count` u64 words after verifying they fit the remaining bytes.
-  bool words(std::uint64_t count, std::vector<std::uint64_t>* out) {
-    if (count > kMaxElems || remaining() < count * 8) return false;
-    out->resize(static_cast<std::size_t>(count));
-    for (auto& w : *out)
-      if (!u64(&w)) return false;
-    return true;
-  }
 
  private:
   std::string_view p_;
@@ -104,57 +90,6 @@ bool get_inputvec(ByteReader& r, InputVec* v) {
     std::uint64_t w = 0;
     if (!r.u64(&w)) return false;
     v->set_word(i, w);
-  }
-  return true;
-}
-
-void put_matrix(std::string& out, const DetectionMatrix& m) {
-  put_u64(out, m.n_tests);
-  put_u64(out, m.n_faults);
-  put_u64(out, m.words_per_row);
-  put_u64(out, static_cast<std::uint64_t>(m.covered_count));
-  for (std::uint64_t w : m.rows) put_u64(out, w);
-}
-
-bool get_matrix(ByteReader& r, DetectionMatrix* m, std::string* err) {
-  std::uint64_t n_tests = 0, n_faults = 0, wpr = 0, covered = 0;
-  if (!r.u64(&n_tests) || !r.u64(&n_faults) || !r.u64(&wpr) ||
-      !r.u64(&covered)) {
-    *err = "matrix header truncated";
-    return false;
-  }
-  if (wpr != (n_faults + 63) / 64) {
-    *err = "matrix words_per_row inconsistent with fault count";
-    return false;
-  }
-  if (n_tests > kMaxElems || wpr > kMaxElems || covered > n_faults) {
-    *err = "matrix dimensions out of range";
-    return false;
-  }
-  m->n_tests = static_cast<std::size_t>(n_tests);
-  m->n_faults = static_cast<std::size_t>(n_faults);
-  m->words_per_row = static_cast<std::size_t>(wpr);
-  if (!r.words(n_tests * wpr, &m->rows)) {
-    *err = "matrix rows truncated";
-    return false;
-  }
-  // covered / covered_count are derived state: recompute and use the
-  // stored count purely as one more integrity cross-check.
-  m->covered.assign(m->n_faults, false);
-  m->covered_count = 0;
-  for (std::size_t f = 0; f < m->n_faults; ++f) {
-    for (std::size_t t = 0; t < m->n_tests; ++t) {
-      if (m->detects(t, f)) {
-        m->covered[f] = true;
-        ++m->covered_count;
-        break;
-      }
-    }
-  }
-  if (static_cast<std::uint64_t>(m->covered_count) != covered) {
-    *err = "matrix covered-count mismatch (stored " + std::to_string(covered) +
-           ", recomputed " + std::to_string(m->covered_count) + ")";
-    return false;
   }
   return true;
 }
@@ -213,8 +148,7 @@ std::uint64_t options_fingerprint(const CampaignOptions& opt,
 
 std::string encode_checkpoint(const ShardState& s) {
   std::string payload;
-  payload.reserve(256 + s.status.size() + 24 * s.det_tests.size() +
-                  8 * s.local_matrix.rows.size());
+  payload.reserve(256 + s.status.size() + 24 * s.det_tests.size());
   put_u64(payload, s.options_fp);
   put_str(payload, s.circuit);
   put_u32(payload, s.shard_index);
@@ -225,8 +159,6 @@ std::string encode_checkpoint(const ShardState& s) {
   for (std::uint64_t w : s.prng_state) put_u64(payload, w);
   put_u64(payload, static_cast<std::uint64_t>(s.fault_block_evals));
   put_u64(payload, static_cast<std::uint64_t>(s.sat_conflicts));
-  // Version 3: SAT decisions, restarts, and the per-fault conflict
-  // histogram, immediately after the conflicts counter.
   put_u64(payload, static_cast<std::uint64_t>(s.sat_decisions));
   put_u64(payload, static_cast<std::uint64_t>(s.sat_restarts));
   for (const std::uint64_t b : s.sat_hist) put_u64(payload, b);
@@ -244,9 +176,6 @@ std::string encode_checkpoint(const ShardState& s) {
     put_inputvec(payload, t.test.v1);
     put_inputvec(payload, t.test.v2);
   }
-
-  payload.push_back(s.has_matrix ? 1 : 0);
-  if (s.has_matrix) put_matrix(payload, s.local_matrix);
 
   std::string out;
   out.reserve(kHeaderSize + payload.size() + kCrcSize);
@@ -281,10 +210,9 @@ bool decode_checkpoint(std::string_view bytes, ShardState* out,
   header.u32(&version);
   header.u32(&flags);
   header.u64(&payload_len);
-  if (version < kMinCheckpointVersion || version > kCheckpointVersion) {
+  if (version != kCheckpointVersion) {
     *err = "unsupported checkpoint version " + std::to_string(version) +
-           " (this build reads versions " +
-           std::to_string(kMinCheckpointVersion) + ".." +
+           " (this build reads version " +
            std::to_string(kCheckpointVersion) + ")";
     return false;
   }
@@ -320,7 +248,7 @@ bool decode_checkpoint(std::string_view bytes, ShardState* out,
   // --- Semantic decode (fully bounds-checked) ---------------------------
   ByteReader r(bytes.substr(kHeaderSize, payload_len));
   ShardState s;
-  std::uint8_t phase = 0, has_matrix = 0;
+  std::uint8_t phase = 0;
   std::uint64_t evals = 0;
   std::uint32_t n_useful = 0, n_status = 0, n_det = 0;
 
@@ -340,26 +268,20 @@ bool decode_checkpoint(std::string_view bytes, ShardState* out,
     return false;
   }
   s.fault_block_evals = static_cast<long long>(evals);
-  std::uint64_t sat_conflicts = 0;
-  if (!r.u64(&sat_conflicts)) {
-    *err = "checkpoint payload truncated in sat-conflicts field";
+  std::uint64_t sat_conflicts = 0, sat_decisions = 0, sat_restarts = 0;
+  if (!r.u64(&sat_conflicts) || !r.u64(&sat_decisions) ||
+      !r.u64(&sat_restarts)) {
+    *err = "checkpoint payload truncated in sat-effort fields";
     return false;
   }
   s.sat_conflicts = static_cast<long long>(sat_conflicts);
-  if (version >= 3) {
-    std::uint64_t sat_decisions = 0, sat_restarts = 0;
-    if (!r.u64(&sat_decisions) || !r.u64(&sat_restarts)) {
-      *err = "checkpoint payload truncated in sat-effort fields";
+  s.sat_decisions = static_cast<long long>(sat_decisions);
+  s.sat_restarts = static_cast<long long>(sat_restarts);
+  for (auto& b : s.sat_hist)
+    if (!r.u64(&b)) {
+      *err = "checkpoint payload truncated in sat histogram";
       return false;
     }
-    s.sat_decisions = static_cast<long long>(sat_decisions);
-    s.sat_restarts = static_cast<long long>(sat_restarts);
-    for (auto& b : s.sat_hist)
-      if (!r.u64(&b)) {
-        *err = "checkpoint payload truncated in sat histogram";
-        return false;
-      }
-  }
   if (phase < static_cast<std::uint8_t>(ShardPhase::kPrepassDone) ||
       phase > static_cast<std::uint8_t>(ShardPhase::kDone)) {
     *err = "invalid shard phase " + std::to_string(phase);
@@ -434,12 +356,6 @@ bool decode_checkpoint(std::string_view bytes, ShardState* out,
     }
   }
 
-  if (!r.u8(&has_matrix) || has_matrix > 1) {
-    *err = "invalid matrix-present flag";
-    return false;
-  }
-  s.has_matrix = has_matrix != 0;
-  if (s.has_matrix && !get_matrix(r, &s.local_matrix, err)) return false;
   if (r.remaining() != 0) {
     *err = std::to_string(r.remaining()) +
            " trailing payload bytes after checkpoint fields";

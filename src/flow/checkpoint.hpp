@@ -5,15 +5,17 @@
 // runs each partition as an independent process. Everything a shard learns
 // is captured in a ShardState and persisted after the random prepass,
 // periodically during the PODEM top-off, and at completion — so a crash,
-// OOM kill, or timeout loses at most `checkpoint_every` fault searches,
-// and a resumed run replays to a bit-identical merged detection matrix
-// (the fault-sim layer's determinism contract makes "resume == rerun" a
-// checkable property via matrix_hash).
+// OOM kill, or timeout loses at most kCheckpointEvery fault searches, and
+// a resumed run replays to a bit-identical merged detection matrix (the
+// fault-sim layer's determinism contract makes "resume == rerun" a
+// checkable property via matrix_hash). A one-shot campaign runs the same
+// ShardState in memory as partition 0 of 1, never written to disk.
 //
-// On-disk format (version 3, little-endian; version 2 added the SAT
-// escalation statuses and the sat_conflicts counter; version 3 extends the
-// SAT accounting with decisions, restarts, and the per-fault conflict
-// histogram — version 2 files still load, with those fields zero):
+// On-disk format (version 4, little-endian). A checkpoint carries the
+// fault statuses, top-off tests, useful prepass pool indices and effort
+// counters — no detection matrix: the merge rebuilds it from the tests.
+// Only this version decodes; the supervisor deletes a checkpoint that fails
+// to load and reruns the shard.
 //
 //   magic   "OBDCKPT\n"          8 bytes
 //   version u32                  kCheckpointVersion
@@ -27,7 +29,7 @@
 // (rejects every single-byte corruption by construction), then a fully
 // bounds-checked semantic decode (lengths re-validated against remaining
 // bytes, enums range-checked, index lists checked strictly increasing,
-// matrix covered-count recomputed and compared). A checkpoint that fails
+// tests only for faults whose status carries one). A checkpoint that fails
 // any step is reported with a diagnostic — never a crash, never a silent
 // misparse.
 //
@@ -42,16 +44,12 @@
 #include <string_view>
 #include <vector>
 
-#include "atpg/faultsim_engine.hpp"
 #include "atpg/patterns.hpp"
 #include "flow/campaign.hpp"
 
 namespace obd::flow {
 
-inline constexpr std::uint32_t kCheckpointVersion = 3;
-/// Oldest on-disk version decode_checkpoint still accepts. Fields added
-/// after a version are zero-initialized when loading an older file.
-inline constexpr std::uint32_t kMinCheckpointVersion = 2;
+inline constexpr std::uint32_t kCheckpointVersion = 4;
 
 /// Per-fault progress of a shard, in assigned-partition (local) order.
 enum class FaultStatus : std::uint8_t {
@@ -80,7 +78,7 @@ struct ShardDetTest {
 enum class ShardPhase : std::uint8_t {
   kPrepassDone = 1,   ///< random prepass committed, PODEM not started
   kPodemPartial = 2,  ///< some PODEM results committed
-  kDone = 3,          ///< shard complete (local matrix included)
+  kDone = 3,          ///< every assigned fault resolved
 };
 
 struct ShardState {
@@ -96,9 +94,7 @@ struct ShardState {
   std::array<std::uint64_t, 4> prng_state{};
   long long fault_block_evals = 0;
   /// CDCL effort spent by SAT escalation in this shard (merged into
-  /// CampaignReport::sat_conflicts etc.). decisions/restarts and the
-  /// per-fault conflict histogram are version-3 fields: loading a
-  /// version-2 checkpoint leaves them zero.
+  /// CampaignReport::sat_conflicts etc.).
   long long sat_conflicts = 0;
   long long sat_decisions = 0;
   long long sat_restarts = 0;
@@ -109,12 +105,8 @@ struct ShardState {
   std::vector<std::uint32_t> useful_pool;
   /// One status per assigned fault, local order.
   std::vector<FaultStatus> status;
-  /// PODEM tests, local_index strictly increasing.
+  /// PODEM tests and SAT cubes, local_index strictly increasing.
   std::vector<ShardDetTest> det_tests;
-  /// Shard-local detection matrix (shard tests x assigned faults); present
-  /// only in kDone checkpoints.
-  bool has_matrix = false;
-  atpg::DetectionMatrix local_matrix;
 
   /// Assigned-partition size for a strided split.
   static std::size_t assigned_count(std::uint64_t n_reps, std::uint32_t index,

@@ -1,13 +1,15 @@
 // Per-shard campaign executor: one strided fault partition, checkpointed.
 //
 // A shard owns the collapsed representatives with global index ≡ shard_index
-// (mod shard_count). It replays the campaign pipeline on just those faults —
-// random prepass, deterministic top-off, shard-local detection matrix —
-// committing a checkpoint after the prepass, every `checkpoint_every` PODEM
-// results, and at completion. Because first detections are independent of
-// which other faults are co-simulated (the scheduler's determinism
-// contract), the supervisor can merge shard checkpoints back into the
-// exact one-shot campaign result.
+// (mod shard_count). It runs the campaign executor's own steps
+// (flow/campaign_detail.hpp) on just those faults — start_partition for the
+// random prepass, resolve_fault per surviving fault — committing a
+// checkpoint after the prepass, every kCheckpointEvery resolved faults, and
+// at completion. It builds no matrix: the supervisor's merge hands every
+// completed shard to the same build_report a one-shot run uses, and
+// because first detections are independent of which other faults are
+// co-simulated (the scheduler's determinism contract), the merge
+// reproduces the one-shot campaign result exactly.
 //
 // This is the unit of crash tolerance: run as a child process by the shard
 // supervisor (obd_atpg --shard i/n) or in-process by tests. A SIGINT/
@@ -25,6 +27,10 @@
 
 namespace obd::flow {
 
+/// Resolved faults between periodic checkpoint flushes — the most work a
+/// crash can lose.
+inline constexpr int kCheckpointEvery = 64;
+
 struct ShardRunOptions {
   std::string checkpoint_dir;  ///< required; created by the supervisor/CLI
   std::uint32_t shard_index = 0;
@@ -33,9 +39,6 @@ struct ShardRunOptions {
   /// fresh; an invalid or mismatched file is kBadCheckpoint (the
   /// supervisor deletes it and retries from scratch).
   bool resume = false;
-  /// PODEM results between periodic checkpoint flushes — the most work a
-  /// crash can lose.
-  int checkpoint_every = 64;
   /// Polled between fault searches; set by a signal handler. When it goes
   /// nonzero the shard flushes a checkpoint and returns kInterrupted.
   const volatile std::sig_atomic_t* stop = nullptr;

@@ -1,9 +1,10 @@
 // Shard supervisor: crash-tolerant campaign orchestration.
 //
 // Splits a campaign into shard_count strided fault partitions and drives
-// each to a committed kDone checkpoint, then merges the checkpoints into a
-// campaign report whose detection matrix is bit-identical to the one-shot
-// run (matrix_hash is the witness; see tests/test_supervisor.cpp).
+// each to a committed kDone checkpoint, then hands the checkpoints to the
+// report builder a one-shot run uses (flow/campaign_detail.hpp), so the
+// merged report equals the one-shot report (matrix_hash is the witness;
+// see tests/test_supervisor.cpp).
 //
 // Execution modes:
 //   - subprocess (default for the CLI): each attempt is a child

@@ -17,7 +17,10 @@ namespace obd::obs {
 
 struct Heartbeat {
   int shard = 0;
-  std::string phase;            ///< "prepass" | "topoff" | "matrix" | "done"
+  /// "prepass" (once, after the prepass checkpoint) | "topoff" (throttled,
+  /// while faults resolve) | "done" (once, after the final checkpoint).
+  /// Shards build no matrix; the supervisor's merge does.
+  std::string phase;
   long long resolved = 0;       ///< faults with a final status
   long long assigned = 0;       ///< faults in this shard's partition
   long long detected = 0;

@@ -66,43 +66,97 @@ long long metric_value(const CampaignReport& r, const std::string& name) {
   return m ? m->value : 0;
 }
 
+CampaignOptions golden_options(FaultModel model,
+                               ScanMode style = ScanMode::kEnhanced,
+                               long backtracks = 100000,
+                               bool sat_escalate = false) {
+  CampaignOptions opt;
+  opt.model = model;
+  opt.scan_style = style;
+  opt.max_backtracks = backtracks;
+  opt.sat_escalate = sat_escalate;
+  opt.sim.threads = 1;
+  return opt;
+}
+
 TEST(FlowCampaign, ObdGoldenDecisionIdentity) {
   // Fixed values, not just cross-run equality: a PODEM rewrite that keeps
   // every test valid but changes one decision moves the implication or
-  // backtrack count, and usually tests_final and the hash. Recorded from
-  // the full-re-evaluation engine; the event-driven engine must match.
+  // backtrack count, and usually tests_final and the hash; a campaign path
+  // that drifts moves the counts. One row per path through the executor:
+  // OBD, SAT escalation, both LOC styles, stuck-at and transition. The
+  // search counts of the OBD rows were recorded from the full-re-evaluation
+  // PODEM engine; every hash and fault count predates the shared executor
+  // (the LOC rows' effort counts were first reported by it).
   struct Golden {
     const char* file;
+    CampaignOptions opt;
     std::uint64_t matrix_hash;
     int tests_final;
+    int detected;
+    int untestable;
+    int sat_untestable;
+    int aborted;
     long long implications;
     long long backtracks;
   };
-  for (const Golden& g :
-       {Golden{"c880.bench", 0xab4af0760b18a4e0ull, 175, 12829, 78},
-        Golden{"c2670.bench", 0x879931ea3ebbcb87ull, 221, 8268, 3223}}) {
+  const FaultModel obd = FaultModel::kObd;
+  const ScanMode loc = ScanMode::kLaunchOnCapture;
+  const ScanMode held = ScanMode::kLaunchOnCaptureHeldPi;
+  for (const Golden& g : {
+           Golden{"c880.bench", golden_options(obd), 0xab4af0760b18a4e0ull,
+                  175, 2077, 0, 0, 0, 12829, 78},
+           Golden{"c2670.bench", golden_options(obd), 0x879931ea3ebbcb87ull,
+                  221, 5780, 48, 0, 0, 8268, 3223},
+           Golden{"c2670.bench",
+                  golden_options(obd, ScanMode::kEnhanced, 20, true),
+                  0x879931ea3ebbcb87ull, 221, 5780, 1, 47, 0, 4939, 1542},
+           Golden{"s1423.bench", golden_options(obd, loc),
+                  0xaf7adee893c99740ull, 49, 1333, 133, 0, 0, 1292, 507},
+           Golden{"s1423.bench", golden_options(obd, held),
+                  0x48852ea94796dae9ull, 44, 1074, 392, 0, 0, 3226, 1215},
+           Golden{"s344.bench", golden_options(obd, loc),
+                  0xcf3ccd163478684bull, 31, 412, 69, 0, 0, 7712, 3768},
+           Golden{"s344.bench", golden_options(obd, held),
+                  0x123c7356ada6d496ull, 30, 406, 75, 0, 0, 4475, 2154},
+           // Starved LOC search: every abort is a named backtrack abort.
+           Golden{"s344.bench", golden_options(obd, loc, 1),
+                  0x9100d5126beaea46ull, 30, 411, 0, 0, 70, 504, 144},
+           Golden{"c432.bench", golden_options(FaultModel::kStuck),
+                  0x8adb86b04bcb0fd2ull, 24, 274, 0, 0, 0, 23, 0},
+           Golden{"c880.bench", golden_options(FaultModel::kTransition),
+                  0x226f0d7ceeaaf794ull, 60, 510, 0, 0, 0, 2232, 0},
+       }) {
+    const std::string what = std::string(g.file) + " " +
+                             to_string(g.opt.model) + " " +
+                             to_string(g.opt.scan_style) + " backtracks " +
+                             std::to_string(g.opt.max_backtracks);
     const io::BenchParseResult p = io::load_bench_file(corpus(g.file));
     ASSERT_TRUE(p.ok) << p.error;
-    CampaignOptions opt;
-    opt.model = FaultModel::kObd;
-    opt.sim.threads = 1;
-    const CampaignReport r = run_campaign(p.seq, opt);
-    ASSERT_TRUE(r.ok()) << r.error;
-    EXPECT_EQ(r.matrix_hash, g.matrix_hash) << g.file;
-    EXPECT_EQ(r.tests_final, g.tests_final) << g.file;
+    const CampaignReport r = run_campaign(p.seq, g.opt);
+    ASSERT_TRUE(r.ok()) << what << ": " << r.error;
+    EXPECT_EQ(r.matrix_hash, g.matrix_hash) << what;
+    EXPECT_EQ(r.tests_final, g.tests_final) << what;
+    EXPECT_EQ(r.detected, g.detected) << what;
+    EXPECT_EQ(r.untestable, g.untestable) << what;
+    EXPECT_EQ(r.sat_untestable, g.sat_untestable) << what;
+    EXPECT_EQ(r.aborted, g.aborted) << what;
+    EXPECT_EQ(r.aborted_backtracks, g.aborted) << what;
+    EXPECT_EQ(r.aborted_faults.size(), static_cast<std::size_t>(g.aborted))
+        << what;
     EXPECT_EQ(metric_value(r, "atpg.podem_implications"), g.implications)
-        << g.file;
-    EXPECT_EQ(metric_value(r, "atpg.podem_backtracks"), g.backtracks)
-        << g.file;
+        << what;
+    EXPECT_EQ(metric_value(r, "atpg.podem_backtracks"), g.backtracks) << what;
     // One histogram observation per PODEM search, summing to the counter.
     const obs::MetricValue* hist =
         find_metric(r, "atpg.podem_implications_per_fault");
-    ASSERT_NE(hist, nullptr) << g.file;
-    EXPECT_EQ(static_cast<long long>(hist->hist.sum), g.implications);
+    ASSERT_NE(hist, nullptr) << what;
+    EXPECT_EQ(static_cast<long long>(hist->hist.sum), g.implications) << what;
     EXPECT_EQ(static_cast<long long>(hist->hist.count),
               metric_value(r, "atpg.podem_found") +
                   metric_value(r, "atpg.podem_untestable") +
-                  metric_value(r, "atpg.podem_aborted"));
+                  metric_value(r, "atpg.podem_aborted"))
+        << what;
   }
 }
 

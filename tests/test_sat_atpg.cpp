@@ -436,22 +436,56 @@ flow::CampaignReport run_sharded(const Circuit& c,
 }  // namespace
 
 TEST(SatCampaign, EscalatedShardedMergeMatchesOneShot) {
-  const Circuit c = logic::array_multiplier(3);
-  flow::CampaignOptions opt = abort_tail_options();
-  opt.sat_escalate = true;
-  const flow::CampaignReport oneshot = flow::run_campaign(c, opt);
-  ASSERT_TRUE(oneshot.ok()) << oneshot.error;
-  for (const int shards : {1, 4}) {
-    const flow::CampaignReport merged = run_sharded(
-        c, opt, shards, fresh_dir("shards" + std::to_string(shards)), false);
-    ASSERT_TRUE(merged.ok()) << merged.error;
-    EXPECT_EQ(merged.matrix_hash, oneshot.matrix_hash) << shards << " shards";
-    EXPECT_EQ(merged.detected, oneshot.detected);
-    EXPECT_EQ(merged.sat_detected, oneshot.sat_detected);
-    EXPECT_EQ(merged.sat_untestable, oneshot.sat_untestable);
-    EXPECT_EQ(merged.aborted, 0);
-    EXPECT_DOUBLE_EQ(merged.provable_coverage, 1.0);
-    EXPECT_GT(merged.sat_conflicts, 0);
+  // One-shot and sharded runs share one executor and one report builder,
+  // so every result field agrees — tests_deterministic counts SAT cubes in
+  // both. Rows: the prepass-free abort tail of array_multiplier(3), which
+  // SAT resolves completely, and array_multiplier(8) with the default
+  // prepass at --backtracks 2. sat_conflicts is only required to survive
+  // the merge (> 0): each shard runs its own SAT session, so the sum
+  // differs from the one-shot count.
+  flow::CampaignOptions starved;
+  starved.model = flow::FaultModel::kObd;
+  starved.max_backtracks = 2;
+  struct Row {
+    Circuit c;
+    flow::CampaignOptions opt;
+    std::vector<int> shard_counts;
+    bool sat_resolves_all;
+  };
+  for (Row row :
+       {Row{logic::array_multiplier(3), abort_tail_options(), {1, 4}, true},
+        Row{logic::array_multiplier(8), starved, {1, 2}, false}}) {
+    row.opt.sat_escalate = true;
+    const flow::CampaignReport oneshot = flow::run_campaign(row.c, row.opt);
+    ASSERT_TRUE(oneshot.ok()) << oneshot.error;
+    ASSERT_GT(oneshot.sat_detected, 0) << row.c.name();
+    for (const int shards : row.shard_counts) {
+      const std::string what =
+          row.c.name() + ", " + std::to_string(shards) + " shards";
+      const flow::CampaignReport merged =
+          run_sharded(row.c, row.opt, shards,
+                      fresh_dir("shards" + std::to_string(shards)), false);
+      ASSERT_TRUE(merged.ok()) << what << ": " << merged.error;
+      EXPECT_GT(merged.sat_conflicts, 0) << what;
+      if (row.sat_resolves_all) {
+        EXPECT_EQ(merged.aborted, 0) << what;
+        EXPECT_DOUBLE_EQ(merged.provable_coverage, 1.0) << what;
+      }
+      EXPECT_EQ(merged.matrix_hash, oneshot.matrix_hash) << what;
+      EXPECT_EQ(merged.detected, oneshot.detected) << what;
+      EXPECT_EQ(merged.untestable, oneshot.untestable) << what;
+      EXPECT_EQ(merged.aborted, oneshot.aborted) << what;
+      EXPECT_EQ(merged.aborted_backtracks, oneshot.aborted_backtracks) << what;
+      EXPECT_EQ(merged.aborted_time, oneshot.aborted_time) << what;
+      EXPECT_EQ(merged.sat_detected, oneshot.sat_detected) << what;
+      EXPECT_EQ(merged.sat_untestable, oneshot.sat_untestable) << what;
+      EXPECT_EQ(merged.sat_unknown, oneshot.sat_unknown) << what;
+      EXPECT_EQ(merged.tests_random, oneshot.tests_random) << what;
+      EXPECT_EQ(merged.tests_deterministic, oneshot.tests_deterministic)
+          << what;
+      EXPECT_EQ(merged.tests_final, oneshot.tests_final) << what;
+      EXPECT_EQ(merged.aborted_faults, oneshot.aborted_faults) << what;
+    }
   }
 }
 
@@ -598,34 +632,6 @@ TEST(SatCampaign, NdetectSkipsProvenUntestable) {
   ASSERT_TRUE(r.ok()) << r.error;
   ASSERT_GT(r.sat_untestable, 0);
   EXPECT_EQ(r.ndetect_pruned_untestable, r.sat_untestable);
-}
-
-TEST(SatCampaign, SeededCubesJoinThePrepassPool) {
-  // With seeding on, don't-care bits of early SAT cubes become extra
-  // prepass patterns: later aborted representatives can be detected by a
-  // seeded pattern before PODEM ever reruns. The knob changes the test
-  // set, so it is one-shot only and off by default.
-  const Circuit c = logic::array_multiplier(3);
-  flow::CampaignOptions opt = abort_tail_options();
-  opt.sat_escalate = true;
-  opt.seed_sat_cubes = true;
-  const flow::CampaignReport r = flow::run_campaign(c, opt);
-  ASSERT_TRUE(r.ok()) << r.error;
-  EXPECT_EQ(r.aborted, 0);
-  EXPECT_GT(r.seeded_tests, 0);
-  EXPECT_DOUBLE_EQ(r.provable_coverage, 1.0);
-
-  // Sharded campaigns reject the knob instead of silently diverging.
-  flow::SupervisorOptions sup;
-  sup.checkpoint_dir = fresh_dir("seeded");
-  sup.shards = 2;
-  sup.in_process = true;
-  const flow::CampaignReport sharded =
-      flow::run_supervised_campaign(logic::SequentialCircuit(c), opt, sup)
-          .report;
-  EXPECT_FALSE(sharded.ok());
-  EXPECT_NE(sharded.error.find("seed-sat-cubes"), std::string::npos)
-      << sharded.error;
 }
 
 }  // namespace

@@ -337,7 +337,7 @@ TEST_F(SupervisorTest, InterruptedShardResumesToBitIdenticalState) {
   ref_opt.shard_count = 2;
   const ShardRunResult ref = run_campaign_shard(p.seq, opt, ref_opt);
   ASSERT_EQ(ref.status, ShardRunStatus::kDone) << ref.error;
-  ASSERT_TRUE(ref.state.has_matrix);
+  ASSERT_EQ(ref.state.phase, ShardPhase::kDone);
 
   // Same shard, interrupted right after the prepass (the stop flag is
   // polled before the first PODEM search), then resumed.
@@ -359,7 +359,6 @@ TEST_F(SupervisorTest, InterruptedShardResumesToBitIdenticalState) {
                               &err))
       << err;
   EXPECT_NE(mid.phase, ShardPhase::kDone);
-  EXPECT_FALSE(mid.has_matrix);
 
   stop = 0;
   so.resume = true;

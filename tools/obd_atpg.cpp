@@ -53,11 +53,6 @@
 //                                  persist across faults. Verdicts and test
 //                                  cubes are identical to fresh solving;
 //                                  off re-encodes from scratch per fault
-//   --seed-sat-cubes               push the don't-care bits of early SAT
-//                                  test cubes back into the random prepass
-//                                  pool as seeded fills (default off: the
-//                                  extra patterns change matrix_hash; not
-//                                  available in sharded runs)
 //   --ndetect N                    grow an n-detect set (obd model only)
 //   --no-compact                   skip greedy set-cover compaction
 //   --report FILE.json             write the JSON report (atomically:
@@ -90,10 +85,11 @@
 //
 // Crash-tolerant sharded campaigns:
 //   --shards N                     supervise N shard child processes and
-//                                  merge their checkpoints (bit-identical
-//                                  to the one-shot run; exit 3 when shards
-//                                  were quarantined and the report is
-//                                  partial)
+//                                  merge their checkpoints through the
+//                                  one-shot run's report builder
+//                                  (bit-identical to the one-shot run; exit
+//                                  3 when shards were quarantined and the
+//                                  report is partial)
 //   --shard I/N                    run as shard I of N (normally spawned
 //                                  by --shards, not by hand)
 //   --checkpoint-dir DIR           shard checkpoint directory (required
@@ -153,7 +149,7 @@ int usage(const char* argv0) {
                "[--grey-order] [--random N] [--seed S]\n"
                "       [--backtracks N] [--podem-time S] [--sat-escalate] "
                "[--sat-conflict-budget N] [--sat-incremental on|off] "
-               "[--seed-sat-cubes] [--ndetect N]\n"
+               "[--ndetect N]\n"
                "       [--no-compact] [--report FILE.json] "
                "[--min-coverage F] [--write-bench FILE] [--quiet] "
                "[--verbose]\n"
@@ -334,8 +330,6 @@ int main(int argc, char** argv) {
                   m.c_str());
         return 1;
       }
-    } else if (a == "--seed-sat-cubes") {
-      opt.seed_sat_cubes = true;
     } else if (a == "--ndetect") {
       if (!parse_long(value("--ndetect"), n) || n < 0) return usage(argv[0]);
       opt.ndetect = static_cast<int>(n);
