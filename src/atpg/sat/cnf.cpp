@@ -73,6 +73,35 @@ bool CnfEncoder::assert_po_difference(const NetVars& good,
   return true;
 }
 
+void CnfEncoder::assert_sensitized_path(const NetVars& good,
+                                        const NetVars& faulty, NetId forced) {
+  std::vector<Var> path(c_.num_nets(), kNoSatVar);
+  for (std::size_t n = 0; n < c_.num_nets(); ++n) {
+    const Var gv = good.var[n];
+    const Var fv = faulty.var[n];
+    if (fv == gv) continue;  // outside the cone: never differs
+    path[n] = s_.new_var();
+    clause({mk_lit(path[n], true), mk_lit(gv), mk_lit(fv)});
+    clause({mk_lit(path[n], true), mk_lit(gv, true), mk_lit(fv, true)});
+  }
+  std::vector<bool> is_po(c_.num_nets(), false);
+  for (const NetId po : c_.outputs())
+    is_po[static_cast<std::size_t>(po)] = true;
+  std::vector<Lit> next;
+  for (std::size_t n = 0; n < c_.num_nets(); ++n) {
+    // A differing PO ends the path; a cone net with no fanout and no PO
+    // gets the unit ~s_n.
+    if (path[n] == kNoSatVar || is_po[n]) continue;
+    next.assign({mk_lit(path[n], true)});
+    // Every reader of a cone net is a cone gate, so its output has an s.
+    for (const int gi : c_.fanout_of(static_cast<NetId>(n)))
+      next.push_back(
+          mk_lit(path[static_cast<std::size_t>(c_.gate(gi).output)]));
+    clause(next);
+  }
+  clause({mk_lit(path[static_cast<std::size_t>(forced)])});
+}
+
 void CnfEncoder::pin(const NetVars& nv, NetId n, bool value) {
   clause({mk_lit(nv.of(n), !value)});
 }

@@ -7,6 +7,14 @@
 // the good copy's variable. A one-sided miter then asserts that some
 // primary output inside the cone differs between the copies.
 //
+// The incremental session (incremental.hpp) also adds Larrabee's
+// sensitized-path ("D-chain") clauses to each cone: a fresh s_n per cone
+// net with s_n -> (good_n != faulty_n), s_n -> OR(s of its fanout gates'
+// outputs) for every non-PO cone net, and the unit s_forced. They say
+// directly that a detecting assignment has a path of differing nets from
+// the forced net to a PO, which CDCL would otherwise rediscover blocked
+// path by blocked path. The fresh single-pair path does not use them.
+//
 // Gate consistency clauses use the hand-minimized standard forms for the
 // simple cells (the classic Tseitin shapes) and a truth-table expansion
 // against logic::gate_eval for the complex AOI/OAI cells — at most 16
@@ -52,6 +60,16 @@ class CnfEncoder {
   /// the cone reaches no PO — the difference is structurally unobservable
   /// and the instance is untestable without solving.
   bool assert_po_difference(const NetVars& good, const NetVars& faulty);
+
+  /// Sensitized-path clauses for the cone of `forced` (see the header
+  /// comment). Equisatisfiable with the miter alone: side inputs outside
+  /// the cone are shared by both copies, so every differing cone net other
+  /// than `forced` has a differing cone input, and any detecting assignment
+  /// extends to these clauses by setting s along one differing path from
+  /// `forced` to a PO. Only the implication s_n -> diff is stated; a
+  /// differing net off that path (a dangling one, say) keeps s_n false.
+  void assert_sensitized_path(const NetVars& good, const NetVars& faulty,
+                              logic::NetId forced);
 
   /// Unit-pins net `n` of a copy to `value`.
   void pin(const NetVars& nv, logic::NetId n, bool value);

@@ -35,6 +35,7 @@ SatSession::ConeEntry& SatSession::cone_for(NetId net, bool value) {
   enc_.set_guard(mk_lit(e.act, true));
   e.faulty = enc_.encode_faulty(good2_, net, value);
   e.observable = enc_.assert_po_difference(good2_, e.faulty);
+  if (e.observable) enc_.assert_sensitized_path(good2_, e.faulty, net);
   enc_.clear_guard();
   return e;
 }
@@ -73,6 +74,9 @@ PairStatus SatSession::solve_pair(const FrameGoal& fault_frame,
   const long long d0 = s_.stats().decisions;
   const long long t0 = s_.stats().restarts;
   const SolveStatus st = s_.solve(assumptions, opt_.conflict_budget);
+  // Assuming `act` saved its phase as true. Park it false again, or a later
+  // pair's free decision could switch this cone's miter into its search.
+  s_.set_phase(cone.act, false);
   r->conflicts += s_.stats().conflicts - c0;
   r->decisions += s_.stats().decisions - d0;
   r->restarts += s_.stats().restarts - t0;

@@ -9,19 +9,27 @@
 //   - each faulty cone + miter is encoded once per (forced net, value)
 //     under a fresh activation literal, so faults sharing a fanout cone —
 //     every OBD transistor of one gate, for a start — reuse the encoding;
+//   - each cone also carries Larrabee's sensitized-path clauses
+//     (CnfEncoder::assert_sensitized_path), which state that a difference
+//     must travel a path of differing nets to a PO, so an untestable pair
+//     is refuted in a handful of conflicts instead of path by path;
 //   - per-excitation obligations (gate-input pins, the fault-activation
 //     pin) travel as solver *assumptions*, never as clauses, so nothing is
 //     retracted between calls and learned clauses, variable activity, and
 //     saved phases accumulate across the tail.
 //
 // Verdict compatibility is by construction, not by luck: an UNSAT answer
-// under assumptions refutes exactly the fresh pair formula (the other
-// cones' guarded clauses are satisfiable independently by leaving their
-// activation variables false), and any SAT or budget-out answer is
+// under assumptions refutes exactly the fresh pair formula (the
+// sensitized-path clauses are equisatisfiable with the miter, and the
+// other cones' guarded clauses are satisfiable independently by setting
+// their activation variables false), and any SAT or budget-out answer is
 // delegated to the fresh single-pair path, so emitted cubes are
 // byte-identical to sat_generate_*'s. Escalation verdicts therefore do not
 // depend on session history, which keeps checkpoint/resume and shard
-// reconciliation contracts untouched.
+// reconciliation contracts untouched. Activation variables are parked
+// false between pairs: assuming one saves its phase as true, so the
+// session resets that phase after each solve, and free decisions never
+// switch a foreign cone into the search.
 #pragma once
 
 #include <map>

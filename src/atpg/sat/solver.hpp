@@ -78,6 +78,12 @@ class Solver {
   /// every later solve() returns kUnsat.
   bool okay() const { return ok_; }
 
+  /// Sets the saved phase of `v`: its next free decision branches to
+  /// `value`. Every enqueue overwrites the saved phase, assumptions too.
+  void set_phase(Var v, bool value) {
+    polarity_[static_cast<std::size_t>(v)] = value;
+  }
+
   /// Model value of `v` after solve() returned kSat.
   bool value(Var v) const { return assign_[static_cast<std::size_t>(v)] == 1; }
 

@@ -69,12 +69,14 @@ long long metric_value(const CampaignReport& r, const std::string& name) {
 CampaignOptions golden_options(FaultModel model,
                                ScanMode style = ScanMode::kEnhanced,
                                long backtracks = 100000,
-                               bool sat_escalate = false) {
+                               bool sat_escalate = false,
+                               bool sat_incremental = true) {
   CampaignOptions opt;
   opt.model = model;
   opt.scan_style = style;
   opt.max_backtracks = backtracks;
   opt.sat_escalate = sat_escalate;
+  opt.sat_incremental = sat_incremental;
   opt.sim.threads = 1;
   return opt;
 }
@@ -87,7 +89,11 @@ TEST(FlowCampaign, ObdGoldenDecisionIdentity) {
   // OBD, SAT escalation, both LOC styles, stuck-at and transition. The
   // search counts of the OBD rows were recorded from the full-re-evaluation
   // PODEM engine; every hash and fault count predates the shared executor
-  // (the LOC rows' effort counts were first reported by it).
+  // (the LOC rows' effort counts were first reported by it). sat_conflicts
+  // pins the SAT effort: the incremental session's rows count its
+  // sensitized-path clauses (c2670 took 155 conflicts and mul10 21 022
+  // with the miter alone), and the fresh row pins the per-fault path that
+  // lifts every cube.
   struct Golden {
     const char* file;
     CampaignOptions opt;
@@ -99,38 +105,47 @@ TEST(FlowCampaign, ObdGoldenDecisionIdentity) {
     int aborted;
     long long implications;
     long long backtracks;
+    long long sat_conflicts;
   };
   const FaultModel obd = FaultModel::kObd;
   const ScanMode loc = ScanMode::kLaunchOnCapture;
   const ScanMode held = ScanMode::kLaunchOnCaptureHeldPi;
   for (const Golden& g : {
            Golden{"c880.bench", golden_options(obd), 0xab4af0760b18a4e0ull,
-                  175, 2077, 0, 0, 0, 12829, 78},
+                  175, 2077, 0, 0, 0, 12829, 78, 0},
            Golden{"c2670.bench", golden_options(obd), 0x879931ea3ebbcb87ull,
-                  221, 5780, 48, 0, 0, 8268, 3223},
+                  221, 5780, 48, 0, 0, 8268, 3223, 0},
            Golden{"c2670.bench",
                   golden_options(obd, ScanMode::kEnhanced, 20, true),
-                  0x879931ea3ebbcb87ull, 221, 5780, 1, 47, 0, 4939, 1542},
+                  0x879931ea3ebbcb87ull, 221, 5780, 1, 47, 0, 4939, 1542, 106},
+           Golden{"c2670.bench",
+                  golden_options(obd, ScanMode::kEnhanced, 20, true, false),
+                  0x879931ea3ebbcb87ull, 221, 5780, 1, 47, 0, 4939, 1542, 389},
+           // An unplanted abort tail: logic::array_multiplier(10).
+           Golden{"mul10.bench",
+                  golden_options(obd, ScanMode::kEnhanced, 20, true),
+                  0x05dae9c4a8c86126ull, 133, 3930, 5, 15, 0, 1763, 695, 38},
            Golden{"s1423.bench", golden_options(obd, loc),
-                  0xaf7adee893c99740ull, 49, 1333, 133, 0, 0, 1292, 507},
+                  0xaf7adee893c99740ull, 49, 1333, 133, 0, 0, 1292, 507, 0},
            Golden{"s1423.bench", golden_options(obd, held),
-                  0x48852ea94796dae9ull, 44, 1074, 392, 0, 0, 3226, 1215},
+                  0x48852ea94796dae9ull, 44, 1074, 392, 0, 0, 3226, 1215, 0},
            Golden{"s344.bench", golden_options(obd, loc),
-                  0xcf3ccd163478684bull, 31, 412, 69, 0, 0, 7712, 3768},
+                  0xcf3ccd163478684bull, 31, 412, 69, 0, 0, 7712, 3768, 0},
            Golden{"s344.bench", golden_options(obd, held),
-                  0x123c7356ada6d496ull, 30, 406, 75, 0, 0, 4475, 2154},
+                  0x123c7356ada6d496ull, 30, 406, 75, 0, 0, 4475, 2154, 0},
            // Starved LOC search: every abort is a named backtrack abort.
            Golden{"s344.bench", golden_options(obd, loc, 1),
-                  0x9100d5126beaea46ull, 30, 411, 0, 0, 70, 504, 144},
+                  0x9100d5126beaea46ull, 30, 411, 0, 0, 70, 504, 144, 0},
            Golden{"c432.bench", golden_options(FaultModel::kStuck),
-                  0x8adb86b04bcb0fd2ull, 24, 274, 0, 0, 0, 23, 0},
+                  0x8adb86b04bcb0fd2ull, 24, 274, 0, 0, 0, 23, 0, 0},
            Golden{"c880.bench", golden_options(FaultModel::kTransition),
-                  0x226f0d7ceeaaf794ull, 60, 510, 0, 0, 0, 2232, 0},
+                  0x226f0d7ceeaaf794ull, 60, 510, 0, 0, 0, 2232, 0, 0},
        }) {
     const std::string what = std::string(g.file) + " " +
                              to_string(g.opt.model) + " " +
                              to_string(g.opt.scan_style) + " backtracks " +
-                             std::to_string(g.opt.max_backtracks);
+                             std::to_string(g.opt.max_backtracks) +
+                             (g.opt.sat_incremental ? "" : " fresh SAT");
     const io::BenchParseResult p = io::load_bench_file(corpus(g.file));
     ASSERT_TRUE(p.ok) << p.error;
     const CampaignReport r = run_campaign(p.seq, g.opt);
@@ -144,6 +159,8 @@ TEST(FlowCampaign, ObdGoldenDecisionIdentity) {
     EXPECT_EQ(r.aborted_backtracks, g.aborted) << what;
     EXPECT_EQ(r.aborted_faults.size(), static_cast<std::size_t>(g.aborted))
         << what;
+    EXPECT_EQ(r.sat_unknown, 0) << what;
+    EXPECT_EQ(r.sat_conflicts, g.sat_conflicts) << what;
     EXPECT_EQ(metric_value(r, "atpg.podem_implications"), g.implications)
         << what;
     EXPECT_EQ(metric_value(r, "atpg.podem_backtracks"), g.backtracks) << what;

@@ -1,7 +1,8 @@
 // SAT ATPG backend: CDCL core on hand-built CNFs (unit propagation,
 // conflict learning, UNSAT proofs, budgets, brute-force cross-check), the
 // circuit encoder gate-by-gate against the simulator's own gate function,
-// and the cross-oracle sweep — every `untestable` verdict on zoo-sized
+// the sensitized-path clauses against good/faulty simulation, and the
+// cross-oracle sweep — every `untestable` verdict on zoo-sized
 // circuits verified by exhaustive simulation, every cube replayed through
 // FaultSimEngine and required to detect its fault.
 #include "atpg/sat/sat_atpg.hpp"
@@ -201,6 +202,87 @@ TEST(SatCnf, EveryGateTypeMatchesGateEval) {
   }
 }
 
+// --- Encoder: sensitized-path clauses against simulation -----------------
+
+/// A PO that also feeds logic (y is a PO and drives the PO z) and a fault
+/// cone net that dangles (w reads a but drives nothing and is no PO): the
+/// two shapes where the sensitized-path clauses' PO exemption and their
+/// one-sided s_n -> diff matter.
+Circuit po_fanout_dangle_circuit() {
+  Circuit c("po_fanout_dangle");
+  const logic::NetId a = c.add_input("a");
+  const logic::NetId b = c.add_input("b");
+  const logic::NetId k = c.add_input("k");
+  const logic::NetId y = c.net("y");
+  c.add_gate(GateType::kAnd2, "y", {a, b}, y);
+  const logic::NetId z = c.net("z");
+  c.add_gate(GateType::kAnd2, "z", {y, k}, z);
+  const logic::NetId w = c.net("w");
+  c.add_gate(GateType::kXor2, "w", {a, k}, w);
+  c.mark_output(y);
+  c.mark_output(z);
+  return c;
+}
+
+TEST(SatCnf, SensitizedPathClausesMatchSimulation) {
+  // For every (net, value) and every PI assignment pinned as assumptions:
+  // good + faulty + miter + sensitized-path clauses, behind an activation
+  // literal as in SatSession, are SAT exactly when the forced net makes
+  // some PO differ in simulation. An encoding that over-constrains (a PO
+  // that must propagate further, or s_n <-> diff) refutes a detecting
+  // assignment here.
+  const Circuit circuits[] = {logic::c17(), logic::full_adder_sum_circuit(),
+                              logic::array_multiplier(3),
+                              po_fanout_dangle_circuit()};
+  for (const Circuit& c : circuits) {
+    const std::size_t npi = c.inputs().size();
+    ASSERT_LE(npi, 6u) << c.name();  // every assignment in one 64-bit word
+    const std::uint64_t patterns = 1ull << npi;
+    std::vector<std::uint64_t> pi_words(npi, 0);
+    for (std::size_t i = 0; i < npi; ++i)
+      for (std::uint64_t p = 0; p < patterns; ++p)
+        if ((p >> i) & 1u) pi_words[i] |= 1ull << p;
+    const std::vector<std::uint64_t> good = c.eval_words(pi_words);
+    int detecting = 0;
+    for (logic::NetId n = 0; n < static_cast<logic::NetId>(c.num_nets()); ++n) {
+      for (const bool value : {false, true}) {
+        const std::vector<std::uint64_t> faulty =
+            c.eval_words(pi_words, n, value ? ~0ull : 0ull);
+        std::uint64_t detected = 0;
+        for (const logic::NetId po : c.outputs())
+          detected |= good[static_cast<std::size_t>(po)] ^
+                      faulty[static_cast<std::size_t>(po)];
+
+        Solver s;
+        CnfEncoder enc(c, s);
+        const NetVars g = enc.encode_good();
+        const Var act = s.new_var();
+        enc.set_guard(mk_lit(act, true));
+        const NetVars f = enc.encode_faulty(g, n, value);
+        const bool observable = enc.assert_po_difference(g, f);
+        if (observable) enc.assert_sensitized_path(g, f, n);
+        enc.clear_guard();
+        for (std::uint64_t p = 0; p < patterns; ++p) {
+          const bool expect = ((detected >> p) & 1u) != 0;
+          detecting += expect ? 1 : 0;
+          if (!observable) {
+            EXPECT_FALSE(expect) << c.name() << " " << c.net_name(n);
+            continue;
+          }
+          std::vector<Lit> assumptions{mk_lit(act)};
+          for (std::size_t i = 0; i < npi; ++i)
+            assumptions.push_back(
+                mk_lit(g.of(c.inputs()[i]), ((p >> i) & 1u) == 0));
+          EXPECT_EQ(s.solve(assumptions, 0) == SolveStatus::kSat, expect)
+              << c.name() << ": " << c.net_name(n) << " forced to " << value
+              << ", PI assignment " << p;
+        }
+      }
+    }
+    EXPECT_GT(detecting, 0) << c.name();
+  }
+}
+
 // --- Cross-oracle sweep on zoo circuits ----------------------------------
 
 /// Replays a cube's concrete test through the fault simulator: it must
@@ -268,7 +350,9 @@ TEST(SatAtpgOracle, ObdVerdictsOnZooCircuits) {
       }
     }
     EXPECT_GT(cubes, 0) << c.name();
-    if (c.name() == "full_adder_sum") EXPECT_GT(proofs, 0);
+    if (c.name() == "full_adder_sum") {
+      EXPECT_GT(proofs, 0);
+    }
   }
 }
 
@@ -555,38 +639,89 @@ TEST(SatIncremental, ImpliedAssumptionsAreNotConflicts) {
   EXPECT_TRUE(s.value(x));
 }
 
-TEST(SatIncremental, SessionMatchesFreshOnAbortTail) {
-  // The whole point of the session: for every OBD fault of the abort-tail
-  // circuit, the incremental path must return the same verdict AND the
-  // same cube bytes as the fresh per-fault encoder, while actually
-  // sharing work (cone cache hits, incremental refutations).
-  const Circuit c = logic::array_multiplier(3);
-  SatAtpgOptions opt;
-  SatSession session(c, opt);
-  int cubes = 0, untestable = 0;
-  for (const ObdFaultSite& site : enumerate_obd_faults(c)) {
-    const SatAtpgResult fresh = sat_generate_obd_test(c, site, opt);
-    const SatAtpgResult inc = session.generate_obd_test(site);
-    ASSERT_EQ(fresh.verdict, inc.verdict)
-        << "gate " << site.gate_index << " fault";
+SatAtpgResult fresh_test(const Circuit& c, const ObdFaultSite& f) {
+  return sat_generate_obd_test(c, f);
+}
+SatAtpgResult fresh_test(const Circuit& c, const StuckFault& f) {
+  return sat_generate_stuck_test(c, f);
+}
+SatAtpgResult fresh_test(const Circuit& c, const TransitionFault& f) {
+  return sat_generate_transition_test(c, f);
+}
+SatAtpgResult session_test(SatSession& s, const ObdFaultSite& f) {
+  return s.generate_obd_test(f);
+}
+SatAtpgResult session_test(SatSession& s, const StuckFault& f) {
+  return s.generate_stuck_test(f);
+}
+SatAtpgResult session_test(SatSession& s, const TransitionFault& f) {
+  return s.generate_transition_test(f);
+}
+
+struct SessionTally {
+  int cubes = 0;
+  int untestable = 0;
+  SatSessionStats stats;
+};
+
+/// Solves every fault twice, with the fresh per-fault encoder and with one
+/// SatSession shared by the whole list: verdicts and cube bytes must match.
+template <typename Fault>
+SessionTally session_vs_fresh(const Circuit& c,
+                              const std::vector<Fault>& faults) {
+  SatSession session(c);
+  SessionTally t;
+  for (const Fault& f : faults) {
+    const SatAtpgResult fresh = fresh_test(c, f);
+    const SatAtpgResult inc = session_test(session, f);
+    EXPECT_EQ(fresh.verdict, inc.verdict) << fault_name(c, f);
     if (fresh.verdict == SatVerdict::kCube) {
-      ++cubes;
-      EXPECT_EQ(fresh.cube.v1.bits, inc.cube.v1.bits);
-      EXPECT_EQ(fresh.cube.v1.care_mask, inc.cube.v1.care_mask);
-      EXPECT_EQ(fresh.cube.v2.bits, inc.cube.v2.bits);
-      EXPECT_EQ(fresh.cube.v2.care_mask, inc.cube.v2.care_mask);
+      ++t.cubes;
+      EXPECT_EQ(fresh.cube.v1.bits, inc.cube.v1.bits) << fault_name(c, f);
+      EXPECT_EQ(fresh.cube.v1.care_mask, inc.cube.v1.care_mask)
+          << fault_name(c, f);
+      EXPECT_EQ(fresh.cube.v2.bits, inc.cube.v2.bits) << fault_name(c, f);
+      EXPECT_EQ(fresh.cube.v2.care_mask, inc.cube.v2.care_mask)
+          << fault_name(c, f);
     } else if (fresh.verdict == SatVerdict::kUntestable) {
-      ++untestable;
+      ++t.untestable;
     }
   }
-  EXPECT_GT(cubes, 0);
-  EXPECT_GT(untestable, 0);
-  const SatSessionStats& st = session.stats();
-  EXPECT_GT(st.pairs_total, 0);
-  EXPECT_GT(st.cone_hits, 0);            // shared cones actually reused
-  EXPECT_GT(st.incremental_refutes, 0);  // refutations from the shared DB
-  EXPECT_GT(st.vars_shared, 0);
-  EXPECT_LT(st.cone_encodes, st.pairs_total);
+  t.stats = session.stats();
+  return t;
+}
+
+TEST(SatIncremental, SessionMatchesFreshOnAbortTail) {
+  // The whole point of the session: for every fault of each model, the
+  // incremental path (sensitized-path clauses included) must return the
+  // same verdict AND the same cube bytes as the fresh per-fault encoder,
+  // while actually sharing work. The untestable counts are exhaustive
+  // facts about array_multiplier(4). Only OBD faults share cones (every
+  // transistor of a gate forces the same output net); each stuck or
+  // transition fault brings its own.
+  const Circuit c = logic::array_multiplier(4);
+  struct Row {
+    const char* model;
+    SessionTally t;
+    int untestable;
+    bool shares_cones;
+  };
+  for (const Row& row :
+       {Row{"obd", session_vs_fresh(c, enumerate_obd_faults(c)), 11, true},
+        Row{"stuck", session_vs_fresh(c, enumerate_stuck_faults(c)), 3, false},
+        Row{"transition", session_vs_fresh(c, enumerate_transition_faults(c)),
+            3, false}}) {
+    EXPECT_GT(row.t.cubes, 0) << row.model;
+    EXPECT_EQ(row.t.untestable, row.untestable) << row.model;
+    const SatSessionStats& st = row.t.stats;
+    EXPECT_GT(st.pairs_total, 0) << row.model;
+    EXPECT_GT(st.incremental_refutes, 0) << row.model;  // from the shared DB
+    EXPECT_GT(st.vars_shared, 0) << row.model;
+    if (row.shares_cones) {
+      EXPECT_GT(st.cone_hits, 0) << row.model;
+      EXPECT_LT(st.cone_encodes, st.pairs_total) << row.model;
+    }
+  }
 }
 
 TEST(SatCampaign, IncrementalToggleIsInvariant) {

@@ -13,6 +13,12 @@
 // chain) and exists to exercise the multi-word InputVec test-vector path
 // at benchmark scale.
 //
+// mul10 is logic::array_multiplier(10) written out unchanged: a genuine
+// (unplanted) hard tail. At a starved PODEM budget its OBD campaign leaves
+// aborts that only SAT escalation resolves, most of them provably
+// untestable, so the SAT layer is exercised on more than the planted
+// redundant carry block of the c2670/c7552 stand-ins.
+//
 // Usage: make_bench_corpus [outdir]   (default bench/circuits)
 #include <cstdio>
 #include <fstream>
@@ -21,6 +27,7 @@
 
 #include "io/bench.hpp"
 #include "logic/circuit.hpp"
+#include "logic/zoo.hpp"
 
 namespace {
 
@@ -565,5 +572,7 @@ int main(int argc, char** argv) {
   ok &= emit(dir, "c2670.bench", logic::SequentialCircuit(make_c2670()));
   ok &= emit(dir, "c7552.bench", logic::SequentialCircuit(make_c7552()));
   ok &= emit(dir, "s1423.bench", make_s1423());
+  ok &= emit(dir, "mul10.bench",
+             logic::SequentialCircuit(logic::array_multiplier(10)));
   return ok ? 0 : 1;
 }

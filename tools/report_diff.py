@@ -3,10 +3,14 @@
 
 Nested objects are flattened to dotted paths (faults.detected,
 sim.matrix_hash, metrics.atpg.podem_backtracks); arrays compare as whole
-values. The wall-clock "timing" object is always ignored. --only keeps the
+values. The wall-clock "timing" object is never compared. --only keeps the
 fields under the given dotted prefixes, --ignore drops them; a prefix
 matches the path itself and everything below it. Every differing field is
 printed as "path: A -> B", and the exit status is 1 when any differs.
+
+After the field diff, every timing.* phase of either report is printed to
+stderr as "timing.PHASE: A -> B (B/A x)", so a run shows which phase moved.
+Timing never affects the exit status.
 
 Usage:
   report_diff.py A.json B.json [--only PREFIX]... [--ignore PREFIX]...
@@ -65,6 +69,12 @@ def main():
             diffs += 1
     if diffs:
         print(f"report_diff: {diffs} field(s) differ", file=sys.stderr)
+
+    for path in sorted(p for p in a.keys() | b.keys() if under(p, ["timing"])):
+        va, vb = a.get(path, ABSENT), b.get(path, ABSENT)
+        timed = all(isinstance(v, (int, float)) for v in (va, vb))
+        ratio = f" ({vb / va:.3g}x)" if timed and va else ""
+        print(f"{path}: {show(va)} -> {show(vb)}{ratio}", file=sys.stderr)
     return 1 if diffs else 0
 
 
