@@ -17,6 +17,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdarg>
+#include <thread>
 
 #include "atpg/atpg.hpp"
 #include "flow/campaign.hpp"
@@ -170,30 +171,6 @@ struct SatRow {
   double sat_provable = 0.0;     // provable_coverage after escalation
 };
 
-/// Cross-block delta good evaluation on the wide-tier sentinel: c7552
-/// block throughput with --delta-goods off vs on, over a correlated
-/// (grey-sorted) pattern stream — the workload the resident-goods reuse
-/// targets. The identical column re-asserts the bit-identity contract.
-struct DeltaRow {
-  std::string circuit;
-  std::string partition;  // "full" or "shard32" (strided fault subset)
-  std::size_t faults = 0;
-  std::size_t patterns = 0;
-  double off_s = 0.0;
-  double on_s = 0.0;
-  long long delta_good_evals = 0;     // blocks served by the delta walk
-  long long delta_full_fallbacks = 0; // blocks that fell back to full eval
-  bool identical = false;
-
-  double off_fps() const {
-    return static_cast<double>(faults * patterns) / off_s;
-  }
-  double on_fps() const {
-    return static_cast<double>(faults * patterns) / on_s;
-  }
-  double speedup() const { return off_s / on_s; }
-};
-
 /// Incremental SAT on the PODEM abort tail: the same starved-backtracks
 /// campaign solved twice, once re-encoding per fault (fresh) and once on
 /// the persistent assumption-based session. Verdicts must match exactly;
@@ -272,7 +249,6 @@ void appendf(std::string& out, const char* fmt, ...) {
 std::string rows_json(const std::vector<SimComparison>& rows,
                       const std::vector<SchedRow>& sched,
                       const std::vector<SatRow>& sat,
-                      const std::vector<DeltaRow>& delta,
                       const std::vector<IncSatRow>& inc,
                       const std::vector<ObsOverheadRow>& obs) {
   std::string out = "  \"circuits\": [\n";
@@ -316,20 +292,6 @@ std::string rows_json(const std::vector<SimComparison>& rows,
         r.podem_s, r.sat_s, r.podem_provable, r.sat_provable,
         i + 1 < sat.size() ? "," : "");
   }
-  out += "  ],\n  \"delta_goods\": [\n";
-  for (std::size_t i = 0; i < delta.size(); ++i) {
-    const DeltaRow& r = delta[i];
-    appendf(
-        out,
-        "    {\"name\": \"%s\", \"partition\": \"%s\", \"obd_faults\": %zu, "
-        "\"patterns\": %zu, \"off_fps\": %.4g, \"on_fps\": %.4g, "
-        "\"speedup\": %.4g, \"delta_good_evals\": %lld, "
-        "\"delta_full_fallbacks\": %lld, \"identical\": %s}%s\n",
-        r.circuit.c_str(), r.partition.c_str(), r.faults, r.patterns,
-        r.off_fps(), r.on_fps(), r.speedup(), r.delta_good_evals,
-        r.delta_full_fallbacks, r.identical ? "true" : "false",
-        i + 1 < delta.size() ? "," : "");
-  }
   out += "  ],\n  \"incremental_sat\": [\n";
   for (std::size_t i = 0; i < inc.size(); ++i) {
     const IncSatRow& r = inc[i];
@@ -372,12 +334,27 @@ std::string rows_json(const std::vector<SimComparison>& rows,
 void emit_json(const std::vector<SimComparison>& rows,
                const std::vector<SchedRow>& sched,
                const std::vector<SatRow>& sat,
-               const std::vector<DeltaRow>& delta,
                const std::vector<IncSatRow>& inc,
                const std::vector<ObsOverheadRow>& obs) {
-  const std::string body = rows_json(rows, sched, sat, delta, inc, obs);
+  const std::string body = rows_json(rows, sched, sat, inc, obs);
   std::string doc = "{\n  \"bench\": \"atpg_scale_faultsim\",\n"
                     "  \"unit\": \"fault_patterns_per_sec\",\n";
+  // Where the rows were measured. Kept outside the CRC body: the checksum
+  // guards the measurements, not the host they came from.
+#ifdef NDEBUG
+  const char* ndebug = "true";
+#else
+  const char* ndebug = "false";
+#endif
+#ifdef __AVX2__
+  const char* avx2 = "true";
+#else
+  const char* avx2 = "false";
+#endif
+  appendf(doc,
+          "  \"provenance\": {\"nproc\": %u, \"compiler\": \"%s\", "
+          "\"ndebug\": %s, \"avx2\": %s},\n",
+          std::thread::hardware_concurrency(), __VERSION__, ndebug, avx2);
   appendf(doc, "  \"rows_crc32c\": \"%08x\",\n", obd::util::crc32c(body));
   doc += body;
   doc += "}\n";
@@ -555,102 +532,6 @@ std::vector<SatRow> reproduce_sat_escalation() {
       "abort tail; --sat-escalate resolves each abort inline into a\n"
       "validated cube or an untestability proof, lifting provable coverage\n"
       "to the exact redundancy-aware bound at a sub-linear wall-time cost.\n\n");
-  return rows;
-}
-
-/// Delta good evaluation on the wide-tier sentinel: c7552 block campaign
-/// throughput with delta off vs forced on, over a correlated stream the
-/// resident-goods reuse targets (low PIs repeat the same 64-test pattern
-/// per block, PIs 64..68 walk the block index in Gray order — so exactly
-/// one PI lane word changes per block boundary). Two fault partitions:
-/// the full list, where per-fault propagation amortizes the good eval
-/// and delta is roughly neutral, and a shard-sized strided subset (the
-/// partition a 32-shard supervised campaign hands each worker), where
-/// the per-block good evaluation is a real share of the bill and the
-/// delta walk pays for itself.
-std::vector<DeltaRow> reproduce_delta_goods() {
-  std::printf(
-      "=== Delta good evaluation: c7552 block throughput, delta off/on "
-      "===\n\n");
-  std::vector<DeltaRow> rows;
-  const io::BenchParseResult pr =
-      io::load_bench_file(std::string(OBD_CORPUS_DIR) + "/c7552.bench");
-  if (!pr.ok) {
-    std::fprintf(stderr, "corpus c7552.bench: %s\n", pr.error.c_str());
-    return rows;
-  }
-  const logic::Circuit c = logic::decompose_composites(pr.circuit());
-  const auto all_faults = enumerate_obd_faults(c);
-
-  std::vector<TwoVectorTest> tests;
-  for (int i = 0; i < 2048; ++i) {
-    const unsigned low = static_cast<unsigned>(i) & 63u;
-    const unsigned blk = static_cast<unsigned>(i) >> 6;
-    const unsigned grey = blk ^ (blk >> 1);
-    TwoVectorTest t;
-    for (int b = 0; b < 6; ++b) {
-      t.v1.set_bit(static_cast<std::size_t>(b), ((low >> b) & 1u) != 0);
-      t.v2.set_bit(static_cast<std::size_t>(b), ((low >> b) & 1u) != 0);
-    }
-    for (int b = 0; b < 5; ++b) {
-      t.v1.set_bit(static_cast<std::size_t>(64 + b), ((grey >> b) & 1u) != 0);
-      t.v2.set_bit(static_cast<std::size_t>(64 + b), ((grey >> b) & 1u) != 0);
-    }
-    tests.push_back(t);
-  }
-
-  util::AsciiTable t("delta good evaluation (c7552 OBD campaign, 64 lanes)");
-  t.set_header({"circuit", "partition", "faults", "tests", "off fps",
-                "on fps", "speedup", "delta evals", "fallbacks",
-                "identical"});
-  const struct {
-    const char* partition;
-    std::size_t stride;
-  } parts[] = {{"full", 1}, {"shard32", 32}};
-  for (const auto& part : parts) {
-    std::vector<logic::ObdFaultSite> faults;
-    for (std::size_t i = 0; i < all_faults.size(); i += part.stride)
-      faults.push_back(all_faults[i]);
-
-    DeltaRow row;
-    row.circuit = c.name();
-    row.partition = part.partition;
-    row.faults = faults.size();
-    row.patterns = tests.size();
-    int off_detected = 0;
-    int on_detected = 0;
-    {
-      FaultSimEngine off(c, EngineOptions{0, 1, DeltaGoods::kOff});
-      row.off_s = min2([&] {
-        off_detected = off.campaign_obd(tests, faults, false).detected;
-      });
-    }
-    {
-      FaultSimEngine on(c, EngineOptions{0, 1, DeltaGoods::kOn});
-      row.on_s = min2([&] {
-        on_detected = on.campaign_obd(tests, faults, false).detected;
-      });
-      row.delta_good_evals = on.delta_good_evals();
-      row.delta_full_fallbacks = on.delta_full_fallbacks();
-    }
-    row.identical = off_detected == on_detected;
-    rows.push_back(row);
-    t.add_row({row.circuit, row.partition, std::to_string(row.faults),
-               std::to_string(row.patterns), util::format_g(row.off_fps(), 3),
-               util::format_g(row.on_fps(), 3),
-               util::format_g(row.speedup(), 3) + "x",
-               std::to_string(row.delta_good_evals),
-               std::to_string(row.delta_full_fallbacks),
-               row.identical ? "yes" : "NO"});
-  }
-  t.print();
-  std::printf(
-      "delta keeps the previous block's good lanes resident and reseeds the\n"
-      "frontier walk from the changed PI words only; on this stream every\n"
-      "block after the first is served by the delta walk, and detections\n"
-      "stay bit-identical to full evaluation. The full-list row shows the\n"
-      "amortized-good-eval ceiling; the shard-sized partition is where the\n"
-      "saved full evaluations show up as throughput.\n\n");
   return rows;
 }
 
@@ -849,12 +730,11 @@ void reproduce_faultsim_scale() {
       "blocks.\n\n");
   const std::vector<SchedRow> sched_rows = reproduce_scheduler_scale();
   const std::vector<SatRow> sat_rows = reproduce_sat_escalation();
-  const std::vector<DeltaRow> delta_rows = reproduce_delta_goods();
   const std::vector<IncSatRow> inc_rows = reproduce_incremental_sat();
   const std::vector<ObsOverheadRow> obs_rows = reproduce_obs_overhead();
-  emit_json(rows, sched_rows, sat_rows, delta_rows, inc_rows, obs_rows);
+  emit_json(rows, sched_rows, sat_rows, inc_rows, obs_rows);
   std::printf(
-      "JSON (circuits + sched + sat_escalation + delta_goods + "
+      "JSON (provenance + circuits + sched + sat_escalation + "
       "incremental_sat + observability_overhead rows): "
       "BENCH_atpg_scale.json\n\n");
 }

@@ -84,29 +84,13 @@ FaultSimEngine::FaultSimEngine(const Circuit& c, EngineOptions opt)
                                gate_level_[static_cast<std::size_t>(g)]);
   for (NetId po : c.outputs()) po_mask_[static_cast<std::size_t>(po)] = 1;
 
-  // Whole-circuit (level, topo rank) walk order for the cross-block delta
-  // good-eval: like a cone's gate order, but over every gate, so a delta
-  // walk seeded from any changed-PI set is a valid topological sweep with
-  // the same frontier-fence early exit.
-  level_order_.resize(c.num_gates());
-  std::iota(level_order_.begin(), level_order_.end(), 0);
-  std::sort(level_order_.begin(), level_order_.end(), [this](int a, int b) {
-    const auto sa = static_cast<std::size_t>(a);
-    const auto sb = static_cast<std::size_t>(b);
-    if (gate_level_[sa] != gate_level_[sb])
-      return gate_level_[sa] < gate_level_[sb];
-    return topo_pos_[sa] < topo_pos_[sb];
-  });
-
   // Touch every engine id before caching slot pointers: slot() may grow
   // the slab, and only the last growth's pointers are stable.
   const EngineMetricIds& ids = EngineMetricIds::get();
   for (obs::MetricId id :
        {ids.cone_bytes, ids.cone_peak_bytes, ids.cone_resident,
         ids.cone_evictions, ids.propagations, ids.frontier_events,
-        ids.frontier_gate_evals, ids.frontier_early_exits,
-        ids.delta_good_evals, ids.delta_full_fallbacks, ids.delta_gate_evals,
-        ids.delta_changed_pis}) {
+        ids.frontier_gate_evals, ids.frontier_early_exits}) {
     metrics_.slot(id);
   }
   cone_bytes_ = metrics_.slot(ids.cone_bytes);
@@ -117,9 +101,6 @@ FaultSimEngine::FaultSimEngine(const Circuit& c, EngineOptions opt)
   frontier_events_ = metrics_.slot(ids.frontier_events);
   frontier_gate_evals_ = metrics_.slot(ids.frontier_gate_evals);
   frontier_early_exits_ = metrics_.slot(ids.frontier_early_exits);
-  delta_good_evals_ = metrics_.slot(ids.delta_good_evals);
-  delta_full_fallbacks_ = metrics_.slot(ids.delta_full_fallbacks);
-  delta_gate_evals_ = metrics_.slot(ids.delta_gate_evals);
 }
 
 const EngineMetricIds& EngineMetricIds::get() {
@@ -133,10 +114,6 @@ const EngineMetricIds& EngineMetricIds::get() {
     m.frontier_events = obs::counter("sim.frontier_events");
     m.frontier_gate_evals = obs::counter("sim.frontier_gate_evals");
     m.frontier_early_exits = obs::counter("sim.frontier_early_exits");
-    m.delta_good_evals = obs::counter("sim.delta_good_evals");
-    m.delta_full_fallbacks = obs::counter("sim.delta_full_fallbacks");
-    m.delta_gate_evals = obs::counter("sim.delta_gate_evals");
-    m.delta_changed_pis = obs::histogram("sim.delta_changed_pis");
     return m;
   }();
   return ids;
@@ -280,108 +257,6 @@ void FaultSimEngine::propagate(const std::uint64_t* good, std::size_t n_words,
   touched_.clear();
 }
 
-void FaultSimEngine::delta_eval(const std::vector<std::uint64_t>& pi_words,
-                                std::vector<std::uint64_t>& values,
-                                const std::vector<int>& changed_pis) {
-  const auto W = static_cast<std::size_t>(opt_.lane_words);
-  std::uint64_t* vals = values.data();
-  // Seed: copy the changed PI words in place and flag their nets. The
-  // fence starts at the highest fanout level of any changed net, exactly
-  // as in propagate().
-  int fence = -1;
-  for (int idx : changed_pis) {
-    const NetId n = c_.inputs()[static_cast<std::size_t>(idx)];
-    const auto s = static_cast<std::size_t>(n);
-    for (std::size_t w = 0; w < W; ++w)
-      vals[s * W + w] = pi_words[static_cast<std::size_t>(idx) * W + w];
-    changed_[s] = 1;
-    touched_.push_back(n);
-    if (net_fence_[s] > fence) fence = net_fence_[s];
-  }
-  // Level-order walk over the whole circuit. Reading inputs straight from
-  // `values` is safe: (level, topo rank) is topological, so a gate's
-  // inputs — changed or not — are already this block's final words, and a
-  // skipped gate's resident output word is still current because its
-  // inputs are bit-identical to the previous block's.
-  const std::uint64_t* ins[8];
-  std::uint64_t* const tmp = eval_tmp_.data();
-  for (int gi : level_order_) {
-    if (gate_level_[static_cast<std::size_t>(gi)] > fence) break;
-    const auto& gate = c_.gate(gi);
-    const std::size_t arity = gate.inputs.size();
-    std::uint8_t any = 0;
-    for (std::size_t k = 0; k < arity; ++k)
-      any |= changed_[static_cast<std::size_t>(gate.inputs[k])];
-    if (!any) continue;
-    ++*delta_gate_evals_;
-    for (std::size_t k = 0; k < arity; ++k) {
-      const auto in = static_cast<std::size_t>(gate.inputs[k]);
-      ins[k] = vals + in * W;
-    }
-    logic::gate_eval_lanes(gate.type, ins, tmp, W);
-    const auto on = static_cast<std::size_t>(gate.output);
-    std::uint64_t d = 0;
-    for (std::size_t w = 0; w < W; ++w) d |= tmp[w] ^ vals[on * W + w];
-    if (!d) continue;  // the change dies at this gate
-    for (std::size_t w = 0; w < W; ++w) vals[on * W + w] = tmp[w];
-    changed_[on] = 1;
-    touched_.push_back(gate.output);
-    if (net_fence_[on] > fence) fence = net_fence_[on];
-  }
-  for (NetId t : touched_) changed_[static_cast<std::size_t>(t)] = 0;
-  touched_.clear();
-}
-
-void FaultSimEngine::eval_goods(const std::vector<std::uint64_t>& pi_words,
-                                std::vector<std::uint64_t>& values,
-                                std::vector<std::uint64_t>& prev_pi,
-                                bool& valid) {
-  const auto W = static_cast<std::size_t>(opt_.lane_words);
-  if (opt_.delta_goods == DeltaGoods::kOff) {
-    c_.eval_wide_into(pi_words, W, values);
-    valid = false;
-    return;
-  }
-  // Full-sweep fallback when there is no resident state to delta against
-  // (first block, or the buffers were reshaped by a fault-major call).
-  if (!valid || values.size() != c_.num_nets() * W ||
-      prev_pi.size() != pi_words.size()) {
-    c_.eval_wide_into(pi_words, W, values);
-    prev_pi = pi_words;
-    valid = true;
-    ++*delta_full_fallbacks_;
-    return;
-  }
-  changed_pis_.clear();
-  const std::size_t n_pi = c_.inputs().size();
-  for (std::size_t i = 0; i < n_pi; ++i)
-    if (logic::lanes_differ(pi_words.data() + i * W, prev_pi.data() + i * W,
-                            W))
-      changed_pis_.push_back(static_cast<int>(i));
-  metrics_.observe(EngineMetricIds::get().delta_changed_pis,
-                   changed_pis_.size());
-  // kAuto: past this changed-PI fraction the delta walk re-evaluates most
-  // of the circuit anyway, so the full sweep's tighter loop wins.
-  if (opt_.delta_goods == DeltaGoods::kAuto &&
-      changed_pis_.size() * 4 > n_pi) {
-    c_.eval_wide_into(pi_words, W, values);
-    prev_pi = pi_words;
-    ++*delta_full_fallbacks_;
-    return;
-  }
-  ++*delta_good_evals_;
-  delta_eval(pi_words, values, changed_pis_);
-  prev_pi = pi_words;
-}
-
-std::uint64_t FaultSimEngine::forced_diff(
-    const std::vector<std::uint64_t>& good, NetId forced,
-    std::uint64_t forced_word) {
-  std::uint64_t diff = 0;
-  propagate(good.data(), 1, forced, &forced_word, &diff);
-  return diff;
-}
-
 void FaultSimEngine::block_stuck(const PatternBlock& b,
                                  const std::vector<StuckFault>& faults,
                                  std::vector<std::uint64_t>& detect,
@@ -389,7 +264,7 @@ void FaultSimEngine::block_stuck(const PatternBlock& b,
   assert(b.lane_words() == opt_.lane_words);
   const auto W = static_cast<std::size_t>(opt_.lane_words);
   detect.assign(faults.size() * W, 0);
-  eval_goods(b.pi2(), good2_, prev_pi2_, goods2_valid_);
+  c_.eval_wide_into(b.pi2(), W, good2_);
   for (std::size_t w = 0; w < W; ++w)
     masks_[w] = b.lane_mask(static_cast<int>(w));
   for (std::size_t i = 0; i < faults.size(); ++i) {
@@ -418,8 +293,8 @@ void FaultSimEngine::block_transition(const PatternBlock& b,
   assert(b.lane_words() == opt_.lane_words);
   const auto W = static_cast<std::size_t>(opt_.lane_words);
   detect.assign(faults.size() * W, 0);
-  eval_goods(b.pi1(), good1_, prev_pi1_, goods1_valid_);
-  eval_goods(b.pi2(), good2_, prev_pi2_, goods2_valid_);
+  c_.eval_wide_into(b.pi1(), W, good1_);
+  c_.eval_wide_into(b.pi2(), W, good2_);
   for (std::size_t w = 0; w < W; ++w)
     masks_[w] = b.lane_mask(static_cast<int>(w));
   for (std::size_t i = 0; i < faults.size(); ++i) {
@@ -467,8 +342,8 @@ void FaultSimEngine::block_obd(const PatternBlock& b,
   assert(b.lane_words() == opt_.lane_words);
   const auto W = static_cast<std::size_t>(opt_.lane_words);
   detect.assign(faults.size() * W, 0);
-  eval_goods(b.pi1(), good1_, prev_pi1_, goods1_valid_);
-  eval_goods(b.pi2(), good2_, prev_pi2_, goods2_valid_);
+  c_.eval_wide_into(b.pi1(), W, good1_);
+  c_.eval_wide_into(b.pi2(), W, good2_);
   for (std::size_t w = 0; w < W; ++w)
     masks_[w] = b.lane_mask(static_cast<int>(w));
   for (std::size_t i = 0; i < faults.size(); ++i) {
@@ -600,10 +475,6 @@ void FaultSimEngine::load_broadcast_goods(const TwoVectorTest& t,
   }
   bcast(t.v2);
   c_.eval_words_into(pi_bcast_, good2_);
-  // The broadcast path reshapes good1_/good2_ to one word per net; any
-  // resident wide lanes are gone (a size check alone cannot tell at
-  // lane_words == 1, so invalidate explicitly).
-  reset_goods();
 }
 
 void FaultSimEngine::inject(NetId n, int lane, bool value) {
@@ -803,15 +674,6 @@ const char* to_string(SimPacking p) {
   return "?";
 }
 
-const char* to_string(DeltaGoods d) {
-  switch (d) {
-    case DeltaGoods::kOff: return "off";
-    case DeltaGoods::kOn: return "on";
-    case DeltaGoods::kAuto: return "auto";
-  }
-  return "?";
-}
-
 FaultSimScheduler::FaultSimScheduler(const Circuit& c, SimOptions opt)
     : c_(c), opt_(opt) {
   if (opt_.threads < 1) opt_.threads = 1;
@@ -823,8 +685,7 @@ FaultSimScheduler::FaultSimScheduler(const Circuit& c, SimOptions opt)
   engines_.reserve(static_cast<std::size_t>(opt_.threads));
   for (int w = 0; w < opt_.threads; ++w)
     engines_.push_back(std::make_unique<FaultSimEngine>(
-        c_, EngineOptions{opt_.cone_cache_bytes, opt_.lane_words,
-                          opt_.delta_goods}));
+        c_, EngineOptions{opt_.cone_cache_bytes, opt_.lane_words}));
 }
 
 FaultSimScheduler::~FaultSimScheduler() = default;
@@ -960,30 +821,8 @@ DetectionMatrix FaultSimScheduler::build_matrix(
     });
   } else {
     // Shard whole blocks: block b owns rows [capacity * b, + size).
-    // With grey_order the blocks are formed from a (v1, v2)-sorted
-    // permutation of the tests — consecutive blocks then share far more PI
-    // lane bits, which is what delta good-eval feeds on — and each detected
-    // lane is scattered back through the permutation to its original row.
-    // A test's detection row never depends on its blockmates, so the matrix
-    // is bit-identical either way.
-    std::vector<std::size_t> order;
-    const std::vector<TwoVectorTest>* packed = &tests;
-    std::vector<TwoVectorTest> reordered;
-    if (opt_.grey_order && tests.size() > 1) {
-      order.resize(tests.size());
-      std::iota(order.begin(), order.end(), std::size_t{0});
-      std::stable_sort(order.begin(), order.end(),
-                       [&](std::size_t a, std::size_t b) {
-                         if (auto c = tests[a].v1 <=> tests[b].v1; c != 0)
-                           return c < 0;
-                         return (tests[a].v2 <=> tests[b].v2) < 0;
-                       });
-      reordered.reserve(tests.size());
-      for (std::size_t t : order) reordered.push_back(tests[t]);
-      packed = &reordered;
-    }
     const std::vector<PatternBlock> blocks =
-        PatternBlock::pack(c_, *packed, opt_.lane_words);
+        PatternBlock::pack(c_, tests, opt_.lane_words);
     const auto W = static_cast<std::size_t>(opt_.lane_words);
     const std::size_t capacity = W * 64;
     std::atomic<std::size_t> next{0};
@@ -1005,9 +844,7 @@ DetectionMatrix FaultSimScheduler::build_matrix(
               const auto lane =
                   static_cast<std::size_t>(std::countr_zero(word));
               word &= word - 1;
-              const std::size_t pos = wbase + lane;
-              const std::size_t row = order.empty() ? pos : order[pos];
-              m.rows[row * m.words_per_row + fw] |= fbit;
+              m.rows[(wbase + lane) * m.words_per_row + fw] |= fbit;
             }
           }
         }
@@ -1140,11 +977,6 @@ FaultSimEngine::Campaign FaultSimScheduler::run_campaign(
   run_workers(workers, "campaign", [&](int w) {
     auto& mine = detect[static_cast<std::size_t>(w)];
     while (!stop) {
-      // A worker's slice is contiguous within a round but jumps by
-      // round_cap blocks between rounds; dropping the resident good state
-      // at the boundary keeps the delta counters a pure function of the
-      // (workers, batch) shape instead of the jump distance.
-      engine(w).reset_goods();
       for (std::size_t j = 0; j < batch; ++j) {
         const std::size_t b =
             start + static_cast<std::size_t>(w) * batch + j;

@@ -62,10 +62,6 @@ struct EngineMetricIds {
   obs::MetricId frontier_events;
   obs::MetricId frontier_gate_evals;
   obs::MetricId frontier_early_exits;
-  obs::MetricId delta_good_evals;
-  obs::MetricId delta_full_fallbacks;
-  obs::MetricId delta_gate_evals;
-  obs::MetricId delta_changed_pis;
   static const EngineMetricIds& get();
 };
 
@@ -83,11 +79,6 @@ struct EngineOptions {
   /// kernels in logic/laneblock.hpp fuse them). Detection results are
   /// bit-identical at any width.
   int lane_words = 1;
-  /// Cross-block good-eval delta propagation (see atpg::DeltaGoods): keep
-  /// the previous block's good lanes resident and re-evaluate only the
-  /// fanout of the PIs whose lane words changed. Bit-identical to a full
-  /// eval in every mode.
-  DeltaGoods delta_goods = DeltaGoods::kOff;
 };
 
 /// Up to 64 * lane_words two-vector tests packed lane-per-test (stuck-at
@@ -195,16 +186,6 @@ class FaultSimEngine {
   /// Propagations that short-circuited before exhausting the cone because
   /// the frontier emptied below the remaining gates' levels.
   long long frontier_early_exits() const { return *frontier_early_exits_; }
-  /// Good evaluations served by the cross-block delta walk.
-  long long delta_good_evals() const { return *delta_good_evals_; }
-  /// Good evaluations that fell back to a full sweep (no resident state,
-  /// shape change, or the kAuto changed-PI threshold tripped).
-  long long delta_full_fallbacks() const { return *delta_full_fallbacks_; }
-
-  /// Drops the resident cross-block good state: the next good evaluation
-  /// runs the full sweep. The scheduler calls this at campaign batch
-  /// boundaries so per-round work stays deterministic per configuration.
-  void reset_goods() { goods1_valid_ = goods2_valid_ = false; }
 
   /// This engine's accumulation sheet (single-owner; merged by the
   /// scheduler in worker order).
@@ -283,13 +264,6 @@ class FaultSimEngine {
                         const std::vector<ObdFaultSite>& faults,
                         bool drop_detected = true);
 
-  /// PO difference word between the good block valuation `good` (one word
-  /// per net) and the same block with `forced` pinned to `forced_word`,
-  /// propagating only through the forced net's fanout cone. The one-word
-  /// convenience form of the wide frontier propagation.
-  std::uint64_t forced_diff(const std::vector<std::uint64_t>& good,
-                            NetId forced, std::uint64_t forced_word);
-
  private:
   /// A fanout cone, levelized once: gate indices sorted by (logic level,
   /// topo rank). Membership masks and PO lists are gone — change flags
@@ -319,23 +293,6 @@ class FaultSimEngine {
   Campaign run_campaign(const std::vector<TwoVectorTest>& tests,
                         const std::vector<Fault>& faults, bool drop_detected,
                         BlockFn block_fn);
-
-  /// Good-circuit evaluation of one frame of a pattern block into `values`
-  /// (lane-strided, opt_.lane_words per net). With delta_goods enabled and
-  /// resident state from the previous block (`prev_pi` + `valid`), only the
-  /// fanout of the PIs whose lane words changed is re-evaluated — exactly
-  /// reproducing Circuit::eval_wide_into bit for bit. Falls back to the
-  /// full sweep on the first block, on shape changes, and (kAuto) when the
-  /// changed-PI fraction exceeds the fallback threshold.
-  void eval_goods(const std::vector<std::uint64_t>& pi_words,
-                  std::vector<std::uint64_t>& values,
-                  std::vector<std::uint64_t>& prev_pi, bool& valid);
-  /// The delta walk proper: seeds changed flags from the changed PIs
-  /// (given as PI indices) and re-evaluates their fanout in level order
-  /// over the resident `values`.
-  void delta_eval(const std::vector<std::uint64_t>& pi_words,
-                  std::vector<std::uint64_t>& values,
-                  const std::vector<int>& changed_pis);
 
   /// Broadcast good valuations of both frames of `t` into good1_/good2_
   /// (frame 1 skipped when `need_frame1` is false — the stuck-at kernel
@@ -375,9 +332,6 @@ class FaultSimEngine {
   long long* frontier_events_ = nullptr;
   long long* frontier_gate_evals_ = nullptr;
   long long* frontier_early_exits_ = nullptr;
-  long long* delta_good_evals_ = nullptr;
-  long long* delta_full_fallbacks_ = nullptr;
-  long long* delta_gate_evals_ = nullptr;
   std::map<std::tuple<int, bool, int>, std::array<std::uint16_t, 16>>
       obd_tables_;
   // Lane-strided per-net scratch (lane_words words per net for the block
@@ -395,14 +349,6 @@ class FaultSimEngine {
   std::vector<std::uint64_t> inj_set0_, inj_set1_;
   std::vector<NetId> inj_nets_;
   std::vector<std::uint64_t> pi_bcast_, ibad_;
-  // Cross-block delta good-eval state: every gate sorted by (level, topo
-  // rank) for the whole-circuit delta walk, the previous block's PI words
-  // per frame, validity of the resident good1_/good2_ lanes, and the
-  // changed-PI scratch list.
-  std::vector<int> level_order_;
-  std::vector<std::uint64_t> prev_pi1_, prev_pi2_;
-  bool goods1_valid_ = false, goods2_valid_ = false;
-  std::vector<int> changed_pis_;
 };
 
 /// Aggregated per-engine counters (summed over the scheduler's workers;

@@ -96,19 +96,6 @@ enum class SimPacking {
 
 const char* to_string(SimPacking p);
 
-/// Cross-block good-circuit delta evaluation. Consecutive pattern blocks of
-/// a campaign usually share most PI lane bits (PRNG-sequential pools are
-/// highly correlated), so re-evaluating only the fanout of the PIs whose
-/// lanes changed beats a full topological sweep. Results are bit-identical
-/// in every mode — the delta walk reproduces eval_wide_into exactly.
-enum class DeltaGoods {
-  kOff,   ///< full eval_wide_into per block (the historical behavior)
-  kOn,    ///< always delta-evaluate from the previous resident block
-  kAuto,  ///< delta unless too many PIs changed (falls back to full eval)
-};
-
-const char* to_string(DeltaGoods d);
-
 struct SimOptions {
   /// Worker threads for sharding pattern blocks (and fault-major matrix
   /// rows); 1 runs inline on the calling thread. Results are bit-identical
@@ -129,16 +116,6 @@ struct SimOptions {
   /// of coarser fault-drop reconciliation (results stay bit-identical —
   /// only the redundant-work metric moves).
   int block_batch = 0;
-  /// Cross-block good-eval delta propagation (see DeltaGoods). Off by
-  /// default: the resident-state reuse is bit-identical but shifts the
-  /// frontier/eval observability counters.
-  DeltaGoods delta_goods = DeltaGoods::kOff;
-  /// Grey-order the pattern-major matrix stream: blocks are formed from a
-  /// (v1, v2)-sorted permutation of the tests so consecutive blocks share
-  /// more PI lane bits, maximizing delta-goods overlap. Detection rows are
-  /// scattered back through the permutation, so the matrix (and its hash)
-  /// is bit-identical with the knob on or off.
-  bool grey_order = false;
 };
 
 }  // namespace obd::atpg

@@ -134,16 +134,16 @@ pid_t spawn_shard(const SupervisorOptions& sup, const CampaignOptions& opt,
       std::to_string(opt.max_backtracks),
       "--threads",
       std::to_string(opt.sim.threads),
+      "--lanes",
+      std::to_string(64 * std::max(1, opt.sim.lane_words)),
+      "--cone-cache",
+      std::to_string(opt.sim.cone_cache_bytes),
   };
   if (opt.podem_time_budget_s > 0.0) {
     char buf[32];
     std::snprintf(buf, sizeof buf, "%.17g", opt.podem_time_budget_s);
     args.push_back("--podem-time");
     args.push_back(buf);
-  }
-  if (opt.sim.delta_goods != atpg::DeltaGoods::kOff) {
-    args.push_back("--delta-goods");
-    args.push_back(atpg::to_string(opt.sim.delta_goods));
   }
   if (opt.sat_escalate) {
     args.push_back("--sat-escalate");

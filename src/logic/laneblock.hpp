@@ -203,14 +203,6 @@ inline void gate_eval_lanes(GateType t, const std::uint64_t* const* in,
   }
 }
 
-/// True when some word of [a, a + n) differs from the matching word of b.
-inline bool lanes_differ(const std::uint64_t* a, const std::uint64_t* b,
-                         std::size_t n_words) {
-  std::uint64_t d = 0;
-  for (std::size_t w = 0; w < n_words; ++w) d |= a[w] ^ b[w];
-  return d != 0;
-}
-
 /// OR-reduction of the lane-wise XOR of the two bundles: zero iff they are
 /// identical; any set bit names a lane position that flipped in some word.
 inline std::uint64_t lanes_xor_reduce(const std::uint64_t* a,

@@ -103,6 +103,17 @@ TEST(Scheduler, SmallShapesAutoSerialize) {
   EXPECT_EQ(esched.resolve_batch(64, 4), 3u);
 }
 
+TEST(Scheduler, BatchAwareSerialThreshold) {
+  // The serial-threshold product must include the block batch: batched
+  // rounds do batch x blocks x gates of work, so a shape that is
+  // sub-threshold per block can still be worth fanning out.
+  const Circuit big = logic::array_multiplier(6);  // 444 gates
+  FaultSimScheduler plain(big, {4, SimPacking::kPatternMajor});
+  EXPECT_EQ(plain.pattern_workers(8), 1);  // 444 x 8 x 1: sub-threshold
+  FaultSimScheduler batched(big, {4, SimPacking::kPatternMajor, 0, 1, 4});
+  EXPECT_EQ(batched.pattern_workers(8), 4);  // 444 x 8 x 1 x 4 crosses it
+}
+
 TEST(Scheduler, BatchedRoundsMatchEngineAboveSerialThreshold) {
   // mul4x4 with 3200 tests = 50 blocks puts gates x blocks past the
   // auto-serial gate, so these campaigns really run threaded rounds of

@@ -75,11 +75,11 @@ void sweep_campaign_hash(const std::string& file) {
   ASSERT_TRUE(p.ok) << p.error;
   flow::CampaignOptions opt;
   opt.model = flow::FaultModel::kObd;
-  opt.random_patterns = 256;  // keep the 6-config sweep quick
+  opt.random_patterns = 256;  // keep the 9-config sweep quick
   flow::CampaignReport base;
   bool first = true;
   for (const int lane_words : {1, 4, 8}) {
-    for (const int threads : {1, 2}) {
+    for (const int threads : {1, 2, 4}) {
       opt.sim.lane_words = lane_words;
       opt.sim.threads = threads;
       const flow::CampaignReport r = flow::run_campaign(p.seq, opt);

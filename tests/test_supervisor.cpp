@@ -8,8 +8,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <csignal>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -127,6 +131,30 @@ TEST_F(SupervisorTest, MergeIsBitIdenticalToOneShotC7552) {
     const SupervisorResult res = run_supervised_campaign(p.seq, opt, sup);
     const std::string what = std::to_string(c[0]) + " threads, " +
                              std::to_string(c[1]) + " shards";
+    ASSERT_TRUE(res.report.ok()) << what << ": " << res.report.error;
+    expect_matches_baseline(res.report, base, what);
+  }
+}
+
+TEST_F(SupervisorTest, ObdMergeIsBitIdenticalToOneShotC2670) {
+  const io::BenchParseResult p = load("c2670.bench");
+  ASSERT_TRUE(p.ok) << p.error;
+
+  CampaignOptions opt;
+  opt.model = FaultModel::kObd;
+  opt.random_patterns = 256;
+  opt.max_backtracks = 5000;
+  const CampaignReport base = run_campaign(p.seq, opt);
+  ASSERT_TRUE(base.ok()) << base.error;
+  ASSERT_NE(base.matrix_hash, 0u);
+
+  for (const int shards : {1, 4}) {
+    SupervisorOptions sup;
+    sup.checkpoint_dir = fresh_dir("c2670_obd");
+    sup.shards = shards;
+    sup.in_process = true;
+    const SupervisorResult res = run_supervised_campaign(p.seq, opt, sup);
+    const std::string what = "obd, " + std::to_string(shards) + " shards";
     ASSERT_TRUE(res.report.ok()) << what << ": " << res.report.error;
     expect_matches_baseline(res.report, base, what);
   }
@@ -491,6 +519,60 @@ TEST_F(SupervisorTest, SubprocessShardsMatchOneShot) {
   ASSERT_TRUE(res.report.ok()) << res.report.error;
   EXPECT_EQ(count_outcome(res, ShardOutcome::kClean), 2);
   expect_matches_baseline(res.report, base, "subprocess 2 shards");
+}
+
+TEST_F(SupervisorTest, SubprocessShardsGetLanesAndConeCache) {
+  // Shard children must simulate at the parent's --lanes and --cone-cache,
+  // not at the CLI defaults. The child executable is a wrapper script that
+  // appends its argv to a log, one line per child, then execs obd_atpg.
+  const io::BenchParseResult p = load("c432.bench");
+  ASSERT_TRUE(p.ok) << p.error;
+
+  CampaignOptions opt;
+  opt.random_patterns = 64;
+  opt.sim.threads = 2;
+  opt.sim.lane_words = 4;
+  opt.sim.cone_cache_bytes = 65536;
+  const CampaignReport base = run_campaign(p.seq, opt);
+  ASSERT_TRUE(base.ok()) << base.error;
+
+  const std::string wrap_dir = fresh_dir("proc_wrap");
+  const std::string log = wrap_dir + "/argv.log";
+  const std::string wrapper = wrap_dir + "/obd_atpg.sh";
+  {
+    std::ofstream sh(wrapper);
+    sh << "#!/bin/sh\n"
+       << "echo \"$*\" >> \"" << log << "\"\n"
+       << "exec \"" << OBD_ATPG_BIN << "\" \"$@\"\n";
+  }
+  std::filesystem::permissions(wrapper, std::filesystem::perms::owner_all);
+
+  SupervisorOptions sup;
+  sup.checkpoint_dir = fresh_dir("proc_fwd");
+  sup.shards = 2;
+  sup.child_exe = wrapper;
+  sup.circuit_path = corpus("c432.bench");
+  const SupervisorResult res = run_supervised_campaign(p.seq, opt, sup);
+  ASSERT_TRUE(res.report.ok()) << res.report.error;
+  EXPECT_EQ(count_outcome(res, ShardOutcome::kClean), 2);
+  expect_matches_baseline(res.report, base, "subprocess 256 lanes");
+
+  std::ifstream in(log);
+  int children = 0;
+  for (std::string line; std::getline(in, line);) {
+    ++children;
+    std::istringstream words(line);
+    const std::vector<std::string> argv{
+        std::istream_iterator<std::string>(words),
+        std::istream_iterator<std::string>()};
+    const auto value_of = [&](const std::string& flag) -> std::string {
+      const auto it = std::find(argv.begin(), argv.end(), flag);
+      return it == argv.end() || it + 1 == argv.end() ? "" : *(it + 1);
+    };
+    EXPECT_EQ(value_of("--lanes"), "256") << line;
+    EXPECT_EQ(value_of("--cone-cache"), "65536") << line;
+  }
+  EXPECT_EQ(children, 2);
 }
 
 TEST_F(SupervisorTest, SubprocessSigkillIsRetriedToIdenticalResult) {

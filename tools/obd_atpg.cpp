@@ -11,25 +11,11 @@
 //                                  designs (default enhanced; the LOC
 //                                  styles need --model obd)
 //   --threads N                    fault-sim worker threads (default 1)
-//   --packing auto|pattern|fault   word-packing axis (default auto)
 //   --lanes 64|128|256|512         pattern lanes per simulation block
 //                                  (default 64; wider blocks run the SIMD
 //                                  LaneBlock kernels, results identical)
 //   --cone-cache BYTES             LRU cap on the per-engine fanout-cone
 //                                  cache (default 0 = unlimited)
-//   --delta-goods on|off|auto      cross-block good-eval delta propagation:
-//                                  keep the previous block's good values
-//                                  resident per worker and re-evaluate only
-//                                  the cones of changed PIs (default off;
-//                                  auto falls back to a full evaluation
-//                                  when more than a quarter of the PIs
-//                                  changed). Bit-identical results either
-//                                  way — matrix_hash is the witness
-//   --grey-order                   sort matrix-mode pattern blocks by test
-//                                  vector so adjacent lanes share PI values
-//                                  (raises --delta-goods hit rates; the
-//                                  detection matrix is scattered back to
-//                                  input order, so results are identical)
 //   --random N                     random prepass patterns (default 2048)
 //   --seed S                       PRNG seed (default 0x0bd5eed)
 //   --backtracks N                 PODEM backtrack budget (default 100000)
@@ -106,8 +92,8 @@
 // SIGINT/SIGTERM checkpoint in-flight shards and exit 75 (EX_TEMPFAIL);
 // rerunning with --resume continues where the campaign stopped.
 //
-// Results are bit-identical across --threads and --packing settings; the
-// report's matrix_hash field is the witness.
+// Results are bit-identical across --threads, --lanes, --cone-cache and
+// --shards settings; the report's matrix_hash field is the witness.
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -143,10 +129,8 @@ int usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s <circuit.bench> [--model stuck|transition|obd] "
                "[--scan-style enhanced|loc|loc-held]\n"
-               "       [--threads N] [--packing auto|pattern|fault] "
-               "[--lanes 64|128|256|512]\n"
-               "       [--cone-cache BYTES] [--delta-goods on|off|auto] "
-               "[--grey-order] [--random N] [--seed S]\n"
+               "       [--threads N] [--lanes 64|128|256|512] "
+               "[--cone-cache BYTES] [--random N] [--seed S]\n"
                "       [--backtracks N] [--podem-time S] [--sat-escalate] "
                "[--sat-conflict-budget N] [--sat-incremental on|off] "
                "[--ndetect N]\n"
@@ -267,15 +251,6 @@ int main(int argc, char** argv) {
     } else if (a == "--threads") {
       if (!parse_long(value("--threads"), n) || n < 1) return usage(argv[0]);
       opt.sim.threads = static_cast<int>(n);
-    } else if (a == "--packing") {
-      const std::string p = value("--packing");
-      if (p == "auto") opt.sim.packing = atpg::SimPacking::kAuto;
-      else if (p == "pattern") opt.sim.packing = atpg::SimPacking::kPatternMajor;
-      else if (p == "fault") opt.sim.packing = atpg::SimPacking::kFaultMajor;
-      else {
-        obs::logf(obs::LogLevel::kError, "unknown packing '%s'", p.c_str());
-        return 1;
-      }
     } else if (a == "--lanes") {
       if (!parse_long(value("--lanes"), n) ||
           (n != 64 && n != 128 && n != 256 && n != 512)) {
@@ -287,18 +262,6 @@ int main(int argc, char** argv) {
     } else if (a == "--cone-cache") {
       if (!parse_long(value("--cone-cache"), n) || n < 0) return usage(argv[0]);
       opt.sim.cone_cache_bytes = static_cast<std::size_t>(n);
-    } else if (a == "--delta-goods") {
-      const std::string d = value("--delta-goods");
-      if (d == "off") opt.sim.delta_goods = atpg::DeltaGoods::kOff;
-      else if (d == "on") opt.sim.delta_goods = atpg::DeltaGoods::kOn;
-      else if (d == "auto") opt.sim.delta_goods = atpg::DeltaGoods::kAuto;
-      else {
-        obs::logf(obs::LogLevel::kError, "unknown --delta-goods '%s'",
-                  d.c_str());
-        return 1;
-      }
-    } else if (a == "--grey-order") {
-      opt.sim.grey_order = true;
     } else if (a == "--random") {
       if (!parse_long(value("--random"), n) || n < 0) return usage(argv[0]);
       opt.random_patterns = static_cast<int>(n);
