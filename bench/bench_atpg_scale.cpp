@@ -171,30 +171,6 @@ struct SatRow {
   double sat_provable = 0.0;     // provable_coverage after escalation
 };
 
-/// Incremental SAT on the PODEM abort tail: the same starved-backtracks
-/// campaign solved twice, once re-encoding per fault (fresh) and once on
-/// the persistent assumption-based session. Verdicts must match exactly;
-/// conflicts_saved = fresh_conflicts - incremental_conflicts is the win.
-struct IncSatRow {
-  std::string circuit;
-  long backtracks = 0;
-  int sat_detected = 0;
-  int sat_untestable = 0;
-  int sat_unknown = 0;
-  long long fresh_conflicts = 0;
-  long long inc_conflicts = 0;
-  long long cone_hits = 0;
-  long long inc_refutes = 0;
-  long long clauses_kept = 0;
-  double fresh_sat_s = 0.0;
-  double inc_sat_s = 0.0;
-  bool identical = false;
-
-  long long conflicts_saved() const {
-    return fresh_conflicts - inc_conflicts;
-  }
-};
-
 /// Disabled-instrumentation cost check: the same c7552 block-throughput
 /// measurement twice with tracing off (their spread brackets host noise)
 /// and once with the trace recorder live. CI gates on off-spread <= 2%:
@@ -249,7 +225,6 @@ void appendf(std::string& out, const char* fmt, ...) {
 std::string rows_json(const std::vector<SimComparison>& rows,
                       const std::vector<SchedRow>& sched,
                       const std::vector<SatRow>& sat,
-                      const std::vector<IncSatRow>& inc,
                       const std::vector<ObsOverheadRow>& obs) {
   std::string out = "  \"circuits\": [\n";
   for (std::size_t i = 0; i < rows.size(); ++i) {
@@ -292,24 +267,6 @@ std::string rows_json(const std::vector<SimComparison>& rows,
         r.podem_s, r.sat_s, r.podem_provable, r.sat_provable,
         i + 1 < sat.size() ? "," : "");
   }
-  out += "  ],\n  \"incremental_sat\": [\n";
-  for (std::size_t i = 0; i < inc.size(); ++i) {
-    const IncSatRow& r = inc[i];
-    appendf(
-        out,
-        "    {\"name\": \"%s\", \"backtracks\": %ld, \"sat_detected\": %d, "
-        "\"sat_untestable\": %d, \"sat_unknown\": %d, "
-        "\"fresh_conflicts\": %lld, \"incremental_conflicts\": %lld, "
-        "\"conflicts_saved\": %lld, \"cone_hits\": %lld, "
-        "\"incremental_refutes\": %lld, \"clauses_kept\": %lld, "
-        "\"fresh_sat_s\": %.4g, \"incremental_sat_s\": %.4g, "
-        "\"identical\": %s}%s\n",
-        r.circuit.c_str(), r.backtracks, r.sat_detected, r.sat_untestable,
-        r.sat_unknown, r.fresh_conflicts, r.inc_conflicts,
-        r.conflicts_saved(), r.cone_hits, r.inc_refutes, r.clauses_kept,
-        r.fresh_sat_s, r.inc_sat_s, r.identical ? "true" : "false",
-        i + 1 < inc.size() ? "," : "");
-  }
   out += "  ],\n  \"observability_overhead\": [\n";
   for (std::size_t i = 0; i < obs.size(); ++i) {
     const ObsOverheadRow& r = obs[i];
@@ -334,9 +291,8 @@ std::string rows_json(const std::vector<SimComparison>& rows,
 void emit_json(const std::vector<SimComparison>& rows,
                const std::vector<SchedRow>& sched,
                const std::vector<SatRow>& sat,
-               const std::vector<IncSatRow>& inc,
                const std::vector<ObsOverheadRow>& obs) {
-  const std::string body = rows_json(rows, sched, sat, inc, obs);
+  const std::string body = rows_json(rows, sched, sat, obs);
   std::string doc = "{\n  \"bench\": \"atpg_scale_faultsim\",\n"
                     "  \"unit\": \"fault_patterns_per_sec\",\n";
   // Where the rows were measured. Kept outside the CRC body: the checksum
@@ -535,82 +491,6 @@ std::vector<SatRow> reproduce_sat_escalation() {
   return rows;
 }
 
-/// Incremental SAT on the PODEM abort tail: the reproduce_sat_escalation
-/// campaigns run twice more, once with per-fault fresh encoding and once
-/// on the persistent assumption-based session, to price the win the
-/// shared clause database buys on a refutation-heavy tail.
-std::vector<IncSatRow> reproduce_incremental_sat() {
-  std::printf(
-      "=== Incremental SAT: fresh per-fault encoding vs assumption-based "
-      "session ===\n\n");
-  std::vector<IncSatRow> rows;
-  const struct {
-    const char* file;
-    long backtracks;
-  } specs[] = {{"c2670.bench", 20}, {"c7552.bench", 20}};
-
-  util::AsciiTable t("fresh vs incremental SAT top-off");
-  t.set_header({"circuit", "bt", "sat det", "sat unt", "fresh conf",
-                "inc conf", "saved", "cone hits", "fresh s", "inc s",
-                "identical"});
-  for (const auto& spec : specs) {
-    const io::BenchParseResult pr =
-        io::load_bench_file(std::string(OBD_CORPUS_DIR) + "/" + spec.file);
-    if (!pr.ok) {
-      std::fprintf(stderr, "corpus %s: %s\n", spec.file, pr.error.c_str());
-      continue;
-    }
-    flow::CampaignOptions opt;
-    opt.model = flow::FaultModel::kObd;
-    opt.max_backtracks = spec.backtracks;
-    opt.sim.threads = 2;
-    opt.sat_escalate = true;
-
-    opt.sat_incremental = false;
-    const flow::CampaignReport fresh = flow::run_campaign(pr.seq, opt);
-    opt.sat_incremental = true;
-    const flow::CampaignReport inc = flow::run_campaign(pr.seq, opt);
-
-    IncSatRow row;
-    row.circuit = pr.circuit().name();
-    row.backtracks = spec.backtracks;
-    row.sat_detected = inc.sat_detected;
-    row.sat_untestable = inc.sat_untestable;
-    row.sat_unknown = inc.sat_unknown;
-    row.fresh_conflicts = fresh.sat_conflicts;
-    row.inc_conflicts = inc.sat_conflicts;
-    row.cone_hits = inc.sat_cone_hits;
-    row.inc_refutes = inc.sat_incremental_refutes;
-    row.clauses_kept = inc.sat_clauses_kept;
-    row.fresh_sat_s = fresh.time.sat_s;
-    row.inc_sat_s = inc.time.sat_s;
-    row.identical = fresh.matrix_hash == inc.matrix_hash &&
-                    fresh.sat_detected == inc.sat_detected &&
-                    fresh.sat_untestable == inc.sat_untestable &&
-                    fresh.sat_unknown == inc.sat_unknown;
-    rows.push_back(row);
-    t.add_row({row.circuit, std::to_string(row.backtracks),
-               std::to_string(row.sat_detected),
-               std::to_string(row.sat_untestable),
-               std::to_string(row.fresh_conflicts),
-               std::to_string(row.inc_conflicts),
-               std::to_string(row.conflicts_saved()),
-               std::to_string(row.cone_hits),
-               util::format_g(row.fresh_sat_s, 3),
-               util::format_g(row.inc_sat_s, 3),
-               row.identical ? "yes" : "NO"});
-  }
-  t.print();
-  std::printf(
-      "the session encodes the good frames once, gates each faulty cone\n"
-      "behind an activation literal, and refutes untestable pairs straight\n"
-      "off the persistent learned-clause database; verdicts and cubes are\n"
-      "identical to fresh solving. SAT pairs still re-solve on a fresh\n"
-      "solver for byte-identical cubes, so the conflict win concentrates\n"
-      "on refutation-heavy (untestable) tails like these.\n\n");
-  return rows;
-}
-
 /// Tracing-off overhead guard on the wide-tier sentinel (c7552): block
 /// matrix throughput with the recorder dark, twice, then lit once.
 std::vector<ObsOverheadRow> reproduce_obs_overhead() {
@@ -730,13 +610,11 @@ void reproduce_faultsim_scale() {
       "blocks.\n\n");
   const std::vector<SchedRow> sched_rows = reproduce_scheduler_scale();
   const std::vector<SatRow> sat_rows = reproduce_sat_escalation();
-  const std::vector<IncSatRow> inc_rows = reproduce_incremental_sat();
   const std::vector<ObsOverheadRow> obs_rows = reproduce_obs_overhead();
-  emit_json(rows, sched_rows, sat_rows, inc_rows, obs_rows);
+  emit_json(rows, sched_rows, sat_rows, obs_rows);
   std::printf(
       "JSON (provenance + circuits + sched + sat_escalation + "
-      "incremental_sat + observability_overhead rows): "
-      "BENCH_atpg_scale.json\n\n");
+      "observability_overhead rows): BENCH_atpg_scale.json\n\n");
 }
 
 struct Effort {

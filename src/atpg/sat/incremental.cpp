@@ -1,11 +1,7 @@
 #include "atpg/sat/incremental.hpp"
 
-#include "core/excitation.hpp"
-#include "logic/gate.hpp"
-
 namespace obd::atpg::sat {
 
-using detail::FrameGoal;
 using detail::PairStatus;
 using logic::NetId;
 
@@ -40,9 +36,9 @@ SatSession::ConeEntry& SatSession::cone_for(NetId net, bool value) {
   return e;
 }
 
-PairStatus SatSession::solve_pair(const FrameGoal& fault_frame,
-                                  const std::optional<FrameGoal>& justify,
-                                  SatAtpgResult* r) {
+PairStatus SatSession::solve_pair(const TwoFrameGoal& goal, SatAtpgResult* r) {
+  const FrameGoal& fault_frame = goal.fault_frame;
+  const std::optional<FrameGoal>& justify = goal.justify_frame;
   ++stats_.pairs_total;
   if (stats_.pairs_total > 1)
     stats_.vars_shared +=
@@ -92,82 +88,20 @@ PairStatus SatSession::solve_pair(const FrameGoal& fault_frame,
     ++stats_.incremental_refutes;
     return PairStatus::kRefuted;
   }
-  // SAT or budget-out: delegate to the fresh single-pair path so cubes
-  // (don't-care lifting included) are byte-identical to sat_generate_*'s.
+  // SAT or budget-out: delegate to the fresh single-goal path so cubes
+  // (don't-care lifting included) are byte-identical to sat_generate_test's.
   // (s_.okay() false would mean the shared database itself became UNSAT —
   // impossible for guarded cones over a satisfiable good circuit, but the
   // fresh path keeps even that hypothetical sound.)
   ++stats_.fresh_fallbacks;
-  return detail::solve_pair(c_, fault_frame, justify, opt_, r);
+  return detail::solve_pair(c_, goal, opt_, r);
 }
 
-SatAtpgResult SatSession::generate_obd_test(const ObdFaultSite& site) {
-  SatAtpgResult r;
-  const auto& g = c_.gate(site.gate_index);
-  const auto topo = logic::gate_topology(g.type);
-  if (!topo.has_value()) {
-    // Composite gate: no OBD site (generate_obd_test's convention).
-    r.verdict = SatVerdict::kUntestable;
-    return r;
-  }
-  bool any_unknown = false;
-  for (const auto& tv : core::obd_excitations(*topo, site.transistor)) {
-    const bool old_out = topo->output(tv.v1);
-    FrameGoal frame2{detail::pin_gate_inputs(c_, site.gate_index, tv.v2),
-                     StuckFault{g.output, old_out}};
-    FrameGoal frame1{detail::pin_gate_inputs(c_, site.gate_index, tv.v1),
-                     std::nullopt};
-    switch (solve_pair(frame2, frame1, &r)) {
-      case PairStatus::kCube:
-        r.verdict = SatVerdict::kCube;
-        return r;
-      case PairStatus::kRefuted:
-        break;
-      case PairStatus::kUnknown:
-        any_unknown = true;
-        break;
-    }
-  }
-  r.verdict = any_unknown ? SatVerdict::kUnknown : SatVerdict::kUntestable;
-  return r;
-}
-
-SatAtpgResult SatSession::generate_transition_test(
-    const TransitionFault& fault) {
-  SatAtpgResult r;
-  const bool final_value = fault.slow_to_rise;
-  FrameGoal frame2{{{fault.net, final_value}},
-                   StuckFault{fault.net, !final_value}};
-  FrameGoal frame1{{{fault.net, !final_value}}, std::nullopt};
-  switch (solve_pair(frame2, frame1, &r)) {
-    case PairStatus::kCube:
-      r.verdict = SatVerdict::kCube;
-      break;
-    case PairStatus::kRefuted:
-      r.verdict = SatVerdict::kUntestable;
-      break;
-    case PairStatus::kUnknown:
-      r.verdict = SatVerdict::kUnknown;
-      break;
-  }
-  return r;
-}
-
-SatAtpgResult SatSession::generate_stuck_test(const StuckFault& fault) {
-  SatAtpgResult r;
-  FrameGoal frame{{}, fault};
-  switch (solve_pair(frame, std::nullopt, &r)) {
-    case PairStatus::kCube:
-      r.verdict = SatVerdict::kCube;
-      break;
-    case PairStatus::kRefuted:
-      r.verdict = SatVerdict::kUntestable;
-      break;
-    case PairStatus::kUnknown:
-      r.verdict = SatVerdict::kUnknown;
-      break;
-  }
-  return r;
+SatAtpgResult SatSession::generate(const std::vector<TwoFrameGoal>& goals) {
+  return detail::solve_goals(
+      goals, [this](const TwoFrameGoal& goal, SatAtpgResult* r) {
+        return solve_pair(goal, r);
+      });
 }
 
 }  // namespace obd::atpg::sat

@@ -1,9 +1,9 @@
 // Incremental SAT session for the campaign's escalation tail.
 //
-// sat_atpg.hpp's entry points build a throwaway solver per excitation
-// pair, so a 47-fault abort tail re-encodes the good circuit and re-derives
-// the same learned clauses dozens of times. A SatSession keeps ONE
-// persistent solver for a whole campaign:
+// sat_generate_test (sat_atpg.hpp) builds a throwaway solver per goal, so
+// a 47-fault abort tail re-encodes the good circuit and re-derives the same
+// learned clauses dozens of times. A SatSession keeps ONE persistent solver
+// for a whole campaign, and it is the campaign's only escalation path:
 //
 //   - the good circuit's two scan frames are CNF-encoded once;
 //   - each faulty cone + miter is encoded once per (forced net, value)
@@ -13,8 +13,8 @@
 //     (CnfEncoder::assert_sensitized_path), which state that a difference
 //     must travel a path of differing nets to a PO, so an untestable pair
 //     is refuted in a handful of conflicts instead of path by path;
-//   - per-excitation obligations (gate-input pins, the fault-activation
-//     pin) travel as solver *assumptions*, never as clauses, so nothing is
+//   - per-goal obligations (gate-input pins, the fault-activation pin)
+//     travel as solver *assumptions*, never as clauses, so nothing is
 //     retracted between calls and learned clauses, variable activity, and
 //     saved phases accumulate across the tail.
 //
@@ -23,8 +23,8 @@
 // sensitized-path clauses are equisatisfiable with the miter, and the
 // other cones' guarded clauses are satisfiable independently by setting
 // their activation variables false), and any SAT or budget-out answer is
-// delegated to the fresh single-pair path, so emitted cubes are
-// byte-identical to sat_generate_*'s. Escalation verdicts therefore do not
+// delegated to the fresh single-goal path, so emitted cubes are
+// byte-identical to sat_generate_test's. Escalation verdicts therefore do not
 // depend on session history, which keeps checkpoint/resume and shard
 // reconciliation contracts untouched. Activation variables are parked
 // false between pairs: assuming one saves its phase as true, so the
@@ -33,8 +33,8 @@
 #pragma once
 
 #include <map>
-#include <optional>
 #include <utility>
+#include <vector>
 
 #include "atpg/sat/cnf.hpp"
 #include "atpg/sat/frames.hpp"
@@ -48,7 +48,7 @@ namespace obd::atpg::sat {
 /// solver's effort only (fresh-fallback effort lands in SatAtpgResult like
 /// before).
 struct SatSessionStats {
-  long long pairs_total = 0;        ///< excitation pairs driven through the session
+  long long pairs_total = 0;        ///< goals driven through the session
   long long cone_encodes = 0;       ///< faulty cones encoded (first sighting)
   long long cone_hits = 0;          ///< pairs that reused a resident cone
   long long unobservable_hits = 0;  ///< refuted from the structural cache alone
@@ -65,11 +65,19 @@ class SatSession {
  public:
   explicit SatSession(const logic::Circuit& c, SatAtpgOptions opt = {});
 
-  /// Drop-in replacements for the sat_generate_* free functions: same
-  /// verdicts, byte-identical cubes, amortized solving.
-  SatAtpgResult generate_obd_test(const ObdFaultSite& site);
-  SatAtpgResult generate_transition_test(const TransitionFault& fault);
-  SatAtpgResult generate_stuck_test(const StuckFault& fault);
+  /// Drop-in replacement for sat_generate_test(c, goals): the same goal
+  /// loop, verdicts and byte-identical cubes, amortized solving.
+  SatAtpgResult generate(const std::vector<TwoFrameGoal>& goals);
+  /// generate(goals_of(c, fault)) for each fault model.
+  SatAtpgResult generate_obd_test(const ObdFaultSite& site) {
+    return generate(goals_of(c_, site));
+  }
+  SatAtpgResult generate_transition_test(const TransitionFault& fault) {
+    return generate(goals_of(c_, fault));
+  }
+  SatAtpgResult generate_stuck_test(const StuckFault& fault) {
+    return generate(goals_of(c_, fault));
+  }
 
   const SatSessionStats& stats() const { return stats_; }
 
@@ -80,9 +88,7 @@ class SatSession {
     NetVars faulty;
   };
 
-  detail::PairStatus solve_pair(const detail::FrameGoal& fault_frame,
-                                const std::optional<detail::FrameGoal>& justify,
-                                SatAtpgResult* r);
+  detail::PairStatus solve_pair(const TwoFrameGoal& goal, SatAtpgResult* r);
   ConeEntry& cone_for(logic::NetId net, bool value);
   void ensure_frame1();
 

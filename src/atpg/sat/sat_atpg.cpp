@@ -2,16 +2,13 @@
 
 #include <optional>
 
-#include "atpg/podem.hpp"
 #include "atpg/sat/cnf.hpp"
 #include "atpg/sat/frames.hpp"
-#include "core/excitation.hpp"
 #include "logic/gate.hpp"
 
 namespace obd::atpg::sat {
 namespace {
 
-using detail::FrameGoal;
 using detail::PairStatus;
 using logic::Circuit;
 using logic::NetId;
@@ -91,14 +88,15 @@ TestVector to_test_vector(const std::vector<Tri>& pi) {
 
 namespace detail {
 
-/// The justify frame is absent for single-frame (stuck-at) instances. On
-/// SAT, the model is lifted to a maximal-don't-care cube and re-validated
-/// by 3-valued simulation; a model that fails validation (an encoder bug,
-/// by construction impossible) degrades to kUnknown rather than emitting
-/// an unsound cube.
-PairStatus solve_pair(const Circuit& c, const FrameGoal& fault_frame,
-                      const std::optional<FrameGoal>& justify_frame,
+/// The justify frame is absent for single-frame (stuck-at) goals. On SAT,
+/// the model is lifted to a maximal-don't-care cube and re-validated by
+/// 3-valued simulation; a model that fails validation (an encoder bug, by
+/// construction impossible) degrades to kUnknown rather than emitting an
+/// unsound cube.
+PairStatus solve_pair(const Circuit& c, const TwoFrameGoal& goal,
                       const SatAtpgOptions& opt, SatAtpgResult* r) {
+  const FrameGoal& fault_frame = goal.fault_frame;
+  const std::optional<FrameGoal>& justify_frame = goal.justify_frame;
   Solver s;
   CnfEncoder enc(c, s);
   const NetVars g2 = enc.encode_good();
@@ -145,90 +143,15 @@ PairStatus solve_pair(const Circuit& c, const FrameGoal& fault_frame,
   return PairStatus::kCube;
 }
 
-std::vector<NetConstraint> pin_gate_inputs(const Circuit& c, int gate_idx,
-                                           std::uint32_t bits) {
-  const auto& g = c.gate(gate_idx);
-  std::vector<NetConstraint> out;
-  out.reserve(g.inputs.size());
-  for (std::size_t k = 0; k < g.inputs.size(); ++k)
-    out.push_back({g.inputs[k], ((bits >> k) & 1u) != 0});
-  return out;
-}
-
 }  // namespace detail
 
-using detail::pin_gate_inputs;
-using detail::solve_pair;
-
-SatAtpgResult sat_generate_obd_test(const Circuit& c, const ObdFaultSite& site,
-                                    const SatAtpgOptions& opt) {
-  SatAtpgResult r;
-  const auto& g = c.gate(site.gate_index);
-  const auto topo = logic::gate_topology(g.type);
-  if (!topo.has_value()) {
-    // Composite gate: no OBD site (generate_obd_test's convention).
-    r.verdict = SatVerdict::kUntestable;
-    return r;
-  }
-  bool any_unknown = false;
-  for (const auto& tv : core::obd_excitations(*topo, site.transistor)) {
-    const bool old_out = topo->output(tv.v1);
-    FrameGoal frame2{pin_gate_inputs(c, site.gate_index, tv.v2),
-                     StuckFault{g.output, old_out}};
-    FrameGoal frame1{pin_gate_inputs(c, site.gate_index, tv.v1), std::nullopt};
-    switch (solve_pair(c, frame2, frame1, opt, &r)) {
-      case PairStatus::kCube:
-        r.verdict = SatVerdict::kCube;
-        return r;
-      case PairStatus::kRefuted:
-        break;
-      case PairStatus::kUnknown:
-        any_unknown = true;
-        break;
-    }
-  }
-  r.verdict = any_unknown ? SatVerdict::kUnknown : SatVerdict::kUntestable;
-  return r;
-}
-
-SatAtpgResult sat_generate_transition_test(const Circuit& c,
-                                           const TransitionFault& fault,
-                                           const SatAtpgOptions& opt) {
-  SatAtpgResult r;
-  const bool final_value = fault.slow_to_rise;
-  FrameGoal frame2{{{fault.net, final_value}},
-                   StuckFault{fault.net, !final_value}};
-  FrameGoal frame1{{{fault.net, !final_value}}, std::nullopt};
-  switch (solve_pair(c, frame2, frame1, opt, &r)) {
-    case PairStatus::kCube:
-      r.verdict = SatVerdict::kCube;
-      break;
-    case PairStatus::kRefuted:
-      r.verdict = SatVerdict::kUntestable;
-      break;
-    case PairStatus::kUnknown:
-      r.verdict = SatVerdict::kUnknown;
-      break;
-  }
-  return r;
-}
-
-SatAtpgResult sat_generate_stuck_test(const Circuit& c, const StuckFault& fault,
-                                      const SatAtpgOptions& opt) {
-  SatAtpgResult r;
-  FrameGoal frame{{}, fault};
-  switch (solve_pair(c, frame, std::nullopt, opt, &r)) {
-    case PairStatus::kCube:
-      r.verdict = SatVerdict::kCube;
-      break;
-    case PairStatus::kRefuted:
-      r.verdict = SatVerdict::kUntestable;
-      break;
-    case PairStatus::kUnknown:
-      r.verdict = SatVerdict::kUnknown;
-      break;
-  }
-  return r;
+SatAtpgResult sat_generate_test(const Circuit& c,
+                                const std::vector<TwoFrameGoal>& goals,
+                                const SatAtpgOptions& opt) {
+  return detail::solve_goals(
+      goals, [&](const TwoFrameGoal& goal, SatAtpgResult* r) {
+        return detail::solve_pair(c, goal, opt, r);
+      });
 }
 
 }  // namespace obd::atpg::sat

@@ -1,15 +1,15 @@
 // SAT-based ATPG: the provable-coverage backend beside PODEM.
 //
-// Each entry point mirrors the corresponding PODEM driver's semantics
-// exactly (twoframe.cpp / podem.cpp), but answers with certainty: the
-// good/faulty circuit pair is CNF-encoded (cnf.hpp) and handed to the
-// embedded CDCL core (solver.hpp), returning either
+// sat_generate_test walks a fault's goal list (atpg/goals.hpp) exactly as
+// PODEM's generate_test does (twoframe.hpp), but answers with
+// certainty: each goal's good/faulty circuit pair is CNF-encoded (cnf.hpp)
+// and handed to the embedded CDCL core (solver.hpp), returning either
 //   - a *validated* maximal-don't-care test cube (every don't-care bit is
 //     re-verified by 3-valued simulation before it is declared X, so the
 //     cube feeds the X-fill/compaction machinery safely), or
-//   - a proven-untestable verdict (for OBD faults: every excitation pair's
-//     two-frame CNF is UNSAT — the completeness basis obd_excitations
-//     enumerates the full (2^n)^2 transition space), or
+//   - a proven-untestable verdict (for OBD faults: every goal's two-frame
+//     CNF is UNSAT — the completeness basis: goals_of enumerates every
+//     exciting transition of the full (2^n)^2 space), or
 //   - kUnknown when the conflict budget ran out before a verdict.
 //
 // Everything is deterministic, so campaign escalation preserves the
@@ -17,6 +17,7 @@
 #pragma once
 
 #include "atpg/faults.hpp"
+#include "atpg/goals.hpp"
 #include "atpg/patterns.hpp"
 #include "logic/circuit.hpp"
 
@@ -29,7 +30,7 @@ enum class SatVerdict {
 };
 
 struct SatAtpgOptions {
-  /// CDCL conflict budget per solver call (one call per excitation pair);
+  /// CDCL conflict budget per solver call (one call per goal);
   /// <= 0 = unlimited.
   long long conflict_budget = 100000;
 };
@@ -47,20 +48,11 @@ struct SatAtpgResult {
   long long restarts = 0;
 };
 
-/// OBD fault at a primitive gate's transistor: one two-frame CNF per
-/// exciting transition, in obd_excitations order (like generate_obd_test).
-SatAtpgResult sat_generate_obd_test(const logic::Circuit& c,
-                                    const ObdFaultSite& site,
-                                    const SatAtpgOptions& opt = {});
-
-/// Classical two-frame transition fault (mirrors generate_transition_test).
-SatAtpgResult sat_generate_transition_test(const logic::Circuit& c,
-                                           const TransitionFault& fault,
-                                           const SatAtpgOptions& opt = {});
-
-/// Single-frame stuck-at fault (mirrors podem_stuck_at).
-SatAtpgResult sat_generate_stuck_test(const logic::Circuit& c,
-                                      const StuckFault& fault,
-                                      const SatAtpgOptions& opt = {});
+/// Solves `goals` (goals_of one fault) in order, one throwaway solver per
+/// goal, and stops at the first cube. This fresh path lifts every cube the
+/// incremental session (incremental.hpp) emits and is its test oracle.
+SatAtpgResult sat_generate_test(const logic::Circuit& c,
+                                const std::vector<TwoFrameGoal>& goals,
+                                const SatAtpgOptions& opt = {});
 
 }  // namespace obd::atpg::sat

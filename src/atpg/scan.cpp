@@ -12,15 +12,6 @@ namespace {
 using logic::Circuit;
 using logic::SequentialCircuit;
 
-std::vector<NetConstraint> pin_gate_inputs(const Circuit& c, int gate_idx,
-                                           std::uint32_t bits) {
-  const auto& g = c.gate(gate_idx);
-  std::vector<NetConstraint> out;
-  for (std::size_t k = 0; k < g.inputs.size(); ++k)
-    out.push_back({g.inputs[k], ((bits >> k) & 1u) != 0});
-  return out;
-}
-
 ScanObdResult generate_enhanced(const SequentialCircuit& seq,
                                 const ObdFaultSite& site,
                                 const PodemOptions& opt) {
@@ -50,55 +41,50 @@ ScanObdResult generate_loc(const SequentialCircuit& seq,
   const Circuit u = seq.unroll_two_frames(/*share_pis=*/held_pi);
   const int g1 = seq.frame1_gate_index(site.gate_index);
   const int g2 = seq.frame2_gate_index(site.gate_index);
-  const auto& core_gate = seq.core().gate(site.gate_index);
-  const auto topo = logic::gate_topology(core_gate.type);
-  if (!topo.has_value()) return result;
-
-  bool any_aborted = false;
-  AbortReason abort_reason = AbortReason::kNone;
-  for (const auto& tv : core::obd_excitations(*topo, site.transistor)) {
-    std::vector<NetConstraint> constraints = pin_gate_inputs(u, g1, tv.v1);
-    const auto pins2 = pin_gate_inputs(u, g2, tv.v2);
-    constraints.insert(constraints.end(), pins2.begin(), pins2.end());
-    const bool old_out = topo->output(tv.v1);
-    const PodemResult r = podem_constrained_fault(
-        u, constraints, u.gate(g2).output, old_out, opt);
-    result.backtracks += r.backtracks;
-    result.implications += r.implications;
-    if (r.status == PodemStatus::kAborted) {
-      any_aborted = true;
-      if (abort_reason != AbortReason::kTime) abort_reason = r.reason;
-    }
-    if (r.status != PodemStatus::kFound) continue;
-
-    const std::size_t n_pi = seq.core().inputs().size();
-    const std::size_t n_ff = seq.flops().size();
-    result.test.pi1 = r.vector.bits.slice(0, n_pi);
-    result.test.state1 = r.vector.bits.slice(n_pi, n_ff);
-    result.test.pi2 = held_pi ? result.test.pi1
-                              : r.vector.bits.slice(n_pi + n_ff, n_pi);
-    // Frame-2 present state = the machine's own launch response; read it
-    // off the unrolled circuit's frame-1 next-state nets instead of
-    // rebuilding a scan view (seq.step constructs one per call).
-    const std::vector<bool> uvals = u.eval(r.vector.bits);
-    for (std::size_t j = 0; j < n_ff; ++j) {
-      const std::string& d_name = seq.core().net_name(seq.flops()[j].d);
-      logic::NetId d1 = u.find_net(d_name + "@1");
-      // A flop fed directly by a PI carries the shared "@12" suffix when
-      // the frames share inputs.
-      if (d1 == logic::kNoNet) d1 = u.find_net(d_name + "@12");
-      // Both lookups missing is unreachable for a circuit unroll just
-      // built, but an undriven-net 0 beats an out-of-bounds read.
-      if (d1 == logic::kNoNet) continue;
-      result.test.state2.set_bit(j, uvals[static_cast<std::size_t>(d1)]);
-    }
-    result.test.state2_loaded = false;
-    result.status = PodemStatus::kFound;
-    return result;
+  // Each goal of the capture-frame twin folds into one unrolled frame: the
+  // launch pins move onto the frame-1 twin's inputs, ahead of the capture
+  // pins, so the LOC state coupling is solved exactly in one search.
+  std::vector<TwoFrameGoal> goals =
+      goals_of(u, ObdFaultSite{g2, site.transistor});
+  for (TwoFrameGoal& goal : goals) {
+    std::vector<NetConstraint> pins =
+        std::move(goal.justify_frame->constraints);
+    for (std::size_t k = 0; k < pins.size(); ++k)
+      pins[k].net = u.gate(g1).inputs[k];
+    pins.insert(pins.end(), goal.fault_frame.constraints.begin(),
+                goal.fault_frame.constraints.end());
+    goal.fault_frame.constraints = std::move(pins);
+    goal.justify_frame.reset();
   }
-  result.status =
-      any_aborted ? PodemStatus::kAborted : PodemStatus::kUntestable;
-  if (any_aborted) result.reason = abort_reason;
+  const TwoFrameResult r = generate_test(u, goals, opt);
+  result.status = r.status;
+  result.reason = r.reason;
+  result.backtracks = r.backtracks;
+  result.implications = r.implications;
+  if (r.status != PodemStatus::kFound) return result;
+
+  const InputVec& bits = r.test.v2;
+  const std::size_t n_pi = seq.core().inputs().size();
+  const std::size_t n_ff = seq.flops().size();
+  result.test.pi1 = bits.slice(0, n_pi);
+  result.test.state1 = bits.slice(n_pi, n_ff);
+  result.test.pi2 = held_pi ? result.test.pi1 : bits.slice(n_pi + n_ff, n_pi);
+  // Frame-2 present state = the machine's own launch response; read it
+  // off the unrolled circuit's frame-1 next-state nets instead of
+  // rebuilding a scan view (seq.step constructs one per call).
+  const std::vector<bool> uvals = u.eval(bits);
+  for (std::size_t j = 0; j < n_ff; ++j) {
+    const std::string& d_name = seq.core().net_name(seq.flops()[j].d);
+    logic::NetId d1 = u.find_net(d_name + "@1");
+    // A flop fed directly by a PI carries the shared "@12" suffix when
+    // the frames share inputs.
+    if (d1 == logic::kNoNet) d1 = u.find_net(d_name + "@12");
+    // Both lookups missing is unreachable for a circuit unroll just
+    // built, but an undriven-net 0 beats an out-of-bounds read.
+    if (d1 == logic::kNoNet) continue;
+    result.test.state2.set_bit(j, uvals[static_cast<std::size_t>(d1)]);
+  }
+  result.test.state2_loaded = false;
   return result;
 }
 

@@ -1,21 +1,9 @@
-// Two-vector test generation for dynamic faults.
-//
-// OBD flow (Sec. 4 of the paper): for a fault on transistor t of gate G,
-// enumerate the gate-local excitation pairs (lv1 -> lv2) derived from the
-// cell topology (core::obd_excitations). For each candidate:
-//   frame 2: PODEM with G's inputs pinned to lv2 and G's output stuck (in
-//            the faulty circuit) at its *previous* value out(lv1); the
-//            difference must reach a primary output. This models the
-//            gross-delay view of the slow transition.
-//   frame 1: independent justification of G's inputs to lv1.
-// Both frames are plain combinational searches, which is the paper's
-// complexity claim: OBD TPG costs the same as stuck-at TPG per frame.
-//
-// The classical transition-fault flow is identical minus the gate-input
-// pinning: any (v1, v2) toggling G's output will do — which is exactly why
-// transition test sets can miss input-specific (PMOS) OBD defects.
+// Two-vector test generation for dynamic faults: one PODEM loop over a
+// fault's goal list (atpg/goals.hpp), run frame 2 first, then frame 1, goal
+// by goal, plus the whole-fault-list runs the paper benches use.
 #pragma once
 
+#include "atpg/goals.hpp"
 #include "atpg/podem.hpp"
 
 namespace obd::atpg {
@@ -34,14 +22,28 @@ struct TwoFrameResult {
   long implications = 0;
 };
 
+/// Tries `goals` in order: PODEM on the fault frame, then (for two-frame
+/// goals) PODEM justification of the launch frame; the first goal with both
+/// frames found is the test. Untestable when every goal is refuted, aborted
+/// when some search aborted and none found a test. A single-frame goal's
+/// test applies its one vector as v1 == v2.
+TwoFrameResult generate_test(const Circuit& c,
+                             const std::vector<TwoFrameGoal>& goals,
+                             const PodemOptions& opt = {});
+
 /// Generates a two-vector test for one OBD fault site.
-TwoFrameResult generate_obd_test(const Circuit& c, const ObdFaultSite& site,
-                                 const PodemOptions& opt = {});
+inline TwoFrameResult generate_obd_test(const Circuit& c,
+                                        const ObdFaultSite& site,
+                                        const PodemOptions& opt = {}) {
+  return generate_test(c, goals_of(c, site), opt);
+}
 
 /// Generates a two-vector test for one classical transition fault.
-TwoFrameResult generate_transition_test(const Circuit& c,
-                                        const TransitionFault& fault,
-                                        const PodemOptions& opt = {});
+inline TwoFrameResult generate_transition_test(const Circuit& c,
+                                               const TransitionFault& fault,
+                                               const PodemOptions& opt = {}) {
+  return generate_test(c, goals_of(c, fault), opt);
+}
 
 /// Whole-fault-list ATPG statistics.
 struct AtpgRun {

@@ -95,9 +95,8 @@ void insert_det_test(std::vector<ShardDetTest>& det, std::uint32_t local,
   det.insert(pos, ShardDetTest{local, test});
 }
 
-// Per-fault-type adapters: the scheduler calls, the deterministic search
-// and the SAT generators each fault model maps to, so one template binds
-// every model's context hooks. Stuck-at tests apply a single vector (v2).
+// Per-fault-type scheduler calls, so one template binds every model's
+// context hooks. Stuck-at tests apply a single vector (v2).
 
 std::vector<logic::InputVec> patterns_of(const std::vector<TwoVectorTest>& ts) {
   std::vector<logic::InputVec> p(ts.size());
@@ -137,49 +136,6 @@ DetectionMatrix sim_matrix(FaultSimScheduler& s,
   return s.matrix_obd(ts, f);
 }
 
-TwoFrameResult search(const logic::Circuit& c, const StuckFault& f,
-                      const PodemOptions& popt) {
-  const PodemResult pr = podem_stuck_at(c, f, popt);
-  TwoFrameResult t;
-  t.status = pr.status;
-  t.reason = pr.reason;
-  t.test = TwoVectorTest{pr.vector.bits, pr.vector.bits};
-  t.backtracks = pr.backtracks;
-  t.implications = pr.implications;
-  return t;
-}
-TwoFrameResult search(const logic::Circuit& c, const TransitionFault& f,
-                      const PodemOptions& popt) {
-  return generate_transition_test(c, f, popt);
-}
-TwoFrameResult search(const logic::Circuit& c, const ObdFaultSite& f,
-                      const PodemOptions& popt) {
-  return generate_obd_test(c, f, popt);
-}
-
-sat::SatAtpgResult sat_fresh(const logic::Circuit& c, const StuckFault& f,
-                             const sat::SatAtpgOptions& o) {
-  return sat::sat_generate_stuck_test(c, f, o);
-}
-sat::SatAtpgResult sat_fresh(const logic::Circuit& c, const TransitionFault& f,
-                             const sat::SatAtpgOptions& o) {
-  return sat::sat_generate_transition_test(c, f, o);
-}
-sat::SatAtpgResult sat_fresh(const logic::Circuit& c, const ObdFaultSite& f,
-                             const sat::SatAtpgOptions& o) {
-  return sat::sat_generate_obd_test(c, f, o);
-}
-
-sat::SatAtpgResult sat_in(sat::SatSession& s, const StuckFault& f) {
-  return s.generate_stuck_test(f);
-}
-sat::SatAtpgResult sat_in(sat::SatSession& s, const TransitionFault& f) {
-  return s.generate_transition_test(f);
-}
-sat::SatAtpgResult sat_in(sat::SatSession& s, const ObdFaultSite& f) {
-  return s.generate_obd_test(f);
-}
-
 /// Typed per-model state referenced by the context closures. shared_ptr
 /// capture keeps a context copyable and self-contained.
 template <typename Fault>
@@ -187,9 +143,9 @@ struct ModelData {
   logic::Circuit view;
   std::vector<Fault> reps;
   PodemOptions popt;
-  /// Lazily constructed on the first escalation when sat_incremental is
-  /// on; one persistent solver serves the whole campaign (or shard).
-  /// Declared after `view` so the session's circuit reference outlives it.
+  /// Lazily constructed on the first escalation; one persistent solver
+  /// serves the whole campaign (or shard). Declared after `view` so the
+  /// session's circuit reference outlives it.
   std::shared_ptr<sat::SatSession> session;
 };
 
@@ -214,15 +170,15 @@ std::shared_ptr<ModelData<Fault>> bind_model(detail::CampaignContext& ctx,
     return sim_matrix(s, ts, select_reps(data->reps, subset));
   };
   ctx.generate = [data](std::uint32_t i) {
-    return search(data->view, data->reps[i], data->popt);
+    return generate_test(data->view, goals_of(data->view, data->reps[i]),
+                         data->popt);
   };
   sat::SatAtpgOptions satopt;
   satopt.conflict_budget = opt.sat_conflict_budget;
-  ctx.escalate = [data, satopt, inc = opt.sat_incremental](std::uint32_t i) {
-    if (!inc) return sat_fresh(data->view, data->reps[i], satopt);
+  ctx.escalate = [data, satopt](std::uint32_t i) {
     if (!data->session)
       data->session = std::make_shared<sat::SatSession>(data->view, satopt);
-    return sat_in(*data->session, data->reps[i]);
+    return data->session->generate(goals_of(data->view, data->reps[i]));
   };
   ctx.escalate_stats = [data]() -> const sat::SatSessionStats* {
     return data->session ? &data->session->stats() : nullptr;
@@ -292,8 +248,7 @@ CampaignContext make_context(const logic::SequentialCircuit& seq,
     // same prepass/matrix hooks as the enhanced path. matrix_obd on the
     // scan view matches verify_scan_obd_test exactly because the LOC state
     // coupling is already baked into each test's frame-2 state.
-    const std::string style =
-        opt.scan_style == ScanMode::kLaunchOnCapture ? "loc" : "loc-held";
+    const std::string style = scan_style_name(opt.scan_style);
     if (opt.model != FaultModel::kObd) {
       ctx.error = "--scan-style " + style + " requires the obd fault model";
       return ctx;
@@ -597,7 +552,7 @@ void build_report(const CampaignContext& ctx, const CampaignOptions& opt,
     r.sat_cone_encodes = ss->cone_encodes;
     r.sat_cone_hits = ss->cone_hits;
     r.sat_unobservable_hits = ss->unobservable_hits;
-    r.sat_incremental_refutes = ss->incremental_refutes;
+    r.sat_session_refutes = ss->incremental_refutes;
     r.sat_fresh_fallbacks = ss->fresh_fallbacks;
     r.sat_vars_shared = ss->vars_shared;
     r.sat_clauses_kept = ss->clauses_kept;
@@ -679,6 +634,15 @@ bool scan_style_from_string(const std::string& s, atpg::ScanMode& out) {
   else if (s == "loc-held") out = ScanMode::kLaunchOnCaptureHeldPi;
   else return false;
   return true;
+}
+
+const char* scan_style_name(atpg::ScanMode m) {
+  switch (m) {
+    case ScanMode::kEnhanced: return "enhanced";
+    case ScanMode::kLaunchOnCapture: return "loc";
+    case ScanMode::kLaunchOnCaptureHeldPi: return "loc-held";
+  }
+  return "?";
 }
 
 CampaignReport run_campaign(const logic::SequentialCircuit& seq,
@@ -841,8 +805,8 @@ std::string report_json(const CampaignReport& r) {
       j += std::to_string(r.sat_conflicts_hist[static_cast<std::size_t>(b)]);
     }
     j += "]";
-    // Incremental-session detail (one-shot runs with sat_incremental; a
-    // sharded merge reports zeros — sessions are process-local).
+    // Incremental-session detail (one-shot runs; a sharded merge reports
+    // zeros — sessions are process-local).
     if (r.sat_pairs > 0) {
       j += ",\n                     \"incremental\": {\"pairs\": " +
            std::to_string(r.sat_pairs) +
@@ -851,7 +815,7 @@ std::string report_json(const CampaignReport& r) {
            ", \"unobservable_hits\": " +
            std::to_string(r.sat_unobservable_hits) +
            ", \"incremental_refutes\": " +
-           std::to_string(r.sat_incremental_refutes) +
+           std::to_string(r.sat_session_refutes) +
            ", \"fresh_fallbacks\": " + std::to_string(r.sat_fresh_fallbacks) +
            ", \"vars_shared\": " + std::to_string(r.sat_vars_shared) +
            ", \"clauses_kept\": " + std::to_string(r.sat_clauses_kept) + "}";
@@ -943,7 +907,7 @@ void print_report(const CampaignReport& r) {
                    std::to_string(r.sat_restarts)});
     if (r.sat_pairs > 0)
       t.add_row({"SAT incremental refutes / fresh",
-                 std::to_string(r.sat_incremental_refutes) + " / " +
+                 std::to_string(r.sat_session_refutes) + " / " +
                      std::to_string(r.sat_fresh_fallbacks) + "  (cones " +
                      std::to_string(r.sat_cone_encodes) + " encoded, " +
                      std::to_string(r.sat_cone_hits) + " reused)"});

@@ -34,6 +34,8 @@ const char* to_string(FaultModel m);
 bool fault_model_from_string(const std::string& s, FaultModel& out);
 /// Parses "enhanced" / "loc" / "loc-held"; false on anything else.
 bool scan_style_from_string(const std::string& s, atpg::ScanMode& out);
+/// The --scan-style spelling scan_style_from_string parses back.
+const char* scan_style_name(atpg::ScanMode m);
 
 struct CampaignOptions {
   FaultModel model = FaultModel::kStuck;
@@ -62,19 +64,12 @@ struct CampaignOptions {
   /// untestable verdict, or — only if the conflict budget runs out — stays
   /// aborted. Escalation is inline and deterministic, so the matrix-hash
   /// contract across threads/lanes/shards is preserved. Time-budget aborts
-  /// are NOT escalated (they are re-attempted on resume instead).
+  /// are NOT escalated (they are re-attempted on resume instead). The tail
+  /// is solved in one persistent assumption-based session (sat::SatSession),
+  /// whose verdicts and cubes equal the fresh per-goal solve's.
   bool sat_escalate = false;
   /// CDCL conflict budget per SAT solver call; <= 0 = unlimited.
   long long sat_conflict_budget = 100000;
-  /// Solve the escalation tail in one persistent assumption-based SAT
-  /// session (good CNF encoded once, faulty cones cached under activation
-  /// literals, learned clauses kept across faults) instead of a throwaway
-  /// solver per excitation pair. Verdicts and cubes are identical to
-  /// fresh solving by construction — an UNSAT under assumptions refutes
-  /// exactly the fresh formula, and SAT/budget-out answers delegate to the
-  /// fresh path — so matrix_hash, checkpoint, and --resume semantics are
-  /// unchanged; only the effort counters move.
-  bool sat_incremental = true;
   /// Greedy set-cover compaction of the final test set.
   bool compact = true;
   /// Grow an n-detect set on top (OBD model only); 0 = off.
@@ -136,14 +131,14 @@ struct CampaignReport {
   long long sat_conflicts = 0;
   long long sat_decisions = 0;
   long long sat_restarts = 0;
-  /// Incremental-session counters (one-shot runs with sat_escalate and
-  /// sat_incremental; sharded runs report zeros — each shard's session is
-  /// process-local and not checkpointed). See sat::SatSessionStats.
+  /// Incremental-session counters (one-shot runs with sat_escalate;
+  /// sharded runs report zeros — each shard's session is process-local and
+  /// not checkpointed). See sat::SatSessionStats.
   long long sat_pairs = 0;
   long long sat_cone_encodes = 0;
   long long sat_cone_hits = 0;
   long long sat_unobservable_hits = 0;
-  long long sat_incremental_refutes = 0;
+  long long sat_session_refutes = 0;
   long long sat_fresh_fallbacks = 0;
   long long sat_vars_shared = 0;
   long long sat_clauses_kept = 0;

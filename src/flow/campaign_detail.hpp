@@ -16,9 +16,10 @@
 // faults are co-simulated) does the rest.
 //
 // A CampaignContext packages the model-specific machinery (collapsed
-// representatives, prepass pool, prepass campaign, deterministic
-// generator, matrix builder) behind fault-subset-aware closures, so the
-// three steps never branch on the fault model or scan style.
+// representatives, prepass pool, prepass campaign, detection matrix) behind
+// fault-subset-aware closures, so the three steps never branch on the
+// fault model or scan style. The deterministic search and the SAT
+// escalation run each representative's goals_of list (atpg/goals.hpp).
 #pragma once
 
 #include <cstdint>
@@ -70,13 +71,11 @@ struct CampaignContext {
   std::function<atpg::TwoFrameResult(std::uint32_t rep_index)> generate;
   /// SAT escalation for one representative (global index): definitive
   /// cube/untestable verdict for a PODEM backtrack-abort, budget
-  /// permitting. Configured from CampaignOptions::sat_conflict_budget.
-  /// With CampaignOptions::sat_incremental the calls share one lazily
-  /// constructed persistent SatSession (verdicts identical either way).
-  /// Null for the LOC styles, which reject sat_escalate.
+  /// permitting. Configured from CampaignOptions::sat_conflict_budget; the
+  /// calls share one lazily constructed persistent SatSession. Null for the
+  /// LOC styles, which reject sat_escalate.
   std::function<atpg::sat::SatAtpgResult(std::uint32_t rep_index)> escalate;
-  /// The incremental session's counters, or nullptr when no escalation ran
-  /// incrementally (sat_incremental off, or no fault escalated).
+  /// The session's counters, or nullptr when no fault escalated.
   std::function<const atpg::sat::SatSessionStats*()> escalate_stats;
   /// Fault-site name of one representative (for abort reporting).
   std::function<std::string(std::uint32_t rep_index)> rep_name;

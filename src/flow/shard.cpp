@@ -73,10 +73,6 @@ ShardRunResult run_campaign_shard(const logic::SequentialCircuit& seq,
     return fail(ShardRunStatus::kError,
                 "--ndetect is a whole-campaign construct; not available in "
                 "shard mode");
-  if (!seq.flops().empty() && opt.scan_style != ScanMode::kEnhanced)
-    return fail(ShardRunStatus::kError,
-                "launch-on-capture scan styles cannot be sharded "
-                "(--scan-style enhanced only)");
 
   const detail::CampaignContext ctx = detail::make_context(seq, opt);
   if (!ctx.error.empty()) return fail(ShardRunStatus::kError, ctx.error);

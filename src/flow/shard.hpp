@@ -63,9 +63,10 @@ struct ShardRunResult {
   ShardState state;  ///< the final committed state (kDone / kInterrupted)
 };
 
-/// Runs (or resumes) one shard. Enhanced-scan / combinational campaigns
-/// only: launch-on-capture styles and n-detect growth are whole-campaign
-/// constructs and are rejected. Fault-injection crash points fire inside
+/// Runs (or resumes) one shard of any scan style (the launch-on-capture
+/// styles run their scan generator per fault, like a one-shot run). n-detect
+/// growth is a whole-campaign construct and is rejected. Fault-injection
+/// crash points fire inside
 /// (checkpoint saves, shard start) — in process mode this function may not
 /// return; in in-process mode it may throw InjectedCrash.
 ShardRunResult run_campaign_shard(const logic::SequentialCircuit& seq,

@@ -126,6 +126,8 @@ pid_t spawn_shard(const SupervisorOptions& sup, const CampaignOptions& opt,
       "--resume",
       "--model",
       to_string(opt.model),
+      "--scan-style",
+      scan_style_name(opt.scan_style),
       "--random",
       std::to_string(opt.random_patterns),
       "--seed",
@@ -149,10 +151,6 @@ pid_t spawn_shard(const SupervisorOptions& sup, const CampaignOptions& opt,
     args.push_back("--sat-escalate");
     args.push_back("--sat-conflict-budget");
     args.push_back(std::to_string(opt.sat_conflict_budget));
-    if (!opt.sat_incremental) {
-      args.push_back("--sat-incremental");
-      args.push_back("off");
-    }
   }
   if (sup.trace) {
     args.push_back("--trace");
@@ -217,10 +215,6 @@ SupervisorResult run_supervised_campaign(const logic::SequentialCircuit& seq,
   }
   if (opt.ndetect > 0) {
     r.error = "--ndetect is not supported with sharded campaigns";
-    return res;
-  }
-  if (r.scan && opt.scan_style != ScanMode::kEnhanced) {
-    r.error = "launch-on-capture scan styles cannot be sharded";
     return res;
   }
   if (!sup.in_process) {

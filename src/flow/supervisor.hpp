@@ -106,7 +106,8 @@ struct SupervisorResult {
 };
 
 /// Runs the sharded campaign end to end: shard execution with retry and
-/// quarantine, then the deterministic merge.
+/// quarantine, then the deterministic merge. Every scan style shards
+/// (children get --scan-style); n-detect growth is rejected.
 SupervisorResult run_supervised_campaign(const logic::SequentialCircuit& seq,
                                          const CampaignOptions& opt,
                                          const SupervisorOptions& sup);

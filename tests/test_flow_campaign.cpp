@@ -69,14 +69,12 @@ long long metric_value(const CampaignReport& r, const std::string& name) {
 CampaignOptions golden_options(FaultModel model,
                                ScanMode style = ScanMode::kEnhanced,
                                long backtracks = 100000,
-                               bool sat_escalate = false,
-                               bool sat_incremental = true) {
+                               bool sat_escalate = false) {
   CampaignOptions opt;
   opt.model = model;
   opt.scan_style = style;
   opt.max_backtracks = backtracks;
   opt.sat_escalate = sat_escalate;
-  opt.sat_incremental = sat_incremental;
   opt.sim.threads = 1;
   return opt;
 }
@@ -90,10 +88,11 @@ TEST(FlowCampaign, ObdGoldenDecisionIdentity) {
   // search counts of the OBD rows were recorded from the full-re-evaluation
   // PODEM engine; every hash and fault count predates the shared executor
   // (the LOC rows' effort counts were first reported by it). sat_conflicts
-  // pins the SAT effort: the incremental session's rows count its
-  // sensitized-path clauses (c2670 took 155 conflicts and mul10 21 022
-  // with the miter alone), and the fresh row pins the per-fault path that
-  // lifts every cube.
+  // pins the SAT effort of the incremental session, the campaign's one
+  // escalation path, sensitized-path clauses included (c2670 took 155
+  // conflicts and mul10 21 022 with the miter alone). The fresh path that
+  // lifts every cube is pinned per fault by test_sat_atpg's
+  // SessionMatchesFreshOnCampaignTails.
   struct Golden {
     const char* file;
     CampaignOptions opt;
@@ -118,9 +117,6 @@ TEST(FlowCampaign, ObdGoldenDecisionIdentity) {
            Golden{"c2670.bench",
                   golden_options(obd, ScanMode::kEnhanced, 20, true),
                   0x879931ea3ebbcb87ull, 221, 5780, 1, 47, 0, 4939, 1542, 106},
-           Golden{"c2670.bench",
-                  golden_options(obd, ScanMode::kEnhanced, 20, true, false),
-                  0x879931ea3ebbcb87ull, 221, 5780, 1, 47, 0, 4939, 1542, 389},
            // An unplanted abort tail: logic::array_multiplier(10).
            Golden{"mul10.bench",
                   golden_options(obd, ScanMode::kEnhanced, 20, true),
@@ -144,8 +140,7 @@ TEST(FlowCampaign, ObdGoldenDecisionIdentity) {
     const std::string what = std::string(g.file) + " " +
                              to_string(g.opt.model) + " " +
                              to_string(g.opt.scan_style) + " backtracks " +
-                             std::to_string(g.opt.max_backtracks) +
-                             (g.opt.sat_incremental ? "" : " fresh SAT");
+                             std::to_string(g.opt.max_backtracks);
     const io::BenchParseResult p = io::load_bench_file(corpus(g.file));
     ASSERT_TRUE(p.ok) << p.error;
     const CampaignReport r = run_campaign(p.seq, g.opt);

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include "atpg/atpg.hpp"
+#include "atpg/goals.hpp"
+#include "core/excitation.hpp"
+#include "logic/gate.hpp"
 #include "logic/zoo.hpp"
 
 namespace obd::atpg {
@@ -17,6 +20,84 @@ bool exhaustively_testable_obd(const Circuit& c, const ObdFaultSite& f) {
     if (det[0]) return true;
   }
   return false;
+}
+
+using Pins = std::vector<std::pair<NetId, bool>>;
+
+/// The pins `goal_frame` sets, as (net, value) pairs in order.
+Pins pins(const FrameGoal& goal_frame) {
+  Pins out;
+  for (const NetConstraint& k : goal_frame.constraints)
+    out.emplace_back(k.net, k.value);
+  return out;
+}
+
+bool bit(std::uint32_t v, int k) { return ((v >> k) & 1u) != 0; }
+
+TEST(Goals, NandObdGoalsAreThePapersConditions) {
+  // Sec. 4: one goal per exciting transition (v1 -> v2) of the transistor,
+  // in obd_excitations order. Frame 2 pins the gate inputs to v2 with the
+  // output held at its old value NAND(v1); frame 1 justifies v1.
+  Circuit c("nand2");
+  const NetId a = c.add_input("a");
+  const NetId b = c.add_input("b");
+  const NetId y = c.net("y");
+  const int g = c.add_gate(logic::GateType::kNand2, "g", {a, b}, y);
+  c.mark_output(y);
+  const cells::CellTopology nand = cells::nand_topology(2);
+  for (const bool pmos : {false, true}) {
+    for (const int input : {0, 1}) {
+      const cells::TransistorRef t{pmos, input};
+      const auto excitations = core::obd_excitations(nand, t);
+      const auto goals = goals_of(c, ObdFaultSite{g, t});
+      ASSERT_EQ(goals.size(), excitations.size()) << pmos << input;
+      ASSERT_FALSE(goals.empty());
+      for (std::size_t i = 0; i < goals.size(); ++i) {
+        const cells::TwoVector& tv = excitations[i];
+        const TwoFrameGoal& goal = goals[i];
+        EXPECT_EQ(pins(goal.fault_frame),
+                  (Pins{{a, bit(tv.v2, 0)}, {b, bit(tv.v2, 1)}}));
+        ASSERT_TRUE(goal.fault_frame.fault.has_value());
+        EXPECT_EQ(goal.fault_frame.fault->net, y);
+        EXPECT_EQ(goal.fault_frame.fault->value,
+                  !(bit(tv.v1, 0) && bit(tv.v1, 1)));
+        ASSERT_TRUE(goal.justify_frame.has_value());
+        EXPECT_FALSE(goal.justify_frame->fault.has_value());
+        EXPECT_EQ(pins(*goal.justify_frame),
+                  (Pins{{a, bit(tv.v1, 0)}, {b, bit(tv.v1, 1)}}));
+      }
+    }
+  }
+
+  // A gate without a cell topology carries no OBD site.
+  Circuit and2("and2");
+  const NetId p = and2.add_input("p");
+  const NetId q = and2.add_input("q");
+  const NetId z = and2.net("z");
+  const int ga = and2.add_gate(logic::GateType::kAnd2, "ga", {p, q}, z);
+  and2.mark_output(z);
+  ASSERT_FALSE(logic::gate_topology(logic::GateType::kAnd2).has_value());
+  EXPECT_TRUE(goals_of(and2, ObdFaultSite{ga, {false, 0}}).empty());
+}
+
+TEST(Goals, TransitionAndStuckGoals) {
+  const Circuit c = logic::c17();
+  const NetId n = c.gate(0).output;
+  for (const bool rise : {false, true}) {
+    const auto goals = goals_of(c, TransitionFault{n, rise});
+    ASSERT_EQ(goals.size(), 1u);
+    EXPECT_EQ(pins(goals[0].fault_frame), (Pins{{n, rise}}));
+    ASSERT_TRUE(goals[0].fault_frame.fault.has_value());
+    EXPECT_EQ(*goals[0].fault_frame.fault, (StuckFault{n, !rise}));
+    ASSERT_TRUE(goals[0].justify_frame.has_value());
+    EXPECT_EQ(pins(*goals[0].justify_frame), (Pins{{n, !rise}}));
+  }
+  const StuckFault sa{n, true};
+  const auto goals = goals_of(c, sa);
+  ASSERT_EQ(goals.size(), 1u);
+  EXPECT_TRUE(goals[0].fault_frame.constraints.empty());
+  EXPECT_EQ(goals[0].fault_frame.fault, sa);
+  EXPECT_FALSE(goals[0].justify_frame.has_value());
 }
 
 TEST(ObdAtpg, GeneratedTestsRedetectUnderFaultSim) {

@@ -10,8 +10,11 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <map>
+#include <string>
 #include <vector>
 
+#include "atpg/collapse.hpp"
 #include "atpg/faults.hpp"
 #include "atpg/faultsim_engine.hpp"
 #include "atpg/patterns.hpp"
@@ -21,7 +24,9 @@
 #include "atpg/sat/solver.hpp"
 #include "atpg/twoframe.hpp"
 #include "flow/campaign.hpp"
+#include "flow/campaign_detail.hpp"
 #include "flow/supervisor.hpp"
+#include "io/bench.hpp"
 #include "logic/gate.hpp"
 #include "logic/zoo.hpp"
 #include "util/prng.hpp"
@@ -329,7 +334,7 @@ TEST(SatAtpgOracle, ObdVerdictsOnZooCircuits) {
     FaultSimEngine eng(c);
     int cubes = 0, proofs = 0;
     for (const ObdFaultSite& site : sites) {
-      const SatAtpgResult r = sat_generate_obd_test(c, site);
+      const SatAtpgResult r = sat_generate_test(c, goals_of(c, site));
       ASSERT_NE(r.verdict, SatVerdict::kUnknown)
           << fault_name(c, site) << " should resolve at the default budget";
       // PODEM (generous budget) must agree with the SAT verdict.
@@ -362,7 +367,8 @@ TEST(SatAtpgOracle, ObdUntestableTailOnFullAdder) {
   const Circuit c = logic::full_adder_sum_circuit();
   int proofs = 0;
   for (const ObdFaultSite& site : enumerate_obd_faults(c))
-    if (sat_generate_obd_test(c, site).verdict == SatVerdict::kUntestable)
+    if (sat_generate_test(c, goals_of(c, site)).verdict ==
+        SatVerdict::kUntestable)
       ++proofs;
   EXPECT_GT(proofs, 0);
 }
@@ -372,7 +378,7 @@ TEST(SatAtpgOracle, StuckVerdictsMatchPodemAndSim) {
                               logic::parity_tree(5)};
   for (const Circuit& c : circuits) {
     for (const StuckFault& f : enumerate_stuck_faults(c)) {
-      const SatAtpgResult r = sat_generate_stuck_test(c, f);
+      const SatAtpgResult r = sat_generate_test(c, goals_of(c, f));
       ASSERT_NE(r.verdict, SatVerdict::kUnknown);
       PodemOptions popt;
       popt.max_backtracks = 1000000;
@@ -391,7 +397,7 @@ TEST(SatAtpgOracle, StuckVerdictsMatchPodemAndSim) {
 TEST(SatAtpgOracle, TransitionVerdictsMatchPodemAndSim) {
   const Circuit c = logic::ripple_carry_adder(3);
   for (const TransitionFault& f : enumerate_transition_faults(c)) {
-    const SatAtpgResult r = sat_generate_transition_test(c, f);
+    const SatAtpgResult r = sat_generate_test(c, goals_of(c, f));
     ASSERT_NE(r.verdict, SatVerdict::kUnknown);
     PodemOptions popt;
     popt.max_backtracks = 1000000;
@@ -413,7 +419,7 @@ TEST(SatAtpg, CubesCarryRealDontCares) {
   const logic::InputVec full = logic::InputVec::mask(c.inputs().size());
   bool any_x = false;
   for (const ObdFaultSite& site : enumerate_obd_faults(c)) {
-    const SatAtpgResult r = sat_generate_obd_test(c, site);
+    const SatAtpgResult r = sat_generate_test(c, goals_of(c, site));
     if (r.verdict != SatVerdict::kCube) continue;
     if (!(r.cube.v1.care_mask == full) || !(r.cube.v2.care_mask == full))
       any_x = true;
@@ -639,28 +645,20 @@ TEST(SatIncremental, ImpliedAssumptionsAreNotConflicts) {
   EXPECT_TRUE(s.value(x));
 }
 
-SatAtpgResult fresh_test(const Circuit& c, const ObdFaultSite& f) {
-  return sat_generate_obd_test(c, f);
+template <typename Fault>
+SatAtpgResult fresh_test(const Circuit& c, const Fault& f) {
+  return sat_generate_test(c, goals_of(c, f));
 }
-SatAtpgResult fresh_test(const Circuit& c, const StuckFault& f) {
-  return sat_generate_stuck_test(c, f);
-}
-SatAtpgResult fresh_test(const Circuit& c, const TransitionFault& f) {
-  return sat_generate_transition_test(c, f);
-}
-SatAtpgResult session_test(SatSession& s, const ObdFaultSite& f) {
-  return s.generate_obd_test(f);
-}
-SatAtpgResult session_test(SatSession& s, const StuckFault& f) {
-  return s.generate_stuck_test(f);
-}
-SatAtpgResult session_test(SatSession& s, const TransitionFault& f) {
-  return s.generate_transition_test(f);
+template <typename Fault>
+SatAtpgResult session_test(SatSession& s, const Circuit& c, const Fault& f) {
+  return s.generate(goals_of(c, f));
 }
 
 struct SessionTally {
   int cubes = 0;
   int untestable = 0;
+  long long fresh_conflicts = 0;
+  long long session_conflicts = 0;
   SatSessionStats stats;
 };
 
@@ -673,7 +671,9 @@ SessionTally session_vs_fresh(const Circuit& c,
   SessionTally t;
   for (const Fault& f : faults) {
     const SatAtpgResult fresh = fresh_test(c, f);
-    const SatAtpgResult inc = session_test(session, f);
+    const SatAtpgResult inc = session_test(session, c, f);
+    t.fresh_conflicts += fresh.conflicts;
+    t.session_conflicts += inc.conflicts;
     EXPECT_EQ(fresh.verdict, inc.verdict) << fault_name(c, f);
     if (fresh.verdict == SatVerdict::kCube) {
       ++t.cubes;
@@ -724,35 +724,56 @@ TEST(SatIncremental, SessionMatchesFreshOnAbortTail) {
   }
 }
 
-TEST(SatCampaign, IncrementalToggleIsInvariant) {
-  // --sat-incremental on|off must agree on everything the campaign
-  // contract covers: verdict counts, detection, and the matrix hash.
-  const Circuit c = logic::array_multiplier(3);
-  flow::CampaignOptions opt = abort_tail_options();
-  opt.sat_escalate = true;
-  opt.sat_incremental = true;
-  const flow::CampaignReport inc = flow::run_campaign(c, opt);
-  ASSERT_TRUE(inc.ok()) << inc.error;
-  opt.sat_incremental = false;
-  const flow::CampaignReport fresh = flow::run_campaign(c, opt);
-  ASSERT_TRUE(fresh.ok()) << fresh.error;
+TEST(SatIncremental, SessionMatchesFreshOnCampaignTails) {
+  // The campaign escalates through the session alone, so check it against
+  // the fresh path on the tails real campaigns hand it: the aborts of an
+  // OBD run at --backtracks 20 --threads 1, in the campaign's order. Every
+  // fault must get the same verdict and cube bytes from both. The counts
+  // pin both paths' effort: c2670's tail is its planted redundant block,
+  // mul10's (logic::array_multiplier(10)) is unplanted.
+  struct Row {
+    const char* file;
+    int untestable;
+    long long fresh_conflicts;
+    long long session_conflicts;
+  };
+  for (const Row& row : {Row{"c2670.bench", 47, 389, 106},
+                         Row{"mul10.bench", 15, 38975, 38}}) {
+    const io::BenchParseResult p =
+        io::load_bench_file(std::string(OBD_CORPUS_DIR) + "/" + row.file);
+    ASSERT_TRUE(p.ok) << p.error;
+    flow::CampaignOptions opt;
+    opt.model = flow::FaultModel::kObd;
+    opt.max_backtracks = 20;
+    opt.sim.threads = 1;
+    const flow::CampaignReport r = flow::run_campaign(p.seq, opt);
+    ASSERT_TRUE(r.ok()) << r.error;
 
-  EXPECT_EQ(inc.matrix_hash, fresh.matrix_hash);
-  EXPECT_EQ(inc.detected, fresh.detected);
-  EXPECT_EQ(inc.sat_detected, fresh.sat_detected);
-  EXPECT_EQ(inc.sat_untestable, fresh.sat_untestable);
-  EXPECT_EQ(inc.sat_unknown, fresh.sat_unknown);
-  EXPECT_EQ(inc.tests_final, fresh.tests_final);
+    // Map the report's abort names back to representatives.
+    const flow::detail::CampaignContext ctx =
+        flow::detail::make_context(p.seq, opt);
+    ASSERT_TRUE(ctx.error.empty()) << ctx.error;
+    const std::vector<ObdFaultSite> reps =
+        collapse_obd_faults(ctx.view, enumerate_obd_faults(ctx.view))
+            .representatives;
+    ASSERT_EQ(reps.size(), ctx.n_reps);
+    std::map<std::string, std::uint32_t> rep_of;
+    for (std::uint32_t i = 0; i < ctx.n_reps; ++i) rep_of[ctx.rep_name(i)] = i;
+    std::vector<ObdFaultSite> tail;
+    for (const std::string& name : r.aborted_faults) {
+      const auto it = rep_of.find(name);
+      ASSERT_NE(it, rep_of.end()) << name;
+      ASSERT_EQ(fault_name(ctx.view, reps[it->second]), name);
+      tail.push_back(reps[it->second]);
+    }
 
-  // The session counters surface only on the incremental run. (Total
-  // conflicts can exceed the fresh run's here: SAT pairs are solved twice
-  // — session attempt, then the fresh path for byte-identical cube
-  // lifting. The conflicts-saved win belongs to refutation-heavy tails;
-  // BENCH_atpg_scale's incremental_sat section measures it.)
-  EXPECT_GT(inc.sat_pairs, 0);
-  EXPECT_GT(inc.sat_cone_hits, 0);
-  EXPECT_GT(inc.sat_incremental_refutes, 0);
-  EXPECT_EQ(fresh.sat_pairs, 0);
+    const SessionTally t = session_vs_fresh(ctx.view, tail);
+    EXPECT_EQ(t.untestable, row.untestable) << row.file;
+    EXPECT_EQ(t.cubes + t.untestable, static_cast<int>(tail.size()))
+        << row.file;
+    EXPECT_EQ(t.fresh_conflicts, row.fresh_conflicts) << row.file;
+    EXPECT_EQ(t.session_conflicts, row.session_conflicts) << row.file;
+  }
 }
 
 TEST(SatCampaign, NdetectSkipsProvenUntestable) {

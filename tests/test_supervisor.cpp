@@ -160,6 +160,35 @@ TEST_F(SupervisorTest, ObdMergeIsBitIdenticalToOneShotC2670) {
   }
 }
 
+TEST_F(SupervisorTest, LocMergeIsBitIdenticalToOneShotS1423) {
+  // Launch-on-capture campaigns shard like any other: each shard runs the
+  // two-frame scan generator on its own faults, and the merge lands on the
+  // one-shot report.
+  const io::BenchParseResult p = load("s1423.bench");
+  ASSERT_TRUE(p.ok) << p.error;
+
+  for (const atpg::ScanMode style : {atpg::ScanMode::kLaunchOnCapture,
+                                     atpg::ScanMode::kLaunchOnCaptureHeldPi}) {
+    CampaignOptions opt;
+    opt.model = FaultModel::kObd;
+    opt.scan_style = style;
+    const CampaignReport base = run_campaign(p.seq, opt);
+    ASSERT_TRUE(base.ok()) << base.error;
+
+    SupervisorOptions sup;
+    sup.checkpoint_dir = fresh_dir(std::string("s1423_") +
+                                   scan_style_name(style));
+    sup.shards = 3;
+    sup.in_process = true;
+    const SupervisorResult res = run_supervised_campaign(p.seq, opt, sup);
+    const std::string what = std::string(scan_style_name(style)) +
+                             ", 3 shards";
+    ASSERT_TRUE(res.report.ok()) << what << ": " << res.report.error;
+    EXPECT_EQ(res.report.scan_style, base.scan_style) << what;
+    expect_matches_baseline(res.report, base, what);
+  }
+}
+
 TEST_F(SupervisorTest, KilledCampaignResumesToOneShotHashOnC2670) {
   const io::BenchParseResult p = load("c2670.bench");
   ASSERT_TRUE(p.ok) << p.error;
@@ -521,10 +550,42 @@ TEST_F(SupervisorTest, SubprocessShardsMatchOneShot) {
   expect_matches_baseline(res.report, base, "subprocess 2 shards");
 }
 
+/// A shard child executable that appends its argv to `dir`/argv.log, one
+/// line per child, then execs obd_atpg.
+std::string argv_logging_wrapper(const std::string& dir) {
+  const std::string wrapper = dir + "/obd_atpg.sh";
+  {
+    std::ofstream sh(wrapper);
+    sh << "#!/bin/sh\n"
+       << "echo \"$*\" >> \"" << dir << "/argv.log\"\n"
+       << "exec \"" << OBD_ATPG_BIN << "\" \"$@\"\n";
+  }
+  std::filesystem::permissions(wrapper, std::filesystem::perms::owner_all);
+  return wrapper;
+}
+
+/// The argv of every child argv_logging_wrapper(`dir`) started.
+std::vector<std::vector<std::string>> logged_argvs(const std::string& dir) {
+  std::vector<std::vector<std::string>> out;
+  std::ifstream in(dir + "/argv.log");
+  for (std::string line; std::getline(in, line);) {
+    std::istringstream words(line);
+    out.emplace_back(std::istream_iterator<std::string>(words),
+                     std::istream_iterator<std::string>());
+  }
+  return out;
+}
+
+/// The word after `flag` in `argv`, or "" when absent.
+std::string flag_value(const std::vector<std::string>& argv,
+                       const std::string& flag) {
+  const auto it = std::find(argv.begin(), argv.end(), flag);
+  return it == argv.end() || it + 1 == argv.end() ? "" : *(it + 1);
+}
+
 TEST_F(SupervisorTest, SubprocessShardsGetLanesAndConeCache) {
   // Shard children must simulate at the parent's --lanes and --cone-cache,
-  // not at the CLI defaults. The child executable is a wrapper script that
-  // appends its argv to a log, one line per child, then execs obd_atpg.
+  // not at the CLI defaults.
   const io::BenchParseResult p = load("c432.bench");
   ASSERT_TRUE(p.ok) << p.error;
 
@@ -537,42 +598,51 @@ TEST_F(SupervisorTest, SubprocessShardsGetLanesAndConeCache) {
   ASSERT_TRUE(base.ok()) << base.error;
 
   const std::string wrap_dir = fresh_dir("proc_wrap");
-  const std::string log = wrap_dir + "/argv.log";
-  const std::string wrapper = wrap_dir + "/obd_atpg.sh";
-  {
-    std::ofstream sh(wrapper);
-    sh << "#!/bin/sh\n"
-       << "echo \"$*\" >> \"" << log << "\"\n"
-       << "exec \"" << OBD_ATPG_BIN << "\" \"$@\"\n";
-  }
-  std::filesystem::permissions(wrapper, std::filesystem::perms::owner_all);
-
   SupervisorOptions sup;
   sup.checkpoint_dir = fresh_dir("proc_fwd");
   sup.shards = 2;
-  sup.child_exe = wrapper;
+  sup.child_exe = argv_logging_wrapper(wrap_dir);
   sup.circuit_path = corpus("c432.bench");
   const SupervisorResult res = run_supervised_campaign(p.seq, opt, sup);
   ASSERT_TRUE(res.report.ok()) << res.report.error;
   EXPECT_EQ(count_outcome(res, ShardOutcome::kClean), 2);
   expect_matches_baseline(res.report, base, "subprocess 256 lanes");
 
-  std::ifstream in(log);
-  int children = 0;
-  for (std::string line; std::getline(in, line);) {
-    ++children;
-    std::istringstream words(line);
-    const std::vector<std::string> argv{
-        std::istream_iterator<std::string>(words),
-        std::istream_iterator<std::string>()};
-    const auto value_of = [&](const std::string& flag) -> std::string {
-      const auto it = std::find(argv.begin(), argv.end(), flag);
-      return it == argv.end() || it + 1 == argv.end() ? "" : *(it + 1);
-    };
-    EXPECT_EQ(value_of("--lanes"), "256") << line;
-    EXPECT_EQ(value_of("--cone-cache"), "65536") << line;
+  const auto argvs = logged_argvs(wrap_dir);
+  EXPECT_EQ(argvs.size(), 2u);
+  for (const auto& argv : argvs) {
+    EXPECT_EQ(flag_value(argv, "--lanes"), "256");
+    EXPECT_EQ(flag_value(argv, "--cone-cache"), "65536");
   }
-  EXPECT_EQ(children, 2);
+}
+
+TEST_F(SupervisorTest, SubprocessLocShardsGetScanStyle) {
+  // A launch-on-capture campaign's children must run the LOC generator,
+  // not the enhanced-scan default, for the merge to equal the one-shot run.
+  const io::BenchParseResult p = load("s1423.bench");
+  ASSERT_TRUE(p.ok) << p.error;
+
+  CampaignOptions opt;
+  opt.model = FaultModel::kObd;
+  opt.scan_style = atpg::ScanMode::kLaunchOnCapture;
+  const CampaignReport base = run_campaign(p.seq, opt);
+  ASSERT_TRUE(base.ok()) << base.error;
+
+  const std::string wrap_dir = fresh_dir("proc_loc_wrap");
+  SupervisorOptions sup;
+  sup.checkpoint_dir = fresh_dir("proc_loc");
+  sup.shards = 2;
+  sup.child_exe = argv_logging_wrapper(wrap_dir);
+  sup.circuit_path = corpus("s1423.bench");
+  const SupervisorResult res = run_supervised_campaign(p.seq, opt, sup);
+  ASSERT_TRUE(res.report.ok()) << res.report.error;
+  EXPECT_EQ(count_outcome(res, ShardOutcome::kClean), 2);
+  expect_matches_baseline(res.report, base, "subprocess loc 2 shards");
+
+  const auto argvs = logged_argvs(wrap_dir);
+  EXPECT_EQ(argvs.size(), 2u);
+  for (const auto& argv : argvs)
+    EXPECT_EQ(flag_value(argv, "--scan-style"), "loc");
 }
 
 TEST_F(SupervisorTest, SubprocessSigkillIsRetriedToIdenticalResult) {

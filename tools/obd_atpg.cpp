@@ -28,17 +28,13 @@
 //                                  becomes a validated test cube or a
 //                                  proven-untestable verdict (provable
 //                                  coverage); deterministic, so the
-//                                  matrix_hash contract is preserved
+//                                  matrix_hash contract is preserved. One
+//                                  incremental solver serves the whole tail
+//                                  (good circuit encoded once, faulty cones
+//                                  behind activation literals, learned
+//                                  clauses kept across faults)
 //   --sat-conflict-budget N        CDCL conflicts per SAT solver call
 //                                  (default 100000; 0 = unlimited)
-//   --sat-incremental on|off       assumption-based incremental SAT for the
-//                                  escalation tail (default on): the good
-//                                  circuit is encoded once per campaign,
-//                                  each faulty cone is gated behind an
-//                                  activation literal, and learned clauses
-//                                  persist across faults. Verdicts and test
-//                                  cubes are identical to fresh solving;
-//                                  off re-encodes from scratch per fault
 //   --ndetect N                    grow an n-detect set (obd model only)
 //   --no-compact                   skip greedy set-cover compaction
 //   --report FILE.json             write the JSON report (atomically:
@@ -73,9 +69,10 @@
 //   --shards N                     supervise N shard child processes and
 //                                  merge their checkpoints through the
 //                                  one-shot run's report builder
-//                                  (bit-identical to the one-shot run; exit
-//                                  3 when shards were quarantined and the
-//                                  report is partial)
+//                                  (bit-identical to the one-shot run, for
+//                                  every --scan-style; exit 3 when shards
+//                                  were quarantined and the report is
+//                                  partial)
 //   --shard I/N                    run as shard I of N (normally spawned
 //                                  by --shards, not by hand)
 //   --checkpoint-dir DIR           shard checkpoint directory (required
@@ -132,8 +129,7 @@ int usage(const char* argv0) {
                "       [--threads N] [--lanes 64|128|256|512] "
                "[--cone-cache BYTES] [--random N] [--seed S]\n"
                "       [--backtracks N] [--podem-time S] [--sat-escalate] "
-               "[--sat-conflict-budget N] [--sat-incremental on|off] "
-               "[--ndetect N]\n"
+               "[--sat-conflict-budget N] [--ndetect N]\n"
                "       [--no-compact] [--report FILE.json] "
                "[--min-coverage F] [--write-bench FILE] [--quiet] "
                "[--verbose]\n"
@@ -284,15 +280,6 @@ int main(int argc, char** argv) {
       if (!parse_long(value("--sat-conflict-budget"), n) || n < 0)
         return usage(argv[0]);
       opt.sat_conflict_budget = n;
-    } else if (a == "--sat-incremental") {
-      const std::string m = value("--sat-incremental");
-      if (m == "on") opt.sat_incremental = true;
-      else if (m == "off") opt.sat_incremental = false;
-      else {
-        obs::logf(obs::LogLevel::kError, "unknown --sat-incremental '%s'",
-                  m.c_str());
-        return 1;
-      }
     } else if (a == "--ndetect") {
       if (!parse_long(value("--ndetect"), n) || n < 0) return usage(argv[0]);
       opt.ndetect = static_cast<int>(n);
