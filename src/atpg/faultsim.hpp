@@ -76,10 +76,10 @@ DetectionMatrix build_transition_matrix(
     const Circuit& c, const std::vector<TwoVectorTest>& tests,
     const std::vector<TransitionFault>& faults, const SimOptions& sim = {});
 
-/// First-detection bookkeeping of a random-phase prepass campaign: which
+/// First-detection bookkeeping of a random-pattern prepass campaign: which
 /// tests first-detect some fault (and so join the returned test set) and
-/// which faults are detected (and so skip the deterministic search).
-/// Shared by the combinational (twoframe.cpp) and scan (scan.cpp) flows.
+/// which faults are detected (and so skip the deterministic search). The
+/// campaign executor's start_partition (flow/campaign.cpp) is its caller.
 struct PrepassMarks {
   std::vector<std::uint8_t> useful;  // per test: first detector of some fault
   std::vector<std::uint8_t> skip;    // per fault: detected by the prepass

@@ -678,7 +678,6 @@ FaultSimScheduler::FaultSimScheduler(const Circuit& c, SimOptions opt)
     : c_(c), opt_(opt) {
   if (opt_.threads < 1) opt_.threads = 1;
   if (opt_.lane_words < 1) opt_.lane_words = 1;
-  if (opt_.block_batch < 0) opt_.block_batch = 0;
   // All workers are created up front, on the caller's thread: the first
   // engine construction warms the circuit's lazy topo-order cache, so the
   // shared Circuit is strictly read-only once workers run.
@@ -737,13 +736,8 @@ constexpr std::size_t kSerialGateBlockThreshold = 8192;
 
 int FaultSimScheduler::pattern_workers(std::size_t n_blocks) const {
   const int w = workers_for(n_blocks);
-  // An explicit block_batch amortizes the round barrier over more blocks,
-  // so the same gate/block/lane shape becomes worth threading earlier —
-  // without the factor, batched campaign rounds on small circuits bounced
-  // between the serial and threaded paths.
-  const auto batch = static_cast<std::size_t>(std::max(1, opt_.block_batch));
   if (w > 1 && c_.num_gates() * n_blocks *
-                       static_cast<std::size_t>(opt_.lane_words) * batch <
+                       static_cast<std::size_t>(opt_.lane_words) <
                    kSerialGateBlockThreshold)
     return 1;
   return w;
@@ -751,8 +745,6 @@ int FaultSimScheduler::pattern_workers(std::size_t n_blocks) const {
 
 std::size_t FaultSimScheduler::resolve_batch(std::size_t n_blocks,
                                              int workers) const {
-  if (opt_.block_batch > 0)
-    return static_cast<std::size_t>(opt_.block_batch);
   if (workers <= 1) return 1;
   // Amortize the round barrier over a few blocks per worker, but keep at
   // least ~4 reconciliation rounds so fault dropping still prunes the tail.

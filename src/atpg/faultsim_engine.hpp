@@ -375,7 +375,7 @@ struct SimStats {
 /// in tests/oracle_common.hpp enforces this against the legacy scalar
 /// simulators). Threads shard whole pattern blocks (matrix rows are
 /// disjoint per block) or whole tests (fault-major rows are disjoint per
-/// test); fault-dropping campaigns run rounds of `threads * block_batch`
+/// test); fault-dropping campaigns run rounds of `workers * resolve_batch`
 /// blocks against a frozen active list and reconcile detections in block
 /// order between rounds, trading a little redundant tail work for exact
 /// equivalence. Small shapes (gates x blocks x lane_words below a measured
@@ -408,9 +408,8 @@ class FaultSimScheduler {
   /// falls below a measured threshold — there the thread-spawn and round-
   /// barrier tax exceeds any parallel win, so the call runs inline.
   int pattern_workers(std::size_t n_blocks) const;
-  /// Blocks per worker per campaign round (block_batch, or an auto pick
-  /// that amortizes the round barrier without coarsening fault dropping
-  /// too much).
+  /// Blocks per worker per campaign round, chosen from the block count (1
+  /// on a serial call).
   std::size_t resolve_batch(std::size_t n_blocks, int workers) const;
 
   // --- Detection matrices ----------------------------------------------

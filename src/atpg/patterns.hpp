@@ -111,11 +111,6 @@ struct SimOptions {
   /// bundles run through the LaneBlock SIMD kernels; detection matrices,
   /// campaigns, and matrix_hash are bit-identical at every width.
   int lane_words = 1;
-  /// Pattern blocks per worker per fault-dropping campaign round; 0 picks
-  /// automatically. Larger batches amortize the round barrier at the cost
-  /// of coarser fault-drop reconciliation (results stay bit-identical —
-  /// only the redundant-work metric moves).
-  int block_batch = 0;
 };
 
 }  // namespace obd::atpg

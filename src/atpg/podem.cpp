@@ -376,12 +376,9 @@ class Engine {
   TestVector make_vector() const {
     TestVector v;
     for (std::size_t i = 0; i < pi_.size(); ++i) {
-      if (pi_[i] == Tri::kX) {
-        if (opt_.fill_value) v.bits.set_bit(i);
-      } else {
-        v.care_mask.set_bit(i);
-        if (pi_[i] == Tri::k1) v.bits.set_bit(i);
-      }
+      if (pi_[i] == Tri::kX) continue;
+      v.care_mask.set_bit(i);
+      if (pi_[i] == Tri::k1) v.bits.set_bit(i);
     }
     return v;
   }

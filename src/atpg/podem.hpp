@@ -45,16 +45,9 @@ struct PodemOptions {
   /// resumable campaigns use the reason split to re-attempt exactly the
   /// time-budget aborts.
   double time_budget_s = 0.0;
-  /// Value used to fill don't-care PIs in the returned vector.
-  bool fill_value = false;
-  /// Random-pattern prepass for the whole-list drivers (run_*_atpg): this
-  /// many random tests are fault-simulated in 64-lane blocks with fault
-  /// dropping; the deterministic search then only targets the survivors,
-  /// and the useful random tests join the returned test set. 0 disables.
-  int random_phase = 0;
-  std::uint64_t random_phase_seed = 0x0bd5eedull;
-  /// Scheduler configuration for the random-phase fault simulation
-  /// (threads + packing; results are bit-identical for any setting).
+  /// Read by nothing: the search simulates no patterns. Kept only because
+  /// perfbench/replay.cpp assigns it; it goes with the next change to that
+  /// benchmark.
   SimOptions sim;
 };
 
@@ -68,7 +61,7 @@ enum class AbortReason : std::uint8_t { kNone = 0, kBacktracks, kTime };
 struct PodemResult {
   PodemStatus status = PodemStatus::kUntestable;
   AbortReason reason = AbortReason::kNone;  ///< set when status == kAborted
-  TestVector vector;
+  TestVector vector;  ///< don't-care PIs have care_mask and bits 0
   long backtracks = 0;
   long implications = 0;
 };

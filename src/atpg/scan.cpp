@@ -1,7 +1,5 @@
 #include "atpg/scan.hpp"
 
-#include <chrono>
-
 #include "atpg/faultsim.hpp"
 #include "core/excitation.hpp"
 #include "util/prng.hpp"
@@ -145,12 +143,6 @@ bool verify_scan_obd_test(const SequentialCircuit& seq,
 }
 
 std::vector<ScanObdTest> random_broadside_tests(const SequentialCircuit& seq,
-                                                ScanMode mode, int count,
-                                                std::uint64_t seed) {
-  return random_broadside_tests(seq, seq.scan_view(), mode, count, seed);
-}
-
-std::vector<ScanObdTest> random_broadside_tests(const SequentialCircuit& seq,
                                                 const Circuit& sv,
                                                 ScanMode mode, int count,
                                                 std::uint64_t seed) {
@@ -189,37 +181,8 @@ ScanCampaign run_scan_obd_atpg(const SequentialCircuit& seq,
                                const std::vector<ObdFaultSite>& faults,
                                ScanMode mode, const PodemOptions& opt) {
   ScanCampaign c;
-  std::vector<std::uint8_t> skip(faults.size(), 0);
-  if (opt.random_phase > 0 && !faults.empty()) {
-    // Broadside random-pattern phase over the scan view, with fault
-    // dropping. Fault indices carry over: scan_view preserves gate order.
-    const auto t0 = std::chrono::steady_clock::now();
-    const Circuit sv = seq.scan_view();
-    const std::vector<ScanObdTest> random_tests = random_broadside_tests(
-        seq, sv, mode, opt.random_phase, opt.random_phase_seed);
-    std::vector<TwoVectorTest> vectors;
-    vectors.reserve(random_tests.size());
-    for (const auto& t : random_tests)
-      vectors.push_back(scan_view_vectors(seq, t));
-    FaultSimScheduler sched(sv, opt.sim);
-    const FaultSimEngine::Campaign campaign =
-        sched.campaign_obd(vectors, faults, /*drop_detected=*/true);
-    c.fault_block_evals = campaign.fault_block_evals;
-    const PrepassMarks marks =
-        mark_first_detections(campaign, random_tests.size());
-    skip = marks.skip;
-    c.found += marks.found;
-    c.random_found += marks.found;
-    for (std::size_t t = 0; t < random_tests.size(); ++t)
-      if (marks.useful[t]) c.tests.push_back(random_tests[t]);
-    c.random_tests = static_cast<int>(c.tests.size());
-    c.random_seconds = std::chrono::duration<double>(
-                           std::chrono::steady_clock::now() - t0)
-                           .count();
-  }
-  for (std::size_t i = 0; i < faults.size(); ++i) {
-    if (skip[i]) continue;
-    const ScanObdResult r = generate_scan_obd_test(seq, faults[i], mode, opt);
+  for (const ObdFaultSite& f : faults) {
+    const ScanObdResult r = generate_scan_obd_test(seq, f, mode, opt);
     switch (r.status) {
       case PodemStatus::kFound:
         ++c.found;

@@ -64,15 +64,10 @@ bool verify_scan_obd_test(const logic::SequentialCircuit& seq,
 
 /// `count` random broadside (launch/capture) scan tests for `mode`,
 /// deterministic in `seed`: random state1/pi1 (and pi2 unless held); state2
-/// is the machine's own response for the LOC modes and independently random
-/// for enhanced scan. These are exactly the tests the random-pattern
-/// prepass of run_scan_obd_atpg fault-simulates.
-std::vector<ScanObdTest> random_broadside_tests(
-    const logic::SequentialCircuit& seq, ScanMode mode, int count,
-    std::uint64_t seed);
-
-/// As above, reusing a prebuilt seq.scan_view() for the LOC next-state
-/// derivation instead of reconstructing it.
+/// is the machine's own response for the LOC modes (derived through the
+/// prebuilt `scan_view`, seq.scan_view()) and independently random for
+/// enhanced scan. A LOC campaign's random prepass pool is these tests'
+/// scan_view_vectors (flow/campaign.cpp).
 std::vector<ScanObdTest> random_broadside_tests(
     const logic::SequentialCircuit& seq, const logic::Circuit& scan_view,
     ScanMode mode, int count, std::uint64_t seed);
@@ -82,32 +77,16 @@ std::vector<ScanObdTest> random_broadside_tests(
 TwoVectorTest scan_view_vectors(const logic::SequentialCircuit& seq,
                                 const ScanObdTest& t);
 
-/// Per-mode campaign over a fault list.
+/// Per-mode ATPG over a fault list: generate_scan_obd_test per fault, in
+/// list order, with no random prepass. `tests` holds the found tests in
+/// fault order.
 struct ScanCampaign {
   int found = 0;
   int untestable = 0;
   int aborted = 0;
-  /// Of `found`, how many came from the random-pattern prepass.
-  int random_found = 0;
-  /// Prepass tests kept because they first-detected some fault (they are
-  /// the first `random_tests` entries of `tests`).
-  int random_tests = 0;
-  /// Scheduler work metric of the prepass (Campaign::fault_block_evals).
-  long long fault_block_evals = 0;
-  /// Wall-clock seconds spent in the random prepass (generation + fault
-  /// simulation); campaign drivers report it separately from PODEM time.
-  double random_seconds = 0.0;
   std::vector<ScanObdTest> tests;
 };
 
-/// With opt.random_phase > 0, a broadside random-pattern phase runs first:
-/// the faults are block-simulated over the scan view against
-/// random_broadside_tests() with fault dropping (opt.sim workers/packing),
-/// detected faults skip the deterministic search, and each random test that
-/// first-detects some fault joins the campaign's test list. Core fault
-/// indices carry over to the scan view (gate order is preserved), and the
-/// engine's gross-delay semantics on the scan view match
-/// verify_scan_obd_test exactly.
 ScanCampaign run_scan_obd_atpg(const logic::SequentialCircuit& seq,
                                const std::vector<ObdFaultSite>& faults,
                                ScanMode mode, const PodemOptions& opt = {});

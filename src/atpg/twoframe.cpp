@@ -1,8 +1,5 @@
 #include "atpg/twoframe.hpp"
 
-#include "atpg/faultsim.hpp"
-#include "atpg/faultsim_engine.hpp"
-
 namespace obd::atpg {
 
 TwoFrameResult generate_test(const Circuit& c,
@@ -50,41 +47,12 @@ TwoFrameResult generate_test(const Circuit& c,
 
 namespace {
 
-std::vector<TwoVectorTest> random_phase_tests(const Circuit& c,
-                                              const PodemOptions& opt) {
-  if (opt.random_phase <= 0) return {};
-  return random_pairs(static_cast<int>(c.inputs().size()), opt.random_phase,
-                      opt.random_phase_seed);
-}
-
-/// Random-pattern phase, then generate_test over the survivors. The phase
-/// block-simulates `tests` with fault dropping (sharded over
-/// opt.sim.threads workers); faults caught there skip the deterministic
-/// search, and each random test that is the *first* detector of some fault
-/// joins the run's test set. `campaign` maps (scheduler, tests) to a
-/// fault-dropping campaign.
-template <typename Fault, typename CampaignFn>
+/// generate_test over every fault, in list order.
+template <typename Fault>
 AtpgRun run_atpg(const Circuit& c, const std::vector<Fault>& faults,
-                 const std::vector<TwoVectorTest>& tests,
-                 const PodemOptions& opt, CampaignFn campaign) {
+                 const PodemOptions& opt) {
   AtpgRun run;
-  std::vector<std::uint8_t> skip(faults.size(), 0);
-  if (!tests.empty() && !faults.empty()) {
-    FaultSimScheduler sched(c, opt.sim);
-    const PrepassMarks marks =
-        mark_first_detections(campaign(sched, tests), tests.size());
-    run.found += marks.found;
-    skip = marks.skip;
-    const InputVec pi_mask = InputVec::mask(c.inputs().size());
-    for (std::size_t t = 0; t < tests.size(); ++t) {
-      if (!marks.useful[t]) continue;
-      run.tests.push_back(tests[t]);
-      run.x_tests.push_back(XTwoVectorTest{{tests[t].v1, pi_mask},
-                                           {tests[t].v2, pi_mask}});
-    }
-  }
   for (std::size_t i = 0; i < faults.size(); ++i) {
-    if (skip[i]) continue;
     const TwoFrameResult r = generate_test(c, goals_of(c, faults[i]), opt);
     run.total_backtracks += r.backtracks;
     run.total_implications += r.implications;
@@ -110,36 +78,19 @@ AtpgRun run_atpg(const Circuit& c, const std::vector<Fault>& faults,
 
 AtpgRun run_obd_atpg(const Circuit& c, const std::vector<ObdFaultSite>& faults,
                      const PodemOptions& opt) {
-  return run_atpg(
-      c, faults, random_phase_tests(c, opt), opt,
-      [&](FaultSimScheduler& s, const std::vector<TwoVectorTest>& tests) {
-        return s.campaign_obd(tests, faults);
-      });
+  return run_atpg(c, faults, opt);
 }
 
 AtpgRun run_transition_atpg(const Circuit& c,
                             const std::vector<TransitionFault>& faults,
                             const PodemOptions& opt) {
-  return run_atpg(
-      c, faults, random_phase_tests(c, opt), opt,
-      [&](FaultSimScheduler& s, const std::vector<TwoVectorTest>& tests) {
-        return s.campaign_transition(tests, faults);
-      });
+  return run_atpg(c, faults, opt);
 }
 
 AtpgRun run_stuck_at_atpg(const Circuit& c,
                           const std::vector<StuckFault>& faults,
                           const PodemOptions& opt) {
-  // Single-vector patterns: the v2 halves of the shared pair generator.
-  auto tests = random_phase_tests(c, opt);
-  for (auto& t : tests) t.v1 = t.v2;
-  return run_atpg(
-      c, faults, tests, opt,
-      [&](FaultSimScheduler& s, const std::vector<TwoVectorTest>& ts) {
-        std::vector<InputVec> patterns(ts.size());
-        for (std::size_t i = 0; i < ts.size(); ++i) patterns[i] = ts[i].v2;
-        return s.campaign_stuck(patterns, faults);
-      });
+  return run_atpg(c, faults, opt);
 }
 
 }  // namespace obd::atpg

@@ -1,6 +1,8 @@
 // Two-vector test generation for dynamic faults: one PODEM loop over a
 // fault's goal list (atpg/goals.hpp), run frame 2 first, then frame 1, goal
-// by goal, plus the whole-fault-list runs the paper benches use.
+// by goal, plus the whole-fault-list runs the paper benches use. Those
+// run_*_atpg drivers are plain per-fault loops; a random prepass runs only
+// in the campaign executor (flow/campaign.hpp).
 #pragma once
 
 #include "atpg/goals.hpp"
@@ -48,8 +50,7 @@ inline TwoFrameResult generate_transition_test(const Circuit& c,
 /// Whole-fault-list ATPG statistics.
 struct AtpgRun {
   std::vector<TwoVectorTest> tests;
-  /// Care-mask form of `tests`, index-aligned (random-phase tests are fully
-  /// specified). Feeds merge_x_overlap.
+  /// Care-mask form of `tests`, index-aligned. Feeds merge_x_overlap.
   std::vector<XTwoVectorTest> x_tests;
   int found = 0;
   int untestable = 0;

@@ -239,7 +239,6 @@ CampaignContext make_context(const logic::SequentialCircuit& seq,
   CampaignContext ctx;
   ctx.popt.max_backtracks = opt.max_backtracks;
   ctx.popt.time_budget_s = opt.podem_time_budget_s;
-  ctx.popt.sim = opt.sim;
   const bool scan = !seq.flops().empty();
 
   if (scan && opt.scan_style != ScanMode::kEnhanced) {

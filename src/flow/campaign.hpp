@@ -74,6 +74,9 @@ struct CampaignOptions {
   bool compact = true;
   /// Grow an n-detect set on top (OBD model only); 0 = off.
   int ndetect = 0;
+  /// Nothing sets it away from this default. Kept only because
+  /// perfbench/replay.cpp reads it; it goes with the next change to that
+  /// benchmark.
   int ndetect_random_pool = 256;
 };
 

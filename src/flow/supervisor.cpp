@@ -35,10 +35,13 @@ double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
+/// Longest wait between two attempts of one shard.
+constexpr double kBackoffCapS = 5.0;
+
 double backoff_seconds(const SupervisorOptions& sup, int retry) {
   double d = sup.backoff_base_s;
   for (int k = 1; k < retry; ++k) d *= 2.0;
-  return std::min(d, sup.backoff_cap_s);
+  return std::min(d, kBackoffCapS);
 }
 
 void remove_checkpoint(const std::string& dir, int shard) {

@@ -42,9 +42,8 @@ struct SupervisorOptions {
   double shard_timeout_s = 0.0;
   /// Retries after the first attempt before a shard is quarantined.
   int max_retries = 2;
-  /// Capped exponential backoff between attempts: base * 2^(k-1), ≤ cap.
+  /// Exponential backoff between attempts: base * 2^(k-1), capped at 5 s.
   double backoff_base_s = 0.25;
-  double backoff_cap_s = 5.0;
   /// Continue from committed checkpoints instead of starting fresh.
   bool resume = false;
   /// Run shards serially in this process (tests / no-fork platforms).

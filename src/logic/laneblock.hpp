@@ -203,26 +203,4 @@ inline void gate_eval_lanes(GateType t, const std::uint64_t* const* in,
   }
 }
 
-/// OR-reduction of the lane-wise XOR of the two bundles: zero iff they are
-/// identical; any set bit names a lane position that flipped in some word.
-inline std::uint64_t lanes_xor_reduce(const std::uint64_t* a,
-                                      const std::uint64_t* b,
-                                      std::size_t n_words) {
-  std::uint64_t d = 0;
-  for (std::size_t w = 0; w < n_words; ++w) d |= a[w] ^ b[w];
-  return d;
-}
-
-/// Bitmask over word indices: bit w is set when word w of the two bundles
-/// differs. Callers iterate set bits to copy only the changed words
-/// (n_words <= 64, which kLaneWordChoices guarantees with a wide margin).
-inline std::uint64_t lanes_changed_words(const std::uint64_t* a,
-                                         const std::uint64_t* b,
-                                         std::size_t n_words) {
-  std::uint64_t m = 0;
-  for (std::size_t w = 0; w < n_words; ++w)
-    m |= static_cast<std::uint64_t>((a[w] ^ b[w]) != 0) << w;
-  return m;
-}
-
 }  // namespace obd::logic

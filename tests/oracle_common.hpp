@@ -37,11 +37,9 @@ inline std::vector<logic::Circuit> zoo() {
 /// Engine configurations swept against the legacy reference: threads x
 /// packing, then the wide LaneBlock bundles (lane widths 2/4/8 words x
 /// thread counts — lane_words rides along silently in fault-major, which
-/// packs faults per word), then explicit block batching (amortized round
-/// barriers in fault-dropping campaigns).
+/// packs faults per word).
 inline std::vector<SimOptions> sweep_configs() {
-  return {// SimOptions: {threads, packing, cone_cache_bytes, lane_words,
-          //              block_batch}
+  return {// SimOptions: {threads, packing, cone_cache_bytes, lane_words}
           {1, SimPacking::kPatternMajor}, {1, SimPacking::kFaultMajor},
           {2, SimPacking::kPatternMajor}, {4, SimPacking::kPatternMajor},
           {2, SimPacking::kFaultMajor},   {4, SimPacking::kFaultMajor},
@@ -52,19 +50,13 @@ inline std::vector<SimOptions> sweep_configs() {
           {2, SimPacking::kPatternMajor, 0, 4},
           {4, SimPacking::kPatternMajor, 0, 4},
           {4, SimPacking::kPatternMajor, 0, 8},
-          {2, SimPacking::kFaultMajor, 0, 4},
-          {2, SimPacking::kPatternMajor, 0, 1, 2},
-          {4, SimPacking::kPatternMajor, 0, 2, 3},
-          {4, SimPacking::kPatternMajor, 0, 4, 2}};
+          {2, SimPacking::kFaultMajor, 0, 4}};
 }
 
 inline std::string config_name(const SimOptions& o) {
-  std::string n = std::string(to_string(o.packing)) + "/" +
-                  std::to_string(o.threads) + "t/" +
-                  std::to_string(64 * (o.lane_words < 1 ? 1 : o.lane_words)) +
-                  "l";
-  if (o.block_batch > 0) n += "/b" + std::to_string(o.block_batch);
-  return n;
+  return std::string(to_string(o.packing)) + "/" +
+         std::to_string(o.threads) + "t/" +
+         std::to_string(64 * (o.lane_words < 1 ? 1 : o.lane_words)) + "l";
 }
 
 /// Builds a DetectionMatrix row-by-row from per-test detection flags.

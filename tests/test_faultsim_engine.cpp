@@ -249,26 +249,6 @@ TEST(EvalWords3, MatchesScalarEval3) {
   }
 }
 
-TEST(RandomPhase, AtpgWithPrepassKeepsCoverage) {
-  const Circuit c = logic::ripple_carry_adder(4);
-  const auto faults = enumerate_obd_faults(c);
-  const AtpgRun base = run_obd_atpg(c, faults);
-  PodemOptions opt;
-  opt.random_phase = 256;
-  const AtpgRun rnd = run_obd_atpg(c, faults, opt);
-  // The prepass may only reduce deterministic work, never coverage.
-  EXPECT_EQ(rnd.found + rnd.untestable + rnd.aborted,
-            static_cast<int>(faults.size()));
-  EXPECT_GE(rnd.found, base.found);
-  EXPECT_LE(rnd.total_implications, base.total_implications);
-  EXPECT_GE(obd_coverage(c, rnd.tests, faults),
-            obd_coverage(c, base.tests, faults) - 1e-12);
-  // Every random test kept in the set detects at least one fault.
-  const DetectionMatrix m = build_obd_matrix(c, rnd.tests, faults);
-  for (std::size_t t = 0; t < rnd.tests.size(); ++t)
-    EXPECT_GT(m.row_count(t), 0u) << "useless test " << t;
-}
-
 TEST(FaultSimEngine, CoverageFunctionsMatchMatrices) {
   const Circuit c = logic::mux_tree(2);
   const auto tests = random_tests(c, 100, 0x5eed7);

@@ -51,7 +51,7 @@ void sweep_lanes(const std::string& file, int n_tests) {
            {1, SimPacking::kPatternMajor, 0, 8},
            {2, SimPacking::kPatternMajor, 0, 4},
            {4, SimPacking::kPatternMajor, 0, 8},
-           {2, SimPacking::kPatternMajor, 0, 8, 2},
+           {2, SimPacking::kPatternMajor, 0, 8},
            {1, SimPacking::kFaultMajor, 0, 4},
        }) {
     FaultSimScheduler sched(c, o);

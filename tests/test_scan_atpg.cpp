@@ -178,7 +178,8 @@ TEST_P(ScanModeTest, RandomPrepassDropsNoCoverage) {
   const ScanMode mode = GetParam();
   const auto faults = core_faults(seq);
   const logic::Circuit sv = seq.scan_view();
-  const auto random_tests = random_broadside_tests(seq, mode, 256, 0xb10ad);
+  const auto random_tests =
+      random_broadside_tests(seq, sv, mode, 256, 0xb10ad);
   std::vector<TwoVectorTest> vectors;
   for (const auto& t : random_tests)
     vectors.push_back(scan_view_vectors(seq, t));
@@ -190,31 +191,20 @@ TEST_P(ScanModeTest, RandomPrepassDropsNoCoverage) {
   EXPECT_LE(dropped.fault_block_evals, full.fault_block_evals);
 }
 
-TEST_P(ScanModeTest, RandomPrepassKeepsAtpgCoverageParity) {
+TEST_P(ScanModeTest, BroadsideDetectionsVerifyCycleAccurately) {
+  // Every fault the broadside pool first-detects on the scan view must be
+  // detected by that test per the cycle-accurate verifier: the engine's
+  // broadside semantics on the scan view and verify_scan_obd_test must
+  // agree, which the LOC campaign prepass relies on.
   const SequentialCircuit seq = logic::lfsr_like_machine(3);
   const ScanMode mode = GetParam();
   const auto faults = core_faults(seq);
-  const ScanCampaign base = run_scan_obd_atpg(seq, faults, mode);
-  PodemOptions opt;
-  opt.random_phase = 256;
-  opt.random_phase_seed = 0xb10ad;
-  const ScanCampaign rnd = run_scan_obd_atpg(seq, faults, mode, opt);
-  // The prepass may only replace deterministic work, never lose coverage:
-  // untestable faults still reach (and are proven by) PODEM.
-  EXPECT_EQ(rnd.found + rnd.untestable + rnd.aborted,
-            static_cast<int>(faults.size()));
-  EXPECT_GE(rnd.found, base.found);
-  EXPECT_EQ(rnd.untestable, base.untestable);
-  EXPECT_GT(rnd.random_found, 0) << to_string(mode);
-
-  // Every fault the campaign's random phase claims must be detected by the
-  // recorded test per the cycle-accurate verifier — the engine's broadside
-  // semantics on the scan view and verify_scan_obd_test must agree.
-  const auto random_tests = random_broadside_tests(seq, mode, 256, 0xb10ad);
+  const logic::Circuit sv = seq.scan_view();
+  const auto random_tests =
+      random_broadside_tests(seq, sv, mode, 256, 0xb10ad);
   std::vector<TwoVectorTest> vectors;
   for (const auto& t : random_tests)
     vectors.push_back(scan_view_vectors(seq, t));
-  const logic::Circuit sv = seq.scan_view();
   FaultSimScheduler sched(sv);
   const auto campaign = sched.campaign_obd(vectors, faults, true);
   int verified = 0;
@@ -227,7 +217,7 @@ TEST_P(ScanModeTest, RandomPrepassKeepsAtpgCoverageParity) {
     ++verified;
   }
   EXPECT_EQ(verified, campaign.detected);
-  EXPECT_EQ(campaign.detected, rnd.random_found);
+  EXPECT_GT(verified, 0) << to_string(mode);
 }
 
 }  // namespace

@@ -3,19 +3,25 @@
 // fault-injection matrix (torn writes, crashes after committed progress,
 // corrupt checkpoints, watchdog timeouts, poison shards), interrupt/resume
 // on the shard executor, and — when OBD_ATPG_BIN is defined — the real
-// child-process supervision path.
+// child-process supervision path and the CLI's number parsing.
 #include "flow/supervisor.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <csignal>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
+
+#ifdef OBD_ATPG_BIN
+#include <sys/wait.h>
+#endif
 
 #include "flow/campaign.hpp"
 #include "flow/checkpoint.hpp"
@@ -674,6 +680,80 @@ TEST_F(SupervisorTest, SubprocessSigkillIsRetriedToIdenticalResult) {
     }
   EXPECT_TRUE(saw_kill);
   expect_matches_baseline(res.report, base, "subprocess sigkill retry");
+}
+
+/// Runs obd_atpg with `args` (shell words), stdout discarded and stderr
+/// written to `err_path`; returns the exit status, or -1 on a signal.
+int run_cli(const std::string& args, const std::string& err_path) {
+  const std::string cmd = std::string("\"") + OBD_ATPG_BIN + "\" " + args +
+                          " > /dev/null 2> \"" + err_path + "\"";
+  const int st = std::system(cmd.c_str());
+  return WIFEXITED(st) ? WEXITSTATUS(st) : -1;
+}
+
+std::string slurp(const std::string& path) {
+  std::ifstream in(path);
+  return {std::istreambuf_iterator<char>(in),
+          std::istreambuf_iterator<char>()};
+}
+
+/// The matrix_hash string of a JSON report, or "" when absent.
+std::string report_hash(const std::string& path) {
+  const std::string json = slurp(path);
+  const std::string key = "\"matrix_hash\": \"";
+  const std::size_t at = json.find(key);
+  if (at == std::string::npos) return "";
+  const std::size_t from = at + key.size();
+  return json.substr(from, json.find('"', from) - from);
+}
+
+TEST_F(SupervisorTest, CliRejectsHostileNumbers) {
+  // A number no flag can hold must be an error that names the flag, never
+  // a NaN that disables a check, a value wrapped into int, or a clamped
+  // seed.
+  const std::string dir = fresh_dir("cli_numbers");
+  const std::string err = dir + "/stderr.txt";
+  const std::string c17 = "\"" + corpus("c17.bench") + "\"";
+  const std::string ck = " --checkpoint-dir \"" + dir + "/ck\"";
+  const std::vector<std::pair<std::string, std::string>> hostile = {
+      {"--min-coverage", "nan"},       {"--podem-time", "nan"},
+      {"--podem-time", "inf"},         {"--shard-timeout", "inf"},
+      {"--progress-interval", "nan"},  {"--progress-interval", "inf"},
+      {"--random", "4294967296"},      {"--threads", "4294967298"},
+      {"--ndetect", "4294967296"},     {"--shards", "4294967298"},
+      {"--max-retries", "4294967296"}, {"--shard-jobs", "4294967298"},
+      {"--shard", "0/4294967297"},     {"--shard", "4294967296/4294967297"},
+      {"--seed", "0x10000000000000000"},
+      {"--seed", "18446744073709551616"},
+  };
+  for (const auto& [flag, v] : hostile) {
+    EXPECT_EQ(run_cli(c17 + ck + " " + flag + " " + v, err), 1)
+        << flag << " " << v;
+    EXPECT_NE(slurp(err).find(flag), std::string::npos)
+        << flag << " " << v << ": " << slurp(err);
+  }
+  EXPECT_EQ(run_cli(c17 + " --min-coverage 1", err), 0) << slurp(err);
+  EXPECT_EQ(run_cli(c17 + " --seed 0xffffffffffffffff", err), 0)
+      << slurp(err);
+
+  // Seeds past 2^63 stay distinct, and the supervisor's decimal forwarding
+  // of one reaches its shard children unchanged.
+  const std::string c880 =
+      "\"" + corpus("c880.bench") + "\" --model obd --quiet --report ";
+  const std::string lo = dir + "/lo.json", hi = dir + "/hi.json",
+                    sharded = dir + "/sharded.json";
+  ASSERT_EQ(run_cli(c880 + lo + " --seed 0x8000000000000000", err), 0)
+      << slurp(err);
+  ASSERT_EQ(run_cli(c880 + hi + " --seed 0xffffffffffffffff", err), 0)
+      << slurp(err);
+  ASSERT_EQ(run_cli(c880 + sharded + " --seed 0xffffffffffffffff" +
+                        " --shards 2" + ck,
+                    err),
+            0)
+      << slurp(err);
+  EXPECT_FALSE(report_hash(lo).empty());
+  EXPECT_NE(report_hash(lo), report_hash(hi));
+  EXPECT_EQ(report_hash(sharded), report_hash(hi));
 }
 
 #endif  // OBD_ATPG_BIN

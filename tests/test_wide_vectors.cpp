@@ -237,7 +237,7 @@ TEST(WideScan, BroadsideCampaignAgreesWithVerifierOn70Flops) {
   const auto faults = enumerate_obd_faults(seq.core());
   const logic::Circuit sv = seq.scan_view();
   const auto random_tests =
-      random_broadside_tests(seq, ScanMode::kLaunchOnCapture, 64, 0xb10ad);
+      random_broadside_tests(seq, sv, ScanMode::kLaunchOnCapture, 64, 0xb10ad);
   std::vector<TwoVectorTest> vectors;
   for (const auto& t : random_tests) {
     EXPECT_FALSE(t.state2_loaded);

@@ -91,7 +91,11 @@
 //
 // Results are bit-identical across --threads, --lanes, --cone-cache and
 // --shards settings; the report's matrix_hash field is the witness.
+#include <cerrno>
+#include <climits>
+#include <cmath>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -141,16 +145,29 @@ int usage(const char* argv0) {
   return 1;
 }
 
+// Strict number parsers: the whole string must be the number, and a value
+// the target type cannot hold is an error, never a clamp, a wrap or a NaN.
+
 bool parse_long(const char* s, long long& out) {
   char* end = nullptr;
+  errno = 0;
   out = std::strtoll(s, &end, 0);
-  return end && *end == '\0';
+  return end && end != s && *end == '\0' && errno != ERANGE;
+}
+
+/// The full 64-bit range, so a seed the supervisor forwards in decimal
+/// round-trips.
+bool parse_u64(const char* s, std::uint64_t& out) {
+  char* end = nullptr;
+  errno = 0;
+  out = std::strtoull(s, &end, 0);
+  return end && end != s && *end == '\0' && errno != ERANGE;
 }
 
 bool parse_double(const char* s, double& out) {
   char* end = nullptr;
   out = std::strtod(s, &end);
-  return end && end != s && *end == '\0';
+  return end && end != s && *end == '\0' && std::isfinite(out);
 }
 
 /// "I/N" for --shard.
@@ -160,7 +177,7 @@ bool parse_shard_spec(const char* s, int& index, int& count) {
   if (!slash) return false;
   const std::string left(s, slash - s);
   if (!parse_long(left.c_str(), i) || !parse_long(slash + 1, n)) return false;
-  if (n < 1 || i < 0 || i >= n) return false;
+  if (n < 1 || n > INT_MAX || i < 0 || i >= n) return false;
   index = static_cast<int>(i);
   count = static_cast<int>(n);
   return true;
@@ -232,7 +249,18 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
-    long long n = 0;
+    // An integer flag's value in [lo, hi]; anything else names the flag
+    // and exits 1.
+    auto int_value = [&](const char* flag, long long lo,
+                         long long hi) -> long long {
+      long long n = 0;
+      if (!parse_long(value(flag), n) || n < lo || n > hi) {
+        obs::logf(obs::LogLevel::kError, "%s needs an integer in [%lld, %lld]",
+                  flag, lo, hi);
+        std::exit(1);
+      }
+      return n;
+    };
     if (a == "--model") {
       if (!flow::fault_model_from_string(value("--model"), opt.model)) {
         obs::logf(obs::LogLevel::kError, "unknown model '%s'", argv[i]);
@@ -245,9 +273,9 @@ int main(int argc, char** argv) {
         return 1;
       }
     } else if (a == "--threads") {
-      if (!parse_long(value("--threads"), n) || n < 1) return usage(argv[0]);
-      opt.sim.threads = static_cast<int>(n);
+      opt.sim.threads = static_cast<int>(int_value("--threads", 1, INT_MAX));
     } else if (a == "--lanes") {
+      long long n = 0;
       if (!parse_long(value("--lanes"), n) ||
           (n != 64 && n != 128 && n != 256 && n != 512)) {
         obs::logf(obs::LogLevel::kError,
@@ -256,17 +284,19 @@ int main(int argc, char** argv) {
       }
       opt.sim.lane_words = static_cast<int>(n / 64);
     } else if (a == "--cone-cache") {
-      if (!parse_long(value("--cone-cache"), n) || n < 0) return usage(argv[0]);
-      opt.sim.cone_cache_bytes = static_cast<std::size_t>(n);
+      opt.sim.cone_cache_bytes =
+          static_cast<std::size_t>(int_value("--cone-cache", 0, LLONG_MAX));
     } else if (a == "--random") {
-      if (!parse_long(value("--random"), n) || n < 0) return usage(argv[0]);
-      opt.random_patterns = static_cast<int>(n);
+      opt.random_patterns = static_cast<int>(int_value("--random", 0, INT_MAX));
     } else if (a == "--seed") {
-      if (!parse_long(value("--seed"), n)) return usage(argv[0]);
-      opt.seed = static_cast<std::uint64_t>(n);
+      if (!parse_u64(value("--seed"), opt.seed)) {
+        obs::logf(obs::LogLevel::kError,
+                  "--seed needs an integer in [0, 2^64 - 1]");
+        return 1;
+      }
     } else if (a == "--backtracks") {
-      if (!parse_long(value("--backtracks"), n) || n < 0) return usage(argv[0]);
-      opt.max_backtracks = static_cast<long>(n);
+      opt.max_backtracks =
+          static_cast<long>(int_value("--backtracks", 0, LONG_MAX));
     } else if (a == "--podem-time") {
       if (!parse_double(value("--podem-time"), opt.podem_time_budget_s) ||
           opt.podem_time_budget_s < 0.0) {
@@ -277,12 +307,10 @@ int main(int argc, char** argv) {
     } else if (a == "--sat-escalate") {
       opt.sat_escalate = true;
     } else if (a == "--sat-conflict-budget") {
-      if (!parse_long(value("--sat-conflict-budget"), n) || n < 0)
-        return usage(argv[0]);
-      opt.sat_conflict_budget = n;
+      opt.sat_conflict_budget =
+          int_value("--sat-conflict-budget", 0, LLONG_MAX);
     } else if (a == "--ndetect") {
-      if (!parse_long(value("--ndetect"), n) || n < 0) return usage(argv[0]);
-      opt.ndetect = static_cast<int>(n);
+      opt.ndetect = static_cast<int>(int_value("--ndetect", 0, INT_MAX));
     } else if (a == "--no-compact") {
       opt.compact = false;
     } else if (a == "--report") {
@@ -318,8 +346,7 @@ int main(int argc, char** argv) {
         return 1;
       }
     } else if (a == "--shards") {
-      if (!parse_long(value("--shards"), n) || n < 1) return usage(argv[0]);
-      shards = static_cast<int>(n);
+      shards = static_cast<int>(int_value("--shards", 1, INT_MAX));
     } else if (a == "--checkpoint-dir") {
       checkpoint_dir = value("--checkpoint-dir");
     } else if (a == "--resume") {
@@ -332,11 +359,10 @@ int main(int argc, char** argv) {
         return 1;
       }
     } else if (a == "--max-retries") {
-      if (!parse_long(value("--max-retries"), n) || n < 0) return usage(argv[0]);
-      sup.max_retries = static_cast<int>(n);
+      sup.max_retries =
+          static_cast<int>(int_value("--max-retries", 0, INT_MAX));
     } else if (a == "--shard-jobs") {
-      if (!parse_long(value("--shard-jobs"), n) || n < 1) return usage(argv[0]);
-      sup.jobs = static_cast<int>(n);
+      sup.jobs = static_cast<int>(int_value("--shard-jobs", 1, INT_MAX));
     } else if (a == "--inject") {
       inject_spec = value("--inject");
     } else if (!a.empty() && a[0] == '-') {

@@ -6,7 +6,8 @@ sim.matrix_hash, metrics.atpg.podem_backtracks); arrays compare as whole
 values. The wall-clock "timing" object is never compared. --only keeps the
 fields under the given dotted prefixes, --ignore drops them; a prefix
 matches the path itself and everything below it. Every differing field is
-printed as "path: A -> B", and the exit status is 1 when any differs.
+printed as "path: A -> B", followed by " (B/A x)" when both values are
+numbers and A is not 0, and the exit status is 1 when any differs.
 
 After the field diff, every timing.* phase of either report is printed to
 stderr as "timing.PHASE: A -> B (B/A x)", so a run shows which phase moved.
@@ -25,6 +26,13 @@ ABSENT = object()  # a field only one report has
 
 def show(value):
     return "<absent>" if value is ABSENT else json.dumps(value)
+
+
+def ratio(va, vb):
+    """The ' (B/A x)' suffix when both values are numbers and A is not 0."""
+    numeric = all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                  for v in (va, vb))
+    return f" ({vb / va:.3g}x)" if numeric and va else ""
 
 
 def flatten(node, path, out):
@@ -65,16 +73,15 @@ def main():
             continue
         va, vb = a.get(path, ABSENT), b.get(path, ABSENT)
         if va != vb:
-            print(f"{path}: {show(va)} -> {show(vb)}")
+            print(f"{path}: {show(va)} -> {show(vb)}{ratio(va, vb)}")
             diffs += 1
     if diffs:
         print(f"report_diff: {diffs} field(s) differ", file=sys.stderr)
 
     for path in sorted(p for p in a.keys() | b.keys() if under(p, ["timing"])):
         va, vb = a.get(path, ABSENT), b.get(path, ABSENT)
-        timed = all(isinstance(v, (int, float)) for v in (va, vb))
-        ratio = f" ({vb / va:.3g}x)" if timed and va else ""
-        print(f"{path}: {show(va)} -> {show(vb)}{ratio}", file=sys.stderr)
+        print(f"{path}: {show(va)} -> {show(vb)}{ratio(va, vb)}",
+              file=sys.stderr)
     return 1 if diffs else 0
 
 
