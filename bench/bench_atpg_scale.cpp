@@ -37,7 +37,7 @@ double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
-/// Min-of-2 wall time: the first run warms cone caches and page tables,
+/// Min-of-2 wall time: the first run warms the cone table and page tables,
 /// the min discards scheduler noise. Timing rows only — detection results
 /// are asserted identical elsewhere.
 template <typename Fn>
@@ -135,7 +135,7 @@ SimComparison compare_obd_sim(const logic::Circuit& c, int n_tests) {
     });
   }
   {
-    FaultSimEngine wide(c, EngineOptions{0, /*lane_words=*/4});
+    FaultSimEngine wide(c, EngineOptions{/*lane_words=*/4});
     int wide_detected = 0;
     r.block_wide_s = min2([&] {
       wide_detected = wide.campaign_obd(tests, faults, false).detected;
@@ -309,8 +309,10 @@ void emit_json(const std::vector<SimComparison>& rows,
 #endif
   appendf(doc,
           "  \"provenance\": {\"nproc\": %u, \"compiler\": \"%s\", "
+          "\"build_type\": \"%s\", \"git_sha\": \"%s\", "
           "\"ndebug\": %s, \"avx2\": %s},\n",
-          std::thread::hardware_concurrency(), __VERSION__, ndebug, avx2);
+          std::thread::hardware_concurrency(), __VERSION__, OBD_BUILD_TYPE,
+          OBD_GIT_SHA, ndebug, avx2);
   appendf(doc, "  \"rows_crc32c\": \"%08x\",\n", obd::util::crc32c(body));
   doc += body;
   doc += "}\n";
@@ -342,15 +344,15 @@ std::vector<SchedRow> reproduce_scheduler_scale() {
 
   struct Config {
     const char* mode;
-    SimOptions sim;  // {threads, packing, cone_cache_bytes, lane_words}
+    SimOptions sim;  // {threads, packing, lane_words}
   };
   const Config configs[] = {
       {"pattern", {1, SimPacking::kPatternMajor}},
       {"pattern", {2, SimPacking::kPatternMajor}},
       {"pattern", {4, SimPacking::kPatternMajor}},
-      {"pattern", {1, SimPacking::kPatternMajor, 0, 4}},
-      {"pattern", {1, SimPacking::kPatternMajor, 0, 8}},
-      {"pattern", {2, SimPacking::kPatternMajor, 0, 4}},
+      {"pattern", {1, SimPacking::kPatternMajor, 4}},
+      {"pattern", {1, SimPacking::kPatternMajor, 8}},
+      {"pattern", {2, SimPacking::kPatternMajor, 4}},
       {"fault", {1, SimPacking::kFaultMajor}},
   };
 
@@ -528,7 +530,7 @@ std::vector<ObsOverheadRow> reproduce_obs_overhead() {
     benchmark::DoNotOptimize(sched.matrix_obd(tests, faults).covered_count);
     return seconds_since(t0);
   };
-  sample();  // warm-up: builds the cone cache off the clock
+  sample();  // warm-up: excitation tables and first-touch pages off the clock
   const auto spread_of = [](double a, double b) {
     return (std::max(a, b) / std::min(a, b) - 1.0) * 100.0;
   };

@@ -58,12 +58,9 @@ std::vector<PatternBlock> PatternBlock::pack(
 FaultSimEngine::FaultSimEngine(const Circuit& c, EngineOptions opt)
     : c_(c),
       opt_(opt),
-      topo_pos_(c.num_gates(), 0),
       gate_level_(c.gate_levels()),
       net_fence_(c.num_nets(), 0),
       po_mask_(c.num_nets(), 0),
-      cones_(c.num_nets()),
-      lru_pos_(c.num_nets()),
       changed_(c.num_nets(), 0),
       inj_set0_(c.num_nets(), 0),
       inj_set1_(c.num_nets(), 0) {
@@ -75,9 +72,7 @@ FaultSimEngine::FaultSimEngine(const Circuit& c, EngineOptions opt)
   diff_.assign(W, 0);
   exc_.assign(W, 0);
   masks_.assign(W, 0);
-  const auto& order = c.topo_order();
-  for (std::size_t rank = 0; rank < order.size(); ++rank)
-    topo_pos_[static_cast<std::size_t>(order[rank])] = static_cast<int>(rank);
+  if (c.num_nets() > 0) c.fanout_cone(0);  // builds the shared table
   for (std::size_t n = 0; n < c.num_nets(); ++n)
     for (int g : c.fanout_of(static_cast<NetId>(n)))
       net_fence_[n] = std::max(net_fence_[n],
@@ -87,16 +82,10 @@ FaultSimEngine::FaultSimEngine(const Circuit& c, EngineOptions opt)
   // Touch every engine id before caching slot pointers: slot() may grow
   // the slab, and only the last growth's pointers are stable.
   const EngineMetricIds& ids = EngineMetricIds::get();
-  for (obs::MetricId id :
-       {ids.cone_bytes, ids.cone_peak_bytes, ids.cone_resident,
-        ids.cone_evictions, ids.propagations, ids.frontier_events,
-        ids.frontier_gate_evals, ids.frontier_early_exits}) {
+  for (obs::MetricId id : {ids.propagations, ids.frontier_events,
+                           ids.frontier_gate_evals, ids.frontier_early_exits}) {
     metrics_.slot(id);
   }
-  cone_bytes_ = metrics_.slot(ids.cone_bytes);
-  cone_peak_bytes_ = metrics_.slot(ids.cone_peak_bytes);
-  cones_resident_ = metrics_.slot(ids.cone_resident);
-  cone_evictions_ = metrics_.slot(ids.cone_evictions);
   propagations_ = metrics_.slot(ids.propagations);
   frontier_events_ = metrics_.slot(ids.frontier_events);
   frontier_gate_evals_ = metrics_.slot(ids.frontier_gate_evals);
@@ -106,10 +95,7 @@ FaultSimEngine::FaultSimEngine(const Circuit& c, EngineOptions opt)
 const EngineMetricIds& EngineMetricIds::get() {
   static const EngineMetricIds ids = [] {
     EngineMetricIds m;
-    m.cone_bytes = obs::gauge("sim.cone_cache_bytes");
     m.cone_peak_bytes = obs::gauge("sim.cone_peak_bytes");
-    m.cone_resident = obs::gauge("sim.cones_resident");
-    m.cone_evictions = obs::counter("sim.cone_evictions");
     m.propagations = obs::counter("sim.propagations");
     m.frontier_events = obs::counter("sim.frontier_events");
     m.frontier_gate_evals = obs::counter("sim.frontier_gate_evals");
@@ -117,79 +103,6 @@ const EngineMetricIds& EngineMetricIds::get() {
     return m;
   }();
   return ids;
-}
-
-namespace {
-
-/// Resident-cache cost of one cone. sizeof(Cone) is private to the engine,
-/// so charge the vector payload plus a fixed per-cone overhead.
-std::size_t cone_cost(std::size_t n_gates) {
-  return n_gates * sizeof(int) + 48;
-}
-
-}  // namespace
-
-const FaultSimEngine::Cone& FaultSimEngine::cone_of(NetId n) {
-  auto& slot = cones_[static_cast<std::size_t>(n)];
-  if (slot) {
-    // Refresh recency: move to the front of the LRU list.
-    if (opt_.cone_cache_bytes)
-      lru_.splice(lru_.begin(), lru_, lru_pos_[static_cast<std::size_t>(n)]);
-    return *slot;
-  }
-  slot = std::make_unique<Cone>();
-  Cone& cone = *slot;
-
-  // BFS over fanout, then levelize: (level, topo rank) order is a valid
-  // topological order (a level-L gate's inputs all have level < L) and is
-  // what makes the frontier fence an exact early-exit test.
-  std::vector<std::uint8_t> gate_seen(c_.num_gates(), 0);
-  std::vector<std::uint8_t> net_seen(c_.num_nets(), 0);
-  net_seen[static_cast<std::size_t>(n)] = 1;
-  std::vector<NetId> frontier{n};
-  while (!frontier.empty()) {
-    const NetId net = frontier.back();
-    frontier.pop_back();
-    for (int g : c_.fanout_of(net)) {
-      if (gate_seen[static_cast<std::size_t>(g)]) continue;
-      gate_seen[static_cast<std::size_t>(g)] = 1;
-      cone.gates.push_back(g);
-      const NetId out = c_.gate(g).output;
-      if (!net_seen[static_cast<std::size_t>(out)]) {
-        net_seen[static_cast<std::size_t>(out)] = 1;
-        frontier.push_back(out);
-      }
-    }
-  }
-  std::sort(cone.gates.begin(), cone.gates.end(), [this](int a, int b) {
-    const auto sa = static_cast<std::size_t>(a);
-    const auto sb = static_cast<std::size_t>(b);
-    if (gate_level_[sa] != gate_level_[sb])
-      return gate_level_[sa] < gate_level_[sb];
-    return topo_pos_[sa] < topo_pos_[sb];
-  });
-  cone.gates.shrink_to_fit();
-
-  *cone_bytes_ += static_cast<long long>(cone_cost(cone.gates.size()));
-  if (*cone_bytes_ > *cone_peak_bytes_) *cone_peak_bytes_ = *cone_bytes_;
-  ++*cones_resident_;
-  if (opt_.cone_cache_bytes) {
-    lru_.push_front(n);
-    lru_pos_[static_cast<std::size_t>(n)] = lru_.begin();
-    // Evict least-recently-used cones past the cap; the cone just built is
-    // at the front, so it survives even when it alone exceeds the cap.
-    while (static_cast<std::size_t>(*cone_bytes_) > opt_.cone_cache_bytes &&
-           lru_.size() > 1) {
-      const NetId victim = lru_.back();
-      lru_.pop_back();
-      auto& vslot = cones_[static_cast<std::size_t>(victim)];
-      *cone_bytes_ -= static_cast<long long>(cone_cost(vslot->gates.size()));
-      vslot.reset();
-      --*cones_resident_;
-      ++*cone_evictions_;
-    }
-  }
-  return cone;
 }
 
 void FaultSimEngine::propagate(const std::uint64_t* good, std::size_t n_words,
@@ -207,7 +120,7 @@ void FaultSimEngine::propagate(const std::uint64_t* good, std::size_t n_words,
   }
   ++*propagations_;
   ++*frontier_events_;
-  const Cone& cone = cone_of(forced);
+  const std::vector<int>& cone = c_.fanout_cone(forced);
   std::uint64_t* bad = bad_.data();
   for (std::size_t w = 0; w < W; ++w) bad[fs * W + w] = forced_words[w];
   changed_[fs] = 1;
@@ -220,7 +133,7 @@ void FaultSimEngine::propagate(const std::uint64_t* good, std::size_t n_words,
   const std::uint64_t* ins[8];
   std::uint64_t* const tmp = eval_tmp_.data();
   bool early = false;
-  for (int gi : cone.gates) {
+  for (int gi : cone) {
     if (gate_level_[static_cast<std::size_t>(gi)] > fence) {
       // Every changed net's fanout lies behind the walk: nothing ahead can
       // see a change, so the remaining cone is untouched by this fault.
@@ -679,12 +592,12 @@ FaultSimScheduler::FaultSimScheduler(const Circuit& c, SimOptions opt)
   if (opt_.threads < 1) opt_.threads = 1;
   if (opt_.lane_words < 1) opt_.lane_words = 1;
   // All workers are created up front, on the caller's thread: the first
-  // engine construction warms the circuit's lazy topo-order cache, so the
-  // shared Circuit is strictly read-only once workers run.
+  // engine construction warms the circuit's lazy topo-order and fanout-cone
+  // caches, so the shared Circuit is strictly read-only once workers run.
   engines_.reserve(static_cast<std::size_t>(opt_.threads));
   for (int w = 0; w < opt_.threads; ++w)
-    engines_.push_back(std::make_unique<FaultSimEngine>(
-        c_, EngineOptions{opt_.cone_cache_bytes, opt_.lane_words}));
+    engines_.push_back(
+        std::make_unique<FaultSimEngine>(c_, EngineOptions{opt_.lane_words}));
 }
 
 FaultSimScheduler::~FaultSimScheduler() = default;
@@ -692,6 +605,13 @@ FaultSimScheduler::~FaultSimScheduler() = default;
 obs::Sheet FaultSimScheduler::merged_metrics() const {
   obs::Sheet out;
   for (const auto& e : engines_) out.merge_from(e->metrics());
+  // One cone table serves every worker, so it is counted once.
+  std::size_t cone_bytes = 0;
+  for (std::size_t n = 0; n < c_.num_nets(); ++n)
+    cone_bytes += sizeof(std::vector<int>) +
+                  c_.fanout_cone(static_cast<NetId>(n)).size() * sizeof(int);
+  out.add(EngineMetricIds::get().cone_peak_bytes,
+          static_cast<long long>(cone_bytes));
   return out;
 }
 
@@ -699,9 +619,6 @@ SimStats FaultSimScheduler::stats() const {
   const obs::Sheet m = merged_metrics();
   const EngineMetricIds& ids = EngineMetricIds::get();
   SimStats s;
-  s.cone_evictions = m.value(ids.cone_evictions);
-  s.cone_resident = static_cast<std::size_t>(m.value(ids.cone_resident));
-  s.cone_bytes = static_cast<std::size_t>(m.value(ids.cone_bytes));
   s.cone_peak_bytes = static_cast<std::size_t>(m.value(ids.cone_peak_bytes));
   s.propagations = m.value(ids.propagations);
   s.frontier_events = m.value(ids.frontier_events);

@@ -11,8 +11,8 @@
 //   - the good circuit is evaluated once per block (per frame);
 //   - each fault is simulated against the whole block at once: its net is
 //     forced to per-lane words and the change is propagated event-driven
-//     through the fault's levelized fanout cone (cones are cached per
-//     net) — only gates with a changed input are evaluated, and the walk
+//     through the fault's levelized fanout cone (Circuit::fanout_cone) —
+//     only gates with a changed input are evaluated, and the walk
 //     short-circuits when the frontier empties before reaching a PO;
 //   - OBD excitation is decided per lane from a per-(gate type, transistor)
 //     lookup table over local two-vectors, so input-specific conditions
@@ -29,10 +29,10 @@
 //     per polarity);
 //   - FaultSimScheduler: picks the packing per call shape and shards
 //     independent pattern blocks across a small std::thread pool with
-//     per-worker engines (cone caches and excitation tables are the only
-//     per-engine state). Fault dropping is reconciled in block order after
-//     each round, so campaign results are bit-identical to a
-//     single-threaded run at any thread count or packing.
+//     per-worker engines (all reading the circuit's one cone table; scratch
+//     and excitation tables are per engine). Fault dropping is reconciled
+//     in block order after each round, so campaign results are
+//     bit-identical to a single-threaded run at any thread count or packing.
 //
 // The legacy entry points in faultsim.hpp are thin wrappers over the
 // scheduler, keeping every existing caller's API and semantics.
@@ -40,7 +40,6 @@
 
 #include <array>
 #include <cstdint>
-#include <list>
 #include <map>
 #include <memory>
 #include <tuple>
@@ -54,10 +53,7 @@ namespace obd::atpg {
 /// Registry ids of the engine's metrics (one process-wide interning).
 /// Exposed so report code can read the merged scheduler sheet by id.
 struct EngineMetricIds {
-  obs::MetricId cone_bytes;
   obs::MetricId cone_peak_bytes;
-  obs::MetricId cone_resident;
-  obs::MetricId cone_evictions;
   obs::MetricId propagations;
   obs::MetricId frontier_events;
   obs::MetricId frontier_gate_evals;
@@ -65,15 +61,8 @@ struct EngineMetricIds {
   static const EngineMetricIds& get();
 };
 
-/// Per-engine knobs (the scheduler forwards SimOptions fields here).
+/// Per-engine knobs (the scheduler forwards SimOptions::lane_words here).
 struct EngineOptions {
-  /// Upper bound on resident fanout-cone cache memory, in bytes; least-
-  /// recently-used cones are evicted past it (the most recent cone is
-  /// always kept, so a single huge cone still simulates). 0 = unlimited.
-  /// Cones are now a level-sorted gate list only (~4 bytes per cone gate —
-  /// the old per-cone num_nets membership mask, O(nets^2) total on ISCAS
-  /// circuits, is gone), so even c7552 fits comfortably uncapped.
-  std::size_t cone_cache_bytes = 0;
   /// Words per pattern lane bundle: blocks carry 64 * lane_words tests and
   /// every per-net value is lane_words words wide (the LaneBlock SIMD
   /// kernels in logic/laneblock.hpp fuse them). Detection results are
@@ -159,22 +148,15 @@ struct DetectionMatrix {
 
 class FaultSimEngine {
  public:
+  /// Builds the circuit's fanout-cone table if it is not built yet, so a
+  /// circuit is read-only once its engines exist.
   explicit FaultSimEngine(const Circuit& c, EngineOptions opt = {});
 
   const Circuit& circuit() const { return c_; }
 
-  // --- Cone-cache / frontier introspection -----------------------------
+  // --- Frontier introspection ------------------------------------------
   // Counters live in the engine's obs::Sheet (see metrics()); hot loops
-  // bump them through cached slot pointers at member-increment cost. The
-  // getters below keep the original introspection API.
-  /// Bytes currently held by cached fanout cones.
-  std::size_t cone_cache_bytes() const { return static_cast<std::size_t>(*cone_bytes_); }
-  /// High-water mark of cone_cache_bytes over the engine's lifetime.
-  std::size_t cone_peak_bytes() const { return static_cast<std::size_t>(*cone_peak_bytes_); }
-  /// Cones evicted so far (0 when the cache is uncapped).
-  long long cone_evictions() const { return *cone_evictions_; }
-  /// Cones currently resident.
-  std::size_t cone_resident() const { return static_cast<std::size_t>(*cones_resident_); }
+  // bump them through cached slot pointers at member-increment cost.
   /// Fault-injected cone propagations run (one per excited fault x block).
   long long propagations() const { return *propagations_; }
   /// Nets whose wide value actually changed during propagation (frontier
@@ -265,16 +247,6 @@ class FaultSimEngine {
                         bool drop_detected = true);
 
  private:
-  /// A fanout cone, levelized once: gate indices sorted by (logic level,
-  /// topo rank). Membership masks and PO lists are gone — change flags
-  /// replace the former and the engine-wide PO mask the latter — so a cone
-  /// costs ~4 bytes per gate instead of num_nets bytes.
-  struct Cone {
-    std::vector<int> gates;
-  };
-
-  const Cone& cone_of(NetId n);
-
   /// Event-driven frontier propagation, the engine's hot loop: pins
   /// `forced` to `forced_words` (W words) against the lane-strided good
   /// valuation `good`, walks the forced net's cone in level order
@@ -308,26 +280,16 @@ class FaultSimEngine {
 
   const Circuit& c_;
   EngineOptions opt_;
-  std::vector<int> topo_pos_;                    // gate -> topo rank
   std::vector<int> gate_level_;                  // gate -> logic level
   // Frontier fence input: per net, the maximum logic level of any gate
   // reading it (0 = no fanout). While the walk's level exceeds every
   // changed net's entry here, no remaining cone gate can see a change.
   std::vector<int> net_fence_;
   std::vector<std::uint8_t> po_mask_;            // per net: 1 = primary output
-  std::vector<std::unique_ptr<Cone>> cones_;     // per net, lazy
-  // LRU bookkeeping for the cone cache: recency list (front = most recent)
-  // and each resident net's position in it (maintained only when capped).
-  std::list<NetId> lru_;
-  std::vector<std::list<NetId>::iterator> lru_pos_;
   // Metrics slab + cached slot pointers (stable: every engine id is
   // touched before the pointers are taken, and the engine adds no other
   // ids to its own sheet).
   obs::Sheet metrics_;
-  long long* cone_bytes_ = nullptr;
-  long long* cone_peak_bytes_ = nullptr;
-  long long* cones_resident_ = nullptr;
-  long long* cone_evictions_ = nullptr;
   long long* propagations_ = nullptr;
   long long* frontier_events_ = nullptr;
   long long* frontier_gate_evals_ = nullptr;
@@ -351,15 +313,12 @@ class FaultSimEngine {
   std::vector<std::uint64_t> pi_bcast_, ibad_;
 };
 
-/// Aggregated per-engine counters (summed over the scheduler's workers;
-/// cone_bytes/cone_resident are sums of per-engine residency, peak bytes
-/// the sum of per-engine peaks). Surfaced in the campaign JSON report so
-/// cache pressure and frontier behaviour are observable without rerunning
-/// the bench.
+/// Aggregated per-engine counters (summed over the scheduler's workers),
+/// plus the size of the circuit's fanout-cone table, which all workers
+/// share and which is counted once. Surfaced in the campaign JSON report so
+/// cone memory and frontier behaviour are observable without rerunning the
+/// bench.
 struct SimStats {
-  long long cone_evictions = 0;
-  std::size_t cone_resident = 0;
-  std::size_t cone_bytes = 0;
   std::size_t cone_peak_bytes = 0;
   long long propagations = 0;
   long long frontier_events = 0;
@@ -389,11 +348,12 @@ class FaultSimScheduler {
   const Circuit& circuit() const { return c_; }
   const SimOptions& options() const { return opt_; }
 
-  /// Counter sums over all worker engines.
+  /// Counter sums over all worker engines and the cone table's size.
   SimStats stats() const;
-  /// Worker sheets folded in engine-index order — deterministic totals for
-  /// any thread count whenever the work partition is (matrix builds are;
-  /// fault-dropping campaigns redo tail work per round by design).
+  /// Worker sheets folded in engine-index order, plus the cone table's size
+  /// as `sim.cone_peak_bytes` — deterministic totals for any thread count
+  /// whenever the work partition is (matrix builds are; fault-dropping
+  /// campaigns redo tail work per round by design).
   obs::Sheet merged_metrics() const;
 
   /// kAuto resolution for a call shape. Fault-major pays one full-circuit

@@ -102,10 +102,6 @@ struct SimOptions {
   /// at any count.
   int threads = 1;
   SimPacking packing = SimPacking::kAuto;
-  /// Per-engine cap on the resident fanout-cone cache (LRU eviction past
-  /// it; see EngineOptions::cone_cache_bytes). 0 = unlimited. Purely a
-  /// memory/speed trade: detections are unaffected.
-  std::size_t cone_cache_bytes = 0;
   /// Words per pattern-block lane bundle: 1 = the classic 64-lane blocks,
   /// 4 = 256 lanes, 8 = 512 (the CLI's --lanes divided by 64). Wide
   /// bundles run through the LaneBlock SIMD kernels; detection matrices,

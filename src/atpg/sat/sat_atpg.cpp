@@ -15,8 +15,9 @@ using logic::NetId;
 using logic::Tri;
 
 /// 3-valued evaluation with one net optionally forced — the exact faulty-
-/// circuit semantics of podem.cpp's eval3_forced, reproduced here so cube
-/// validation judges the SAT model by the same rules PODEM plays by.
+/// circuit semantics PODEM's event-driven Engine (podem.cpp) keeps its
+/// faulty copy equal to after every implication, here as one full pass, so
+/// cube validation judges the SAT model by the same rules PODEM plays by.
 void eval3_forced(const Circuit& c, const std::vector<Tri>& pi,
                   NetId forced_net, Tri forced_value,
                   std::vector<Tri>* values) {

@@ -575,8 +575,6 @@ void build_report(const CampaignContext& ctx, const CampaignOptions& opt,
   }
 
   const SimStats sim = sched.stats();
-  r.cone_evictions = sim.cone_evictions;
-  r.cone_resident = sim.cone_resident;
   r.cone_peak_bytes = sim.cone_peak_bytes;
   r.propagations = sim.propagations;
   r.frontier_events = sim.frontier_events;
@@ -780,10 +778,9 @@ std::string report_json(const CampaignReport& r) {
        ", \"lanes\": " + std::to_string(r.lanes) +
        ", \"packing\": \"" + r.packing + "\", \"fault_block_evals\": " +
        std::to_string(r.fault_block_evals) + ", \"matrix_hash\": \"" + hash +
-       "\",\n          \"cone_evictions\": " + std::to_string(r.cone_evictions) +
-       ", \"cone_resident\": " + std::to_string(r.cone_resident) +
-       ", \"cone_peak_bytes\": " + std::to_string(r.cone_peak_bytes) +
-       ",\n          \"propagations\": " + std::to_string(r.propagations) +
+       "\",\n          \"cone_peak_bytes\": " +
+       std::to_string(r.cone_peak_bytes) +
+       ", \"propagations\": " + std::to_string(r.propagations) +
        ", \"frontier_events\": " + std::to_string(r.frontier_events) +
        ", \"frontier_gate_evals\": " + std::to_string(r.frontier_gate_evals) +
        ", \"frontier_early_exits\": " +
@@ -955,11 +952,7 @@ void print_report(const CampaignReport& r) {
   if (r.propagations > 0)
     t.add_row({"frontier evals / early exits",
                std::to_string(r.frontier_gate_evals) + " / " +
-                   std::to_string(r.frontier_early_exits) +
-                   (r.cone_evictions > 0
-                        ? "  (evictions " + std::to_string(r.cone_evictions) +
-                              ")"
-                        : "")});
+                   std::to_string(r.frontier_early_exits)});
   {
     std::string phases = "prepass " + util::format_g(r.time.random_s, 3) +
                          ", topoff " +

@@ -46,7 +46,7 @@ struct CampaignOptions {
   /// pins PI2 == PI1) and run the two-frame scan ATPG — OBD model only.
   /// Ignored for purely combinational designs.
   atpg::ScanMode scan_style = atpg::ScanMode::kEnhanced;
-  /// Threads / packing / cone-cache cap for every fault-sim call.
+  /// Threads / packing / lane width for every fault-sim call.
   atpg::SimOptions sim;
   /// Random patterns (or two-vector pairs) in the fault-dropping prepass;
   /// 0 goes straight to the deterministic search.
@@ -178,11 +178,9 @@ struct CampaignReport {
   /// Scheduler work metric of the prepass (see Campaign::fault_block_evals).
   long long fault_block_evals = 0;
 
-  /// Cone-cache pressure and frontier-propagation counters, summed over the
-  /// campaign scheduler's worker engines (atpg::SimStats): the c7552-class
-  /// memory/speed cliff is observable here without rerunning the bench.
-  long long cone_evictions = 0;
-  std::size_t cone_resident = 0;
+  /// The circuit's fanout-cone table size (the same at any thread count) and
+  /// frontier counters summed over the scheduler's engines (atpg::SimStats):
+  /// cone memory and frontier behaviour show here without rerunning a bench.
   std::size_t cone_peak_bytes = 0;
   long long propagations = 0;
   long long frontier_events = 0;

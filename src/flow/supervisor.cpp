@@ -141,8 +141,6 @@ pid_t spawn_shard(const SupervisorOptions& sup, const CampaignOptions& opt,
       std::to_string(opt.sim.threads),
       "--lanes",
       std::to_string(64 * std::max(1, opt.sim.lane_words)),
-      "--cone-cache",
-      std::to_string(opt.sim.cone_cache_bytes),
   };
   if (opt.podem_time_budget_s > 0.0) {
     char buf[32];

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <iterator>
 
 namespace obd::logic {
 
@@ -32,6 +33,7 @@ int Circuit::add_gate(GateType type, const std::string& name,
   driver_[static_cast<std::size_t>(output)] = idx;
   for (NetId in : inputs) fanouts_[static_cast<std::size_t>(in)].push_back(idx);
   topo_valid_ = false;
+  cone_cache_.clear();
   return idx;
 }
 
@@ -84,6 +86,47 @@ std::vector<int> Circuit::gate_levels() const {
         gates_[static_cast<std::size_t>(g)].output)] = lvl + 1;
   }
   return level;
+}
+
+const std::vector<int>& Circuit::fanout_cone(NetId n) const {
+  if (cone_cache_.size() == net_names_.size())
+    return cone_cache_[static_cast<std::size_t>(n)];
+  const std::vector<int>& order = topo_order();
+  const std::vector<int> level = gate_levels();
+  std::vector<int> rank(gates_.size(), 0);
+  for (std::size_t r = 0; r < order.size(); ++r)
+    rank[static_cast<std::size_t>(order[r])] = static_cast<int>(r);
+  const auto before = [&](int a, int b) {
+    const auto sa = static_cast<std::size_t>(a);
+    const auto sb = static_cast<std::size_t>(b);
+    return level[sa] != level[sb] ? level[sa] < level[sb] : rank[sa] < rank[sb];
+  };
+  // A net's cone is the ordered union of its fanout gates (each sorts before
+  // its output's cone) and their output nets' cones. Visiting driven nets in
+  // reverse topological order of their drivers, then undriven nets, finds
+  // every cone a merge reads already built: no per-net search or sort.
+  cone_cache_.assign(net_names_.size(), {});
+  std::vector<int> merged, scratch;
+  const auto build = [&](std::size_t net) {
+    merged.clear();
+    for (int g : fanouts_[net]) {
+      const std::vector<int>& sub =
+          cone_cache_[static_cast<std::size_t>(gate(g).output)];
+      scratch.clear();
+      std::set_union(merged.begin(), merged.end(), sub.begin(), sub.end(),
+                     std::back_inserter(scratch), before);
+      const auto at =
+          std::lower_bound(scratch.begin(), scratch.end(), g, before);
+      if (at == scratch.end() || *at != g) scratch.insert(at, g);
+      merged.swap(scratch);
+    }
+    cone_cache_[net].assign(merged.begin(), merged.end());
+  };
+  for (auto g = order.rbegin(); g != order.rend(); ++g)
+    build(static_cast<std::size_t>(gate(*g).output));
+  for (std::size_t net = 0; net < net_names_.size(); ++net)
+    if (driver_[net] < 0) build(net);
+  return cone_cache_[static_cast<std::size_t>(n)];
 }
 
 int Circuit::depth() const {

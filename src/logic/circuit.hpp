@@ -68,6 +68,14 @@ class Circuit {
   std::vector<int> gate_levels() const;
   /// Maximum gate level.
   int depth() const;
+  /// Transitive-fanout gates of a net (every gate whose value can depend on
+  /// it), sorted by (gate level, topological rank) — a topological order in
+  /// which a change at `n` reaches each gate only after all of its cone
+  /// predecessors. Built for every net at once on first use and cached like
+  /// topo_order(); invalidated by add_gate. The first call writes the cache,
+  /// so make it on one thread before sharing the circuit across threads
+  /// (the fault-sim engine's constructor does); later calls only read.
+  const std::vector<int>& fanout_cone(NetId n) const;
 
   /// Checks structural sanity: every net driven at most once, every gate
   /// input driven or a PI, no combinational cycles. Returns an empty string
@@ -157,6 +165,8 @@ class Circuit {
   std::vector<std::vector<int>> fanouts_;
   mutable std::vector<int> topo_cache_;
   mutable bool topo_valid_ = false;
+  // fanout_cone() per net; stale whenever its size is not num_nets().
+  mutable std::vector<std::vector<int>> cone_cache_;
 };
 
 /// Rewrites composite gates (BUF/AND/OR/XOR/XNOR) into primitive CMOS gates

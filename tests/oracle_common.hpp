@@ -39,18 +39,18 @@ inline std::vector<logic::Circuit> zoo() {
 /// thread counts — lane_words rides along silently in fault-major, which
 /// packs faults per word).
 inline std::vector<SimOptions> sweep_configs() {
-  return {// SimOptions: {threads, packing, cone_cache_bytes, lane_words}
+  return {// SimOptions: {threads, packing, lane_words}
           {1, SimPacking::kPatternMajor}, {1, SimPacking::kFaultMajor},
           {2, SimPacking::kPatternMajor}, {4, SimPacking::kPatternMajor},
           {2, SimPacking::kFaultMajor},   {4, SimPacking::kFaultMajor},
-          {1, SimPacking::kPatternMajor, 0, 2},
-          {1, SimPacking::kPatternMajor, 0, 4},
-          {1, SimPacking::kPatternMajor, 0, 8},
-          {2, SimPacking::kPatternMajor, 0, 2},
-          {2, SimPacking::kPatternMajor, 0, 4},
-          {4, SimPacking::kPatternMajor, 0, 4},
-          {4, SimPacking::kPatternMajor, 0, 8},
-          {2, SimPacking::kFaultMajor, 0, 4}};
+          {1, SimPacking::kPatternMajor, 2},
+          {1, SimPacking::kPatternMajor, 4},
+          {1, SimPacking::kPatternMajor, 8},
+          {2, SimPacking::kPatternMajor, 2},
+          {2, SimPacking::kPatternMajor, 4},
+          {4, SimPacking::kPatternMajor, 4},
+          {4, SimPacking::kPatternMajor, 8},
+          {2, SimPacking::kFaultMajor, 4}};
 }
 
 inline std::string config_name(const SimOptions& o) {

@@ -3,6 +3,9 @@
 // the checked-in corpus under bench/circuits/.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <fstream>
+#include <sstream>
 #include <string>
 
 #include "io/bench.hpp"
@@ -209,6 +212,71 @@ TEST(BenchIo, ErrorOutputNeverDefined) {
   const BenchParseResult r = parse_bench("INPUT(a)\nOUTPUT(ghost)\n");
   EXPECT_FALSE(r.ok);
   EXPECT_NE(r.error.find("ghost"), std::string::npos) << r.error;
+}
+
+TEST(BenchIo, SeededMutationsLocateEveryError) {
+  // Hostile text: fixed-seed byte flips, deletions, truncations and
+  // duplicated spans over real netlists. The parser must never crash, must
+  // name a line in every diagnostic, and whatever it accepts must survive
+  // the writer with the same interface and function.
+  util::Prng prng(0xf022b3c4);
+  const std::string specials = "(),=#\n \t";
+  for (const char* file : {"c17.bench", "s27.bench", "c432.bench"}) {
+    std::ifstream in(corpus(file));
+    std::stringstream buf;
+    buf << in.rdbuf();
+    const std::string base = buf.str();
+    ASSERT_FALSE(base.empty()) << file;
+    int accepted = 0;
+    for (int m = 0; m < 1000; ++m) {
+      std::string text = base;
+      const int ops = 1 + static_cast<int>(prng.next_below(3));
+      for (int k = 0; k < ops && !text.empty(); ++k) {
+        const std::size_t at = prng.next_below(text.size());
+        const std::size_t span =
+            std::min<std::size_t>(1 + prng.next_below(24), text.size() - at);
+        switch (prng.next_below(5)) {
+          case 0:  // flip one bit
+            text[at] = static_cast<char>(text[at] ^ (1 << prng.next_below(8)));
+            break;
+          case 1:  // overwrite with a delimiter
+            text[at] = specials[prng.next_below(specials.size())];
+            break;
+          case 2:
+            text.erase(at, span);
+            break;
+          case 3:
+            text.resize(at);
+            break;
+          default:  // duplicate a span somewhere else
+            text.insert(prng.next_below(text.size() + 1),
+                        text.substr(at, span));
+            break;
+        }
+      }
+      const BenchParseResult a = parse_bench(text, "mutant");
+      if (!a.ok) {
+        ASSERT_EQ(a.error.rfind("line ", 0), 0u)
+            << file << " mutation " << m << ": " << a.error;
+        continue;
+      }
+      ++accepted;
+      const BenchParseResult b = parse_bench(write_bench(a.seq), "rt");
+      ASSERT_TRUE(b.ok) << file << " mutation " << m << ": " << b.error;
+      ASSERT_EQ(a.seq.core().inputs().size(), b.seq.core().inputs().size());
+      ASSERT_EQ(a.seq.core().outputs().size(), b.seq.core().outputs().size());
+      ASSERT_EQ(a.seq.flops().size(), b.seq.flops().size());
+      const Circuit va = a.seq.scan_view();
+      const Circuit vb = b.seq.scan_view();
+      for (int v = 0; v < 16; ++v) {
+        const logic::InputVec x =
+            logic::InputVec::random(va.inputs().size(), prng);
+        ASSERT_EQ(va.eval_outputs(x), vb.eval_outputs(x))
+            << file << " mutation " << m;
+      }
+    }
+    EXPECT_GT(accepted, 0) << file;
+  }
 }
 
 TEST(BenchIo, LoadReportsMissingFile) {

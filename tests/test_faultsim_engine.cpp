@@ -21,9 +21,9 @@ TEST(FaultSimOracle, EnginePackingsMatchLegacyScalar) {
   // test_faultsim_scheduler, so the zoo-wide matrix build runs once per
   // engine concern rather than twice in full), at every LaneBlock width.
   const std::vector<SimOptions> configs = {
-      {1, SimPacking::kPatternMajor},       {1, SimPacking::kFaultMajor},
-      {1, SimPacking::kPatternMajor, 0, 2}, {1, SimPacking::kPatternMajor, 0, 4},
-      {1, SimPacking::kPatternMajor, 0, 8}};
+      {1, SimPacking::kPatternMajor},    {1, SimPacking::kFaultMajor},
+      {1, SimPacking::kPatternMajor, 2}, {1, SimPacking::kPatternMajor, 4},
+      {1, SimPacking::kPatternMajor, 8}};
   std::uint64_t seed = 0x0bd0007;
   for (const Circuit& c : zoo_circuits())
     oracle::sweep_matrices(c, 130, seed++, configs);
@@ -269,34 +269,6 @@ TEST(FaultSimEngine, CoverageFunctionsMatchMatrices) {
   const DetectionMatrix mo = build_obd_matrix(c, tests, of);
   EXPECT_DOUBLE_EQ(obd_coverage(c, tests, of),
                    static_cast<double>(mo.covered_count) / of.size());
-}
-
-TEST(FaultSimEngine, ConeCacheLruCapKeepsResultsIdentical) {
-  // A capped cone cache is purely a memory/speed trade: campaign results
-  // must be bit-identical to the uncapped engine while evictions occur and
-  // residency stays bounded.
-  const Circuit c = logic::array_multiplier(4);
-  const auto faults = enumerate_obd_faults(c);
-  const auto tests = random_tests(c, 256, 0xcac4e);
-
-  FaultSimEngine uncapped(c);
-  const auto base = uncapped.campaign_obd(tests, faults, true);
-  EXPECT_EQ(uncapped.cone_evictions(), 0);
-
-  // A few cones' worth (cones are level-sorted gate lists, ~4 bytes per
-  // cone gate): tight enough that the LRU must evict constantly.
-  const std::size_t cap = c.num_nets() * 8;
-  FaultSimEngine capped(c, EngineOptions{cap});
-  const auto got = capped.campaign_obd(tests, faults, true);
-  EXPECT_EQ(got.first_test, base.first_test);
-  EXPECT_EQ(got.detected, base.detected);
-  EXPECT_GT(capped.cone_evictions(), 0);
-  EXPECT_TRUE(capped.cone_cache_bytes() <= cap || capped.cone_resident() == 1);
-
-  // Scheduler plumbing: the cap arrives through SimOptions.
-  FaultSimScheduler sched(c, SimOptions{2, SimPacking::kPatternMajor, cap});
-  const auto sched_got = sched.campaign_obd(tests, faults, true);
-  EXPECT_EQ(sched_got.first_test, base.first_test);
 }
 
 TEST(ForcedOutputsDiffer, MatchesStuckDetection) {

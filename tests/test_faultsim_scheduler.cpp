@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "atpg/atpg.hpp"
+#include "io/bench.hpp"
 #include "logic/zoo.hpp"
 #include "oracle_common.hpp"
 
@@ -90,7 +91,7 @@ TEST(Scheduler, SmallShapesAutoSerialize) {
 
   // Wide lanes raise the per-block work, so fewer blocks cross the gate —
   // and the block count still caps the workers past it.
-  FaultSimScheduler wsched(big, {4, SimPacking::kPatternMajor, 0, 8});
+  FaultSimScheduler wsched(big, {4, SimPacking::kPatternMajor, 8});
   EXPECT_EQ(wsched.pattern_workers(8), 4);
   EXPECT_EQ(wsched.pattern_workers(3), 3);
   EXPECT_EQ(wsched.pattern_workers(2), 1);  // 444 x 2 x 8 is sub-threshold
@@ -115,7 +116,7 @@ TEST(Scheduler, BatchedRoundsMatchEngineAboveSerialThreshold) {
   for (const Row& row : std::vector<Row>{
            {{2, SimPacking::kPatternMajor}, 3200},
            {{4, SimPacking::kPatternMajor}, 3200},
-           {{2, SimPacking::kPatternMajor, 0, 4}, 8192},  // wide lanes
+           {{2, SimPacking::kPatternMajor, 4}, 8192},  // wide lanes
        }) {
     const SimOptions& o = row.sim;
     const std::string label = oracle::config_name(o);
@@ -138,6 +139,27 @@ TEST(Scheduler, BatchedRoundsMatchEngineAboveSerialThreshold) {
       EXPECT_GE(got.fault_block_evals, ref.fault_block_evals) << label;
     }
   }
+}
+
+TEST(Scheduler, ConeTableCountedOnceAtAnyThreadCount) {
+  // Every worker reads the circuit's one fanout-cone table, so the cone
+  // bytes a threaded prepass reports are the 1-thread figure: the table's
+  // size, not one private cache per worker.
+  const io::BenchParseResult p =
+      io::load_bench_file(std::string(OBD_CORPUS_DIR) + "/c2670.bench");
+  ASSERT_TRUE(p.ok) << p.error;
+  const Circuit c = logic::decompose_composites(p.circuit());
+  const auto faults = enumerate_obd_faults(c);
+  const auto tests =
+      random_pairs(static_cast<int>(c.inputs().size()), 2048, 0x5c4ed00c);
+  FaultSimScheduler one(c, {1});
+  const auto ref = one.campaign_obd(tests, faults, true);
+  FaultSimScheduler four(c, {4});
+  ASSERT_EQ(four.pattern_workers(tests.size() / 64), 4);
+  const auto got = four.campaign_obd(tests, faults, true);
+  EXPECT_EQ(got.first_test, ref.first_test);
+  EXPECT_GT(one.stats().cone_peak_bytes, 0u);
+  EXPECT_EQ(four.stats().cone_peak_bytes, one.stats().cone_peak_bytes);
 }
 
 TEST(Scheduler, EmptyShapes) {

@@ -1,6 +1,11 @@
 // Gate primitives and circuit graph mechanics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <utility>
+
+#include "io/bench.hpp"
 #include "logic/circuit.hpp"
 
 namespace obd::logic {
@@ -153,6 +158,107 @@ TEST(Circuit, FanoutTracking) {
   EXPECT_EQ(c.fanout_of(a).size(), 2u);
   EXPECT_EQ(c.driver_of(n1), 0);
   EXPECT_EQ(c.driver_of(a), -1);
+}
+
+/// Every net's fanout cone found the slow way: a search over the fanout,
+/// then a sort by (gate level, topological rank).
+std::vector<std::vector<int>> searched_cones(const Circuit& c) {
+  const std::vector<int> level = c.gate_levels();
+  std::vector<int> rank(c.num_gates(), 0);
+  for (std::size_t r = 0; r < c.topo_order().size(); ++r)
+    rank[static_cast<std::size_t>(c.topo_order()[r])] = static_cast<int>(r);
+  std::vector<std::vector<int>> cones(c.num_nets());
+  for (std::size_t n = 0; n < c.num_nets(); ++n) {
+    std::vector<bool> seen(c.num_gates(), false);
+    std::vector<NetId> stack{static_cast<NetId>(n)};
+    while (!stack.empty()) {
+      const NetId net = stack.back();
+      stack.pop_back();
+      for (int g : c.fanout_of(net)) {
+        if (seen[static_cast<std::size_t>(g)]) continue;
+        seen[static_cast<std::size_t>(g)] = true;
+        cones[n].push_back(g);
+        stack.push_back(c.gate(g).output);
+      }
+    }
+    std::sort(cones[n].begin(), cones[n].end(), [&](int a, int b) {
+      const auto sa = static_cast<std::size_t>(a);
+      const auto sb = static_cast<std::size_t>(b);
+      return std::pair(level[sa], rank[sa]) < std::pair(level[sb], rank[sb]);
+    });
+  }
+  return cones;
+}
+
+void expect_cones_match_search(const Circuit& c) {
+  const auto ref = searched_cones(c);
+  for (std::size_t n = 0; n < c.num_nets(); ++n)
+    ASSERT_EQ(c.fanout_cone(static_cast<NetId>(n)), ref[n])
+        << c.name() << " net " << c.net_name(static_cast<NetId>(n));
+}
+
+TEST(Circuit, FanoutConeMatchesSearchAndSortOnCorpus) {
+  for (const char* file : {"c432.bench", "c880.bench", "mul10.bench"}) {
+    const io::BenchParseResult p =
+        io::load_bench_file(std::string(OBD_CORPUS_DIR) + "/" + file);
+    ASSERT_TRUE(p.ok) << file << ": " << p.error;
+    expect_cones_match_search(p.circuit());
+  }
+  const io::BenchParseResult s =
+      io::load_bench_file(std::string(OBD_CORPUS_DIR) + "/s1423.bench");
+  ASSERT_TRUE(s.ok) << s.error;
+  expect_cones_match_search(s.seq.scan_view());
+}
+
+TEST(Circuit, FanoutConeOnEdgeShapes) {
+  // A gate reading one net twice, a PI that is also a PO and feeds gates,
+  // an undriven net, a net with no fanout, and reconvergent fanout.
+  Circuit c("edges");
+  const NetId a = c.add_input("a");
+  const NetId b = c.add_input("b");
+  const NetId u = c.net("u");  // never driven
+  const NetId n0 = c.net("n0"), n1 = c.net("n1"), n2 = c.net("n2");
+  const NetId n3 = c.net("n3"), n4 = c.net("n4");
+  const NetId idle = c.net("idle");
+  c.mark_output(a);
+  const int g0 = c.add_gate(GateType::kNand2, "g0", {a, a}, n0);
+  const int g1 = c.add_gate(GateType::kInv, "g1", {b}, n1);
+  const int g2 = c.add_gate(GateType::kNor2, "g2", {n0, n1}, n2);
+  const int g3 = c.add_gate(GateType::kNand2, "g3", {n0, u}, n3);
+  const int g4 = c.add_gate(GateType::kNand2, "g4", {n2, n3}, n4);
+  c.mark_output(n4);
+  expect_cones_match_search(c);
+  // Same-level gates (g2, g3) follow topological rank; compare members.
+  const auto members = [&](NetId n) {
+    std::vector<int> m = c.fanout_cone(n);
+    std::sort(m.begin(), m.end());
+    return m;
+  };
+  EXPECT_EQ(members(a), (std::vector<int>{g0, g2, g3, g4}));
+  EXPECT_EQ(members(b), (std::vector<int>{g1, g2, g4}));
+  EXPECT_EQ(members(u), (std::vector<int>{g3, g4}));
+  EXPECT_EQ(c.fanout_cone(a).front(), g0);
+  EXPECT_EQ(c.fanout_cone(a).back(), g4);
+  EXPECT_TRUE(c.fanout_cone(n4).empty());
+  EXPECT_TRUE(c.fanout_cone(idle).empty());
+}
+
+TEST(Circuit, AddGateDropsFanoutCone) {
+  Circuit c;
+  const NetId a = c.add_input("a");
+  const NetId b = c.add_input("b");
+  const NetId x = c.net("x");
+  const int g0 = c.add_gate(GateType::kNand2, "g0", {a, b}, x);
+  c.mark_output(x);
+  EXPECT_EQ(c.fanout_cone(a), std::vector<int>{g0});
+  const NetId y = c.net("y");
+  const int g1 = c.add_gate(GateType::kNor2, "g1", {x, b}, y);
+  c.mark_output(y);
+  EXPECT_EQ(c.fanout_cone(a), (std::vector<int>{g0, g1}));
+  EXPECT_EQ(c.fanout_cone(b), (std::vector<int>{g0, g1}));
+  EXPECT_EQ(c.fanout_cone(x), std::vector<int>{g1});
+  EXPECT_TRUE(c.fanout_cone(y).empty());
+  expect_cones_match_search(c);
 }
 
 TEST(Decompose, CompositeLoweringPreservesFunction) {

@@ -47,12 +47,12 @@ void sweep_lanes(const std::string& file, int n_tests) {
   EXPECT_GT(ref.covered_count, 0) << file;
 
   for (const SimOptions& o : std::vector<SimOptions>{
-           {1, SimPacking::kPatternMajor, 0, 4},
-           {1, SimPacking::kPatternMajor, 0, 8},
-           {2, SimPacking::kPatternMajor, 0, 4},
-           {4, SimPacking::kPatternMajor, 0, 8},
-           {2, SimPacking::kPatternMajor, 0, 8},
-           {1, SimPacking::kFaultMajor, 0, 4},
+           {1, SimPacking::kPatternMajor, 4},
+           {1, SimPacking::kPatternMajor, 8},
+           {2, SimPacking::kPatternMajor, 4},
+           {4, SimPacking::kPatternMajor, 8},
+           {2, SimPacking::kPatternMajor, 8},
+           {1, SimPacking::kFaultMajor, 4},
        }) {
     FaultSimScheduler sched(c, o);
     oracle::expect_matrices_identical(ref, sched.matrix_obd(tests, faults),

@@ -589,9 +589,9 @@ std::string flag_value(const std::vector<std::string>& argv,
   return it == argv.end() || it + 1 == argv.end() ? "" : *(it + 1);
 }
 
-TEST_F(SupervisorTest, SubprocessShardsGetLanesAndConeCache) {
-  // Shard children must simulate at the parent's --lanes and --cone-cache,
-  // not at the CLI defaults.
+TEST_F(SupervisorTest, SubprocessShardsGetLanes) {
+  // Shard children must simulate at the parent's --lanes, not at the CLI
+  // default, and get no flag the CLI does not accept.
   const io::BenchParseResult p = load("c432.bench");
   ASSERT_TRUE(p.ok) << p.error;
 
@@ -599,7 +599,6 @@ TEST_F(SupervisorTest, SubprocessShardsGetLanesAndConeCache) {
   opt.random_patterns = 64;
   opt.sim.threads = 2;
   opt.sim.lane_words = 4;
-  opt.sim.cone_cache_bytes = 65536;
   const CampaignReport base = run_campaign(p.seq, opt);
   ASSERT_TRUE(base.ok()) << base.error;
 
@@ -618,7 +617,7 @@ TEST_F(SupervisorTest, SubprocessShardsGetLanesAndConeCache) {
   EXPECT_EQ(argvs.size(), 2u);
   for (const auto& argv : argvs) {
     EXPECT_EQ(flag_value(argv, "--lanes"), "256");
-    EXPECT_EQ(flag_value(argv, "--cone-cache"), "65536");
+    EXPECT_EQ(std::count(argv.begin(), argv.end(), "--cone-cache"), 0);
   }
 }
 

@@ -14,8 +14,6 @@
 //   --lanes 64|128|256|512         pattern lanes per simulation block
 //                                  (default 64; wider blocks run the SIMD
 //                                  LaneBlock kernels, results identical)
-//   --cone-cache BYTES             LRU cap on the per-engine fanout-cone
-//                                  cache (default 0 = unlimited)
 //   --random N                     random prepass patterns (default 2048)
 //   --seed S                       PRNG seed (default 0x0bd5eed)
 //   --backtracks N                 PODEM backtrack budget (default 100000)
@@ -89,8 +87,8 @@
 // SIGINT/SIGTERM checkpoint in-flight shards and exit 75 (EX_TEMPFAIL);
 // rerunning with --resume continues where the campaign stopped.
 //
-// Results are bit-identical across --threads, --lanes, --cone-cache and
-// --shards settings; the report's matrix_hash field is the witness.
+// Results are bit-identical across --threads, --lanes and --shards
+// settings; the report's matrix_hash field is the witness.
 #include <cerrno>
 #include <climits>
 #include <cmath>
@@ -131,7 +129,7 @@ int usage(const char* argv0) {
                "usage: %s <circuit.bench> [--model stuck|transition|obd] "
                "[--scan-style enhanced|loc|loc-held]\n"
                "       [--threads N] [--lanes 64|128|256|512] "
-               "[--cone-cache BYTES] [--random N] [--seed S]\n"
+               "[--random N] [--seed S]\n"
                "       [--backtracks N] [--podem-time S] [--sat-escalate] "
                "[--sat-conflict-budget N] [--ndetect N]\n"
                "       [--no-compact] [--report FILE.json] "
@@ -283,9 +281,6 @@ int main(int argc, char** argv) {
         return 1;
       }
       opt.sim.lane_words = static_cast<int>(n / 64);
-    } else if (a == "--cone-cache") {
-      opt.sim.cone_cache_bytes =
-          static_cast<std::size_t>(int_value("--cone-cache", 0, LLONG_MAX));
     } else if (a == "--random") {
       opt.random_patterns = static_cast<int>(int_value("--random", 0, INT_MAX));
     } else if (a == "--seed") {
