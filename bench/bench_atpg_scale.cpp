@@ -11,7 +11,7 @@
 // full-circuit evaluation vs multi-lane pattern blocks (64 lanes, plus the
 // 256-lane LaneBlock SIMD width) with event-driven frontier propagation
 // and fault dropping, at identical coverage. The sched section sweeps
-// lanes x packing x threads; the c7552 rows are the regression sentinel
+// lanes x threads; the c7552 rows are the regression sentinel
 // for the wide-tier cliff this engine exists to kill.
 #include "bench_common.hpp"
 #include <algorithm>
@@ -197,14 +197,13 @@ struct ObsOverheadRow {
 
 struct SchedRow {
   std::string circuit;
-  std::string mode;
   int threads = 0;
   int lanes = 64;
   std::size_t faults = 0;
   std::size_t patterns = 0;
   double secs = 0.0;
   double fps = 0.0;      // fault x patterns / sec
-  double speedup = 0.0;  // vs the 1-thread 64-lane pattern-major baseline
+  double speedup = 0.0;  // vs the 1-thread 64-lane baseline
   bool identical = false;
 };
 
@@ -246,10 +245,10 @@ std::string rows_json(const std::vector<SimComparison>& rows,
     const SchedRow& r = sched[i];
     appendf(
         out,
-        "    {\"name\": \"%s\", \"mode\": \"%s\", \"threads\": %d, "
-        "\"lanes\": %d, \"obd_faults\": %zu, \"patterns\": %zu, "
-        "\"fps\": %.4g, \"speedup_vs_1t\": %.4g, \"identical\": %s}%s\n",
-        r.circuit.c_str(), r.mode.c_str(), r.threads, r.lanes, r.faults,
+        "    {\"name\": \"%s\", \"threads\": %d, \"lanes\": %d, "
+        "\"obd_faults\": %zu, \"patterns\": %zu, \"fps\": %.4g, "
+        "\"speedup_vs_1t\": %.4g, \"identical\": %s}%s\n",
+        r.circuit.c_str(), r.threads, r.lanes, r.faults,
         r.patterns, r.fps, r.speedup, r.identical ? "true" : "false",
         i + 1 < sched.size() ? "," : "");
   }
@@ -328,13 +327,13 @@ void emit_json(const std::vector<SimComparison>& rows,
   }
 }
 
-/// Scheduler scaling: threads x packing over the largest zoo circuits, with
+/// Scheduler scaling: lanes x threads over the largest zoo circuits, with
 /// every configuration's DetectionMatrix checked bit-identical against the
-/// 1-thread pattern-major baseline.
+/// 1-thread 64-lane baseline.
 std::vector<SchedRow> reproduce_scheduler_scale() {
   std::printf(
-      "=== Scheduler scaling: lanes x packing x threads (OBD detection "
-      "matrix) ===\n\n");
+      "=== Scheduler scaling: lanes x threads (OBD detection matrix) "
+      "===\n\n");
   std::vector<SchedRow> rows;
   std::vector<logic::Circuit> circuits;
   circuits.push_back(logic::array_multiplier(4));
@@ -342,35 +341,24 @@ std::vector<SchedRow> reproduce_scheduler_scale() {
   for (auto& c : iscas_circuits()) circuits.push_back(std::move(c));
   for (auto& c : iscas_circuits(/*wide=*/true)) circuits.push_back(std::move(c));
 
-  struct Config {
-    const char* mode;
-    SimOptions sim;  // {threads, packing, lane_words}
-  };
-  const Config configs[] = {
-      {"pattern", {1, SimPacking::kPatternMajor}},
-      {"pattern", {2, SimPacking::kPatternMajor}},
-      {"pattern", {4, SimPacking::kPatternMajor}},
-      {"pattern", {1, SimPacking::kPatternMajor, 4}},
-      {"pattern", {1, SimPacking::kPatternMajor, 8}},
-      {"pattern", {2, SimPacking::kPatternMajor, 4}},
-      {"fault", {1, SimPacking::kFaultMajor}},
+  const SimOptions configs[] = {  // {threads, lane_words}
+      {1}, {2}, {4}, {1, 4}, {1, 8}, {2, 4},
   };
 
   util::AsciiTable t("scheduler throughput (fault x patterns / sec)");
-  t.set_header({"circuit", "faults", "tests", "mode", "threads", "lanes",
-                "fps", "speedup", "identical"});
+  t.set_header({"circuit", "faults", "tests", "threads", "lanes", "fps",
+                "speedup", "identical"});
   for (const auto& c : circuits) {
     const auto faults = enumerate_obd_faults(c);
     // The wide tier carries several-x larger fault lists; trim the pattern
-    // budget so the full lanes x packing x threads sweep stays a bench,
-    // not a soak.
+    // budget so the full lanes x threads sweep stays a bench, not a soak.
     const int n_tests = c.inputs().size() > 64 ? 256 : 1024;
     const auto tests =
         random_pairs(static_cast<int>(c.inputs().size()), n_tests, 0xca11ab1e);
     const double work = static_cast<double>(faults.size() * tests.size());
     DetectionMatrix baseline;
     double baseline_s = 0.0;
-    for (const Config& cfg : configs) {
+    for (const SimOptions& cfg : configs) {
       DetectionMatrix m;
       SchedRow row;
       // Engine construction (topo caches, per-worker state) stays off the
@@ -380,7 +368,7 @@ std::vector<SchedRow> reproduce_scheduler_scale() {
       row.secs = 1e300;
       double spent = 0.0;
       for (int rep = 0; rep < 3 || (rep < 8 && spent < 0.12); ++rep) {
-        FaultSimScheduler sched(c, cfg.sim);
+        FaultSimScheduler sched(c, cfg);
         const auto t0 = Clock::now();
         m = sched.matrix_obd(tests, faults);
         const double s = seconds_since(t0);
@@ -388,15 +376,12 @@ std::vector<SchedRow> reproduce_scheduler_scale() {
         row.secs = std::min(row.secs, s);
       }
       row.circuit = c.name();
-      row.mode = cfg.mode;
-      row.threads = cfg.sim.threads;
-      row.lanes = 64 * std::max(1, cfg.sim.lane_words);
+      row.threads = cfg.threads;
+      row.lanes = 64 * std::max(1, cfg.lane_words);
       row.faults = faults.size();
       row.patterns = tests.size();
       row.fps = work / row.secs;
-      const bool is_baseline = cfg.sim.threads == 1 &&
-                               cfg.sim.lane_words <= 1 &&
-                               cfg.sim.packing == SimPacking::kPatternMajor;
+      const bool is_baseline = cfg.threads == 1 && cfg.lane_words <= 1;
       if (is_baseline) {
         baseline = m;
         baseline_s = row.secs;
@@ -406,8 +391,8 @@ std::vector<SchedRow> reproduce_scheduler_scale() {
       row.speedup = baseline_s / row.secs;
       rows.push_back(row);
       t.add_row({row.circuit, std::to_string(row.faults),
-                 std::to_string(row.patterns), row.mode,
-                 std::to_string(row.threads), std::to_string(row.lanes),
+                 std::to_string(row.patterns), std::to_string(row.threads),
+                 std::to_string(row.lanes),
                  util::format_g(row.fps, 3),
                  util::format_g(row.speedup, 3) + "x",
                  row.identical ? "yes" : "NO"});
@@ -415,10 +400,8 @@ std::vector<SchedRow> reproduce_scheduler_scale() {
   }
   t.print();
   std::printf(
-      "pattern-major shards blocks of `lanes` tests across the worker pool\n"
-      "(wide rows run the LaneBlock SIMD kernels); the fault-major row\n"
-      "packs 64 faults per word against one test (the mode the scheduler\n"
-      "auto-selects for tiny test lists). Detection matrices are\n"
+      "the scheduler shards blocks of `lanes` tests across the worker pool\n"
+      "(wide rows run the LaneBlock SIMD kernels). Detection matrices are\n"
       "bit-identical across every row; sub-threshold circuits auto-serial.\n\n");
   return rows;
 }
@@ -524,7 +507,7 @@ std::vector<ObsOverheadRow> reproduce_obs_overhead() {
   // is one-sided (a rep is only ever slower than the quiet-host time), so
   // the min over interleaved rounds converges to comparable quiet-window
   // times for all three configurations.
-  FaultSimScheduler sched(c, {1, SimPacking::kPatternMajor});
+  FaultSimScheduler sched(c, {1});
   const auto sample = [&] {
     const auto t0 = Clock::now();
     benchmark::DoNotOptimize(sched.matrix_obd(tests, faults).covered_count);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <numeric>
 
 namespace obd::atpg {
 namespace {
@@ -166,38 +165,33 @@ XMergeResult merge_x_overlap(const Circuit& c,
                              const std::vector<ObdFaultSite>& faults) {
   XMergeResult out;
   FaultSimEngine engine(c);
-  // test_obd with the identity index packs its detect words with fault f
-  // at bit (f & 63) of word (f >> 6) — the superset()/or_into() layout.
-  std::vector<int> all(faults.size());
-  std::iota(all.begin(), all.end(), 0);
-  std::vector<std::uint64_t> scratch;
-  const auto concrete_obd = [&](const XTwoVectorTest& t) {
-    engine.test_obd(t.concrete(), faults, all, scratch);
-    return scratch;
+  PatternBlock block(c);
+  std::vector<std::uint64_t> detect;
+  // Detections of `t`'s concrete fill among the faults `active` marks (all
+  // of them when null), packed with fault f at bit (f & 63) of word
+  // (f >> 6) — the or_into() layout. The block has one live lane, so bit 0
+  // of detect[f] is the verdict.
+  const auto concrete_obd = [&](const XTwoVectorTest& t,
+                                const std::vector<std::uint8_t>* active) {
+    block.clear();
+    block.push(t.concrete());
+    engine.block_obd(block, faults, detect, active);
+    std::vector<std::uint64_t> packed((faults.size() + 63) / 64, 0);
+    for (std::size_t f = 0; f < faults.size(); ++f)
+      packed[f >> 6] |= (detect[f] & 1u) << (f & 63);
+    return packed;
   };
   // Acceptance only asks whether `t` detects every fault in `need` (the
   // constituents' detections, usually a tiny fraction of the fault list),
-  // so simulate just those: every lane of every word must come back set.
-  std::vector<int> need_idx;
+  // so only those faults are active.
+  std::vector<std::uint8_t> active(faults.size());
   const auto detects_all = [&](const XTwoVectorTest& t,
                                const std::vector<std::uint64_t>& need) {
-    need_idx.clear();
-    for (std::size_t w = 0; w < need.size(); ++w) {
-      std::uint64_t word = need[w];
-      while (word) {
-        need_idx.push_back(
-            static_cast<int>(w * 64 + static_cast<std::size_t>(
-                                          std::countr_zero(word))));
-        word &= word - 1;
-      }
-    }
-    engine.test_obd(t.concrete(), faults, need_idx, scratch);
-    for (std::size_t w = 0; w < scratch.size(); ++w) {
-      const std::size_t lanes =
-          std::min<std::size_t>(64, need_idx.size() - w * 64);
-      const std::uint64_t full = lanes == 64 ? ~0ull : ((1ull << lanes) - 1);
-      if ((scratch[w] & full) != full) return false;
-    }
+    for (std::size_t f = 0; f < faults.size(); ++f)
+      active[f] = (need[f >> 6] >> (f & 63)) & 1u;
+    const std::vector<std::uint64_t> got = concrete_obd(t, &active);
+    for (std::size_t w = 0; w < need.size(); ++w)
+      if ((got[w] & need[w]) != need[w]) return false;
     return true;
   };
 
@@ -208,7 +202,7 @@ XMergeResult merge_x_overlap(const Circuit& c,
   std::vector<Slot> slots;
 
   for (std::size_t i = 0; i < tests.size(); ++i) {
-    const auto concrete = concrete_obd(tests[i]);
+    const auto concrete = concrete_obd(tests[i], nullptr);
     bool placed = false;
     for (std::size_t s = 0; s < slots.size() && !placed; ++s) {
       Slot& slot = slots[s];

@@ -35,6 +35,8 @@ struct XMergeResult {
 /// accepted only when the candidate's concrete fill still detects every
 /// fault the constituents' concrete fills detected, so accidental (fill-
 /// dependent) detections are preserved and total coverage never drops.
+/// Each check simulates the candidate as a one-test pattern block
+/// (FaultSimEngine::block_obd) with only those faults active.
 /// Definite (3-valued, fill-independent) detections need no runtime gate:
 /// a merge is a care-bit refinement of each constituent, and
 /// Circuit::eval3_words is Kleene-monotone, so every definite detection of

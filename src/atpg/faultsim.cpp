@@ -16,9 +16,8 @@ std::vector<bool> row0_bools(const DetectionMatrix& m) {
 }  // namespace
 
 // --- One-test wrappers over the scheduler -----------------------------------
-// The auto packing picks the fault-major axis here (one test, many faults):
-// ceil(faults/64) full-circuit evaluations instead of one cone pass per
-// fault — and every existing caller exercises that kernel.
+// One test is a pattern block with one live lane: one good evaluation per
+// frame, then one cone pass per excited fault.
 
 std::vector<bool> simulate_stuck_at(const Circuit& c, const InputVec& pattern,
                                     const std::vector<StuckFault>& faults) {

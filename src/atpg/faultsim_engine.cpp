@@ -5,7 +5,6 @@
 #include <barrier>
 #include <bit>
 #include <cassert>
-#include <numeric>
 #include <thread>
 
 #include "core/excitation.hpp"
@@ -61,9 +60,7 @@ FaultSimEngine::FaultSimEngine(const Circuit& c, EngineOptions opt)
       gate_level_(c.gate_levels()),
       net_fence_(c.num_nets(), 0),
       po_mask_(c.num_nets(), 0),
-      changed_(c.num_nets(), 0),
-      inj_set0_(c.num_nets(), 0),
-      inj_set1_(c.num_nets(), 0) {
+      changed_(c.num_nets(), 0) {
   if (opt_.lane_words < 1) opt_.lane_words = 1;
   const auto W = static_cast<std::size_t>(opt_.lane_words);
   bad_.assign(c.num_nets() * W, 0);
@@ -371,152 +368,6 @@ FaultSimEngine::Campaign FaultSimEngine::campaign_obd(
                              const auto* act) { block_obd(b, fl, det, act); });
 }
 
-// --- Fault-major kernels -----------------------------------------------------
-
-void FaultSimEngine::load_broadcast_goods(const TwoVectorTest& t,
-                                          bool need_frame1) {
-  const std::size_t n_pi = c_.inputs().size();
-  // Broadcast each vector bit across all 64 lanes of its PI word.
-  const auto bcast = [&](const InputVec& v) {
-    pi_bcast_.assign(n_pi, 0);
-    logic::for_each_set_bit(v, n_pi,
-                            [&](std::size_t pi) { pi_bcast_[pi] = ~0ull; });
-  };
-  if (need_frame1) {
-    bcast(t.v1);
-    c_.eval_words_into(pi_bcast_, good1_);
-  }
-  bcast(t.v2);
-  c_.eval_words_into(pi_bcast_, good2_);
-}
-
-void FaultSimEngine::inject(NetId n, int lane, bool value) {
-  const auto s = static_cast<std::size_t>(n);
-  (value ? inj_set1_ : inj_set0_)[s] |= 1ull << lane;
-  inj_nets_.push_back(n);
-}
-
-void FaultSimEngine::clear_injections() {
-  for (NetId n : inj_nets_) {
-    inj_set0_[static_cast<std::size_t>(n)] = 0;
-    inj_set1_[static_cast<std::size_t>(n)] = 0;
-  }
-  inj_nets_.clear();
-}
-
-std::uint64_t FaultSimEngine::injected_diff() {
-  // pi_bcast_ still holds the frame-2 broadcast words from
-  // load_broadcast_goods; good2_ is the matching fault-free valuation.
-  ibad_.assign(c_.num_nets(), 0);
-  for (std::size_t i = 0; i < c_.inputs().size(); ++i)
-    ibad_[static_cast<std::size_t>(c_.inputs()[i])] = pi_bcast_[i];
-  // Forcing must also reach PI and undriven fault nets, which the gate loop
-  // below never writes.
-  for (NetId n : inj_nets_) {
-    const auto s = static_cast<std::size_t>(n);
-    ibad_[s] = (ibad_[s] | inj_set1_[s]) & ~inj_set0_[s];
-  }
-  std::uint64_t ins[8];
-  for (int g : c_.topo_order()) {
-    const auto& gate = c_.gate(g);
-    for (std::size_t k = 0; k < gate.inputs.size(); ++k)
-      ins[k] = ibad_[static_cast<std::size_t>(gate.inputs[k])];
-    const auto o = static_cast<std::size_t>(gate.output);
-    // inj_set words are zero for untouched nets, so the mask application is
-    // branch-free identity almost everywhere.
-    ibad_[o] =
-        (logic::gate_eval_words(gate.type, ins) | inj_set1_[o]) & ~inj_set0_[o];
-  }
-  std::uint64_t diff = 0;
-  for (NetId po : c_.outputs()) {
-    const auto s = static_cast<std::size_t>(po);
-    diff |= ibad_[s] ^ good2_[s];
-  }
-  return diff;
-}
-
-void FaultSimEngine::test_stuck(const InputVec& pattern,
-                                const std::vector<StuckFault>& faults,
-                                const std::vector<int>& idx,
-                                std::vector<std::uint64_t>& detect) {
-  load_broadcast_goods({pattern, pattern}, /*need_frame1=*/false);
-  const std::size_t words = (idx.size() + 63) / 64;
-  detect.assign(words, 0);
-  for (std::size_t w = 0; w < words; ++w) {
-    const int n = static_cast<int>(std::min<std::size_t>(64, idx.size() - w * 64));
-    clear_injections();
-    std::uint64_t changed = 0;
-    for (int j = 0; j < n; ++j) {
-      const StuckFault& f = faults[static_cast<std::size_t>(idx[w * 64 + j])];
-      // A lane whose forced value equals the good value is identity.
-      if (((good2_[static_cast<std::size_t>(f.net)] & 1u) != 0) == f.value)
-        continue;
-      changed |= 1ull << j;
-      inject(f.net, j, f.value);
-    }
-    if (changed) detect[w] = injected_diff() & changed;
-  }
-  clear_injections();
-}
-
-void FaultSimEngine::test_transition(const TwoVectorTest& t,
-                                     const std::vector<TransitionFault>& faults,
-                                     const std::vector<int>& idx,
-                                     std::vector<std::uint64_t>& detect) {
-  load_broadcast_goods(t);
-  const std::size_t words = (idx.size() + 63) / 64;
-  detect.assign(words, 0);
-  for (std::size_t w = 0; w < words; ++w) {
-    const int n = static_cast<int>(std::min<std::size_t>(64, idx.size() - w * 64));
-    clear_injections();
-    std::uint64_t excited = 0;
-    for (int j = 0; j < n; ++j) {
-      const TransitionFault& f =
-          faults[static_cast<std::size_t>(idx[w * 64 + j])];
-      const bool o1 = good1_[static_cast<std::size_t>(f.net)] & 1u;
-      const bool o2 = good2_[static_cast<std::size_t>(f.net)] & 1u;
-      if (f.slow_to_rise ? !(!o1 && o2) : !(o1 && !o2)) continue;
-      excited |= 1ull << j;
-      // The slow output holds its frame-1 value during capture.
-      inject(f.net, j, o1);
-    }
-    if (excited) detect[w] = injected_diff() & excited;
-  }
-  clear_injections();
-}
-
-void FaultSimEngine::test_obd(const TwoVectorTest& t,
-                              const std::vector<ObdFaultSite>& faults,
-                              const std::vector<int>& idx,
-                              std::vector<std::uint64_t>& detect) {
-  load_broadcast_goods(t);
-  const std::size_t words = (idx.size() + 63) / 64;
-  detect.assign(words, 0);
-  for (std::size_t w = 0; w < words; ++w) {
-    const int n = static_cast<int>(std::min<std::size_t>(64, idx.size() - w * 64));
-    clear_injections();
-    std::uint64_t excited = 0;
-    for (int j = 0; j < n; ++j) {
-      const ObdFaultSite& f = faults[static_cast<std::size_t>(idx[w * 64 + j])];
-      const auto& g = c_.gate(f.gate_index);
-      if (!logic::is_primitive_cmos(g.type)) continue;
-      const auto& table = obd_table(g.type, f.transistor);
-      std::uint32_t lv1 = 0, lv2 = 0;
-      for (std::size_t k = 0; k < g.inputs.size(); ++k) {
-        const auto in = static_cast<std::size_t>(g.inputs[k]);
-        lv1 |= static_cast<std::uint32_t>(good1_[in] & 1u) << k;
-        lv2 |= static_cast<std::uint32_t>(good2_[in] & 1u) << k;
-      }
-      if (!((table[lv1] >> lv2) & 1u)) continue;
-      excited |= 1ull << j;
-      // Gross-delay: the excited gate output keeps its frame-1 value.
-      inject(g.output, j, good1_[static_cast<std::size_t>(g.output)] & 1u);
-    }
-    if (excited) detect[w] = injected_diff() & excited;
-  }
-  clear_injections();
-}
-
 // --- X-aware (3-valued) detection --------------------------------------------
 
 std::vector<bool> FaultSimEngine::definite_obd(
@@ -578,15 +429,6 @@ std::vector<bool> FaultSimEngine::definite_obd(
 
 // --- Scheduler ---------------------------------------------------------------
 
-const char* to_string(SimPacking p) {
-  switch (p) {
-    case SimPacking::kAuto: return "auto";
-    case SimPacking::kPatternMajor: return "pattern-major";
-    case SimPacking::kFaultMajor: return "fault-major";
-  }
-  return "?";
-}
-
 FaultSimScheduler::FaultSimScheduler(const Circuit& c, SimOptions opt)
     : c_(c), opt_(opt) {
   if (opt_.threads < 1) opt_.threads = 1;
@@ -625,15 +467,6 @@ SimStats FaultSimScheduler::stats() const {
   s.frontier_gate_evals = m.value(ids.frontier_gate_evals);
   s.frontier_early_exits = m.value(ids.frontier_early_exits);
   return s;
-}
-
-SimPacking FaultSimScheduler::resolve_packing(std::size_t n_tests,
-                                              std::size_t n_faults) const {
-  if (opt_.packing != SimPacking::kAuto) return opt_.packing;
-  if (n_tests <= PatternBlock::kLanes / 8 &&
-      n_faults >= static_cast<std::size_t>(PatternBlock::kLanes))
-    return SimPacking::kFaultMajor;
-  return SimPacking::kPatternMajor;
 }
 
 int FaultSimScheduler::workers_for(std::size_t jobs) const {
@@ -700,10 +533,10 @@ void run_workers(int n, const char* span_name, Job job) {
 
 }  // namespace
 
-template <typename Fault, typename BlockFn, typename TestFn>
+template <typename Fault, typename BlockFn>
 DetectionMatrix FaultSimScheduler::build_matrix(
     const std::vector<TwoVectorTest>& tests, const std::vector<Fault>& faults,
-    BlockFn block_fn, TestFn test_fn) {
+    BlockFn block_fn) {
   DetectionMatrix m;
   m.n_tests = tests.size();
   m.n_faults = faults.size();
@@ -712,54 +545,36 @@ DetectionMatrix FaultSimScheduler::build_matrix(
   m.covered.assign(faults.size(), false);
   if (tests.empty() || faults.empty()) return m;
 
-  if (resolve_packing(tests.size(), faults.size()) == SimPacking::kFaultMajor) {
-    // Shard whole tests: each worker owns disjoint matrix rows, and the
-    // fault-major detect words *are* the row words.
-    std::vector<int> idx(faults.size());
-    std::iota(idx.begin(), idx.end(), 0);
-    std::atomic<std::size_t> next{0};
-    run_workers(workers_for(tests.size()), "matrix", [&](int w) {
-      FaultSimEngine& e = engine(w);
-      std::vector<std::uint64_t> detect;
-      for (std::size_t t = next.fetch_add(1); t < tests.size();
-           t = next.fetch_add(1)) {
-        test_fn(e, tests[t], faults, idx, detect);
-        std::copy(detect.begin(), detect.end(),
-                  m.rows.begin() + static_cast<std::ptrdiff_t>(t * m.words_per_row));
-      }
-    });
-  } else {
-    // Shard whole blocks: block b owns rows [capacity * b, + size).
-    const std::vector<PatternBlock> blocks =
-        PatternBlock::pack(c_, tests, opt_.lane_words);
-    const auto W = static_cast<std::size_t>(opt_.lane_words);
-    const std::size_t capacity = W * 64;
-    std::atomic<std::size_t> next{0};
-    run_workers(pattern_workers(blocks.size()), "matrix", [&](int w) {
-      FaultSimEngine& e = engine(w);
-      std::vector<std::uint64_t> detect;
-      for (std::size_t b = next.fetch_add(1); b < blocks.size();
-           b = next.fetch_add(1)) {
-        block_fn(e, blocks[b], faults, detect);
-        const std::size_t base = b * capacity;
-        for (std::size_t f = 0; f < faults.size(); ++f) {
-          const std::size_t fw = f >> 6;
-          const std::uint64_t fbit = 1ull << (f & 63);
-          for (std::size_t dw = 0; dw < W; ++dw) {
-            std::uint64_t word = detect[f * W + dw];
-            if (!word) continue;
-            const std::size_t wbase = base + dw * 64;
-            while (word) {
-              const auto lane =
-                  static_cast<std::size_t>(std::countr_zero(word));
-              word &= word - 1;
-              m.rows[(wbase + lane) * m.words_per_row + fw] |= fbit;
-            }
+  // Shard whole blocks: block b owns rows [capacity * b, + size).
+  const std::vector<PatternBlock> blocks =
+      PatternBlock::pack(c_, tests, opt_.lane_words);
+  const auto W = static_cast<std::size_t>(opt_.lane_words);
+  const std::size_t capacity = W * 64;
+  std::atomic<std::size_t> next{0};
+  run_workers(pattern_workers(blocks.size()), "matrix", [&](int w) {
+    FaultSimEngine& e = engine(w);
+    std::vector<std::uint64_t> detect;
+    for (std::size_t b = next.fetch_add(1); b < blocks.size();
+         b = next.fetch_add(1)) {
+      block_fn(e, blocks[b], faults, detect);
+      const std::size_t base = b * capacity;
+      for (std::size_t f = 0; f < faults.size(); ++f) {
+        const std::size_t fw = f >> 6;
+        const std::uint64_t fbit = 1ull << (f & 63);
+        for (std::size_t dw = 0; dw < W; ++dw) {
+          std::uint64_t word = detect[f * W + dw];
+          if (!word) continue;
+          const std::size_t wbase = base + dw * 64;
+          while (word) {
+            const auto lane =
+                static_cast<std::size_t>(std::countr_zero(word));
+            word &= word - 1;
+            m.rows[(wbase + lane) * m.words_per_row + fw] |= fbit;
           }
         }
       }
-    });
-  }
+    }
+  });
 
   // OR-reduce the rows column-wise: one word per 64 faults instead of a
   // bit probe per (test, fault) pair.
@@ -777,57 +592,17 @@ DetectionMatrix FaultSimScheduler::build_matrix(
   return m;
 }
 
-template <typename Fault, typename BlockFn, typename TestFn>
+template <typename Fault, typename BlockFn>
 FaultSimEngine::Campaign FaultSimScheduler::run_campaign(
     const std::vector<TwoVectorTest>& tests, const std::vector<Fault>& faults,
-    bool drop_detected, BlockFn block_fn, TestFn test_fn) {
+    bool drop_detected, BlockFn block_fn) {
   FaultSimEngine::Campaign r;
   r.first_test.assign(faults.size(), -1);
   if (tests.empty() || faults.empty()) return r;
 
-  const SimPacking pack = resolve_packing(tests.size(), faults.size());
-  if (pack == SimPacking::kFaultMajor) {
-    // Tests are inherently sequential under dropping; the 64-fault words of
-    // one test are the parallel axis, but at the shapes that select this
-    // packing (a handful of tests) the per-test work is too small to shard,
-    // so it runs inline on worker 0.
-    FaultSimEngine& e = engine(0);
-    std::vector<int> idx(faults.size());
-    std::iota(idx.begin(), idx.end(), 0);
-    std::vector<std::uint64_t> detect;
-    std::vector<int> survivors;
-    for (std::size_t t = 0; t < tests.size() && !idx.empty(); ++t) {
-      r.fault_block_evals += static_cast<long long>((idx.size() + 63) / 64);
-      test_fn(e, tests[t], faults, idx, detect);
-      bool any = false;
-      for (std::size_t w = 0; w < detect.size(); ++w) {
-        std::uint64_t word = detect[w];
-        while (word) {
-          const int j = std::countr_zero(word);
-          word &= word - 1;
-          const auto f = static_cast<std::size_t>(idx[w * 64 + static_cast<std::size_t>(j)]);
-          if (r.first_test[f] < 0) {
-            r.first_test[f] = static_cast<int>(t);
-            ++r.detected;
-          }
-          any = true;
-        }
-      }
-      if (drop_detected && any) {
-        survivors.clear();
-        for (int f : idx)
-          if (r.first_test[static_cast<std::size_t>(f)] < 0)
-            survivors.push_back(f);
-        idx.swap(survivors);
-      }
-    }
-    return r;
-  }
-
-  // Pattern-major: rounds of `workers * batch` blocks against a frozen
-  // active list, reconciled in block order — bit-identical to the
-  // single-threaded drop campaign (first_test is the true first detection
-  // either way). Worker w owns the round's contiguous slots
+  // Rounds of `workers * batch` blocks against a frozen active list,
+  // reconciled in block order — bit-identical to the single-threaded drop
+  // campaign (first_test is the true first detection either way). Worker w owns the round's contiguous slots
   // [w * batch, (w + 1) * batch); batching amortizes the round barrier on
   // small blocks. Workers are spawned once for the whole campaign; the
   // barrier's completion step (one thread, all workers parked) reconciles
@@ -908,9 +683,7 @@ DetectionMatrix FaultSimScheduler::matrix_stuck(
       tests, faults,
       [](FaultSimEngine& e, const PatternBlock& b, const auto& fl, auto& det) {
         e.block_stuck(b, fl, det);
-      },
-      [](FaultSimEngine& e, const TwoVectorTest& t, const auto& fl,
-         const auto& idx, auto& det) { e.test_stuck(t.v2, fl, idx, det); });
+      });
 }
 
 DetectionMatrix FaultSimScheduler::matrix_transition(
@@ -920,9 +693,7 @@ DetectionMatrix FaultSimScheduler::matrix_transition(
       tests, faults,
       [](FaultSimEngine& e, const PatternBlock& b, const auto& fl, auto& det) {
         e.block_transition(b, fl, det);
-      },
-      [](FaultSimEngine& e, const TwoVectorTest& t, const auto& fl,
-         const auto& idx, auto& det) { e.test_transition(t, fl, idx, det); });
+      });
 }
 
 DetectionMatrix FaultSimScheduler::matrix_obd(
@@ -932,9 +703,7 @@ DetectionMatrix FaultSimScheduler::matrix_obd(
       tests, faults,
       [](FaultSimEngine& e, const PatternBlock& b, const auto& fl, auto& det) {
         e.block_obd(b, fl, det);
-      },
-      [](FaultSimEngine& e, const TwoVectorTest& t, const auto& fl,
-         const auto& idx, auto& det) { e.test_obd(t, fl, idx, det); });
+      });
 }
 
 FaultSimEngine::Campaign FaultSimScheduler::campaign_stuck(
@@ -946,9 +715,7 @@ FaultSimEngine::Campaign FaultSimScheduler::campaign_stuck(
   return run_campaign(
       tests, faults, drop_detected,
       [](FaultSimEngine& e, const PatternBlock& b, const auto& fl, auto& det,
-         const auto* act) { e.block_stuck(b, fl, det, act); },
-      [](FaultSimEngine& e, const TwoVectorTest& t, const auto& fl,
-         const auto& idx, auto& det) { e.test_stuck(t.v2, fl, idx, det); });
+         const auto* act) { e.block_stuck(b, fl, det, act); });
 }
 
 FaultSimEngine::Campaign FaultSimScheduler::campaign_transition(
@@ -957,9 +724,7 @@ FaultSimEngine::Campaign FaultSimScheduler::campaign_transition(
   return run_campaign(
       tests, faults, drop_detected,
       [](FaultSimEngine& e, const PatternBlock& b, const auto& fl, auto& det,
-         const auto* act) { e.block_transition(b, fl, det, act); },
-      [](FaultSimEngine& e, const TwoVectorTest& t, const auto& fl,
-         const auto& idx, auto& det) { e.test_transition(t, fl, idx, det); });
+         const auto* act) { e.block_transition(b, fl, det, act); });
 }
 
 FaultSimEngine::Campaign FaultSimScheduler::campaign_obd(
@@ -968,9 +733,7 @@ FaultSimEngine::Campaign FaultSimScheduler::campaign_obd(
   return run_campaign(
       tests, faults, drop_detected,
       [](FaultSimEngine& e, const PatternBlock& b, const auto& fl, auto& det,
-         const auto* act) { e.block_obd(b, fl, det, act); },
-      [](FaultSimEngine& e, const TwoVectorTest& t, const auto& fl,
-         const auto& idx, auto& det) { e.test_obd(t, fl, idx, det); });
+         const auto* act) { e.block_obd(b, fl, det, act); });
 }
 
 }  // namespace obd::atpg

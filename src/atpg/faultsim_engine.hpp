@@ -20,19 +20,13 @@
 //   - campaigns optionally drop a fault from the active list at its first
 //     detection, so late blocks only pay for the hard remainder.
 //
-// Two additions layer on top:
-//
-//   - the complementary *fault-major* packing (test_stuck/test_transition/
-//     test_obd): 64 faults per word against one test, each word costing one
-//     full-circuit injected evaluation — the winning axis when the fault
-//     list dwarfs the test list (the OBD regime: one fault per transistor
-//     per polarity);
-//   - FaultSimScheduler: picks the packing per call shape and shards
-//     independent pattern blocks across a small std::thread pool with
-//     per-worker engines (all reading the circuit's one cone table; scratch
-//     and excitation tables are per engine). Fault dropping is reconciled
-//     in block order after each round, so campaign results are
-//     bit-identical to a single-threaded run at any thread count or packing.
+// Pattern blocks are the only packing axis: a one-test call is a block
+// with one live lane. FaultSimScheduler shards independent pattern blocks
+// across a small std::thread pool with per-worker engines (all reading the
+// circuit's one cone table; scratch and excitation tables are per engine).
+// Fault dropping is reconciled in block order after each round, so
+// campaign results are bit-identical to a single-threaded run at any
+// thread count or lane width.
 //
 // The legacy entry points in faultsim.hpp are thin wrappers over the
 // scheduler, keeping every existing caller's API and semantics.
@@ -122,10 +116,9 @@ class PatternBlock {
 };
 
 /// Detection matrix: row per test, bit-packed over the fault list (64
-/// faults per word). Built by the scheduler in either packing (pattern
-/// blocks fill 64 rows per engine call; fault-major fills one row word per
-/// injected evaluation); consumed directly by compaction, n-detect
-/// selection, and the diagnosis dictionary.
+/// faults per word). Built by the scheduler (each pattern block fills up
+/// to 64 * lane_words rows per engine call); consumed directly by
+/// compaction, n-detect selection, and the diagnosis dictionary.
 struct DetectionMatrix {
   std::size_t n_tests = 0;
   std::size_t n_faults = 0;
@@ -191,25 +184,6 @@ class FaultSimEngine {
                  std::vector<std::uint64_t>& detect,
                  const std::vector<std::uint8_t>* active = nullptr);
 
-  // --- Fault-packed primitives (fault-major) ---------------------------
-  // One test against an arbitrary subset of the fault list, 64 faults per
-  // word: detect (resized to ceil(idx.size()/64)) gets bit j of word w set
-  // when faults[idx[64w + j]] is detected. Each word costs one full-circuit
-  // evaluation with per-lane fault injection, independent of how many
-  // lanes are live — the complementary axis to the pattern blocks.
-
-  void test_stuck(const InputVec& pattern,
-                  const std::vector<StuckFault>& faults,
-                  const std::vector<int>& idx,
-                  std::vector<std::uint64_t>& detect);
-  void test_transition(const TwoVectorTest& t,
-                       const std::vector<TransitionFault>& faults,
-                       const std::vector<int>& idx,
-                       std::vector<std::uint64_t>& detect);
-  void test_obd(const TwoVectorTest& t, const std::vector<ObdFaultSite>& faults,
-                const std::vector<int>& idx,
-                std::vector<std::uint64_t>& detect);
-
   // --- X-aware (3-valued) detection ------------------------------------
   /// Definite OBD detections under a partially-specified test, through
   /// Circuit::eval3_words on the care-masked vectors: a fault counts only
@@ -228,11 +202,8 @@ class FaultSimEngine {
   struct Campaign {
     std::vector<int> first_test;
     int detected = 0;
-    /// Work metric fault dropping shrinks. Pattern-major: (active fault x
-    /// block) pairs simulated (an upper bound on cone evaluations).
-    /// Fault-major: 64-fault words simulated (an upper bound on injected
-    /// full-circuit evaluations: words with no excited lane short-circuit).
-    /// Not comparable across packings.
+    /// Work metric fault dropping shrinks: (active fault x block) pairs
+    /// simulated (an upper bound on cone evaluations).
     long long fault_block_evals = 0;
   };
 
@@ -266,18 +237,6 @@ class FaultSimEngine {
                         const std::vector<Fault>& faults, bool drop_detected,
                         BlockFn block_fn);
 
-  /// Broadcast good valuations of both frames of `t` into good1_/good2_
-  /// (frame 1 skipped when `need_frame1` is false — the stuck-at kernel
-  /// reads only good2_).
-  void load_broadcast_goods(const TwoVectorTest& t, bool need_frame1 = true);
-  /// Registers lane `lane` of net `n` to be forced to `value` by the next
-  /// injected_diff(). Lanes of untouched nets keep the good value.
-  void inject(NetId n, int lane, bool value);
-  void clear_injections();
-  /// Full-circuit frame-2 evaluation with the registered injections; returns
-  /// the OR over POs of (faulty ^ good2_).
-  std::uint64_t injected_diff();
-
   const Circuit& c_;
   EngineOptions opt_;
   std::vector<int> gate_level_;                  // gate -> logic level
@@ -296,9 +255,7 @@ class FaultSimEngine {
   long long* frontier_early_exits_ = nullptr;
   std::map<std::tuple<int, bool, int>, std::array<std::uint16_t, 16>>
       obd_tables_;
-  // Lane-strided per-net scratch (lane_words words per net for the block
-  // kernels; the fault-major kernels use the same buffers one word per
-  // net).
+  // Lane-strided per-net scratch (lane_words words per net).
   std::vector<std::uint64_t> good1_, good2_, bad_;
   // Propagation scratch: per-net changed flags with their reset list, the
   // gate-output staging words, and per-block masks / per-fault excitation
@@ -306,11 +263,6 @@ class FaultSimEngine {
   std::vector<std::uint8_t> changed_;
   std::vector<NetId> touched_;
   std::vector<std::uint64_t> eval_tmp_, force_, diff_, exc_, masks_;
-  // Fault-major injection scratch: per-net forced-to-{0,1} lane masks, the
-  // touched-net reset list, and the faulty valuation buffer.
-  std::vector<std::uint64_t> inj_set0_, inj_set1_;
-  std::vector<NetId> inj_nets_;
-  std::vector<std::uint64_t> pi_bcast_, ibad_;
 };
 
 /// Aggregated per-engine counters (summed over the scheduler's workers),
@@ -326,18 +278,17 @@ struct SimStats {
   long long frontier_early_exits = 0;
 };
 
-/// Schedules fault-simulation calls over packing modes and a worker pool.
-/// (SimPacking/SimOptions live in patterns.hpp.)
+/// Schedules fault-simulation calls as pattern blocks over a worker pool.
+/// (SimOptions lives in patterns.hpp.)
 ///
 /// Determinism contract: matrices and campaigns are bit-identical across
-/// packings, thread counts, and lane widths (the randomized oracle harness
-/// in tests/oracle_common.hpp enforces this against the legacy scalar
+/// thread counts and lane widths (the randomized oracle harness in
+/// tests/oracle_common.hpp enforces this against the legacy scalar
 /// simulators). Threads shard whole pattern blocks (matrix rows are
-/// disjoint per block) or whole tests (fault-major rows are disjoint per
-/// test); fault-dropping campaigns run rounds of `workers * resolve_batch`
-/// blocks against a frozen active list and reconcile detections in block
-/// order between rounds, trading a little redundant tail work for exact
-/// equivalence. Small shapes (gates x blocks x lane_words below a measured
+/// disjoint per block); fault-dropping campaigns run rounds of
+/// `workers * resolve_batch` blocks against a frozen active list and
+/// reconcile detections in block order between rounds, trading a little
+/// redundant tail work for exact equivalence. Small shapes (gates x blocks x lane_words below a measured
 /// threshold) run single-threaded regardless of `threads` — the barrier
 /// tax exceeds the parallel win there.
 class FaultSimScheduler {
@@ -356,14 +307,7 @@ class FaultSimScheduler {
   /// campaigns redo tail work per round by design).
   obs::Sheet merged_metrics() const;
 
-  /// kAuto resolution for a call shape. Fault-major pays one full-circuit
-  /// evaluation per 64 faults per test; pattern-major one cone evaluation
-  /// per fault per 64 tests plus a good evaluation per block — so the
-  /// fault axis wins only when the test list is a small fraction of one
-  /// block and the fault list spans words.
-  SimPacking resolve_packing(std::size_t n_tests, std::size_t n_faults) const;
-
-  /// Workers a pattern-major call with this many blocks actually uses:
+  /// Workers a call with this many blocks actually uses:
   /// min(threads, blocks), gated to 1 when gates x blocks x lane_words
   /// falls below a measured threshold — there the thread-spawn and round-
   /// barrier tax exceeds any parallel win, so the call runs inline.
@@ -392,15 +336,14 @@ class FaultSimScheduler {
       const std::vector<ObdFaultSite>& faults, bool drop_detected = true);
 
  private:
-  template <typename Fault, typename BlockFn, typename TestFn>
+  template <typename Fault, typename BlockFn>
   DetectionMatrix build_matrix(const std::vector<TwoVectorTest>& tests,
                                const std::vector<Fault>& faults,
-                               BlockFn block_fn, TestFn test_fn);
-  template <typename Fault, typename BlockFn, typename TestFn>
+                               BlockFn block_fn);
+  template <typename Fault, typename BlockFn>
   FaultSimEngine::Campaign run_campaign(const std::vector<TwoVectorTest>& tests,
                                         const std::vector<Fault>& faults,
-                                        bool drop_detected, BlockFn block_fn,
-                                        TestFn test_fn);
+                                        bool drop_detected, BlockFn block_fn);
 
   int workers_for(std::size_t jobs) const;
   FaultSimEngine& engine(int worker) { return *engines_[static_cast<std::size_t>(worker)]; }

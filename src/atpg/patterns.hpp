@@ -85,23 +85,13 @@ std::vector<TwoVectorTest> random_pairs(int n_pis, int count,
 std::vector<TwoVectorTest> consecutive_pairs(
     const std::vector<InputVec>& patterns);
 
-/// How a simulation call packs work into 64-bit words. Lives here (not in
-/// faultsim_engine.hpp) so options structs like PodemOptions can name it
-/// without pulling in the engine.
-enum class SimPacking {
-  kAuto,          ///< pick from the (tests, faults) shape per call
-  kPatternMajor,  ///< 64 tests per word, per-fault fanout-cone propagation
-  kFaultMajor,    ///< 64 faults per word, full-circuit injected evaluation
-};
-
-const char* to_string(SimPacking p);
-
+/// Fault-simulation knobs. Lives here (not in faultsim_engine.hpp) so
+/// options structs like PodemOptions can name it without pulling in the
+/// engine.
 struct SimOptions {
-  /// Worker threads for sharding pattern blocks (and fault-major matrix
-  /// rows); 1 runs inline on the calling thread. Results are bit-identical
-  /// at any count.
+  /// Worker threads for sharding pattern blocks; 1 runs inline on the
+  /// calling thread. Results are bit-identical at any count.
   int threads = 1;
-  SimPacking packing = SimPacking::kAuto;
   /// Words per pattern-block lane bundle: 1 = the classic 64-lane blocks,
   /// 4 = 256 lanes, 8 = 512 (the CLI's --lanes divided by 64). Wide
   /// bundles run through the LaneBlock SIMD kernels; detection matrices,

@@ -196,16 +196,7 @@ std::vector<Tri> Circuit::eval3(const std::vector<Tri>& pi_values) const {
 std::vector<std::uint64_t> Circuit::eval_words(
     const std::vector<std::uint64_t>& pi_words, NetId forced_net,
     std::uint64_t forced_value) const {
-  std::vector<std::uint64_t> values;
-  eval_words_into(pi_words, values, forced_net, forced_value);
-  return values;
-}
-
-void Circuit::eval_words_into(const std::vector<std::uint64_t>& pi_words,
-                              std::vector<std::uint64_t>& values,
-                              NetId forced_net,
-                              std::uint64_t forced_value) const {
-  values.assign(net_names_.size(), 0);
+  std::vector<std::uint64_t> values(net_names_.size(), 0);
   for (std::size_t i = 0; i < inputs_.size() && i < pi_words.size(); ++i) {
     const NetId n = inputs_[i];
     values[static_cast<std::size_t>(n)] =
@@ -220,36 +211,27 @@ void Circuit::eval_words_into(const std::vector<std::uint64_t>& pi_words,
         (gate.output == forced_net) ? forced_value
                                     : gate_eval_words(gate.type, ins);
   }
+  return values;
 }
 
 void Circuit::eval_wide_into(const std::vector<std::uint64_t>& pi_words,
                              std::size_t lane_words,
-                             std::vector<std::uint64_t>& values,
-                             NetId forced_net,
-                             const std::uint64_t* forced_words) const {
+                             std::vector<std::uint64_t>& values) const {
   const std::size_t W = lane_words;
   values.assign(net_names_.size() * W, 0);
   for (std::size_t i = 0; i < inputs_.size() && i * W < pi_words.size(); ++i) {
-    const NetId n = inputs_[i];
-    std::uint64_t* dst = values.data() + static_cast<std::size_t>(n) * W;
-    if (n == forced_net && forced_words) {
-      for (std::size_t w = 0; w < W; ++w) dst[w] = forced_words[w];
-    } else {
-      for (std::size_t w = 0; w < W; ++w) dst[w] = pi_words[i * W + w];
-    }
+    std::uint64_t* dst =
+        values.data() + static_cast<std::size_t>(inputs_[i]) * W;
+    for (std::size_t w = 0; w < W; ++w) dst[w] = pi_words[i * W + w];
   }
   const std::uint64_t* ins[8];
   for (int g : topo_order()) {
     const Gate& gate = gates_[static_cast<std::size_t>(g)];
     for (std::size_t k = 0; k < gate.inputs.size(); ++k)
       ins[k] = values.data() + static_cast<std::size_t>(gate.inputs[k]) * W;
-    std::uint64_t* out =
-        values.data() + static_cast<std::size_t>(gate.output) * W;
-    if (gate.output == forced_net && forced_words) {
-      for (std::size_t w = 0; w < W; ++w) out[w] = forced_words[w];
-    } else {
-      gate_eval_words_n(gate.type, ins, out, W);
-    }
+    gate_eval_words_n(gate.type, ins,
+                      values.data() + static_cast<std::size_t>(gate.output) * W,
+                      W);
   }
 }
 

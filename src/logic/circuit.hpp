@@ -105,27 +105,15 @@ class Circuit {
       const std::vector<std::uint64_t>& pi_words, NetId forced_net = kNoNet,
       std::uint64_t forced_value = 0) const;
 
-  /// Allocation-free eval_words: writes per-net words into `values`
-  /// (resized to num_nets()). The block fault-sim engine calls this once
-  /// per 64-pattern block and reuses the buffer across faults.
-  void eval_words_into(const std::vector<std::uint64_t>& pi_words,
-                       std::vector<std::uint64_t>& values,
-                       NetId forced_net = kNoNet,
-                       std::uint64_t forced_value = 0) const;
-
   /// Lane-strided wide evaluation: 64*lane_words independent patterns at
   /// once. PI i's words live at pi_words[i*lane_words .. i*lane_words+W),
   /// and per-net results land at values[net*lane_words ..] (values is
   /// resized to num_nets()*lane_words). Word w of every net is exactly what
-  /// eval_words_into would compute from word w of each PI — wide simulation
-  /// is bit-identical to W narrow passes. `forced_words` (W words, may be
-  /// null for no injection) replaces the forced net's driver output
-  /// wholesale, as in eval_words_into.
+  /// eval_words would compute from word w of each PI — wide simulation is
+  /// bit-identical to W narrow passes.
   void eval_wide_into(const std::vector<std::uint64_t>& pi_words,
                       std::size_t lane_words,
-                      std::vector<std::uint64_t>& values,
-                      NetId forced_net = kNoNet,
-                      const std::uint64_t* forced_words = nullptr) const;
+                      std::vector<std::uint64_t>& values) const;
 
   /// Bit-parallel three-valued evaluation over the same block machinery:
   /// 64 lanes of Kleene values per net in dual-rail words. PIs beyond

@@ -30,17 +30,6 @@
 
 namespace obd::logic {
 
-/// Lane widths the engine supports (words per lane bundle). Kept small so
-/// every width has a compile-time-specialized kernel; the CLI exposes them
-/// as --lanes 64/128/256/512.
-inline constexpr std::size_t kLaneWordChoices[] = {1, 2, 4, 8};
-
-inline bool valid_lane_words(std::size_t w) {
-  for (std::size_t c : kLaneWordChoices)
-    if (c == w) return true;
-  return false;
-}
-
 template <std::size_t W>
 struct LaneBlock {
   std::uint64_t w[W];
@@ -182,8 +171,9 @@ inline void gate_eval_block(GateType t, const std::uint64_t* const* in,
   }
 }
 
-/// Runtime-width dispatch to the compile-time kernels. Widths outside
-/// kLaneWordChoices fall back to a word-at-a-time loop (correct, unfused).
+/// Runtime-width dispatch to the compile-time kernels (1, 2, 4 and 8 words,
+/// the CLI's --lanes 64/128/256/512). Other widths fall back to a
+/// word-at-a-time loop (correct, unfused).
 inline void gate_eval_lanes(GateType t, const std::uint64_t* const* in,
                             std::uint64_t* out, std::size_t n_words) {
   switch (n_words) {

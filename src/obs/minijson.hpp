@@ -3,12 +3,14 @@
 // top-level object whose values are strings, numbers, booleans, null, or a
 // single level of nested object/array (captured as raw text) — exactly what
 // our emitters produce. Not a general JSON parser; unknown shapes fail the
-// parse rather than mis-read.
+// parse rather than mis-read, and a numeric getter takes the whole value
+// token or fails (no "12abc" read as 12, no overflow clamped to a limit).
 #pragma once
 
-#include <cctype>
+#include <charconv>
+#include <cmath>
 #include <cstdint>
-#include <cstdlib>
+#include <cstdio>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -106,6 +108,27 @@ inline bool capture_nested(std::string_view s, std::size_t& i,
 
 }  // namespace detail
 
+/// Whole-token decimal integer: an optional '-' and digits, nothing else,
+/// inside the int64 range. "12abc", "1e3" and "9223372036854775808" fail.
+inline bool to_i64(std::string_view s, std::int64_t& out) {
+  std::int64_t v = 0;
+  const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
+  if (ec != std::errc() || end != s.data() + s.size()) return false;
+  out = v;
+  return true;
+}
+
+/// Whole-token finite decimal number: overflow, underflow, NaN and inf
+/// fail, and so does any trailing text.
+inline bool to_f64(std::string_view s, double& out) {
+  double v = 0.0;
+  const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
+  if (ec != std::errc() || end != s.data() + s.size() || !std::isfinite(v))
+    return false;
+  out = v;
+  return true;
+}
+
 /// Parses one flat JSON object. Returns false on any syntax surprise.
 inline bool parse_object(std::string_view s, std::vector<Field>& out) {
   out.clear();
@@ -167,26 +190,18 @@ inline const Field* find(const std::vector<Field>& fields,
   return nullptr;
 }
 
+/// Integer field (see to_i64); false when missing or not strict.
 inline bool get_i64(const std::vector<Field>& fields, std::string_view key,
                     std::int64_t& out) {
   const Field* f = find(fields, key);
-  if (!f) return false;
-  char* end = nullptr;
-  const long long v = std::strtoll(f->raw.c_str(), &end, 10);
-  if (end == f->raw.c_str()) return false;
-  out = v;
-  return true;
+  return f && !f->was_string && to_i64(f->raw, out);
 }
 
+/// Finite number field (see to_f64); false when missing or not strict.
 inline bool get_f64(const std::vector<Field>& fields, std::string_view key,
                     double& out) {
   const Field* f = find(fields, key);
-  if (!f) return false;
-  char* end = nullptr;
-  const double v = std::strtod(f->raw.c_str(), &end);
-  if (end == f->raw.c_str()) return false;
-  out = v;
-  return true;
+  return f && !f->was_string && to_f64(f->raw, out);
 }
 
 inline bool get_str(const std::vector<Field>& fields, std::string_view key,
@@ -195,6 +210,32 @@ inline bool get_str(const std::vector<Field>& fields, std::string_view key,
   if (!f || !f->was_string) return false;
   out = f->raw;
   return true;
+}
+
+/// Escapes `s` for a JSON string body; parse_object reads it back
+/// byte for byte.
+inline std::string escape(std::string_view s) {
+  std::string out;
+  out.reserve(s.size() + 2);
+  for (char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\t': out += "\\t"; break;
+      case '\r': out += "\\r"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x",
+                        static_cast<unsigned>(static_cast<unsigned char>(c)));
+          out += buf;
+        } else {
+          out += c;
+        }
+    }
+  }
+  return out;
 }
 
 }  // namespace obd::obs::minijson

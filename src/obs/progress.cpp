@@ -4,6 +4,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <climits>
 #include <cstdio>
 #include <fstream>
 
@@ -12,40 +13,46 @@
 namespace obd::obs {
 
 std::string heartbeat_json(const Heartbeat& hb) {
-  char buf[512];
+  // Large enough for every field at its widest: any finite double printed
+  // with %.6f takes at most 317 characters.
+  char buf[1024];
   std::snprintf(buf, sizeof(buf),
-                "{\"shard\":%d,\"phase\":\"%s\",\"resolved\":%lld,"
-                "\"assigned\":%lld,\"detected\":%lld,\"aborted\":%lld,"
-                "\"coverage\":%.6f,\"ckpt_seq\":%lld,\"elapsed_s\":%.3f,"
-                "\"ts_us\":%lld}",
-                hb.shard, hb.phase.c_str(), hb.resolved, hb.assigned,
-                hb.detected, hb.aborted, hb.coverage, hb.ckpt_seq,
-                hb.elapsed_s, static_cast<long long>(hb.ts_us));
-  return std::string(buf);
+                ",\"resolved\":%lld,\"assigned\":%lld,\"detected\":%lld,"
+                "\"aborted\":%lld,\"coverage\":%.6f,\"ckpt_seq\":%lld,"
+                "\"elapsed_s\":%.3f,\"ts_us\":%lld}",
+                hb.resolved, hb.assigned, hb.detected, hb.aborted, hb.coverage,
+                hb.ckpt_seq, hb.elapsed_s, static_cast<long long>(hb.ts_us));
+  return "{\"shard\":" + std::to_string(hb.shard) + ",\"phase\":\"" +
+         minijson::escape(hb.phase) + "\"" + buf;
 }
 
 bool parse_heartbeat(std::string_view line, Heartbeat& out) {
   std::vector<minijson::Field> fields;
   if (!minijson::parse_object(line, fields)) return false;
-  std::int64_t v = 0;
-  if (!minijson::get_i64(fields, "shard", v)) return false;
-  out.shard = static_cast<int>(v);
-  if (!minijson::get_str(fields, "phase", out.phase)) return false;
-  if (!minijson::get_i64(fields, "resolved", v)) return false;
-  out.resolved = v;
-  if (!minijson::get_i64(fields, "assigned", v)) return false;
-  out.assigned = v;
-  if (!minijson::get_i64(fields, "detected", v)) return false;
-  out.detected = v;
-  if (!minijson::get_i64(fields, "aborted", v)) return false;
-  out.aborted = v;
-  if (!minijson::get_f64(fields, "coverage", out.coverage)) return false;
-  if (!minijson::get_i64(fields, "ckpt_seq", v)) return false;
-  out.ckpt_seq = v;
-  if (!minijson::get_f64(fields, "elapsed_s", out.elapsed_s)) return false;
-  if (!minijson::get_i64(fields, "ts_us", v)) return false;
-  out.ts_us = v;
-  return true;
+  // Counts stay below 2^32, so the supervisor's long long sums over shards
+  // cannot overflow.
+  const auto get_count = [&](std::string_view key, long long& dst) {
+    std::int64_t v = 0;
+    if (!minijson::get_i64(fields, key, v) || v < 0 ||
+        v >= (std::int64_t{1} << 32))
+      return false;
+    dst = v;
+    return true;
+  };
+  std::int64_t shard = 0;
+  if (!minijson::get_i64(fields, "shard", shard) || shard < 0 ||
+      shard > INT_MAX)
+    return false;
+  out.shard = static_cast<int>(shard);
+  return minijson::get_str(fields, "phase", out.phase) &&
+         get_count("resolved", out.resolved) &&
+         get_count("assigned", out.assigned) &&
+         get_count("detected", out.detected) &&
+         get_count("aborted", out.aborted) &&
+         minijson::get_f64(fields, "coverage", out.coverage) &&
+         get_count("ckpt_seq", out.ckpt_seq) &&
+         minijson::get_f64(fields, "elapsed_s", out.elapsed_s) &&
+         minijson::get_i64(fields, "ts_us", out.ts_us);
 }
 
 std::string progress_path(const std::string& checkpoint_dir, int shard) {

@@ -10,34 +10,6 @@
 
 namespace obd::obs {
 
-namespace {
-
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-}  // namespace
-
 struct Recorder::Impl {
   std::atomic<bool> enabled{false};
   mutable std::mutex mu;
@@ -212,22 +184,21 @@ void Recorder::clear() {
 }
 
 std::string event_json(const TraceEvent& ev) {
-  std::string out = "{\"name\":\"" + json_escape(ev.name) + "\"";
-  if (!ev.cat.empty()) out += ",\"cat\":\"" + json_escape(ev.cat) + "\"";
-  out += ",\"ph\":\"";
-  out += ev.ph;
+  std::string out = "{\"name\":\"" + minijson::escape(ev.name) + "\"";
+  if (!ev.cat.empty()) out += ",\"cat\":\"" + minijson::escape(ev.cat) + "\"";
+  out += ",\"ph\":\"" + minijson::escape(std::string_view(&ev.ph, 1));
   out += "\",\"ts\":" + std::to_string(ev.ts_us);
   out += ",\"pid\":" + std::to_string(ev.pid);
   out += ",\"tid\":" + std::to_string(ev.tid);
   if (ev.ph == 'M') {
-    out += ",\"args\":{\"name\":\"" + json_escape(ev.arg_name) + "\"}";
+    out += ",\"args\":{\"name\":\"" + minijson::escape(ev.arg_name) + "\"}";
   } else if (!ev.args.empty()) {
     out += ",\"args\":{";
     bool first = true;
     for (const auto& [k, v] : ev.args) {
       if (!first) out += ',';
       first = false;
-      out += "\"" + json_escape(k) + "\":" + std::to_string(v);
+      out += "\"" + minijson::escape(k) + "\":" + std::to_string(v);
     }
     out += "}";
   }
@@ -270,13 +241,17 @@ bool parse_event_line(std::string_view line, TraceEvent& out) {
   if (!minijson::get_str(fields, "ph", ph) || ph.size() != 1) return false;
   out.ph = ph[0];
   minijson::get_str(fields, "cat", out.cat);
-  std::int64_t v = 0;
-  if (!minijson::get_i64(fields, "ts", v)) return false;
-  out.ts_us = v;
-  if (!minijson::get_i64(fields, "pid", v)) return false;
-  out.pid = static_cast<std::int32_t>(v);
-  if (!minijson::get_i64(fields, "tid", v)) return false;
-  out.tid = static_cast<std::int32_t>(v);
+  if (!minijson::get_i64(fields, "ts", out.ts_us)) return false;
+  // pid/tid name tracks: a value outside int32 must not wrap onto another
+  // process's track (4294967296 would land on the supervisor's pid 0).
+  const auto get_i32 = [&](std::string_view key, std::int32_t& dst) {
+    std::int64_t v = 0;
+    if (!minijson::get_i64(fields, key, v) || v < INT32_MIN || v > INT32_MAX)
+      return false;
+    dst = static_cast<std::int32_t>(v);
+    return true;
+  };
+  if (!get_i32("pid", out.pid) || !get_i32("tid", out.tid)) return false;
   out.args.clear();
   out.arg_name.clear();
   if (const minijson::Field* args = minijson::find(fields, "args")) {
@@ -285,10 +260,8 @@ bool parse_event_line(std::string_view line, TraceEvent& out) {
       for (const minijson::Field& f : inner) {
         if (f.was_string) {
           if (f.key == "name") out.arg_name = f.raw;
-        } else {
-          char* end = nullptr;
-          const long long n = std::strtoll(f.raw.c_str(), &end, 10);
-          if (end != f.raw.c_str()) out.args.emplace_back(f.key, n);
+        } else if (std::int64_t n = 0; minijson::to_i64(f.raw, n)) {
+          out.args.emplace_back(f.key, n);
         }
       }
     }

@@ -3,8 +3,8 @@
 // One reference, many implementations: the legacy scalar simulators
 // (one fault, one pattern, full-circuit evaluation — slow but obviously
 // correct) define the detection semantics; every engine configuration —
-// pattern-major blocks, fault-major packing, and the threaded scheduler at
-// 1/2/4 workers — must reproduce their DetectionMatrix bit for bit, and
+// pattern blocks of 64 to 512 lanes on the threaded scheduler at 1/2/4
+// workers — must reproduce their DetectionMatrix bit for bit, and
 // every campaign must agree on (first_test, detected) with the
 // single-threaded fault-dropping engine. Shared by test_faultsim_engine.cpp
 // and test_faultsim_scheduler.cpp.
@@ -34,28 +34,17 @@ inline std::vector<logic::Circuit> zoo() {
   return out;
 }
 
-/// Engine configurations swept against the legacy reference: threads x
-/// packing, then the wide LaneBlock bundles (lane widths 2/4/8 words x
-/// thread counts — lane_words rides along silently in fault-major, which
-/// packs faults per word).
+/// Engine configurations swept against the legacy reference: thread
+/// counts at 64 lanes, then the wide LaneBlock bundles (lane widths 2/4/8
+/// words x thread counts).
 inline std::vector<SimOptions> sweep_configs() {
-  return {// SimOptions: {threads, packing, lane_words}
-          {1, SimPacking::kPatternMajor}, {1, SimPacking::kFaultMajor},
-          {2, SimPacking::kPatternMajor}, {4, SimPacking::kPatternMajor},
-          {2, SimPacking::kFaultMajor},   {4, SimPacking::kFaultMajor},
-          {1, SimPacking::kPatternMajor, 2},
-          {1, SimPacking::kPatternMajor, 4},
-          {1, SimPacking::kPatternMajor, 8},
-          {2, SimPacking::kPatternMajor, 2},
-          {2, SimPacking::kPatternMajor, 4},
-          {4, SimPacking::kPatternMajor, 4},
-          {4, SimPacking::kPatternMajor, 8},
-          {2, SimPacking::kFaultMajor, 4}};
+  return {// SimOptions: {threads, lane_words}
+          {1},    {2},    {4},    {1, 2}, {1, 4}, {1, 8},
+          {2, 2}, {2, 4}, {4, 4}, {4, 8}};
 }
 
 inline std::string config_name(const SimOptions& o) {
-  return std::string(to_string(o.packing)) + "/" +
-         std::to_string(o.threads) + "t/" +
+  return std::to_string(o.threads) + "t/" +
          std::to_string(64 * (o.lane_words < 1 ? 1 : o.lane_words)) + "l";
 }
 

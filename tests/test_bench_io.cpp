@@ -10,6 +10,7 @@
 
 #include "io/bench.hpp"
 #include "logic/zoo.hpp"
+#include "mutation_common.hpp"
 #include "util/prng.hpp"
 
 namespace obd::io {
@@ -229,31 +230,7 @@ TEST(BenchIo, SeededMutationsLocateEveryError) {
     ASSERT_FALSE(base.empty()) << file;
     int accepted = 0;
     for (int m = 0; m < 1000; ++m) {
-      std::string text = base;
-      const int ops = 1 + static_cast<int>(prng.next_below(3));
-      for (int k = 0; k < ops && !text.empty(); ++k) {
-        const std::size_t at = prng.next_below(text.size());
-        const std::size_t span =
-            std::min<std::size_t>(1 + prng.next_below(24), text.size() - at);
-        switch (prng.next_below(5)) {
-          case 0:  // flip one bit
-            text[at] = static_cast<char>(text[at] ^ (1 << prng.next_below(8)));
-            break;
-          case 1:  // overwrite with a delimiter
-            text[at] = specials[prng.next_below(specials.size())];
-            break;
-          case 2:
-            text.erase(at, span);
-            break;
-          case 3:
-            text.resize(at);
-            break;
-          default:  // duplicate a span somewhere else
-            text.insert(prng.next_below(text.size() + 1),
-                        text.substr(at, span));
-            break;
-        }
-      }
+      const std::string text = testing_mutation::mutate(base, prng, specials);
       const BenchParseResult a = parse_bench(text, "mutant");
       if (!a.ok) {
         ASSERT_EQ(a.error.rfind("line ", 0), 0u)

@@ -17,13 +17,10 @@ using logic::Circuit;
 std::vector<Circuit> zoo_circuits() { return oracle::zoo(); }
 
 TEST(FaultSimOracle, EnginePackingsMatchLegacyScalar) {
-  // Single-threaded packings only (the threaded sweep is owned by
+  // Single-threaded configurations only (the threaded sweep is owned by
   // test_faultsim_scheduler, so the zoo-wide matrix build runs once per
   // engine concern rather than twice in full), at every LaneBlock width.
-  const std::vector<SimOptions> configs = {
-      {1, SimPacking::kPatternMajor},    {1, SimPacking::kFaultMajor},
-      {1, SimPacking::kPatternMajor, 2}, {1, SimPacking::kPatternMajor, 4},
-      {1, SimPacking::kPatternMajor, 8}};
+  const std::vector<SimOptions> configs = {{1}, {1, 2}, {1, 4}, {1, 8}};
   std::uint64_t seed = 0x0bd0007;
   for (const Circuit& c : zoo_circuits())
     oracle::sweep_matrices(c, 130, seed++, configs);

@@ -1,6 +1,6 @@
-// FaultSimScheduler: packing-mode selection, thread sharding, deterministic
-// fault-drop reconciliation, and the X-aware (3-valued) detection path —
-// all pinned to the legacy scalar oracle by the randomized harness.
+// FaultSimScheduler: thread sharding, deterministic fault-drop
+// reconciliation, and the X-aware (3-valued) detection path — all pinned to
+// the legacy scalar oracle by the randomized harness.
 #include <gtest/gtest.h>
 
 #include "atpg/atpg.hpp"
@@ -30,28 +30,13 @@ TEST(SchedulerOracle, UndroppedCampaignsMatchSingleThreadedEngine) {
   oracle::sweep_campaigns(c, 150, 0x5c4ed003, /*drop=*/false);
 }
 
-TEST(SchedulerOracle, TinyTestListsExerciseFaultMajorPacking) {
-  // 1..8 tests select the fault axis under kAuto; equivalence must hold on
-  // partial trailing fault words too (faults % 64 != 0 everywhere here).
+TEST(SchedulerOracle, TinyTestListsMatchLegacy) {
+  // 1..8 tests fill one block's first lanes only; equivalence must hold on
+  // those partial blocks and on partial trailing fault words too
+  // (faults % 64 != 0 everywhere here).
   std::uint64_t seed = 0x5c4ed004;
   for (const Circuit& c : oracle::zoo())
     for (int n_tests : {1, 3, 8}) oracle::sweep_matrices(c, n_tests, seed++);
-}
-
-TEST(Scheduler, AutoPackingFollowsCallShape) {
-  const Circuit c = logic::c17();
-  FaultSimScheduler sched(c);  // defaults: 1 thread, kAuto
-  // Few tests, many faults -> fault-major.
-  EXPECT_EQ(sched.resolve_packing(1, 64), SimPacking::kFaultMajor);
-  EXPECT_EQ(sched.resolve_packing(8, 500), SimPacking::kFaultMajor);
-  // A big test list always rides the pattern blocks.
-  EXPECT_EQ(sched.resolve_packing(9, 500), SimPacking::kPatternMajor);
-  EXPECT_EQ(sched.resolve_packing(512, 500), SimPacking::kPatternMajor);
-  // A tiny fault list is not worth a full-circuit injected eval per test.
-  EXPECT_EQ(sched.resolve_packing(1, 63), SimPacking::kPatternMajor);
-
-  FaultSimScheduler forced(c, {1, SimPacking::kFaultMajor});
-  EXPECT_EQ(forced.resolve_packing(512, 1), SimPacking::kFaultMajor);
 }
 
 TEST(Scheduler, ThreadCountDoesNotChangeDropWorkAccounting) {
@@ -65,7 +50,7 @@ TEST(Scheduler, ThreadCountDoesNotChangeDropWorkAccounting) {
   FaultSimEngine engine(c);
   const auto ref = engine.campaign_obd(tests, faults, true);
   for (int threads : {1, 2, 4}) {
-    FaultSimScheduler sched(c, {threads, SimPacking::kPatternMajor});
+    FaultSimScheduler sched(c, {threads});
     const auto got = sched.campaign_obd(tests, faults, true);
     EXPECT_EQ(got.first_test, ref.first_test) << threads;
     EXPECT_EQ(got.detected, ref.detected) << threads;
@@ -80,18 +65,18 @@ TEST(Scheduler, SmallShapesAutoSerialize) {
   // scheduler runs inline regardless of the thread knob; past it the
   // requested workers engage (capped by the block count).
   const Circuit c = logic::c17();  // 6 gates: always sub-threshold
-  FaultSimScheduler sched(c, {4, SimPacking::kPatternMajor});
+  FaultSimScheduler sched(c, {4});
   EXPECT_EQ(sched.pattern_workers(4), 1);
   EXPECT_EQ(sched.pattern_workers(100), 1);
 
   const Circuit big = logic::array_multiplier(6);  // 444 gates
-  FaultSimScheduler bsched(big, {4, SimPacking::kPatternMajor});
+  FaultSimScheduler bsched(big, {4});
   EXPECT_EQ(bsched.pattern_workers(64), 4);  // big shape: all 4 engage
   EXPECT_EQ(bsched.pattern_workers(8), 1);   // 444 x 8 < threshold: inline
 
   // Wide lanes raise the per-block work, so fewer blocks cross the gate —
   // and the block count still caps the workers past it.
-  FaultSimScheduler wsched(big, {4, SimPacking::kPatternMajor, 8});
+  FaultSimScheduler wsched(big, {4, 8});
   EXPECT_EQ(wsched.pattern_workers(8), 4);
   EXPECT_EQ(wsched.pattern_workers(3), 3);
   EXPECT_EQ(wsched.pattern_workers(2), 1);  // 444 x 2 x 8 is sub-threshold
@@ -114,9 +99,9 @@ TEST(Scheduler, BatchedRoundsMatchEngineAboveSerialThreshold) {
   const Circuit c = logic::array_multiplier(4);
   const auto faults = enumerate_obd_faults(c);
   for (const Row& row : std::vector<Row>{
-           {{2, SimPacking::kPatternMajor}, 3200},
-           {{4, SimPacking::kPatternMajor}, 3200},
-           {{2, SimPacking::kPatternMajor, 4}, 8192},  // wide lanes
+           {{2}, 3200},
+           {{4}, 3200},
+           {{2, 4}, 8192},  // wide lanes
        }) {
     const SimOptions& o = row.sim;
     const std::string label = oracle::config_name(o);
@@ -165,7 +150,7 @@ TEST(Scheduler, ConeTableCountedOnceAtAnyThreadCount) {
 TEST(Scheduler, EmptyShapes) {
   const Circuit c = logic::c17();
   const auto faults = enumerate_obd_faults(c);
-  FaultSimScheduler sched(c, {4, SimPacking::kAuto});
+  FaultSimScheduler sched(c, {4});
   const DetectionMatrix no_tests = sched.matrix_obd({}, faults);
   EXPECT_EQ(no_tests.n_tests, 0u);
   EXPECT_EQ(no_tests.covered_count, 0);
@@ -185,7 +170,7 @@ TEST(Scheduler, MoreThreadsThanBlocksIsFine) {
       random_pairs(static_cast<int>(c.inputs().size()), 30, 0x5c4ed006);
   FaultSimEngine engine(c);
   const auto ref = engine.campaign_transition(tests, faults, true);
-  FaultSimScheduler sched(c, {16, SimPacking::kPatternMajor});
+  FaultSimScheduler sched(c, {16});
   const auto got = sched.campaign_transition(tests, faults, true);
   EXPECT_EQ(got.first_test, ref.first_test);
 }

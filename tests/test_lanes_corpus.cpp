@@ -3,7 +3,7 @@
 // The LaneBlock engine must be a pure throughput knob — on c2670 and c7552
 // (the wide >64-PI tier where the old engine hit its cliff), detection
 // matrices and campaign matrix_hash values are bit-identical across lane
-// widths 64/256/512, thread counts 1/2/4, and both packings. The zoo-level
+// widths 64/256/512 and thread counts 1/2/4. The zoo-level
 // legacy-reference sweeps live in oracle_common.hpp; these tests pin the
 // corpus scale, where cones are deep enough to exercise frontier early
 // exits and multi-word value strides for real.
@@ -34,26 +34,20 @@ Circuit load_prim(const std::string& file) {
   return logic::decompose_composites(view);
 }
 
-/// Matrix bit-identity across lane widths x threads x packings, against
-/// the 1-thread 64-lane pattern-major baseline.
+/// Matrix bit-identity across lane widths x threads, against the 1-thread
+/// 64-lane baseline.
 void sweep_lanes(const std::string& file, int n_tests) {
   const Circuit c = load_prim(file);
   const auto faults = enumerate_obd_faults(c);
   const auto tests =
       random_pairs(static_cast<int>(c.inputs().size()), n_tests, 0x1a9e5);
 
-  FaultSimScheduler base(c, {1, SimPacking::kPatternMajor});
+  FaultSimScheduler base(c, {1});
   const DetectionMatrix ref = base.matrix_obd(tests, faults);
   EXPECT_GT(ref.covered_count, 0) << file;
 
-  for (const SimOptions& o : std::vector<SimOptions>{
-           {1, SimPacking::kPatternMajor, 4},
-           {1, SimPacking::kPatternMajor, 8},
-           {2, SimPacking::kPatternMajor, 4},
-           {4, SimPacking::kPatternMajor, 8},
-           {2, SimPacking::kPatternMajor, 8},
-           {1, SimPacking::kFaultMajor, 4},
-       }) {
+  for (const SimOptions& o :
+       std::vector<SimOptions>{{1, 4}, {1, 8}, {2, 4}, {4, 8}, {2, 8}}) {
     FaultSimScheduler sched(c, o);
     oracle::expect_matrices_identical(ref, sched.matrix_obd(tests, faults),
                                       c.name() + " " + oracle::config_name(o));

@@ -14,11 +14,13 @@
 #include "atpg/atpg.hpp"
 #include "flow/checkpoint.hpp"
 #include "logic/zoo.hpp"
+#include "mutation_common.hpp"
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
 #include "obs/minijson.hpp"
 #include "obs/progress.hpp"
 #include "obs/trace.hpp"
+#include "util/prng.hpp"
 
 namespace obd::obs {
 namespace {
@@ -244,6 +246,145 @@ TEST(Progress, HeartbeatJsonRoundTrip) {
   EXPECT_FALSE(parse_heartbeat("{\"shard\":1}", back));
 }
 
+TEST(Ndjson, HostileNumbersAreRejected) {
+  // One bad number in an otherwise valid line. A lenient reader took these
+  // as resolved 12, shard 1, ts 1 and pid 0 — the last one stitching a
+  // shard's spans onto the supervisor's own track.
+  using Swap = std::pair<std::string, std::string>;
+  const auto swap = [](std::string line, const std::string& from,
+                       const std::string& to) {
+    const std::size_t at = line.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    return at == std::string::npos ? line : line.replace(at, from.size(), to);
+  };
+  Heartbeat hb;
+  hb.shard = 1;
+  hb.phase = "topoff";
+  hb.resolved = 12;
+  const std::string beat = heartbeat_json(hb);
+  Heartbeat back;
+  ASSERT_TRUE(parse_heartbeat(beat, back));
+  for (const auto& [from, to] : std::vector<Swap>{
+           {"\"resolved\":12", "\"resolved\":12abc"},
+           {"\"shard\":1", "\"shard\":4294967297"},
+           {"\"shard\":1", "\"shard\":-1"},
+           {"\"resolved\":12", "\"resolved\":4294967296"},
+           {"\"resolved\":12", "\"resolved\":99999999999999999999"},
+           {"\"coverage\":0.000000", "\"coverage\":nan"},
+           {"\"coverage\":0.000000", "\"coverage\":1e999"},
+       }) {
+    EXPECT_FALSE(parse_heartbeat(swap(beat, from, to), back)) << to;
+  }
+
+  const std::string event =
+      "{\"name\":\"x\",\"ph\":\"B\",\"ts\":5,\"pid\":1,\"tid\":0}";
+  TraceEvent ev;
+  ASSERT_TRUE(parse_event_line(event, ev));
+  for (const auto& [from, to] : std::vector<Swap>{
+           {"\"ts\":5", "\"ts\":1e3"},
+           {"\"pid\":1", "\"pid\":4294967296"},
+           {"\"tid\":0", "\"tid\":-2147483649"},
+           {"\"ts\":5", "\"ts\":5.0"},
+       }) {
+    EXPECT_FALSE(parse_event_line(swap(event, from, to), ev)) << to;
+  }
+}
+
+TEST(Ndjson, SeededMutationsNeverCrashAndRoundTrip) {
+  // Hostile lines: fixed-seed mutants of real heartbeats and trace-fragment
+  // events. Nothing may crash (the ASan job runs this), and whatever a
+  // reader accepts must survive its writer: re-serialized, it parses back
+  // to the same values (doubles to the writer's printed precision).
+  util::Prng prng(0x0b5f022);
+  const std::string specials = "{}[]:,\"\\ -.e0123456789";
+
+  std::vector<std::string> beats;
+  for (const char* phase : {"prepass", "topoff", "done"}) {
+    Heartbeat hb;
+    hb.shard = static_cast<int>(beats.size()) * 3;
+    hb.phase = phase;
+    hb.resolved = 120;
+    hb.assigned = 500;
+    hb.detected = 100;
+    hb.aborted = 2;
+    hb.coverage = 0.2;
+    hb.ckpt_seq = 7;
+    hb.elapsed_s = 1.5;
+    hb.ts_us = 1234567890123456;
+    beats.push_back(heartbeat_json(hb));
+  }
+  int accepted = 0;
+  for (int m = 0; m < 3000; ++m) {
+    const std::string text =
+        testing_mutation::mutate(beats[m % beats.size()], prng, specials);
+    Heartbeat a;
+    if (!parse_heartbeat(text, a)) continue;
+    ++accepted;
+    const std::string again = heartbeat_json(a);
+    Heartbeat b;
+    ASSERT_TRUE(parse_heartbeat(again, b)) << text << " -> " << again;
+    EXPECT_EQ(a.shard, b.shard) << text;
+    EXPECT_EQ(a.phase, b.phase) << text;
+    EXPECT_EQ(a.resolved, b.resolved) << text;
+    EXPECT_EQ(a.assigned, b.assigned) << text;
+    EXPECT_EQ(a.detected, b.detected) << text;
+    EXPECT_EQ(a.aborted, b.aborted) << text;
+    EXPECT_NEAR(a.coverage, b.coverage, 1e-6) << text;
+    EXPECT_EQ(a.ckpt_seq, b.ckpt_seq) << text;
+    EXPECT_NEAR(a.elapsed_s, b.elapsed_s, 1e-3) << text;
+    EXPECT_EQ(a.ts_us, b.ts_us) << text;
+  }
+  EXPECT_GT(accepted, 0);
+
+  std::vector<std::string> lines;
+  {
+    TraceEvent ev;
+    ev.name = "topoff";
+    ev.cat = "shard";
+    ev.ph = 'B';
+    ev.ts_us = 1700000000123456;
+    ev.pid = 3;
+    ev.tid = 1;
+    lines.push_back(event_json(ev));
+    ev.ph = 'E';
+    lines.push_back(event_json(ev));
+    ev.ph = 'C';
+    ev.name = "resolved";
+    ev.args = {{"faults", 17}, {"aborted", -2}};
+    lines.push_back(event_json(ev));
+    ev.ph = 'M';
+    ev.name = "process_name";
+    ev.args.clear();
+    ev.arg_name = "shard 2";
+    lines.push_back(event_json(ev));
+  }
+  accepted = 0;
+  for (int m = 0; m < 3000; ++m) {
+    const std::string text =
+        testing_mutation::mutate(lines[m % lines.size()], prng, specials);
+    TraceEvent a;
+    if (!parse_event_line(text, a)) continue;
+    ++accepted;
+    const std::string again = event_json(a);
+    TraceEvent b;
+    ASSERT_TRUE(parse_event_line(again, b)) << text << " -> " << again;
+    EXPECT_EQ(a.name, b.name) << text;
+    EXPECT_EQ(a.cat, b.cat) << text;
+    EXPECT_EQ(a.ph, b.ph) << text;
+    EXPECT_EQ(a.ts_us, b.ts_us) << text;
+    EXPECT_EQ(a.pid, b.pid) << text;
+    EXPECT_EQ(a.tid, b.tid) << text;
+    // The writer renders a metadata event's string payload and every other
+    // event's numeric args.
+    if (a.ph == 'M') {
+      EXPECT_EQ(a.arg_name, b.arg_name) << text;
+    } else {
+      EXPECT_EQ(a.args, b.args) << text;
+    }
+  }
+  EXPECT_GT(accepted, 0);
+}
+
 TEST(Progress, WriterAppendsAndLastLineWins) {
   const fs::path dir = fs::temp_directory_path() / "obd_obs_test";
   fs::create_directories(dir);
@@ -328,7 +469,7 @@ TEST(Determinism, MatrixIdenticalWithTracingOnOffAcrossThreads) {
   const auto tests =
       random_pairs(static_cast<int>(c.inputs().size()), 256, 0x0b5eed);
 
-  FaultSimScheduler ref(c, {1, SimPacking::kPatternMajor});
+  FaultSimScheduler ref(c, {1});
   const DetectionMatrix base = ref.matrix_obd(tests, faults);
   const Sheet ref_metrics = ref.merged_metrics();
   const std::vector<MetricValue> ref_snap = snapshot(ref_metrics);
@@ -337,7 +478,7 @@ TEST(Determinism, MatrixIdenticalWithTracingOnOffAcrossThreads) {
   for (const bool traced : {false, true}) {
     if (traced) Recorder::instance().enable(0, "determinism-test");
     for (const int threads : {1, 2, 4}) {
-      FaultSimScheduler sched(c, {threads, SimPacking::kPatternMajor});
+      FaultSimScheduler sched(c, {threads});
       const DetectionMatrix m = sched.matrix_obd(tests, faults);
       EXPECT_EQ(m.rows, base.rows) << "threads=" << threads
                                    << " traced=" << traced;

@@ -28,6 +28,8 @@
 #include "flow/inject.hpp"
 #include "flow/shard.hpp"
 #include "io/bench.hpp"
+#include "mutation_common.hpp"
+#include "util/prng.hpp"
 
 namespace obd::flow {
 namespace {
@@ -493,6 +495,39 @@ TEST_F(SupervisorTest, InjectSpecParserRejectsEveryMalformedEntry) {
   EXPECT_TRUE(inj.configure("sigkill#2@*,delay=10@1:*,corrupt-crc@0", &err))
       << err;
   EXPECT_TRUE(inj.active());
+  inj.reset();
+}
+
+TEST_F(SupervisorTest, InjectSpecSeededMutationsNeverHalfInstall) {
+  // Hostile specs: fixed-seed mutants of valid ones. Each is configured
+  // over an installed valid spec; a rejected mutant must leave the injector
+  // inactive and name the offending entry in its diagnostic.
+  FaultInjector& inj = FaultInjector::instance();
+  util::Prng prng(0x1ec7f022);
+  const std::string specials = "@#=:*,-0123456789";
+  const std::vector<std::string> valid = {
+      "sigkill#2@*,delay=10@1:*,corrupt-crc@0",
+      "abort-mid-write@1,delay=1500@2:*",
+      "abort-before-rename#3@0:1",
+  };
+  int accepted = 0, rejected = 0;
+  for (std::size_t m = 0; m < 3000; ++m) {
+    const std::string& base = valid[m % valid.size()];
+    std::string err;
+    ASSERT_TRUE(inj.configure(base, &err)) << err;
+    const std::string spec = testing_mutation::mutate(base, prng, specials);
+    err.clear();
+    if (inj.configure(spec, &err)) {
+      ++accepted;
+      EXPECT_EQ(inj.active(), !spec.empty()) << spec;
+      continue;
+    }
+    ++rejected;
+    EXPECT_FALSE(inj.active()) << spec;
+    EXPECT_EQ(err.rfind("inject entry '", 0), 0u) << spec << ": " << err;
+  }
+  EXPECT_GT(accepted, 0);
+  EXPECT_GT(rejected, 0);
   inj.reset();
 }
 

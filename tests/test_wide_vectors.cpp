@@ -4,7 +4,7 @@
 //  - XTwoVectorTest::compatible/merged property tests past one word;
 //  - the randomized engine-vs-legacy oracle swept across PI widths
 //    1/63/64/65/128/200 — the legacy scalar simulators stay the semantics
-//    reference at every width, and every packing x thread configuration
+//    reference at every width, and every lane-width x thread configuration
 //    must match them bit for bit;
 //  - scan machinery on a 70-flop chain (140-input scan view).
 #include <gtest/gtest.h>
@@ -243,7 +243,7 @@ TEST(WideScan, BroadsideCampaignAgreesWithVerifierOn70Flops) {
     EXPECT_FALSE(t.state2_loaded);
     vectors.push_back(scan_view_vectors(seq, t));
   }
-  FaultSimScheduler sched(sv, SimOptions{2, SimPacking::kPatternMajor});
+  FaultSimScheduler sched(sv, SimOptions{2});
   const auto campaign = sched.campaign_obd(vectors, faults, true);
   EXPECT_GT(campaign.detected, 0);
   int verified = 0;
