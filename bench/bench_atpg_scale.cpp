@@ -103,8 +103,9 @@ std::vector<logic::Circuit> iscas_circuits(bool wide = false) {
   return out;
 }
 
-/// Times legacy scalar vs block engine (with and without fault dropping)
-/// over the same OBD fault list and test set.
+/// Times legacy scalar vs pattern blocks over the same OBD fault list and
+/// test set, on a 1-thread scheduler: detection matrices at 64 and 256
+/// lanes, then a fault-dropping campaign at 64.
 SimComparison compare_obd_sim(const logic::Circuit& c, int n_tests) {
   SimComparison r;
   r.circuit = c.name();
@@ -129,26 +130,26 @@ SimComparison compare_obd_sim(const logic::Circuit& c, int n_tests) {
     r.legacy_s = seconds_since(t0);
   }
   {
-    FaultSimEngine engine(c);
+    FaultSimScheduler sched(c, {1});
     r.block_s = min2([&] {
-      r.block_detected = engine.campaign_obd(tests, faults, false).detected;
+      r.block_detected = sched.matrix_obd(tests, faults).covered_count;
     });
   }
   {
-    FaultSimEngine wide(c, EngineOptions{/*lane_words=*/4});
+    FaultSimScheduler wide(c, {1, /*lane_words=*/4});
     int wide_detected = 0;
     r.block_wide_s = min2([&] {
-      wide_detected = wide.campaign_obd(tests, faults, false).detected;
+      wide_detected = wide.matrix_obd(tests, faults).covered_count;
     });
     if (wide_detected != r.block_detected) r.block_detected = -1;
   }
   {
-    FaultSimEngine engine(c);
-    int drop_detected = 0;
+    FaultSimScheduler sched(c, {1});
+    int dropped_detected = 0;
     r.drop_s = min2([&] {
-      drop_detected = engine.campaign_obd(tests, faults, true).detected;
+      dropped_detected = sched.campaign_obd(tests, faults).detected;
     });
-    if (drop_detected != r.block_detected) r.block_detected = -1;
+    if (dropped_detected != r.block_detected) r.block_detected = -1;
   }
   return r;
 }
@@ -716,10 +717,10 @@ void BM_ObdFaultSimBlocks(benchmark::State& state) {
   const auto faults = enumerate_obd_faults(c);
   const auto tests =
       random_pairs(static_cast<int>(c.inputs().size()), 128, 0xca11ab1e);
-  FaultSimEngine engine(c);
+  FaultSimScheduler sched(c, {1});
   for (auto _ : state) {
-    const auto campaign = engine.campaign_obd(tests, faults, false);
-    benchmark::DoNotOptimize(campaign.detected);
+    const DetectionMatrix m = sched.matrix_obd(tests, faults);
+    benchmark::DoNotOptimize(m.covered_count);
   }
 }
 BENCHMARK(BM_ObdFaultSimBlocks)->Unit(benchmark::kMillisecond);
@@ -729,9 +730,9 @@ void BM_ObdFaultSimBlocksDropping(benchmark::State& state) {
   const auto faults = enumerate_obd_faults(c);
   const auto tests =
       random_pairs(static_cast<int>(c.inputs().size()), 128, 0xca11ab1e);
-  FaultSimEngine engine(c);
+  FaultSimScheduler sched(c, {1});
   for (auto _ : state) {
-    const auto campaign = engine.campaign_obd(tests, faults, true);
+    const auto campaign = sched.campaign_obd(tests, faults);
     benchmark::DoNotOptimize(campaign.detected);
   }
 }

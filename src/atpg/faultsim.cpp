@@ -77,24 +77,11 @@ bool simulate_obd_timing(const Circuit& c, const TwoVectorTest& test,
 
 // --- Detection matrices ------------------------------------------------------
 
-DetectionMatrix build_stuck_matrix(const Circuit& c,
-                                   const std::vector<InputVec>& patterns,
-                                   const std::vector<StuckFault>& faults,
-                                   const SimOptions& sim) {
-  return FaultSimScheduler(c, sim).matrix_stuck(patterns, faults);
-}
-
 DetectionMatrix build_obd_matrix(const Circuit& c,
                                  const std::vector<TwoVectorTest>& tests,
                                  const std::vector<ObdFaultSite>& faults,
                                  const SimOptions& sim) {
   return FaultSimScheduler(c, sim).matrix_obd(tests, faults);
-}
-
-DetectionMatrix build_transition_matrix(
-    const Circuit& c, const std::vector<TwoVectorTest>& tests,
-    const std::vector<TransitionFault>& faults, const SimOptions& sim) {
-  return FaultSimScheduler(c, sim).matrix_transition(tests, faults);
 }
 
 PrepassMarks mark_first_detections(const FaultSimEngine::Campaign& campaign,
@@ -119,28 +106,6 @@ double obd_coverage(const Circuit& c, const std::vector<TwoVectorTest>& tests,
                     const SimOptions& sim) {
   if (faults.empty()) return 1.0;
   const auto campaign = FaultSimScheduler(c, sim).campaign_obd(tests, faults);
-  return static_cast<double>(campaign.detected) /
-         static_cast<double>(faults.size());
-}
-
-double stuck_coverage(const Circuit& c,
-                      const std::vector<InputVec>& patterns,
-                      const std::vector<StuckFault>& faults,
-                      const SimOptions& sim) {
-  if (faults.empty()) return 1.0;
-  const auto campaign =
-      FaultSimScheduler(c, sim).campaign_stuck(patterns, faults);
-  return static_cast<double>(campaign.detected) /
-         static_cast<double>(faults.size());
-}
-
-double transition_coverage(const Circuit& c,
-                           const std::vector<TwoVectorTest>& tests,
-                           const std::vector<TransitionFault>& faults,
-                           const SimOptions& sim) {
-  if (faults.empty()) return 1.0;
-  const auto campaign =
-      FaultSimScheduler(c, sim).campaign_transition(tests, faults);
   return static_cast<double>(campaign.detected) /
          static_cast<double>(faults.size());
 }

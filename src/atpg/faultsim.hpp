@@ -11,13 +11,15 @@
 //    for window-of-opportunity studies.
 //
 // All set-level work runs through the FaultSimScheduler
-// (faultsim_engine.hpp), which packs 64 * lane_words patterns per block,
-// propagates each fault through its fanout cone once per block, and
-// optionally shards blocks across worker threads, with results
-// bit-identical at any thread count. The single-test functions below are
+// (faultsim_engine.hpp), the fault simulator's only loop over pattern
+// blocks: it packs 64 * lane_words patterns per block, propagates each fault
+// through its fanout cone once per block, optionally shards blocks across
+// worker threads with results bit-identical at any thread count, and always
+// drops detected faults in campaigns. The single-test functions below are
 // one-test wrappers (a block with one live lane) kept for API compatibility;
 // `legacy::` holds the original one-fault-one-pattern reference
-// implementations for equivalence tests and benchmarks.
+// implementations, the oracle of the equivalence tests and the benchmarks'
+// baseline.
 #pragma once
 
 #include "atpg/faults.hpp"
@@ -59,22 +61,14 @@ bool simulate_obd_timing(const Circuit& c, const TwoVectorTest& test,
                          bool stuck, double capture_time,
                          const logic::DelayLibrary& lib = {});
 
-// DetectionMatrix itself lives in faultsim_engine.hpp (the scheduler builds
-// it); the builders below take threads and lane width from `sim`.
-
-DetectionMatrix build_stuck_matrix(const Circuit& c,
-                                   const std::vector<InputVec>& patterns,
-                                   const std::vector<StuckFault>& faults,
-                                   const SimOptions& sim = {});
-
+/// OBD detection matrix of a test set (DetectionMatrix lives in
+/// faultsim_engine.hpp); threads and lane width come from `sim`. Stuck-at
+/// and transition matrices come from FaultSimScheduler::matrix_stuck and
+/// matrix_transition directly.
 DetectionMatrix build_obd_matrix(const Circuit& c,
                                  const std::vector<TwoVectorTest>& tests,
                                  const std::vector<ObdFaultSite>& faults,
                                  const SimOptions& sim = {});
-
-DetectionMatrix build_transition_matrix(
-    const Circuit& c, const std::vector<TwoVectorTest>& tests,
-    const std::vector<TransitionFault>& faults, const SimOptions& sim = {});
 
 /// First-detection bookkeeping of a random-pattern prepass campaign: which
 /// tests first-detect some fault (and so join the returned test set) and
@@ -88,19 +82,12 @@ struct PrepassMarks {
 PrepassMarks mark_first_detections(const FaultSimEngine::Campaign& campaign,
                                    std::size_t n_tests);
 
-/// Coverage of a fault list by a test set (fraction of faults detected).
-/// Runs a fault-dropping scheduler campaign — no matrix is materialized.
+/// OBD coverage of a fault list by a test set (fraction of faults
+/// detected). Runs a fault-dropping scheduler campaign — no matrix is
+/// materialized.
 double obd_coverage(const Circuit& c, const std::vector<TwoVectorTest>& tests,
                     const std::vector<ObdFaultSite>& faults,
                     const SimOptions& sim = {});
-double stuck_coverage(const Circuit& c,
-                      const std::vector<InputVec>& patterns,
-                      const std::vector<StuckFault>& faults,
-                      const SimOptions& sim = {});
-double transition_coverage(const Circuit& c,
-                           const std::vector<TwoVectorTest>& tests,
-                           const std::vector<TransitionFault>& faults,
-                           const SimOptions& sim = {});
 
 namespace legacy {
 

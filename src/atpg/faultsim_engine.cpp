@@ -23,7 +23,6 @@ std::size_t DetectionMatrix::row_count(std::size_t test) const {
 
 void PatternBlock::clear() {
   size_ = 0;
-  tests_.clear();
   std::fill(pi1_.begin(), pi1_.end(), 0);
   std::fill(pi2_.begin(), pi2_.end(), 0);
 }
@@ -38,7 +37,6 @@ void PatternBlock::push(const TwoVectorTest& t) {
       t.v1, n_pi, [&](std::size_t pi) { pi1_[pi * W + word] |= lane; });
   logic::for_each_set_bit(
       t.v2, n_pi, [&](std::size_t pi) { pi2_[pi * W + word] |= lane; });
-  tests_.push_back(t);
   ++size_;
 }
 
@@ -297,77 +295,6 @@ void FaultSimEngine::block_obd(const PatternBlock& b,
   }
 }
 
-template <typename Fault, typename BlockFn>
-FaultSimEngine::Campaign FaultSimEngine::run_campaign(
-    const std::vector<TwoVectorTest>& tests, const std::vector<Fault>& faults,
-    bool drop_detected, BlockFn block_fn) {
-  Campaign result;
-  result.first_test.assign(faults.size(), -1);
-  std::vector<std::uint8_t> active(faults.size(), 1);
-  std::vector<std::uint64_t> detect;
-  const auto W = static_cast<std::size_t>(opt_.lane_words);
-  PatternBlock block(c_, opt_.lane_words);
-  int base = 0;
-  for (std::size_t t = 0; t <= tests.size(); ++t) {
-    if (t < tests.size()) {
-      block.push(tests[t]);
-      if (!block.full() && t + 1 < tests.size()) continue;
-    }
-    if (block.size() == 0) break;
-    for (std::uint8_t a : active) result.fault_block_evals += a;
-    block_fn(block, faults, detect, &active);
-    for (std::size_t i = 0; i < faults.size(); ++i) {
-      bool hit = false;
-      for (std::size_t w = 0; w < W; ++w) {
-        const std::uint64_t word = detect[i * W + w];
-        if (!word) continue;
-        hit = true;
-        // Words ascend in lane (= test) order, so the first nonzero word's
-        // lowest bit is the true first detection in the block.
-        if (result.first_test[i] < 0) {
-          result.first_test[i] = base + static_cast<int>(w) * 64 +
-                                 std::countr_zero(word);
-          ++result.detected;
-        }
-        break;
-      }
-      if (hit && drop_detected) active[i] = 0;
-    }
-    base += block.size();
-    block.clear();
-  }
-  return result;
-}
-
-FaultSimEngine::Campaign FaultSimEngine::campaign_stuck(
-    const std::vector<InputVec>& patterns,
-    const std::vector<StuckFault>& faults, bool drop_detected) {
-  std::vector<TwoVectorTest> tests;
-  tests.reserve(patterns.size());
-  for (const InputVec& p : patterns) tests.push_back({p, p});
-  return run_campaign(tests, faults, drop_detected,
-                      [this](const PatternBlock& b, const auto& fl, auto& det,
-                             const auto* act) { block_stuck(b, fl, det, act); });
-}
-
-FaultSimEngine::Campaign FaultSimEngine::campaign_transition(
-    const std::vector<TwoVectorTest>& tests,
-    const std::vector<TransitionFault>& faults, bool drop_detected) {
-  return run_campaign(tests, faults, drop_detected,
-                      [this](const PatternBlock& b, const auto& fl, auto& det,
-                             const auto* act) {
-                        block_transition(b, fl, det, act);
-                      });
-}
-
-FaultSimEngine::Campaign FaultSimEngine::campaign_obd(
-    const std::vector<TwoVectorTest>& tests,
-    const std::vector<ObdFaultSite>& faults, bool drop_detected) {
-  return run_campaign(tests, faults, drop_detected,
-                      [this](const PatternBlock& b, const auto& fl, auto& det,
-                             const auto* act) { block_obd(b, fl, det, act); });
-}
-
 // --- X-aware (3-valued) detection --------------------------------------------
 
 std::vector<bool> FaultSimEngine::definite_obd(
@@ -433,11 +360,14 @@ FaultSimScheduler::FaultSimScheduler(const Circuit& c, SimOptions opt)
     : c_(c), opt_(opt) {
   if (opt_.threads < 1) opt_.threads = 1;
   if (opt_.lane_words < 1) opt_.lane_words = 1;
-  // All workers are created up front, on the caller's thread: the first
-  // engine construction warms the circuit's lazy topo-order and fanout-cone
-  // caches, so the shared Circuit is strictly read-only once workers run.
-  engines_.reserve(static_cast<std::size_t>(opt_.threads));
-  for (int w = 0; w < opt_.threads; ++w)
+  // Engine 0 warms the circuit's lazy topo-order and fanout-cone caches on
+  // the caller's thread, so the shared Circuit is strictly read-only once
+  // workers run. Further engines come with the calls that use them.
+  add_engines(1);
+}
+
+void FaultSimScheduler::add_engines(int workers) {
+  while (engines_.size() < static_cast<std::size_t>(workers))
     engines_.push_back(
         std::make_unique<FaultSimEngine>(c_, EngineOptions{opt_.lane_words}));
 }
@@ -469,11 +399,6 @@ SimStats FaultSimScheduler::stats() const {
   return s;
 }
 
-int FaultSimScheduler::workers_for(std::size_t jobs) const {
-  return static_cast<int>(
-      std::min<std::size_t>(static_cast<std::size_t>(opt_.threads), jobs));
-}
-
 namespace {
 
 /// Below this many gates x blocks x lane_words, thread spawn + round
@@ -485,7 +410,8 @@ constexpr std::size_t kSerialGateBlockThreshold = 8192;
 }  // namespace
 
 int FaultSimScheduler::pattern_workers(std::size_t n_blocks) const {
-  const int w = workers_for(n_blocks);
+  const int w = static_cast<int>(
+      std::min<std::size_t>(static_cast<std::size_t>(opt_.threads), n_blocks));
   if (w > 1 && c_.num_gates() * n_blocks *
                        static_cast<std::size_t>(opt_.lane_words) <
                    kSerialGateBlockThreshold)
@@ -550,8 +476,10 @@ DetectionMatrix FaultSimScheduler::build_matrix(
       PatternBlock::pack(c_, tests, opt_.lane_words);
   const auto W = static_cast<std::size_t>(opt_.lane_words);
   const std::size_t capacity = W * 64;
+  const int workers = pattern_workers(blocks.size());
+  add_engines(workers);
   std::atomic<std::size_t> next{0};
-  run_workers(pattern_workers(blocks.size()), "matrix", [&](int w) {
+  run_workers(workers, "matrix", [&](int w) {
     FaultSimEngine& e = engine(w);
     std::vector<std::uint64_t> detect;
     for (std::size_t b = next.fetch_add(1); b < blocks.size();
@@ -595,25 +523,27 @@ DetectionMatrix FaultSimScheduler::build_matrix(
 template <typename Fault, typename BlockFn>
 FaultSimEngine::Campaign FaultSimScheduler::run_campaign(
     const std::vector<TwoVectorTest>& tests, const std::vector<Fault>& faults,
-    bool drop_detected, BlockFn block_fn) {
+    BlockFn block_fn) {
   FaultSimEngine::Campaign r;
   r.first_test.assign(faults.size(), -1);
   if (tests.empty() || faults.empty()) return r;
 
   // Rounds of `workers * batch` blocks against a frozen active list,
-  // reconciled in block order — bit-identical to the single-threaded drop
-  // campaign (first_test is the true first detection either way). Worker w owns the round's contiguous slots
-  // [w * batch, (w + 1) * batch); batching amortizes the round barrier on
-  // small blocks. Workers are spawned once for the whole campaign; the
-  // barrier's completion step (one thread, all workers parked) reconciles
-  // each round and re-freezes the active list, so no shared state is
-  // touched while blocks simulate.
+  // reconciled in block order: first_test is the true first detection at
+  // any thread count, and a serial call (one block per round) simulates
+  // each fault on every block up to the one that first detects it. Worker w
+  // owns the round's contiguous slots [w * batch, (w + 1) * batch);
+  // batching amortizes the round barrier on small blocks. Workers are
+  // spawned once for the whole campaign; the barrier's completion step (one
+  // thread, all workers parked) reconciles each round and re-freezes the
+  // active list, so no shared state is touched while blocks simulate.
   const std::vector<PatternBlock> blocks =
       PatternBlock::pack(c_, tests, opt_.lane_words);
   const auto W = static_cast<std::size_t>(opt_.lane_words);
   std::vector<std::uint8_t> active(faults.size(), 1);
   long long n_active = static_cast<long long>(faults.size());
   const int workers = pattern_workers(blocks.size());
+  add_engines(workers);
   const std::size_t batch = resolve_batch(blocks.size(), workers);
   const std::size_t round_cap = static_cast<std::size_t>(workers) * batch;
   std::vector<std::vector<std::vector<std::uint64_t>>> detect(
@@ -633,6 +563,8 @@ FaultSimEngine::Campaign FaultSimScheduler::run_campaign(
       const auto& det = detect[s / batch][s % batch];
       for (std::size_t f = 0; f < faults.size(); ++f) {
         if (r.first_test[f] >= 0) continue;
+        // Words ascend in lane (= test) order, so the first nonzero word's
+        // lowest bit is the first detection in the block.
         for (std::size_t dw = 0; dw < W; ++dw) {
           const std::uint64_t word = det[f * W + dw];
           if (!word) continue;
@@ -643,18 +575,16 @@ FaultSimEngine::Campaign FaultSimScheduler::run_campaign(
         }
       }
     }
-    if (drop_detected) {
-      for (std::size_t f = 0; f < faults.size(); ++f) {
-        if (active[f] && r.first_test[f] >= 0) {
-          active[f] = 0;
-          --n_active;
-        }
+    for (std::size_t f = 0; f < faults.size(); ++f) {
+      if (active[f] && r.first_test[f] >= 0) {
+        active[f] = 0;
+        --n_active;
       }
     }
     start += n;
     if (obs::tracing_on())
       obs::Recorder::instance().counter("active_faults", n_active);
-    stop = start >= blocks.size() || (drop_detected && n_active == 0);
+    stop = start >= blocks.size() || n_active == 0;
     if (!stop)
       r.fault_block_evals += n_active * static_cast<long long>(round_blocks());
   });
@@ -708,30 +638,30 @@ DetectionMatrix FaultSimScheduler::matrix_obd(
 
 FaultSimEngine::Campaign FaultSimScheduler::campaign_stuck(
     const std::vector<InputVec>& patterns,
-    const std::vector<StuckFault>& faults, bool drop_detected) {
+    const std::vector<StuckFault>& faults) {
   std::vector<TwoVectorTest> tests;
   tests.reserve(patterns.size());
   for (const InputVec& p : patterns) tests.push_back({p, p});
   return run_campaign(
-      tests, faults, drop_detected,
+      tests, faults,
       [](FaultSimEngine& e, const PatternBlock& b, const auto& fl, auto& det,
          const auto* act) { e.block_stuck(b, fl, det, act); });
 }
 
 FaultSimEngine::Campaign FaultSimScheduler::campaign_transition(
     const std::vector<TwoVectorTest>& tests,
-    const std::vector<TransitionFault>& faults, bool drop_detected) {
+    const std::vector<TransitionFault>& faults) {
   return run_campaign(
-      tests, faults, drop_detected,
+      tests, faults,
       [](FaultSimEngine& e, const PatternBlock& b, const auto& fl, auto& det,
          const auto* act) { e.block_transition(b, fl, det, act); });
 }
 
 FaultSimEngine::Campaign FaultSimScheduler::campaign_obd(
     const std::vector<TwoVectorTest>& tests,
-    const std::vector<ObdFaultSite>& faults, bool drop_detected) {
+    const std::vector<ObdFaultSite>& faults) {
   return run_campaign(
-      tests, faults, drop_detected,
+      tests, faults,
       [](FaultSimEngine& e, const PatternBlock& b, const auto& fl, auto& det,
          const auto* act) { e.block_obd(b, fl, det, act); });
 }

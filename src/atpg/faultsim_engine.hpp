@@ -16,26 +16,29 @@
 //     short-circuits when the frontier empties before reaching a PO;
 //   - OBD excitation is decided per lane from a per-(gate type, transistor)
 //     lookup table over local two-vectors, so input-specific conditions
-//     cost a table probe instead of a topology walk;
-//   - campaigns optionally drop a fault from the active list at its first
-//     detection, so late blocks only pay for the hard remainder.
+//     cost a table probe instead of a topology walk.
 //
-// Pattern blocks are the only packing axis: a one-test call is a block
-// with one live lane. FaultSimScheduler shards independent pattern blocks
-// across a small std::thread pool with per-worker engines (all reading the
-// circuit's one cone table; scratch and excitation tables are per engine).
-// Fault dropping is reconciled in block order after each round, so
-// campaign results are bit-identical to a single-threaded run at any
+// FaultSimEngine is a per-block kernel: it simulates one PatternBlock
+// against a fault list and keeps no state across blocks beyond its scratch,
+// counters and excitation tables. FaultSimScheduler is the only loop over
+// blocks. It builds detection matrices and runs fault-dropping campaigns
+// (a fault leaves the active list at its first detection, so late blocks
+// only pay for the hard remainder), sharding whole blocks across a small
+// std::thread pool with one engine per worker. Engines are created per
+// call, on the caller's thread, for the workers that call uses; all of them
+// read the circuit's one cone table. Fault dropping is reconciled in block
+// order after each round, so campaign results are bit-identical at any
 // thread count or lane width.
 //
-// The legacy entry points in faultsim.hpp are thin wrappers over the
-// scheduler, keeping every existing caller's API and semantics.
+// The set-level entry points in faultsim.hpp are thin wrappers over the
+// scheduler.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <new>
 #include <tuple>
 
 #include "atpg/faults.hpp"
@@ -99,9 +102,6 @@ class PatternBlock {
   /// Lane-strided PI words: PI i's words at [i * lane_words, +lane_words).
   const std::vector<std::uint64_t>& pi1() const { return pi1_; }
   const std::vector<std::uint64_t>& pi2() const { return pi2_; }
-  const TwoVectorTest& test(int lane) const {
-    return tests_[static_cast<std::size_t>(lane)];
-  }
 
   /// Packs a test list into ceil(n / capacity) blocks, preserving order.
   static std::vector<PatternBlock> pack(const Circuit& c,
@@ -112,7 +112,6 @@ class PatternBlock {
   int lane_words_ = 1;
   int size_ = 0;
   std::vector<std::uint64_t> pi1_, pi2_;  // [pi * lane_words + word]
-  std::vector<TwoVectorTest> tests_;
 };
 
 /// Detection matrix: row per test, bit-packed over the fault list (64
@@ -147,23 +146,10 @@ class FaultSimEngine {
 
   const Circuit& circuit() const { return c_; }
 
-  // --- Frontier introspection ------------------------------------------
-  // Counters live in the engine's obs::Sheet (see metrics()); hot loops
-  // bump them through cached slot pointers at member-increment cost.
-  /// Fault-injected cone propagations run (one per excited fault x block).
-  long long propagations() const { return *propagations_; }
-  /// Nets whose wide value actually changed during propagation (frontier
-  /// membership events, fault sites included).
-  long long frontier_events() const { return *frontier_events_; }
-  /// Cone gates evaluated (gates with no changed input are skipped; the
-  /// old engine paid one evaluation per cone gate per fault).
-  long long frontier_gate_evals() const { return *frontier_gate_evals_; }
-  /// Propagations that short-circuited before exhausting the cone because
-  /// the frontier emptied below the remaining gates' levels.
-  long long frontier_early_exits() const { return *frontier_early_exits_; }
-
-  /// This engine's accumulation sheet (single-owner; merged by the
-  /// scheduler in worker order).
+  /// This engine's counters (EngineMetricIds: propagations, frontier events,
+  /// cone gates evaluated, early exits), bumped by the hot loop through
+  /// cached slot pointers. Single-owner; merged by the scheduler in worker
+  /// order.
   const obs::Sheet& metrics() const { return metrics_; }
 
   // --- Block primitives (pattern-major) --------------------------------
@@ -195,10 +181,9 @@ class FaultSimEngine {
   std::vector<bool> definite_obd(const XTwoVectorTest& t,
                                  const std::vector<ObdFaultSite>& faults);
 
-  // --- Campaigns --------------------------------------------------------
-  /// Whole-test-set simulation. With `drop_detected`, a fault leaves the
-  /// active list at its first detection (first_test is unaffected: it is
-  /// the first detecting test index either way; -1 = undetected).
+  /// Result of a fault-dropping campaign (FaultSimScheduler::campaign_*):
+  /// first_test is each fault's first detecting test index (-1 =
+  /// undetected).
   struct Campaign {
     std::vector<int> first_test;
     int detected = 0;
@@ -206,16 +191,6 @@ class FaultSimEngine {
     /// simulated (an upper bound on cone evaluations).
     long long fault_block_evals = 0;
   };
-
-  Campaign campaign_stuck(const std::vector<InputVec>& patterns,
-                          const std::vector<StuckFault>& faults,
-                          bool drop_detected = true);
-  Campaign campaign_transition(const std::vector<TwoVectorTest>& tests,
-                               const std::vector<TransitionFault>& faults,
-                               bool drop_detected = true);
-  Campaign campaign_obd(const std::vector<TwoVectorTest>& tests,
-                        const std::vector<ObdFaultSite>& faults,
-                        bool drop_detected = true);
 
  private:
   /// Event-driven frontier propagation, the engine's hot loop: pins
@@ -231,11 +206,6 @@ class FaultSimEngine {
   /// entry v1 set when (v1 -> v2) excites the OBD defect.
   const std::array<std::uint16_t, 16>& obd_table(logic::GateType t,
                                                  const cells::TransistorRef& tr);
-
-  template <typename Fault, typename BlockFn>
-  Campaign run_campaign(const std::vector<TwoVectorTest>& tests,
-                        const std::vector<Fault>& faults, bool drop_detected,
-                        BlockFn block_fn);
 
   const Circuit& c_;
   EngineOptions opt_;
@@ -259,10 +229,31 @@ class FaultSimEngine {
   std::vector<std::uint64_t> good1_, good2_, bad_;
   // Propagation scratch: per-net changed flags with their reset list, the
   // gate-output staging words, and per-block masks / per-fault excitation
-  // and diff words.
+  // and diff words. The W-word buffers sit on cache lines of their own:
+  // the scheduler creates engines back to back on one thread and then
+  // hands each to a different worker, and these few words are rewritten
+  // per fault, so a line shared with another engine would bounce between
+  // cores (false sharing).
   std::vector<std::uint8_t> changed_;
   std::vector<NetId> touched_;
-  std::vector<std::uint64_t> eval_tmp_, force_, diff_, exc_, masks_;
+  template <typename T>
+  struct LineAllocator {
+    using value_type = T;
+    static constexpr std::size_t kLine = 64;
+    LineAllocator() = default;
+    template <typename U>
+    LineAllocator(const LineAllocator<U>&) {}
+    T* allocate(std::size_t n) {
+      const std::size_t bytes = (n * sizeof(T) + kLine - 1) / kLine * kLine;
+      return static_cast<T*>(::operator new(bytes, std::align_val_t{kLine}));
+    }
+    void deallocate(T* p, std::size_t) {
+      ::operator delete(p, std::align_val_t{kLine});
+    }
+    bool operator==(const LineAllocator&) const { return true; }
+  };
+  std::vector<std::uint64_t, LineAllocator<std::uint64_t>> eval_tmp_, force_,
+      diff_, exc_, masks_;
 };
 
 /// Aggregated per-engine counters (summed over the scheduler's workers),
@@ -281,6 +272,9 @@ struct SimStats {
 /// Schedules fault-simulation calls as pattern blocks over a worker pool.
 /// (SimOptions lives in patterns.hpp.)
 ///
+/// The fault simulator's only loop over pattern blocks: every matrix and
+/// every campaign runs here, and campaigns always drop detected faults.
+///
 /// Determinism contract: matrices and campaigns are bit-identical across
 /// thread counts and lane widths (the randomized oracle harness in
 /// tests/oracle_common.hpp enforces this against the legacy scalar
@@ -288,9 +282,14 @@ struct SimStats {
 /// disjoint per block); fault-dropping campaigns run rounds of
 /// `workers * resolve_batch` blocks against a frozen active list and
 /// reconcile detections in block order between rounds, trading a little
-/// redundant tail work for exact equivalence. Small shapes (gates x blocks x lane_words below a measured
-/// threshold) run single-threaded regardless of `threads` — the barrier
-/// tax exceeds the parallel win there.
+/// redundant tail work for exact equivalence. Small shapes (gates x blocks
+/// x lane_words below a measured threshold) run single-threaded regardless
+/// of `threads` — the barrier tax exceeds the parallel win there.
+///
+/// Engines follow the workers a call uses, never the `threads` knob alone:
+/// the constructor builds engine 0 (warming the circuit's lazy caches), and
+/// each call adds the engines its min(threads, blocks) workers need, on the
+/// caller's thread, before any worker starts.
 class FaultSimScheduler {
  public:
   explicit FaultSimScheduler(const Circuit& c, SimOptions opt = {});
@@ -299,7 +298,8 @@ class FaultSimScheduler {
   const Circuit& circuit() const { return c_; }
   const SimOptions& options() const { return opt_; }
 
-  /// Counter sums over all worker engines and the cone table's size.
+  /// Counter sums over every engine created so far and the cone table's
+  /// size.
   SimStats stats() const;
   /// Worker sheets folded in engine-index order, plus the cone table's size
   /// as `sim.cone_peak_bytes` — deterministic totals for any thread count
@@ -324,16 +324,16 @@ class FaultSimScheduler {
   DetectionMatrix matrix_obd(const std::vector<TwoVectorTest>& tests,
                              const std::vector<ObdFaultSite>& faults);
 
-  // --- Campaigns (deterministic fault-drop reconciliation) -------------
-  FaultSimEngine::Campaign campaign_stuck(
-      const std::vector<InputVec>& patterns,
-      const std::vector<StuckFault>& faults, bool drop_detected = true);
+  // --- Fault-dropping campaigns -----------------------------------------
+  // A fault leaves the active list at its first detection; first_test is
+  // the first detecting test either way.
+  FaultSimEngine::Campaign campaign_stuck(const std::vector<InputVec>& patterns,
+                                          const std::vector<StuckFault>& faults);
   FaultSimEngine::Campaign campaign_transition(
       const std::vector<TwoVectorTest>& tests,
-      const std::vector<TransitionFault>& faults, bool drop_detected = true);
-  FaultSimEngine::Campaign campaign_obd(
-      const std::vector<TwoVectorTest>& tests,
-      const std::vector<ObdFaultSite>& faults, bool drop_detected = true);
+      const std::vector<TransitionFault>& faults);
+  FaultSimEngine::Campaign campaign_obd(const std::vector<TwoVectorTest>& tests,
+                                        const std::vector<ObdFaultSite>& faults);
 
  private:
   template <typename Fault, typename BlockFn>
@@ -343,9 +343,11 @@ class FaultSimScheduler {
   template <typename Fault, typename BlockFn>
   FaultSimEngine::Campaign run_campaign(const std::vector<TwoVectorTest>& tests,
                                         const std::vector<Fault>& faults,
-                                        bool drop_detected, BlockFn block_fn);
+                                        BlockFn block_fn);
 
-  int workers_for(std::size_t jobs) const;
+  /// Creates engines until there is one per worker of a call; runs on the
+  /// caller's thread before the workers start.
+  void add_engines(int workers);
   FaultSimEngine& engine(int worker) { return *engines_[static_cast<std::size_t>(worker)]; }
 
   const Circuit& c_;

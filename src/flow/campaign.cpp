@@ -6,6 +6,7 @@
 #include <memory>
 
 #include "flow/campaign_detail.hpp"
+#include "obs/minijson.hpp"
 #include "obs/trace.hpp"
 #include "util/table.hpp"
 
@@ -689,39 +690,17 @@ std::string json_num(double v) {
   return buf;
 }
 
-/// JSON string escaping: circuit names and error diagnostics may carry
-/// quotes, backslashes, or control characters (net names are barely
-/// restricted by the .bench grammar).
-std::string json_str(const std::string& s) {
-  std::string out = "\"";
-  for (const char ch : s) {
-    switch (ch) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(ch) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", ch);
-          out += buf;
-        } else {
-          out += ch;
-        }
-    }
-  }
-  out += '"';
-  return out;
-}
-
 }  // namespace
 
 std::string report_json(const CampaignReport& r) {
   std::string j = "{\n";
   j += "  \"tool\": \"obd_atpg\",\n";
-  if (!r.ok()) j += "  \"error\": " + json_str(r.error) + ",\n";
-  j += "  \"circuit\": " + json_str(r.circuit) + ",\n";
+  // Circuit names, diagnostics and fault names may carry quotes,
+  // backslashes or control characters (the .bench grammar barely restricts
+  // net names).
+  using obs::minijson::escape;
+  if (!r.ok()) j += "  \"error\": \"" + escape(r.error) + "\",\n";
+  j += "  \"circuit\": \"" + escape(r.circuit) + "\",\n";
   j += "  \"model\": \"" + std::string(to_string(r.model)) + "\",\n";
   j += "  \"structure\": {\"gates\": " + std::to_string(r.gates) +
        ", \"nets\": " + std::to_string(r.nets) +
@@ -730,7 +709,7 @@ std::string report_json(const CampaignReport& r) {
        ", \"flops\": " + std::to_string(r.flops) +
        ", \"depth\": " + std::to_string(r.depth) +
        ", \"scan\": " + (r.scan ? "true" : "false") +
-       ", \"scan_style\": " + json_str(r.scan_style) + "},\n";
+       ", \"scan_style\": \"" + escape(r.scan_style) + "\"},\n";
   j += "  \"faults\": {\"total\": " + std::to_string(r.faults_total) +
        ", \"collapsed\": " + std::to_string(r.faults_collapsed) +
        ", \"detected\": " + std::to_string(r.detected) +
@@ -749,7 +728,7 @@ std::string report_json(const CampaignReport& r) {
   j += "  \"aborted_faults\": [";
   for (std::size_t i = 0; i < r.aborted_faults.size(); ++i) {
     if (i > 0) j += ", ";
-    j += json_str(r.aborted_faults[i]);
+    j += "\"" + escape(r.aborted_faults[i]) + "\"";
   }
   j += "],\n";
   j += "  \"tests\": {\"random\": " + std::to_string(r.tests_random) +
@@ -826,7 +805,7 @@ std::string report_json(const CampaignReport& r) {
     for (const obs::MetricValue& m : r.metrics) {
       if (!first) j += ",";
       first = false;
-      j += "\n    " + json_str(m.name) + ": ";
+      j += "\n    \"" + escape(m.name) + "\": ";
       if (m.kind == obs::MetricKind::kHistogram) {
         int hi = obs::kHistBuckets;
         while (hi > 0 && m.hist.buckets[static_cast<std::size_t>(hi - 1)] == 0)

@@ -2,12 +2,13 @@
 //
 // One reference, many implementations: the legacy scalar simulators
 // (one fault, one pattern, full-circuit evaluation — slow but obviously
-// correct) define the detection semantics; every engine configuration —
-// pattern blocks of 64 to 512 lanes on the threaded scheduler at 1/2/4
-// workers — must reproduce their DetectionMatrix bit for bit, and
-// every campaign must agree on (first_test, detected) with the
-// single-threaded fault-dropping engine. Shared by test_faultsim_engine.cpp
-// and test_faultsim_scheduler.cpp.
+// correct) define the detection semantics; every scheduler configuration —
+// pattern blocks of 64 to 512 lanes at 1/2/4 workers — must reproduce
+// their DetectionMatrix bit for bit, and every fault-dropping campaign must
+// report each fault's first detecting row of that legacy matrix (and at
+// one worker, exactly the block work dropping implies). The legacy
+// matrices share no packing or kernel code with the scheduler. Shared by
+// test_faultsim_engine.cpp and test_faultsim_scheduler.cpp.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -83,6 +84,83 @@ inline void expect_matrices_identical(const DetectionMatrix& ref,
   EXPECT_EQ(ref.covered_count, got.covered_count) << label;
 }
 
+/// Each fault's first detecting row of `m` (-1 = undetected): the
+/// first_test a fault-dropping campaign over the same tests must report.
+inline std::vector<int> first_rows(const DetectionMatrix& m) {
+  std::vector<int> first(m.n_faults, -1);
+  for (std::size_t f = 0; f < m.n_faults; ++f)
+    for (std::size_t t = 0; t < m.n_tests && first[f] < 0; ++t)
+      if (m.detects(t, f)) first[f] = static_cast<int>(t);
+  return first;
+}
+
+/// fault_block_evals of a campaign whose rounds are one block each (one
+/// worker): every fault is simulated on each block up to and including the
+/// one that first detects it, and on every block when none does.
+inline long long serial_block_evals(const std::vector<int>& first,
+                                    std::size_t n_tests, int lanes) {
+  const auto n_blocks =
+      static_cast<long long>((n_tests + static_cast<std::size_t>(lanes) - 1) /
+                             static_cast<std::size_t>(lanes));
+  long long evals = 0;
+  for (int t : first) evals += t < 0 ? n_blocks : t / lanes + 1;
+  return evals;
+}
+
+/// A campaign against the legacy matrix of the same tests: first_test is
+/// each fault's first detecting row, detected is covered_count, and a
+/// one-worker call does exactly the dropping work serial_block_evals
+/// implies (a threaded one at least that much: rounds simulate a dropped
+/// fault until they end).
+inline void expect_campaign_matches(const DetectionMatrix& ref,
+                                    const FaultSimEngine::Campaign& got,
+                                    const FaultSimScheduler& sched,
+                                    const std::string& label) {
+  const std::vector<int> first = first_rows(ref);
+  EXPECT_EQ(first, got.first_test) << label;
+  EXPECT_EQ(ref.covered_count, got.detected) << label;
+  const int lanes = 64 * sched.options().lane_words;
+  const long long serial = serial_block_evals(first, ref.n_tests, lanes);
+  const std::size_t n_blocks =
+      (ref.n_tests + static_cast<std::size_t>(lanes) - 1) /
+      static_cast<std::size_t>(lanes);
+  if (sched.pattern_workers(n_blocks) == 1)
+    EXPECT_EQ(serial, got.fault_block_evals) << label;
+  else
+    EXPECT_LE(serial, got.fault_block_evals) << label;
+}
+
+/// Random tests for one circuit with their stuck-at patterns (the second
+/// frames), fault lists, and legacy scalar reference matrices for all three
+/// fault models.
+struct LegacyReference {
+  std::vector<TwoVectorTest> tests;
+  std::vector<InputVec> patterns;
+  std::vector<StuckFault> sf;
+  std::vector<TransitionFault> tf;
+  std::vector<ObdFaultSite> of;
+  DetectionMatrix stuck, transition, obd;
+
+  LegacyReference(const logic::Circuit& c, int n_tests, std::uint64_t seed)
+      : tests(random_pairs(static_cast<int>(c.inputs().size()), n_tests,
+                           seed)),
+        sf(enumerate_stuck_faults(c)),
+        tf(enumerate_transition_faults(c)),
+        of(enumerate_obd_faults(c)) {
+    for (const auto& t : tests) patterns.push_back(t.v2);
+    stuck = reference_matrix(patterns.size(), sf.size(), [&](std::size_t t) {
+      return legacy::simulate_stuck_at(c, patterns[t], sf);
+    });
+    transition =
+        reference_matrix(tests.size(), tf.size(), [&](std::size_t t) {
+          return legacy::simulate_transition(c, tests[t], tf);
+        });
+    obd = reference_matrix(tests.size(), of.size(), [&](std::size_t t) {
+      return legacy::simulate_obd(c, tests[t], of);
+    });
+  }
+};
+
 /// Sweeps one circuit under all three fault models: a random pattern set,
 /// legacy scalar reference matrices, and bit-identity of every engine
 /// configuration's matrix.
@@ -90,69 +168,36 @@ inline void sweep_matrices(const logic::Circuit& c, int n_tests,
                            std::uint64_t seed,
                            const std::vector<SimOptions>& configs =
                                sweep_configs()) {
-  const auto tests =
-      random_pairs(static_cast<int>(c.inputs().size()), n_tests, seed);
-  std::vector<InputVec> patterns;
-  for (const auto& t : tests) patterns.push_back(t.v2);
-  const auto sf = enumerate_stuck_faults(c);
-  const auto tf = enumerate_transition_faults(c);
-  const auto of = enumerate_obd_faults(c);
-
-  const DetectionMatrix ref_s =
-      reference_matrix(patterns.size(), sf.size(), [&](std::size_t t) {
-        return legacy::simulate_stuck_at(c, patterns[t], sf);
-      });
-  const DetectionMatrix ref_t =
-      reference_matrix(tests.size(), tf.size(), [&](std::size_t t) {
-        return legacy::simulate_transition(c, tests[t], tf);
-      });
-  const DetectionMatrix ref_o =
-      reference_matrix(tests.size(), of.size(), [&](std::size_t t) {
-        return legacy::simulate_obd(c, tests[t], of);
-      });
-
+  const LegacyReference ref(c, n_tests, seed);
   for (const SimOptions& cfg : configs) {
     FaultSimScheduler sched(c, cfg);
     const std::string label = c.name() + " " + config_name(cfg);
-    expect_matrices_identical(ref_s, sched.matrix_stuck(patterns, sf),
+    expect_matrices_identical(ref.stuck, sched.matrix_stuck(ref.patterns, ref.sf),
                               label + " stuck");
-    expect_matrices_identical(ref_t, sched.matrix_transition(tests, tf),
+    expect_matrices_identical(ref.transition,
+                              sched.matrix_transition(ref.tests, ref.tf),
                               label + " transition");
-    expect_matrices_identical(ref_o, sched.matrix_obd(tests, of),
+    expect_matrices_identical(ref.obd, sched.matrix_obd(ref.tests, ref.of),
                               label + " obd");
   }
 }
 
 /// Sweeps one circuit's fault-dropping campaigns: every configuration must
-/// agree with the single-threaded block engine on (first_test, detected) —
-/// the deterministic drop-reconciliation contract.
+/// match the legacy matrices of the same tests (expect_campaign_matches).
 inline void sweep_campaigns(const logic::Circuit& c, int n_tests,
-                            std::uint64_t seed, bool drop) {
-  const auto tests =
-      random_pairs(static_cast<int>(c.inputs().size()), n_tests, seed);
-  std::vector<InputVec> patterns;
-  for (const auto& t : tests) patterns.push_back(t.v2);
-  const auto sf = enumerate_stuck_faults(c);
-  const auto tf = enumerate_transition_faults(c);
-  const auto of = enumerate_obd_faults(c);
-
-  FaultSimEngine engine(c);
-  const auto ref_s = engine.campaign_stuck(patterns, sf, drop);
-  const auto ref_t = engine.campaign_transition(tests, tf, drop);
-  const auto ref_o = engine.campaign_obd(tests, of, drop);
-
+                            std::uint64_t seed) {
+  const LegacyReference ref(c, n_tests, seed);
   for (const SimOptions& cfg : sweep_configs()) {
     FaultSimScheduler sched(c, cfg);
     const std::string label = c.name() + " " + config_name(cfg);
-    const auto got_s = sched.campaign_stuck(patterns, sf, drop);
-    EXPECT_EQ(ref_s.first_test, got_s.first_test) << label << " stuck";
-    EXPECT_EQ(ref_s.detected, got_s.detected) << label << " stuck";
-    const auto got_t = sched.campaign_transition(tests, tf, drop);
-    EXPECT_EQ(ref_t.first_test, got_t.first_test) << label << " transition";
-    EXPECT_EQ(ref_t.detected, got_t.detected) << label << " transition";
-    const auto got_o = sched.campaign_obd(tests, of, drop);
-    EXPECT_EQ(ref_o.first_test, got_o.first_test) << label << " obd";
-    EXPECT_EQ(ref_o.detected, got_o.detected) << label << " obd";
+    expect_campaign_matches(ref.stuck,
+                            sched.campaign_stuck(ref.patterns, ref.sf), sched,
+                            label + " stuck");
+    expect_campaign_matches(ref.transition,
+                            sched.campaign_transition(ref.tests, ref.tf), sched,
+                            label + " transition");
+    expect_campaign_matches(ref.obd, sched.campaign_obd(ref.tests, ref.of),
+                            sched, label + " obd");
   }
 }
 

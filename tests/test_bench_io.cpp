@@ -7,6 +7,8 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "io/bench.hpp"
 #include "logic/zoo.hpp"
@@ -215,31 +217,57 @@ TEST(BenchIo, ErrorOutputNeverDefined) {
   EXPECT_NE(r.error.find("ghost"), std::string::npos) << r.error;
 }
 
+/// Generated fuzz seeds for shapes the corpus lacks: a 1 000-input NAND, XOR
+/// and OR over shared inputs (the parser's balanced-tree decomposition) and
+/// a 2 000-deep NOT chain.
+std::vector<std::pair<std::string, std::string>> generated_seeds() {
+  std::string wide, args;
+  for (int i = 0; i < 1000; ++i) {
+    wide += "INPUT(i" + std::to_string(i) + ")\n";
+    args += (i == 0 ? "i" : ", i") + std::to_string(i);
+  }
+  wide += "OUTPUT(y_NAND)\nOUTPUT(y_XOR)\nOUTPUT(y_OR)\n";
+  for (const std::string f : {"NAND", "XOR", "OR"})
+    wide += "y_" + f + " = " + f + "(" + args + ")\n";
+  std::string chain = "INPUT(n0)\nOUTPUT(n2000)\n";
+  for (int i = 1; i <= 2000; ++i)
+    chain += "n" + std::to_string(i) + " = NOT(n" + std::to_string(i - 1) +
+             ")\n";
+  return {{"fanin1000", wide}, {"not_chain2000", chain}};
+}
+
 TEST(BenchIo, SeededMutationsLocateEveryError) {
   // Hostile text: fixed-seed byte flips, deletions, truncations and
-  // duplicated spans over real netlists. The parser must never crash, must
-  // name a line in every diagnostic, and whatever it accepts must survive
-  // the writer with the same interface and function.
+  // duplicated spans over real netlists, then over generated huge-fan-in
+  // and deep-chain ones (appended, so the corpus mutants keep their
+  // sequence). The parser must never crash, must name a line in every
+  // diagnostic, and whatever it accepts must survive the writer with the
+  // same interface and function.
   util::Prng prng(0xf022b3c4);
   const std::string specials = "(),=#\n \t";
+  std::vector<std::pair<std::string, std::string>> seeds;
   for (const char* file : {"c17.bench", "s27.bench", "c432.bench"}) {
     std::ifstream in(corpus(file));
     std::stringstream buf;
     buf << in.rdbuf();
-    const std::string base = buf.str();
-    ASSERT_FALSE(base.empty()) << file;
+    seeds.emplace_back(file, buf.str());
+  }
+  for (auto& seed : generated_seeds()) seeds.push_back(std::move(seed));
+  for (const auto& [name, base] : seeds) {
+    ASSERT_FALSE(base.empty()) << name;
+    ASSERT_TRUE(parse_bench(base, name).ok) << name;
     int accepted = 0;
     for (int m = 0; m < 1000; ++m) {
       const std::string text = testing_mutation::mutate(base, prng, specials);
       const BenchParseResult a = parse_bench(text, "mutant");
       if (!a.ok) {
         ASSERT_EQ(a.error.rfind("line ", 0), 0u)
-            << file << " mutation " << m << ": " << a.error;
+            << name << " mutation " << m << ": " << a.error;
         continue;
       }
       ++accepted;
       const BenchParseResult b = parse_bench(write_bench(a.seq), "rt");
-      ASSERT_TRUE(b.ok) << file << " mutation " << m << ": " << b.error;
+      ASSERT_TRUE(b.ok) << name << " mutation " << m << ": " << b.error;
       ASSERT_EQ(a.seq.core().inputs().size(), b.seq.core().inputs().size());
       ASSERT_EQ(a.seq.core().outputs().size(), b.seq.core().outputs().size());
       ASSERT_EQ(a.seq.flops().size(), b.seq.flops().size());
@@ -249,10 +277,10 @@ TEST(BenchIo, SeededMutationsLocateEveryError) {
         const logic::InputVec x =
             logic::InputVec::random(va.inputs().size(), prng);
         ASSERT_EQ(va.eval_outputs(x), vb.eval_outputs(x))
-            << file << " mutation " << m;
+            << name << " mutation " << m;
       }
     }
-    EXPECT_GT(accepted, 0) << file;
+    EXPECT_GT(accepted, 0) << name;
   }
 }
 

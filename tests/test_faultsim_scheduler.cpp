@@ -19,15 +19,10 @@ TEST(SchedulerOracle, MatricesBitIdenticalAcrossModesAndThreads) {
     oracle::sweep_matrices(c, 96, seed++);
 }
 
-TEST(SchedulerOracle, DroppingCampaignsMatchSingleThreadedEngine) {
+TEST(SchedulerOracle, DroppingCampaignsMatchLegacyMatrices) {
   std::uint64_t seed = 0x5c4ed002;
   for (const Circuit& c : oracle::zoo())
-    oracle::sweep_campaigns(c, 150, seed++, /*drop=*/true);
-}
-
-TEST(SchedulerOracle, UndroppedCampaignsMatchSingleThreadedEngine) {
-  const Circuit c = logic::ripple_carry_adder(4);
-  oracle::sweep_campaigns(c, 150, 0x5c4ed003, /*drop=*/false);
+    oracle::sweep_campaigns(c, 150, seed++);
 }
 
 TEST(SchedulerOracle, TinyTestListsMatchLegacy) {
@@ -42,21 +37,23 @@ TEST(SchedulerOracle, TinyTestListsMatchLegacy) {
 TEST(Scheduler, ThreadCountDoesNotChangeDropWorkAccounting) {
   // fault_block_evals may only grow with threads (round-granular dropping
   // simulates a dropped fault until its round ends), never shrink below the
-  // single-threaded engine's count, and detection must be unchanged.
+  // serial count, and detection must be unchanged.
   const Circuit c = logic::ripple_carry_adder(4);
   const auto faults = enumerate_obd_faults(c);
   const auto tests = random_pairs(static_cast<int>(c.inputs().size()), 400,
                                   0x5c4ed005);
-  FaultSimEngine engine(c);
-  const auto ref = engine.campaign_obd(tests, faults, true);
+  const DetectionMatrix m = FaultSimScheduler(c).matrix_obd(tests, faults);
+  const std::vector<int> first = oracle::first_rows(m);
+  const long long serial = oracle::serial_block_evals(first, tests.size(), 64);
   for (int threads : {1, 2, 4}) {
     FaultSimScheduler sched(c, {threads});
-    const auto got = sched.campaign_obd(tests, faults, true);
-    EXPECT_EQ(got.first_test, ref.first_test) << threads;
-    EXPECT_EQ(got.detected, ref.detected) << threads;
-    EXPECT_GE(got.fault_block_evals, ref.fault_block_evals) << threads;
-    if (threads == 1)
-      EXPECT_EQ(got.fault_block_evals, ref.fault_block_evals);
+    const auto got = sched.campaign_obd(tests, faults);
+    EXPECT_EQ(got.first_test, first) << threads;
+    EXPECT_EQ(got.detected, m.covered_count) << threads;
+    EXPECT_GE(got.fault_block_evals, serial) << threads;
+    if (threads == 1) {
+      EXPECT_EQ(got.fault_block_evals, serial);
+    }
   }
 }
 
@@ -87,11 +84,12 @@ TEST(Scheduler, SmallShapesAutoSerialize) {
   EXPECT_EQ(bsched.resolve_batch(64, 4), 4u);
 }
 
-TEST(Scheduler, BatchedRoundsMatchEngineAboveSerialThreshold) {
+TEST(Scheduler, BatchedRoundsMatchOneThreadAboveSerialThreshold) {
   // mul4x4 with 3200 tests = 50 blocks (and 8192 tests = 32 blocks of 256
   // lanes) puts gates x blocks x lane_words past the auto-serial gate, so
   // these campaigns really run threaded rounds of several blocks per
-  // worker; each must reproduce the single-threaded engine exactly.
+  // worker; each must reproduce the one-thread campaign (which the oracle
+  // sweep pins to the legacy matrices) exactly.
   struct Row {
     SimOptions sim;
     int n_tests;
@@ -107,19 +105,18 @@ TEST(Scheduler, BatchedRoundsMatchEngineAboveSerialThreshold) {
     const std::string label = oracle::config_name(o);
     const auto tests = random_pairs(static_cast<int>(c.inputs().size()),
                                     row.n_tests, 0x5c4ed007);
-    FaultSimEngine engine(c);
-    const auto ref = engine.campaign_obd(tests, faults, true);
+    const auto ref = FaultSimScheduler(c).campaign_obd(tests, faults);
     FaultSimScheduler sched(c, o);
     const std::size_t lanes = static_cast<std::size_t>(64 * o.lane_words);
     const std::size_t blocks = (tests.size() + lanes - 1) / lanes;
     const int workers = sched.pattern_workers(blocks);
     ASSERT_GT(workers, 1) << label;
     ASSERT_GT(sched.resolve_batch(blocks, workers), 1u) << label;
-    const auto got = sched.campaign_obd(tests, faults, true);
+    const auto got = sched.campaign_obd(tests, faults);
     EXPECT_EQ(got.first_test, ref.first_test) << label;
     EXPECT_EQ(got.detected, ref.detected) << label;
     // Batched rounds pay at most extra redundant work; block counts only
-    // compare at the engine's 64-lane width.
+    // compare at the reference's 64-lane width.
     if (o.lane_words == 1) {
       EXPECT_GE(got.fault_block_evals, ref.fault_block_evals) << label;
     }
@@ -138,10 +135,10 @@ TEST(Scheduler, ConeTableCountedOnceAtAnyThreadCount) {
   const auto tests =
       random_pairs(static_cast<int>(c.inputs().size()), 2048, 0x5c4ed00c);
   FaultSimScheduler one(c, {1});
-  const auto ref = one.campaign_obd(tests, faults, true);
+  const auto ref = one.campaign_obd(tests, faults);
   FaultSimScheduler four(c, {4});
   ASSERT_EQ(four.pattern_workers(tests.size() / 64), 4);
-  const auto got = four.campaign_obd(tests, faults, true);
+  const auto got = four.campaign_obd(tests, faults);
   EXPECT_EQ(got.first_test, ref.first_test);
   EXPECT_GT(one.stats().cone_peak_bytes, 0u);
   EXPECT_EQ(four.stats().cone_peak_bytes, one.stats().cone_peak_bytes);
@@ -168,11 +165,10 @@ TEST(Scheduler, MoreThreadsThanBlocksIsFine) {
   const auto faults = enumerate_transition_faults(c);
   const auto tests =
       random_pairs(static_cast<int>(c.inputs().size()), 30, 0x5c4ed006);
-  FaultSimEngine engine(c);
-  const auto ref = engine.campaign_transition(tests, faults, true);
+  const auto ref = FaultSimScheduler(c).matrix_transition(tests, faults);
   FaultSimScheduler sched(c, {16});
-  const auto got = sched.campaign_transition(tests, faults, true);
-  EXPECT_EQ(got.first_test, ref.first_test);
+  const auto got = sched.campaign_transition(tests, faults);
+  EXPECT_EQ(got.first_test, oracle::first_rows(ref));
 }
 
 // --- X-aware (3-valued) detection -------------------------------------------

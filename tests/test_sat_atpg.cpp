@@ -299,8 +299,8 @@ void expect_cube_detects(const Circuit& c, const Fault& fault,
 template <>
 void expect_cube_detects(const Circuit& c, const ObdFaultSite& fault,
                          const XTwoVectorTest& cube) {
-  FaultSimEngine eng(c);
-  const auto camp = eng.campaign_obd({cube.concrete()}, {fault});
+  const auto camp =
+      FaultSimScheduler(c).campaign_obd({cube.concrete()}, {fault});
   EXPECT_EQ(camp.detected, 1) << "SAT cube fails to detect "
                               << fault_name(c, fault);
 }
@@ -308,8 +308,8 @@ void expect_cube_detects(const Circuit& c, const ObdFaultSite& fault,
 template <>
 void expect_cube_detects(const Circuit& c, const StuckFault& fault,
                          const XTwoVectorTest& cube) {
-  FaultSimEngine eng(c);
-  const auto camp = eng.campaign_stuck({cube.concrete().v2}, {fault});
+  const auto camp =
+      FaultSimScheduler(c).campaign_stuck({cube.concrete().v2}, {fault});
   EXPECT_EQ(camp.detected, 1) << "SAT cube fails to detect "
                               << fault_name(c, fault);
 }
@@ -317,8 +317,8 @@ void expect_cube_detects(const Circuit& c, const StuckFault& fault,
 template <>
 void expect_cube_detects(const Circuit& c, const TransitionFault& fault,
                          const XTwoVectorTest& cube) {
-  FaultSimEngine eng(c);
-  const auto camp = eng.campaign_transition({cube.concrete()}, {fault});
+  const auto camp =
+      FaultSimScheduler(c).campaign_transition({cube.concrete()}, {fault});
   EXPECT_EQ(camp.detected, 1) << "SAT cube fails to detect "
                               << fault_name(c, fault);
 }
@@ -331,7 +331,7 @@ TEST(SatAtpgOracle, ObdVerdictsOnZooCircuits) {
     ASSERT_FALSE(sites.empty());
     const auto pairs =
         all_ordered_pairs(static_cast<int>(c.inputs().size()), true);
-    FaultSimEngine eng(c);
+    FaultSimScheduler sim(c);
     int cubes = 0, proofs = 0;
     for (const ObdFaultSite& site : sites) {
       const SatAtpgResult r = sat_generate_test(c, goals_of(c, site));
@@ -349,7 +349,7 @@ TEST(SatAtpgOracle, ObdVerdictsOnZooCircuits) {
         ++proofs;
         EXPECT_EQ(p.status, PodemStatus::kUntestable) << fault_name(c, site);
         // Exhaustive refutation: no transition pair detects the fault.
-        const auto camp = eng.campaign_obd(pairs, {site});
+        const auto camp = sim.campaign_obd(pairs, {site});
         EXPECT_EQ(camp.detected, 0)
             << fault_name(c, site) << " proven untestable but detectable";
       }

@@ -172,8 +172,8 @@ TEST(ScanAtpg, PiFedFlopStateIsMachineResponseUnderHeldPi) {
 
 TEST_P(ScanModeTest, RandomPrepassDropsNoCoverage) {
   // The broadside random-pattern phase runs with fault dropping; it must
-  // detect exactly what an undropped simulation of the same tests detects,
-  // with identical first-detecting tests.
+  // detect exactly what the detection matrix of the same tests covers, with
+  // each fault's first detecting row as its first test.
   const SequentialCircuit seq = logic::lfsr_like_machine(3);
   const ScanMode mode = GetParam();
   const auto faults = core_faults(seq);
@@ -184,11 +184,21 @@ TEST_P(ScanModeTest, RandomPrepassDropsNoCoverage) {
   for (const auto& t : random_tests)
     vectors.push_back(scan_view_vectors(seq, t));
   FaultSimScheduler sched(sv);
-  const auto dropped = sched.campaign_obd(vectors, faults, true);
-  const auto full = sched.campaign_obd(vectors, faults, false);
-  EXPECT_EQ(dropped.detected, full.detected);
-  EXPECT_EQ(dropped.first_test, full.first_test);
-  EXPECT_LE(dropped.fault_block_evals, full.fault_block_evals);
+  const auto dropped = sched.campaign_obd(vectors, faults);
+  const DetectionMatrix full = sched.matrix_obd(vectors, faults);
+  EXPECT_EQ(dropped.detected, full.covered_count);
+  for (std::size_t f = 0; f < faults.size(); ++f) {
+    int first = -1;
+    for (std::size_t t = 0; t < vectors.size() && first < 0; ++t)
+      if (full.detects(t, f)) first = static_cast<int>(t);
+    EXPECT_EQ(dropped.first_test[f], first)
+        << fault_name(seq.core(), faults[f]);
+  }
+  const long long blocks =
+      (static_cast<long long>(vectors.size()) + PatternBlock::kLanes - 1) /
+      PatternBlock::kLanes;
+  EXPECT_LE(dropped.fault_block_evals,
+            static_cast<long long>(faults.size()) * blocks);
 }
 
 TEST_P(ScanModeTest, BroadsideDetectionsVerifyCycleAccurately) {
@@ -206,7 +216,7 @@ TEST_P(ScanModeTest, BroadsideDetectionsVerifyCycleAccurately) {
   for (const auto& t : random_tests)
     vectors.push_back(scan_view_vectors(seq, t));
   FaultSimScheduler sched(sv);
-  const auto campaign = sched.campaign_obd(vectors, faults, true);
+  const auto campaign = sched.campaign_obd(vectors, faults);
   int verified = 0;
   for (std::size_t f = 0; f < faults.size(); ++f) {
     const int t = campaign.first_test[f];

@@ -20,7 +20,10 @@
 #include <vector>
 
 #ifdef OBD_ATPG_BIN
+#include <fcntl.h>
+#include <sys/resource.h>
 #include <sys/wait.h>
+#include <unistd.h>
 #endif
 
 #include "flow/campaign.hpp"
@@ -788,6 +791,50 @@ TEST_F(SupervisorTest, CliRejectsHostileNumbers) {
   EXPECT_FALSE(report_hash(lo).empty());
   EXPECT_NE(report_hash(lo), report_hash(hi));
   EXPECT_EQ(report_hash(sharded), report_hash(hi));
+}
+
+/// Runs obd_atpg with `args` (no shell, output discarded); returns its exit
+/// status (-1 on a signal) and its peak resident set in KiB from wait4. The
+/// peak also counts the pages the child shares with this process between
+/// fork and exec, which are the same for every call in a row.
+std::pair<int, long> run_cli_peak_rss(std::vector<std::string> args) {
+  std::string exe = OBD_ATPG_BIN;
+  std::vector<char*> argv = {exe.data()};
+  for (std::string& a : args) argv.push_back(a.data());
+  argv.push_back(nullptr);
+  const pid_t pid = fork();
+  if (pid == 0) {
+    const int null = open("/dev/null", O_WRONLY);
+    dup2(null, STDOUT_FILENO);
+    dup2(null, STDERR_FILENO);
+    execv(exe.c_str(), argv.data());
+    _exit(127);
+  }
+  int st = 0;
+  rusage ru{};
+  if (pid < 0 || wait4(pid, &st, 0, &ru) != pid) return {-1, 0};
+  return {WIFEXITED(st) ? WEXITSTATUS(st) : -1, ru.ru_maxrss};
+}
+
+TEST_F(SupervisorTest, CliThreadsBeyondBlocksBuildNoIdleEngines) {
+  // --threads caps the workers; a call never runs more workers than it has
+  // blocks, so engines must follow the workers a call uses. A c17 campaign
+  // has a handful of blocks: --threads 100000 must give the --threads 1
+  // report without building 100000 engines (~100 MB when it did).
+  const std::string dir = fresh_dir("cli_threads");
+  const auto run = [&](const std::string& threads) {
+    return run_cli_peak_rss({corpus("c17.bench"), "--model", "obd",
+                             "--threads", threads, "--quiet", "--report",
+                             dir + "/t" + threads + ".json"});
+  };
+  const auto [one_status, one_kib] = run("1");
+  const auto [many_status, many_kib] = run("100000");
+  ASSERT_EQ(one_status, 0);
+  ASSERT_EQ(many_status, 0);
+  EXPECT_FALSE(report_hash(dir + "/t1.json").empty());
+  EXPECT_EQ(report_hash(dir + "/t100000.json"), report_hash(dir + "/t1.json"));
+  EXPECT_GT(one_kib, 0);
+  EXPECT_LT(many_kib, 2 * one_kib) << "peak KiB at 1 thread: " << one_kib;
 }
 
 #endif  // OBD_ATPG_BIN

@@ -172,13 +172,12 @@ TEST_P(WideOracleTest, MatricesMatchLegacyAtEveryWidth) {
   oracle::sweep_matrices(c, /*n_tests=*/24, 0x31d3);
 }
 
-TEST_P(WideOracleTest, CampaignsMatchSingleThreadAtEveryWidth) {
+TEST_P(WideOracleTest, CampaignsMatchLegacyAtEveryWidth) {
   const int n_pis = GetParam();
   const logic::Circuit c =
       logic::random_circuit(n_pis, std::max(40, n_pis * 2), 1 + n_pis / 4,
                             0xd20b + static_cast<std::uint64_t>(n_pis) * 31);
-  oracle::sweep_campaigns(c, /*n_tests=*/96, 0x5eed, /*drop=*/true);
-  oracle::sweep_campaigns(c, /*n_tests=*/96, 0x5eed, /*drop=*/false);
+  oracle::sweep_campaigns(c, /*n_tests=*/96, 0x5eed);
 }
 
 INSTANTIATE_TEST_SUITE_P(PiWidths, WideOracleTest,
@@ -244,7 +243,7 @@ TEST(WideScan, BroadsideCampaignAgreesWithVerifierOn70Flops) {
     vectors.push_back(scan_view_vectors(seq, t));
   }
   FaultSimScheduler sched(sv, SimOptions{2});
-  const auto campaign = sched.campaign_obd(vectors, faults, true);
+  const auto campaign = sched.campaign_obd(vectors, faults);
   EXPECT_GT(campaign.detected, 0);
   int verified = 0;
   for (std::size_t f = 0; f < faults.size(); ++f) {
