@@ -74,30 +74,37 @@ struct ExactSearch {
   /// Word-packed mask of coverable faults (uncoverable ones never block).
   std::vector<std::uint64_t> coverable;
 
-  void run(std::vector<std::uint64_t>& covered, std::size_t remaining,
-           std::size_t start) {
+  void run(std::vector<std::uint64_t>& covered, std::size_t remaining) {
     if (++nodes > max_nodes) return;
     if (remaining == 0) {
-      if (best.empty() || current.size() < best.size()) best = current;
+      if (current.size() < best.size()) best = current;
       return;
     }
-    if (!best.empty() && current.size() + 1 >= best.size()) {
-      // Even one more pick cannot beat the incumbent unless it finishes;
-      // cheap lower bound: at least one more test is needed.
-      if (current.size() + 1 > best.size()) return;
+    // Words holding open (coverable, uncovered) faults.
+    std::vector<std::size_t> open_words;
+    for (std::size_t w = 0; w < covered.size(); ++w)
+      if (coverable[w] & ~covered[w]) open_words.push_back(w);
+    // No test covers more than `widest` open faults, so finishing takes at
+    // least ceil(remaining / widest) more picks; prune branches that can at
+    // best tie the incumbent (greedy's cover at the root).
+    std::size_t widest = 0;
+    for (std::size_t t = 0; t < m.n_tests; ++t) {
+      std::size_t gain = 0;
+      for (const std::size_t w : open_words)
+        gain += static_cast<std::size_t>(
+            std::popcount(m.row(t)[w] & ~covered[w]));
+      widest = std::max(widest, gain);
     }
-    // Branch on the first uncovered coverable fault: some selected test
-    // must cover it.
-    std::size_t fault_word = 0;
-    std::uint64_t open = 0;
-    for (; fault_word < covered.size(); ++fault_word) {
-      open = coverable[fault_word] & ~covered[fault_word];
-      if (open) break;
-    }
-    if (!open) return;
+    // widest == 0 only when `covered` marks a fault no row detects.
+    if (widest == 0 ||
+        current.size() + (remaining + widest - 1) / widest >= best.size())
+      return;
+    // Branch on the first open fault: some selected test must cover it.
+    const std::size_t w0 = open_words.front();
     const std::size_t fault =
-        fault_word * 64 + static_cast<std::size_t>(std::countr_zero(open));
-    for (std::size_t t = start; t < m.n_tests; ++t) {
+        w0 * 64 + static_cast<std::size_t>(
+                      std::countr_zero(coverable[w0] & ~covered[w0]));
+    for (std::size_t t = 0; t < m.n_tests; ++t) {
       if (!m.detects(t, fault)) continue;
       // Apply, remembering the newly covered bits per word to undo.
       const std::uint64_t* row = m.row(t);
@@ -109,7 +116,7 @@ struct ExactSearch {
         gained += static_cast<std::size_t>(std::popcount(newly[w]));
       }
       current.push_back(t);
-      run(covered, remaining - gained, 0);
+      run(covered, remaining - gained);
       current.pop_back();
       for (std::size_t w = 0; w < covered.size(); ++w) covered[w] &= ~newly[w];
     }
@@ -132,7 +139,7 @@ std::vector<std::size_t> exact_cover(const DetectionMatrix& m,
   search.best = greedy;
   search.coverable = covered_mask(m);
   std::vector<std::uint64_t> covered(m.words_per_row, 0);
-  search.run(covered, static_cast<std::size_t>(m.covered_count), 0);
+  search.run(covered, static_cast<std::size_t>(m.covered_count));
   return search.best;
 }
 
@@ -147,85 +154,6 @@ bool covers_all(const DetectionMatrix& m,
   for (std::size_t w = 0; w < covered.size(); ++w)
     if ((covered[w] & need[w]) != need[w]) return false;
   return true;
-}
-
-// --- X-overlap merging -------------------------------------------------------
-
-namespace {
-
-void or_into(std::vector<std::uint64_t>& acc,
-             const std::vector<std::uint64_t>& v) {
-  for (std::size_t w = 0; w < v.size(); ++w) acc[w] |= v[w];
-}
-
-}  // namespace
-
-XMergeResult merge_x_overlap(const Circuit& c,
-                             const std::vector<XTwoVectorTest>& tests,
-                             const std::vector<ObdFaultSite>& faults) {
-  XMergeResult out;
-  FaultSimEngine engine(c);
-  PatternBlock block(c);
-  std::vector<std::uint64_t> detect;
-  // Detections of `t`'s concrete fill among the faults `active` marks (all
-  // of them when null), packed with fault f at bit (f & 63) of word
-  // (f >> 6) — the or_into() layout. The block has one live lane, so bit 0
-  // of detect[f] is the verdict.
-  const auto concrete_obd = [&](const XTwoVectorTest& t,
-                                const std::vector<std::uint8_t>* active) {
-    block.clear();
-    block.push(t.concrete());
-    engine.block_obd(block, faults, detect, active);
-    std::vector<std::uint64_t> packed((faults.size() + 63) / 64, 0);
-    for (std::size_t f = 0; f < faults.size(); ++f)
-      packed[f >> 6] |= (detect[f] & 1u) << (f & 63);
-    return packed;
-  };
-  // Acceptance only asks whether `t` detects every fault in `need` (the
-  // constituents' detections, usually a tiny fraction of the fault list),
-  // so only those faults are active.
-  std::vector<std::uint8_t> active(faults.size());
-  const auto detects_all = [&](const XTwoVectorTest& t,
-                               const std::vector<std::uint64_t>& need) {
-    for (std::size_t f = 0; f < faults.size(); ++f)
-      active[f] = (need[f >> 6] >> (f & 63)) & 1u;
-    const std::vector<std::uint64_t> got = concrete_obd(t, &active);
-    for (std::size_t w = 0; w < need.size(); ++w)
-      if ((got[w] & need[w]) != need[w]) return false;
-    return true;
-  };
-
-  struct Slot {
-    XTwoVectorTest test;
-    std::vector<std::uint64_t> concrete;  // union of constituents' concrete
-  };
-  std::vector<Slot> slots;
-
-  for (std::size_t i = 0; i < tests.size(); ++i) {
-    const auto concrete = concrete_obd(tests[i], nullptr);
-    bool placed = false;
-    for (std::size_t s = 0; s < slots.size() && !placed; ++s) {
-      Slot& slot = slots[s];
-      if (!slot.test.compatible(tests[i])) continue;
-      // Definite (3-valued) detections need no check here: merging only
-      // refines care bits, and eval3_words is Kleene-monotone, so every
-      // constituent's definite detection carries over (see compact.hpp).
-      const XTwoVectorTest cand = slot.test.merged(tests[i]);
-      std::vector<std::uint64_t> need_conc = slot.concrete;
-      or_into(need_conc, concrete);
-      if (!detects_all(cand, need_conc)) continue;
-      slot.test = cand;
-      slot.concrete = std::move(need_conc);
-      out.members[s].push_back(i);
-      placed = true;
-    }
-    if (!placed) {
-      slots.push_back({tests[i], concrete});
-      out.members.push_back({i});
-    }
-  }
-  for (auto& s : slots) out.tests.push_back(s.test);
-  return out;
 }
 
 }  // namespace obd::atpg

@@ -40,8 +40,48 @@ std::vector<bool> simulate_transition(
 
 std::vector<bool> simulate_obd_x(const Circuit& c, const XTwoVectorTest& test,
                                  const std::vector<ObdFaultSite>& faults) {
-  FaultSimEngine engine(c);
-  return engine.definite_obd(test, faults);
+  using logic::Tri;
+  const auto pi_values = [&](const TestVector& v) {
+    std::vector<Tri> pi(c.inputs().size(), Tri::kX);
+    for (std::size_t i = 0; i < pi.size(); ++i)
+      if (v.care_mask.bit(i)) pi[i] = logic::tri_of(v.bits.bit(i));
+    return pi;
+  };
+  const std::vector<Tri> good1 = c.eval3(pi_values(test.v1));
+  const std::vector<Tri> pi2 = pi_values(test.v2);
+  const std::vector<Tri> good2 = c.eval3(pi2);
+  std::vector<bool> detected(faults.size(), false);
+
+  for (std::size_t i = 0; i < faults.size(); ++i) {
+    const ObdFaultSite& f = faults[i];
+    const auto& g = c.gate(f.gate_index);
+    const auto topo = logic::gate_topology(g.type);
+    if (!topo.has_value()) continue;
+    // Excitation must be definite: every gate-local input known, both frames.
+    std::uint32_t lv1 = 0, lv2 = 0;
+    bool known = true;
+    for (std::size_t k = 0; k < g.inputs.size() && known; ++k) {
+      const auto in = static_cast<std::size_t>(g.inputs[k]);
+      known = good1[in] != Tri::kX && good2[in] != Tri::kX;
+      lv1 |= static_cast<std::uint32_t>(good1[in] == Tri::k1) << k;
+      lv2 |= static_cast<std::uint32_t>(good2[in] == Tri::k1) << k;
+    }
+    if (!known || !core::excites_obd(*topo, f.transistor,
+                                     cells::TwoVector{lv1, lv2}))
+      continue;
+    // Gross-delay: the excited gate's output stays at its frame-1 value.
+    const std::vector<Tri> bad2 =
+        c.eval3(pi2, g.output, logic::tri_of(topo->output(lv1)));
+    for (NetId po : c.outputs()) {
+      const Tri gv = good2[static_cast<std::size_t>(po)];
+      const Tri bv = bad2[static_cast<std::size_t>(po)];
+      if (gv != Tri::kX && bv != Tri::kX && gv != bv) {
+        detected[i] = true;
+        break;
+      }
+    }
+  }
+  return detected;
 }
 
 bool forced_outputs_differ(const Circuit& c, const InputVec& pattern,

@@ -16,10 +16,11 @@
 // through its fanout cone once per block, optionally shards blocks across
 // worker threads with results bit-identical at any thread count, and always
 // drops detected faults in campaigns. The single-test functions below are
-// one-test wrappers (a block with one live lane) kept for API compatibility;
-// `legacy::` holds the original one-fault-one-pattern reference
-// implementations, the oracle of the equivalence tests and the benchmarks'
-// baseline.
+// one-test wrappers (a block with one live lane) kept for API compatibility,
+// except simulate_obd_x, which evaluates partially specified tests in
+// three-valued logic on Circuit::eval3; `legacy::` holds the original
+// one-fault-one-pattern reference implementations, the oracle of the
+// equivalence tests and the benchmarks' baseline.
 #pragma once
 
 #include "atpg/faults.hpp"
@@ -41,9 +42,12 @@ std::vector<bool> simulate_transition(const Circuit& c,
                                       const TwoVectorTest& test,
                                       const std::vector<TransitionFault>& faults);
 
-/// Definite OBD detections under a partially-specified test: detections that
-/// hold for *every* fill of the X (non-care) bits, proven by the 3-valued
-/// block evaluator. The workhorse of X-overlap test compaction.
+/// Definite OBD detections under a partially-specified test (a SAT cube, say):
+/// legacy::simulate_obd's rules in Kleene logic through Circuit::eval3. A
+/// fault counts only when its gate-local two-vector is fully specified and
+/// exciting, and some PO is known in both the good and the faulty frame-2
+/// valuation with differing values, so each detection holds for *every*
+/// fill of the X (non-care) bits.
 std::vector<bool> simulate_obd_x(const Circuit& c, const XTwoVectorTest& test,
                                  const std::vector<ObdFaultSite>& faults);
 

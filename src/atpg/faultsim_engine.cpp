@@ -21,12 +21,6 @@ std::size_t DetectionMatrix::row_count(std::size_t test) const {
   return n;
 }
 
-void PatternBlock::clear() {
-  size_ = 0;
-  std::fill(pi1_.begin(), pi1_.end(), 0);
-  std::fill(pi2_.begin(), pi2_.end(), 0);
-}
-
 void PatternBlock::push(const TwoVectorTest& t) {
   assert(size_ < capacity());
   const auto W = static_cast<std::size_t>(lane_words_);
@@ -293,65 +287,6 @@ void FaultSimEngine::block_obd(const PatternBlock& b,
     for (std::size_t w = 0; w < W; ++w)
       detect[i * W + w] = diff_[w] & exc_[w] & masks_[w];
   }
-}
-
-// --- X-aware (3-valued) detection --------------------------------------------
-
-std::vector<bool> FaultSimEngine::definite_obd(
-    const XTwoVectorTest& t, const std::vector<ObdFaultSite>& faults) {
-  using logic::Words3;
-  const std::size_t n_pi = c_.inputs().size();
-  std::vector<std::uint64_t> bits(n_pi), care(n_pi);
-  for (std::size_t i = 0; i < n_pi; ++i) {
-    bits[i] = t.v1.bits.bit(i) ? ~0ull : 0ull;
-    care[i] = t.v1.care_mask.bit(i) ? ~0ull : 0ull;
-  }
-  const std::vector<Words3> good1 = c_.eval3_words(bits, care);
-  for (std::size_t i = 0; i < n_pi; ++i) {
-    bits[i] = t.v2.bits.bit(i) ? ~0ull : 0ull;
-    care[i] = t.v2.care_mask.bit(i) ? ~0ull : 0ull;
-  }
-  const std::vector<Words3> pi2 = [&] {
-    std::vector<Words3> w(n_pi);
-    for (std::size_t i = 0; i < n_pi; ++i)
-      w[i] = Words3::from_bits_care(bits[i], care[i]);
-    return w;
-  }();
-  const std::vector<Words3> good2 = c_.eval3_words(pi2);
-
-  std::vector<bool> detected(faults.size(), false);
-  std::vector<Words3> bad2;
-  for (std::size_t i = 0; i < faults.size(); ++i) {
-    const ObdFaultSite& f = faults[i];
-    const auto& g = c_.gate(f.gate_index);
-    if (!logic::is_primitive_cmos(g.type)) continue;
-    // Excitation must be definite: every gate-local input known, both frames.
-    std::uint32_t lv1 = 0, lv2 = 0;
-    bool known = true;
-    for (std::size_t k = 0; k < g.inputs.size() && known; ++k) {
-      const auto in = static_cast<std::size_t>(g.inputs[k]);
-      if (!(good1[in].known() & good2[in].known() & 1u)) {
-        known = false;
-        break;
-      }
-      lv1 |= static_cast<std::uint32_t>(good1[in].can1 & 1u) << k;
-      lv2 |= static_cast<std::uint32_t>(good2[in].can1 & 1u) << k;
-    }
-    const auto out = static_cast<std::size_t>(g.output);
-    if (!known || !(good1[out].known() & 1u)) continue;
-    if (!((obd_table(g.type, f.transistor)[lv1] >> lv2) & 1u)) continue;
-    const bool old_out = good1[out].can1 & 1u;
-    c_.eval3_words_into(pi2, bad2, g.output, Words3::of(old_out));
-    for (NetId po : c_.outputs()) {
-      const auto s = static_cast<std::size_t>(po);
-      if ((good2[s].known() & bad2[s].known() &
-           (good2[s].can1 ^ bad2[s].can1) & 1u)) {
-        detected[i] = true;
-        break;
-      }
-    }
-  }
-  return detected;
 }
 
 // --- Scheduler ---------------------------------------------------------------

@@ -96,7 +96,6 @@ class PatternBlock {
     return (1ull << live) - 1;
   }
 
-  void clear();
   void push(const TwoVectorTest& t);
 
   /// Lane-strided PI words: PI i's words at [i * lane_words, +lane_words).
@@ -169,17 +168,6 @@ class FaultSimEngine {
   void block_obd(const PatternBlock& b, const std::vector<ObdFaultSite>& faults,
                  std::vector<std::uint64_t>& detect,
                  const std::vector<std::uint8_t>* active = nullptr);
-
-  // --- X-aware (3-valued) detection ------------------------------------
-  /// Definite OBD detections under a partially-specified test, through
-  /// Circuit::eval3_words on the care-masked vectors: a fault counts only
-  /// when its gate-local two-vector is fully specified and exciting, the
-  /// frame-1 output value is known, and some PO is known in both the good
-  /// and the faulty frame-2 valuation with differing values. Kleene
-  /// conservatism makes this a guarantee over *every* fill of the X bits —
-  /// the property X-overlap compaction relies on.
-  std::vector<bool> definite_obd(const XTwoVectorTest& t,
-                                 const std::vector<ObdFaultSite>& faults);
 
   /// Result of a fault-dropping campaign (FaultSimScheduler::campaign_*):
   /// first_test is each fault's first detecting test index (-1 =

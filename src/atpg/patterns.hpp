@@ -30,37 +30,14 @@ struct TwoVectorTest {
 };
 
 /// A partially-specified two-vector test: per-frame value and care bits.
-/// PODEM emits these (don't-care PIs keep care_mask 0); the X-aware fault
-/// simulator proves detections that hold under *any* fill of the X bits,
-/// which is what lets compaction merge tests by care-bit overlap instead of
-/// exact vector equality.
+/// SAT escalation emits these as lifted cubes (don't-care PIs keep
+/// care_mask 0); simulate_obd_x proves the detections that hold under *any*
+/// fill of the X bits.
 struct XTwoVectorTest {
   TestVector v1;
   TestVector v2;
 
   bool operator==(const XTwoVectorTest&) const = default;
-
-  /// No PI is required to be 0 by one test and 1 by the other, in either
-  /// frame — the precondition for merging.
-  bool compatible(const XTwoVectorTest& o) const {
-    return InputVec::compatible(v1.bits, v1.care_mask, o.v1.bits,
-                                o.v1.care_mask) &&
-           InputVec::compatible(v2.bits, v2.care_mask, o.v2.bits,
-                                o.v2.care_mask);
-  }
-
-  /// Union of the care bits; don't-cares of both fall back to 0. Only
-  /// meaningful when compatible().
-  XTwoVectorTest merged(const XTwoVectorTest& o) const {
-    XTwoVectorTest m;
-    m.v1.care_mask = v1.care_mask | o.v1.care_mask;
-    m.v1.bits = InputVec::merge(v1.bits, v1.care_mask, o.v1.bits,
-                                o.v1.care_mask);
-    m.v2.care_mask = v2.care_mask | o.v2.care_mask;
-    m.v2.bits = InputVec::merge(v2.bits, v2.care_mask, o.v2.bits,
-                                o.v2.care_mask);
-    return m;
-  }
 
   /// The concrete vector pair actually applied on the tester (X bits as
   /// filled in `bits`).

@@ -1,7 +1,7 @@
 // CNF encoding of good/faulty circuit pairs for the SAT ATPG backend.
 //
 // The encoding mirrors the PODEM engine's semantics exactly (the faulty
-// copy podem.cpp's Engine maintains, which sat_atpg.cpp's eval3_forced
+// copy podem.cpp's Engine maintains, which Circuit::eval3 with a forced net
 // evaluates in full): the faulty circuit is the good circuit with one net
 // replaced wholesale by a constant, so the faulty copy only needs fresh
 // variables for that net's transitive fanout cone — every other net shares

@@ -14,47 +14,24 @@ using logic::Circuit;
 using logic::NetId;
 using logic::Tri;
 
-/// 3-valued evaluation with one net optionally forced — the exact faulty-
-/// circuit semantics PODEM's event-driven Engine (podem.cpp) keeps its
-/// faulty copy equal to after every implication, here as one full pass, so
-/// cube validation judges the SAT model by the same rules PODEM plays by.
-void eval3_forced(const Circuit& c, const std::vector<Tri>& pi,
-                  NetId forced_net, Tri forced_value,
-                  std::vector<Tri>* values) {
-  values->assign(c.num_nets(), Tri::kX);
-  for (std::size_t i = 0; i < c.inputs().size(); ++i) {
-    const NetId n = c.inputs()[i];
-    (*values)[static_cast<std::size_t>(n)] =
-        (n == forced_net) ? forced_value : pi[i];
-  }
-  Tri ins[8];
-  for (int g : c.topo_order()) {
-    const logic::Gate& gate = c.gate(g);
-    for (std::size_t k = 0; k < gate.inputs.size(); ++k)
-      ins[k] = (*values)[static_cast<std::size_t>(gate.inputs[k])];
-    (*values)[static_cast<std::size_t>(gate.output)] =
-        (gate.output == forced_net) ? forced_value
-                                    : logic::gate_eval3(gate.type, ins);
-  }
-}
-
 /// Does the partially-specified PI assignment *definitely* meet the goal
 /// under 3-valued evaluation? Kleene conservatism makes a true answer a
 /// guarantee over every completion of the X bits — the property that lets
-/// don't-care bits be lifted out of a SAT model safely.
+/// don't-care bits be lifted out of a SAT model safely. The faulty frame is
+/// Circuit::eval3 with the fault net forced, the faulty-circuit semantics
+/// PODEM's event-driven Engine (podem.cpp) and the CNF encoder share, so
+/// cube validation judges the SAT model by the same rules PODEM plays by.
 bool frame_definitely_met(const Circuit& c, const std::vector<Tri>& pi,
                           const FrameGoal& goal) {
-  std::vector<Tri> good;
-  eval3_forced(c, pi, logic::kNoNet, Tri::kX, &good);
+  const std::vector<Tri> good = c.eval3(pi);
   for (const NetConstraint& k : goal.constraints)
     if (good[static_cast<std::size_t>(k.net)] != logic::tri_of(k.value))
       return false;
   if (!goal.fault) return true;
   const Tri gf = good[static_cast<std::size_t>(goal.fault->net)];
   if (gf == Tri::kX || gf == logic::tri_of(goal.fault->value)) return false;
-  std::vector<Tri> faulty;
-  eval3_forced(c, pi, goal.fault->net, logic::tri_of(goal.fault->value),
-               &faulty);
+  const std::vector<Tri> faulty =
+      c.eval3(pi, goal.fault->net, logic::tri_of(goal.fault->value));
   for (const NetId po : c.outputs()) {
     const Tri g = good[static_cast<std::size_t>(po)];
     const Tri f = faulty[static_cast<std::size_t>(po)];

@@ -5,8 +5,8 @@
 // certainty: each goal's good/faulty circuit pair is CNF-encoded (cnf.hpp)
 // and handed to the embedded CDCL core (solver.hpp), returning either
 //   - a *validated* maximal-don't-care test cube (every don't-care bit is
-//     re-verified by 3-valued simulation before it is declared X, so the
-//     cube feeds the X-fill/compaction machinery safely), or
+//     re-verified by 3-valued simulation, Circuit::eval3, before it is
+//     declared X, so every fill of the cube tests the fault), or
 //   - a proven-untestable verdict (for OBD faults: every goal's two-frame
 //     CNF is UNSAT — the completeness basis: goals_of enumerates every
 //     exciting transition of the full (2^n)^2 space), or

@@ -11,10 +11,9 @@ using logic::Circuit;
 using logic::SequentialCircuit;
 
 ScanObdResult generate_enhanced(const SequentialCircuit& seq,
-                                const ObdFaultSite& site,
+                                const Circuit& sv, const ObdFaultSite& site,
                                 const PodemOptions& opt) {
   ScanObdResult result;
-  const Circuit sv = seq.scan_view();
   // scan_view preserves gate order, so the fault index carries over.
   const TwoFrameResult r = generate_obd_test(sv, site, opt);
   result.status = r.status;
@@ -32,11 +31,11 @@ ScanObdResult generate_enhanced(const SequentialCircuit& seq,
   return result;
 }
 
-ScanObdResult generate_loc(const SequentialCircuit& seq,
+ScanObdResult generate_loc(const SequentialCircuit& seq, const Circuit& u,
+                           const std::vector<logic::NetId>& next_state,
                            const ObdFaultSite& site, bool held_pi,
                            const PodemOptions& opt) {
   ScanObdResult result;
-  const Circuit u = seq.unroll_two_frames(/*share_pis=*/held_pi);
   const int g1 = seq.frame1_gate_index(site.gate_index);
   const int g2 = seq.frame2_gate_index(site.gate_index);
   // Each goal of the capture-frame twin folds into one unrolled frame: the
@@ -67,21 +66,13 @@ ScanObdResult generate_loc(const SequentialCircuit& seq,
   result.test.pi1 = bits.slice(0, n_pi);
   result.test.state1 = bits.slice(n_pi, n_ff);
   result.test.pi2 = held_pi ? result.test.pi1 : bits.slice(n_pi + n_ff, n_pi);
-  // Frame-2 present state = the machine's own launch response; read it
-  // off the unrolled circuit's frame-1 next-state nets instead of
-  // rebuilding a scan view (seq.step constructs one per call).
+  // Frame-2 present state = the machine's own launch response, read off
+  // the unrolled circuit's frame-1 next-state nets.
   const std::vector<bool> uvals = u.eval(bits);
-  for (std::size_t j = 0; j < n_ff; ++j) {
-    const std::string& d_name = seq.core().net_name(seq.flops()[j].d);
-    logic::NetId d1 = u.find_net(d_name + "@1");
-    // A flop fed directly by a PI carries the shared "@12" suffix when
-    // the frames share inputs.
-    if (d1 == logic::kNoNet) d1 = u.find_net(d_name + "@12");
-    // Both lookups missing is unreachable for a circuit unroll just
-    // built, but an undriven-net 0 beats an out-of-bounds read.
-    if (d1 == logic::kNoNet) continue;
-    result.test.state2.set_bit(j, uvals[static_cast<std::size_t>(d1)]);
-  }
+  for (std::size_t j = 0; j < n_ff; ++j)
+    if (next_state[j] != logic::kNoNet)
+      result.test.state2.set_bit(j,
+                                 uvals[static_cast<std::size_t>(next_state[j])]);
   result.test.state2_loaded = false;
   return result;
 }
@@ -97,18 +88,46 @@ const char* to_string(ScanMode m) {
   return "?";
 }
 
+ScanObdGenerator::ScanObdGenerator(const SequentialCircuit& seq,
+                                   ScanMode mode)
+    : seq_(seq),
+      mode_(mode),
+      view_(mode == ScanMode::kEnhanced
+                ? seq.scan_view()
+                : seq.unroll_two_frames(
+                      /*share_pis=*/mode == ScanMode::kLaunchOnCaptureHeldPi)) {
+  if (mode == ScanMode::kEnhanced) return;
+  for (const logic::Flop& ff : seq.flops()) {
+    const std::string& d_name = seq.core().net_name(ff.d);
+    logic::NetId d1 = view_.find_net(d_name + "@1");
+    // A flop fed directly by a PI carries the shared "@12" suffix when the
+    // frames share inputs. Both lookups missing is unreachable for a
+    // circuit unroll just built, but an undriven-net 0 beats an
+    // out-of-bounds read.
+    if (d1 == logic::kNoNet) d1 = view_.find_net(d_name + "@12");
+    next_state_.push_back(d1);
+  }
+}
+
+ScanObdResult ScanObdGenerator::generate(const ObdFaultSite& site,
+                                         const PodemOptions& opt) const {
+  switch (mode_) {
+    case ScanMode::kEnhanced:
+      return generate_enhanced(seq_, view_, site, opt);
+    case ScanMode::kLaunchOnCapture:
+      return generate_loc(seq_, view_, next_state_, site, /*held_pi=*/false,
+                          opt);
+    case ScanMode::kLaunchOnCaptureHeldPi:
+      return generate_loc(seq_, view_, next_state_, site, /*held_pi=*/true,
+                          opt);
+  }
+  return {};
+}
+
 ScanObdResult generate_scan_obd_test(const SequentialCircuit& seq,
                                      const ObdFaultSite& site, ScanMode mode,
                                      const PodemOptions& opt) {
-  switch (mode) {
-    case ScanMode::kEnhanced:
-      return generate_enhanced(seq, site, opt);
-    case ScanMode::kLaunchOnCapture:
-      return generate_loc(seq, site, /*held_pi=*/false, opt);
-    case ScanMode::kLaunchOnCaptureHeldPi:
-      return generate_loc(seq, site, /*held_pi=*/true, opt);
-  }
-  return {};
+  return ScanObdGenerator(seq, mode).generate(site, opt);
 }
 
 bool verify_scan_obd_test(const SequentialCircuit& seq,
@@ -181,8 +200,9 @@ ScanCampaign run_scan_obd_atpg(const SequentialCircuit& seq,
                                const std::vector<ObdFaultSite>& faults,
                                ScanMode mode, const PodemOptions& opt) {
   ScanCampaign c;
+  const ScanObdGenerator gen(seq, mode);
   for (const ObdFaultSite& f : faults) {
-    const ScanObdResult r = generate_scan_obd_test(seq, f, mode, opt);
+    const ScanObdResult r = gen.generate(f, opt);
     switch (r.status) {
       case PodemStatus::kFound:
         ++c.found;

@@ -50,7 +50,28 @@ struct ScanObdResult {
   long implications = 0;
 };
 
-/// Generates a scan OBD test for a fault on core gate `site.gate_index`.
+/// Scan OBD test generation for one machine and mode. The search circuit is
+/// built once and reused for every fault: the scan view for enhanced scan,
+/// the two-frame unroll for the LOC modes, together with each flop's
+/// frame-1 next-state net. Holds a reference to `seq`, which must outlive
+/// the generator.
+class ScanObdGenerator {
+ public:
+  ScanObdGenerator(const logic::SequentialCircuit& seq, ScanMode mode);
+
+  /// Generates a scan OBD test for a fault on core gate `site.gate_index`.
+  ScanObdResult generate(const ObdFaultSite& site,
+                         const PodemOptions& opt = {}) const;
+
+ private:
+  const logic::SequentialCircuit& seq_;
+  ScanMode mode_;
+  logic::Circuit view_;
+  std::vector<logic::NetId> next_state_;  // LOC only; kNoNet if not found
+};
+
+/// One-off form of ScanObdGenerator::generate (builds the search circuit
+/// for this call only).
 ScanObdResult generate_scan_obd_test(const logic::SequentialCircuit& seq,
                                      const ObdFaultSite& site, ScanMode mode,
                                      const PodemOptions& opt = {});
@@ -77,9 +98,9 @@ std::vector<ScanObdTest> random_broadside_tests(
 TwoVectorTest scan_view_vectors(const logic::SequentialCircuit& seq,
                                 const ScanObdTest& t);
 
-/// Per-mode ATPG over a fault list: generate_scan_obd_test per fault, in
-/// list order, with no random prepass. `tests` holds the found tests in
-/// fault order.
+/// Per-mode ATPG over a fault list: one ScanObdGenerator, one test per
+/// fault in list order, with no random prepass. `tests` holds the found
+/// tests in fault order.
 struct ScanCampaign {
   int found = 0;
   int untestable = 0;

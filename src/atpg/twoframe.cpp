@@ -25,18 +25,17 @@ TwoFrameResult generate_test(const Circuit& c,
     if (f2.status != PodemStatus::kFound) continue;
 
     // Frame 1: justify the launch vector (single-frame goals reuse v2).
-    TestVector v1 = f2.vector;
+    InputVec v1 = f2.vector.bits;
     if (goal.justify_frame) {
       const PodemResult f1 =
           podem_justify(c, goal.justify_frame->constraints, opt);
       tally(f1);
       if (f1.status != PodemStatus::kFound) continue;
-      v1 = f1.vector;
+      v1 = f1.vector.bits;
     }
 
     result.status = PodemStatus::kFound;
-    result.test = TwoVectorTest{v1.bits, f2.vector.bits};
-    result.x_test = XTwoVectorTest{v1, f2.vector};
+    result.test = TwoVectorTest{v1, f2.vector.bits};
     return result;
   }
   result.status =
@@ -60,7 +59,6 @@ AtpgRun run_atpg(const Circuit& c, const std::vector<Fault>& faults,
       case PodemStatus::kFound:
         ++run.found;
         run.tests.push_back(r.test);
-        run.x_tests.push_back(r.x_test);
         break;
       case PodemStatus::kUntestable:
         ++run.untestable;

@@ -17,9 +17,6 @@ struct TwoFrameResult {
   /// aborts are deterministic and final for the given options.
   AbortReason reason = AbortReason::kNone;
   TwoVectorTest test;
-  /// The same test with the PODEM care masks preserved (don't-care PIs keep
-  /// care_mask 0) — the input to X-overlap compaction.
-  XTwoVectorTest x_test;
   long backtracks = 0;
   long implications = 0;
 };
@@ -50,8 +47,6 @@ inline TwoFrameResult generate_transition_test(const Circuit& c,
 /// Whole-fault-list ATPG statistics.
 struct AtpgRun {
   std::vector<TwoVectorTest> tests;
-  /// Care-mask form of `tests`, index-aligned. Feeds merge_x_overlap.
-  std::vector<XTwoVectorTest> x_tests;
   int found = 0;
   int untestable = 0;
   int aborted = 0;

@@ -274,9 +274,12 @@ CampaignContext make_context(const logic::SequentialCircuit& seq,
     // Core fault indices carry over: scan_view preserves gate order.
     auto data = bind_model(ctx, collapse_obd(prim->core(), ctx), opt);
     ctx.escalate = nullptr;
-    ctx.generate = [data, prim, mode = opt.scan_style](std::uint32_t i) {
-      const ScanObdResult sr =
-          generate_scan_obd_test(*prim, data->reps[i], mode, data->popt);
+    // The generator builds the two-frame unroll once and references
+    // *prim, which the closure keeps alive.
+    ctx.generate = [data, prim,
+                    gen = std::make_shared<const ScanObdGenerator>(
+                        *prim, opt.scan_style)](std::uint32_t i) {
+      const ScanObdResult sr = gen->generate(data->reps[i], data->popt);
       TwoFrameResult t;
       t.status = sr.status;
       t.reason = sr.reason;

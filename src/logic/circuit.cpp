@@ -4,6 +4,8 @@
 #include <cassert>
 #include <iterator>
 
+#include "logic/laneblock.hpp"
+
 namespace obd::logic {
 
 NetId Circuit::net(const std::string& name) {
@@ -178,17 +180,22 @@ InputVec Circuit::pack_outputs(const std::vector<bool>& net_values) const {
   return out;
 }
 
-std::vector<Tri> Circuit::eval3(const std::vector<Tri>& pi_values) const {
+std::vector<Tri> Circuit::eval3(const std::vector<Tri>& pi_values,
+                                NetId forced_net, Tri forced_value) const {
   std::vector<Tri> values(net_names_.size(), Tri::kX);
-  for (std::size_t i = 0; i < inputs_.size() && i < pi_values.size(); ++i)
-    values[static_cast<std::size_t>(inputs_[i])] = pi_values[i];
+  for (std::size_t i = 0; i < inputs_.size() && i < pi_values.size(); ++i) {
+    const NetId n = inputs_[i];
+    values[static_cast<std::size_t>(n)] =
+        (n == forced_net) ? forced_value : pi_values[i];
+  }
   Tri ins[8];
   for (int g : topo_order()) {
     const Gate& gate = gates_[static_cast<std::size_t>(g)];
     for (std::size_t k = 0; k < gate.inputs.size(); ++k)
       ins[k] = values[static_cast<std::size_t>(gate.inputs[k])];
     values[static_cast<std::size_t>(gate.output)] =
-        gate_eval3(gate.type, ins);
+        (gate.output == forced_net) ? forced_value
+                                    : gate_eval3(gate.type, ins);
   }
   return values;
 }
@@ -229,51 +236,11 @@ void Circuit::eval_wide_into(const std::vector<std::uint64_t>& pi_words,
     const Gate& gate = gates_[static_cast<std::size_t>(g)];
     for (std::size_t k = 0; k < gate.inputs.size(); ++k)
       ins[k] = values.data() + static_cast<std::size_t>(gate.inputs[k]) * W;
-    gate_eval_words_n(gate.type, ins,
-                      values.data() + static_cast<std::size_t>(gate.output) * W,
-                      W);
+    gate_eval_lanes(gate.type, ins,
+                    values.data() + static_cast<std::size_t>(gate.output) * W,
+                    W);
   }
 }
-
-std::vector<Words3> Circuit::eval3_words(const std::vector<Words3>& pi_words,
-                                         NetId forced_net,
-                                         Words3 forced_value) const {
-  std::vector<Words3> values;
-  eval3_words_into(pi_words, values, forced_net, forced_value);
-  return values;
-}
-
-void Circuit::eval3_words_into(const std::vector<Words3>& pi_words,
-                               std::vector<Words3>& values, NetId forced_net,
-                               Words3 forced_value) const {
-  values.assign(net_names_.size(), Words3::all_x());
-  for (std::size_t i = 0; i < inputs_.size() && i < pi_words.size(); ++i) {
-    const NetId n = inputs_[i];
-    values[static_cast<std::size_t>(n)] =
-        (n == forced_net) ? forced_value : pi_words[i];
-  }
-  Words3 ins[8];
-  for (int g : topo_order()) {
-    const Gate& gate = gates_[static_cast<std::size_t>(g)];
-    for (std::size_t k = 0; k < gate.inputs.size(); ++k)
-      ins[k] = values[static_cast<std::size_t>(gate.inputs[k])];
-    values[static_cast<std::size_t>(gate.output)] =
-        (gate.output == forced_net) ? forced_value
-                                    : gate_eval_words3(gate.type, ins);
-  }
-}
-
-std::vector<Words3> Circuit::eval3_words(
-    const std::vector<std::uint64_t>& pi_bits,
-    const std::vector<std::uint64_t>& pi_care, NetId forced_net,
-    Words3 forced_value) const {
-  const std::size_t n = std::min(pi_bits.size(), pi_care.size());
-  std::vector<Words3> pi_words(n);
-  for (std::size_t i = 0; i < n; ++i)
-    pi_words[i] = Words3::from_bits_care(pi_bits[i], pi_care[i]);
-  return eval3_words(pi_words, forced_net, forced_value);
-}
-
 
 std::uint32_t Circuit::gate_input_bits(
     int gate_idx, const std::vector<bool>& net_values) const {

@@ -93,8 +93,15 @@ class Circuit {
   /// output i) — the shared tail of eval_outputs and the simulators that
   /// compute per-net values themselves.
   InputVec pack_outputs(const std::vector<bool>& net_values) const;
-  /// Three-valued evaluation from explicit per-PI values.
-  std::vector<Tri> eval3(const std::vector<Tri>& pi_values) const;
+  /// Three-valued (Kleene) evaluation from explicit per-PI values; PIs
+  /// beyond `pi_values.size()` and undriven nets are X. Optionally forces
+  /// one net (fault injection) as eval_words does: a forced gate output, or
+  /// a forced PI that has a value in `pi_values`, takes `forced_value`, and
+  /// every other net is computed from its inputs — the faulty-circuit
+  /// semantics of PODEM and the SAT encoder.
+  std::vector<Tri> eval3(const std::vector<Tri>& pi_values,
+                         NetId forced_net = kNoNet,
+                         Tri forced_value = Tri::kX) const;
 
   /// Bit-parallel evaluation: 64 independent patterns at once. Word i of
   /// `pi_words` carries 64 values of PI i (bit k = pattern k). Optionally
@@ -114,29 +121,6 @@ class Circuit {
   void eval_wide_into(const std::vector<std::uint64_t>& pi_words,
                       std::size_t lane_words,
                       std::vector<std::uint64_t>& values) const;
-
-  /// Bit-parallel three-valued evaluation over the same block machinery:
-  /// 64 lanes of Kleene values per net in dual-rail words. PIs beyond
-  /// `pi_words.size()` and undriven nets are X, matching eval3. A forced
-  /// net (fault injection) is pinned to `forced_value` across all lanes.
-  std::vector<Words3> eval3_words(const std::vector<Words3>& pi_words,
-                                  NetId forced_net = kNoNet,
-                                  Words3 forced_value = Words3::all_x()) const;
-
-  /// Allocation-reusing form of eval3_words (values resized to num_nets()).
-  void eval3_words_into(const std::vector<Words3>& pi_words,
-                        std::vector<Words3>& values, NetId forced_net = kNoNet,
-                        Words3 forced_value = Words3::all_x()) const;
-
-  /// Care-mask convenience: 64 incompletely-specified vectors given as
-  /// packed (bits, care) PI words — lane k of PI i is X unless bit k of
-  /// `pi_care[i]` is set. This is how TestVector::care_mask patterns enter
-  /// the X-aware fault simulator.
-  std::vector<Words3> eval3_words(const std::vector<std::uint64_t>& pi_bits,
-                                  const std::vector<std::uint64_t>& pi_care,
-                                  NetId forced_net = kNoNet,
-                                  Words3 forced_value = Words3::all_x()) const;
-
 
   /// Gate-local input bits for a gate under a per-net valuation.
   std::uint32_t gate_input_bits(int gate_idx,

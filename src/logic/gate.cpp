@@ -1,7 +1,5 @@
 #include "logic/gate.hpp"
 
-#include "logic/laneblock.hpp"
-
 namespace obd::logic {
 
 int gate_arity(GateType t) {
@@ -75,15 +73,6 @@ bool gate_eval(GateType t, std::uint32_t v) {
   return false;
 }
 
-char tri_char(Tri v) {
-  switch (v) {
-    case Tri::k0: return '0';
-    case Tri::k1: return '1';
-    case Tri::kX: return 'X';
-  }
-  return '?';
-}
-
 Tri gate_eval3(GateType t, const Tri* in) {
   const int n = gate_arity(t);
   // If no X among inputs, defer to the boolean function.
@@ -137,51 +126,6 @@ std::uint64_t gate_eval_words(GateType t, const std::uint64_t* in) {
     case GateType::kOai21: return ~((in[0] | in[1]) & in[2]);
   }
   return 0;
-}
-
-void gate_eval_words_n(GateType t, const std::uint64_t* const* inputs,
-                       std::uint64_t* out, std::size_t n_words) {
-  gate_eval_lanes(t, inputs, out, n_words);
-}
-
-Words3 gate_eval_words3(GateType t, const Words3* in) {
-  switch (t) {
-    case GateType::kXor2: {
-      Words3 out;
-      out.can1 = (in[0].can1 & in[1].can0) | (in[0].can0 & in[1].can1);
-      out.can0 = (in[0].can0 & in[1].can0) | (in[0].can1 & in[1].can1);
-      return out;
-    }
-    case GateType::kXnor2: {
-      Words3 out;
-      out.can0 = (in[0].can1 & in[1].can0) | (in[0].can0 & in[1].can1);
-      out.can1 = (in[0].can0 & in[1].can0) | (in[0].can1 & in[1].can1);
-      return out;
-    }
-    default:
-      break;
-  }
-  // Unate gates: the output extremes are reached at the input extremes.
-  // Minimal completion of a lane is 0 where can0, else 1; maximal is 1
-  // where can1, else 0.
-  const int n = gate_arity(t);
-  std::uint64_t lo[8], hi[8];
-  for (int k = 0; k < n; ++k) {
-    lo[k] = ~in[k].can0;
-    hi[k] = in[k].can1;
-  }
-  const bool positive_unate =
-      t == GateType::kBuf || t == GateType::kAnd2 || t == GateType::kOr2;
-  Words3 out;
-  if (positive_unate) {
-    out.can1 = gate_eval_words(t, hi);
-    out.can0 = ~gate_eval_words(t, lo);
-  } else {
-    // INV/NAND/NOR/AOI/OAI: negative-unate in every input.
-    out.can1 = gate_eval_words(t, lo);
-    out.can0 = ~gate_eval_words(t, hi);
-  }
-  return out;
 }
 
 bool is_primitive_cmos(GateType t) {

@@ -8,7 +8,6 @@
 //    OBD fault analysis.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -48,47 +47,12 @@ bool gate_eval(GateType t, std::uint32_t inputs);
 enum class Tri : std::uint8_t { k0 = 0, k1 = 1, kX = 2 };
 
 inline Tri tri_of(bool b) { return b ? Tri::k1 : Tri::k0; }
-char tri_char(Tri v);
 
 /// Three-valued gate evaluation (inputs as array of Tri).
 Tri gate_eval3(GateType t, const Tri* inputs);
 
 /// Bit-parallel gate evaluation: each word carries 64 independent patterns.
 std::uint64_t gate_eval_words(GateType t, const std::uint64_t* inputs);
-
-/// Multi-word gate evaluation: input k is `inputs[k][0..n_words)`, the
-/// result lands in `out[0..n_words)` — 64*n_words independent patterns per
-/// call. Dispatches to the SIMD/unrolled LaneBlock kernels of
-/// laneblock.hpp for the supported widths (1/2/4/8 words); other widths run
-/// word-by-word. Word w of the output equals gate_eval_words over word w of
-/// each input, which is what makes wide and narrow simulation bit-identical.
-void gate_eval_words_n(GateType t, const std::uint64_t* const* inputs,
-                       std::uint64_t* out, std::size_t n_words);
-
-/// Dual-rail encoding of 64 three-valued lanes: bit k of `can0`/`can1` says
-/// the lane-k value can resolve to 0/1. Exactly one bit set = known value,
-/// both set = X. (Both clear is unused/invalid.)
-struct Words3 {
-  std::uint64_t can0 = 0;
-  std::uint64_t can1 = 0;
-
-  static Words3 of(bool v) { return v ? Words3{0, ~0ull} : Words3{~0ull, 0}; }
-  static Words3 all_x() { return {~0ull, ~0ull}; }
-  /// Packs 64 partially-specified lanes: care-bit lanes carry `bits`,
-  /// the rest are X. The bridge from (TestVector::bits, care_mask) pairs
-  /// into the dual-rail evaluator.
-  static Words3 from_bits_care(std::uint64_t bits, std::uint64_t care) {
-    return {~bits | ~care, bits | ~care};
-  }
-  std::uint64_t known() const { return can0 ^ can1; }
-  std::uint64_t x_mask() const { return can0 & can1; }
-};
-
-/// Bit-parallel three-valued gate evaluation, lane-exact w.r.t. gate_eval3.
-/// All primitive CMOS gates (and BUF/AND/OR) are unate in every input, so
-/// both rails come from two two-valued gate_eval_words calls on the extreme
-/// completions; XOR/XNOR get exact dual-rail formulas.
-Words3 gate_eval_words3(GateType t, const Words3* inputs);
 
 /// True for gates that map directly onto a CMOS cell (OBD faults defined).
 bool is_primitive_cmos(GateType t);

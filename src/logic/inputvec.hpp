@@ -171,29 +171,6 @@ class InputVec {
     return out;
   }
 
-  // --- Care-companion helpers -------------------------------------------
-  // TestVector pairs an InputVec of values with an InputVec of care bits;
-  // these are the word-strided forms of the X-compaction primitives.
-
-  /// No position is required 0 by (b1, c1) and 1 by (b2, c2): the merge
-  /// precondition of partially-specified tests. Allocation-free.
-  static bool compatible(const InputVec& b1, const InputVec& c1,
-                         const InputVec& b2, const InputVec& c2) {
-    const std::size_t n = std::max(b1.nwords(), b2.nwords());
-    for (std::size_t w = 0; w < n; ++w)
-      if ((b1.word(w) ^ b2.word(w)) & c1.word(w) & c2.word(w)) return false;
-    return true;
-  }
-  /// (b1 & c1) | (b2 & c2): the merged values under the united care mask.
-  static InputVec merge(const InputVec& b1, const InputVec& c1,
-                        const InputVec& b2, const InputVec& c2) {
-    InputVec out;
-    const std::size_t n = std::max(b1.nwords(), b2.nwords());
-    for (std::size_t w = 0; w < n; ++w)
-      out.set_word(w, (b1.word(w) & c1.word(w)) | (b2.word(w) & c2.word(w)));
-    return out;
-  }
-
   // --- Comparison / hashing ---------------------------------------------
   friend bool operator==(const InputVec& a, const InputVec& b) {
     const std::size_t n = std::max(a.nwords(), b.nwords());

@@ -8,7 +8,7 @@
 // report each fault's first detecting row of that legacy matrix (and at
 // one worker, exactly the block work dropping implies). The legacy
 // matrices share no packing or kernel code with the scheduler. Shared by
-// test_faultsim_engine.cpp and test_faultsim_scheduler.cpp.
+// the fault-sim and wide-vector tests; test_gate_circuit.cpp reuses zoo().
 #pragma once
 
 #include <gtest/gtest.h>

@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstdint>
 #include <string>
 
 #include "atpg/atpg.hpp"
@@ -284,6 +285,20 @@ TEST(Compact, LazyGreedyPicksEqualEagerOnCorpusMatrix) {
   EXPECT_LE(exact.size(), lazy.size());
 }
 
+TEST(Compact, ExactCoverFindsOptimumWithinBudget) {
+  // The counting bound (open faults over the widest row) prunes every
+  // branch that can at best tie the incumbent, so a small node budget
+  // already reaches the unbounded search's optimum on these instances.
+  util::Prng prng(0xe8ac7);
+  for (int trial = 0; trial < 20; ++trial) {
+    const DetectionMatrix m = random_matrix(24, 30, 12, prng);
+    const auto optimum = exact_cover(m, SIZE_MAX);
+    const auto budgeted = exact_cover(m, 2000);
+    EXPECT_TRUE(covers_all(m, budgeted)) << "trial " << trial;
+    EXPECT_EQ(budgeted.size(), optimum.size()) << "trial " << trial;
+  }
+}
+
 TEST(Compact, EmptyMatrix) {
   DetectionMatrix m;
   EXPECT_TRUE(greedy_cover(m).empty());
@@ -312,111 +327,6 @@ TEST(Patterns, ConsecutivePairs) {
   ASSERT_EQ(p.size(), 2u);
   EXPECT_EQ(p[0], (TwoVectorTest{1, 2}));
   EXPECT_EQ(p[1], (TwoVectorTest{2, 3}));
-}
-
-// --- X-overlap merging -------------------------------------------------------
-
-std::vector<bool> covered_by(const Circuit& c,
-                             const std::vector<TwoVectorTest>& tests,
-                             const std::vector<ObdFaultSite>& faults) {
-  const DetectionMatrix m = build_obd_matrix(c, tests, faults);
-  return m.covered;
-}
-
-TEST(XMerge, PropertyNoCoverageLossAndNoCareConflicts) {
-  // Random partially-specified tests over random circuits: the merged set
-  // must be no larger, never combine conflicting care bits, and its
-  // concrete vectors must cover every fault the originals covered.
-  for (std::uint64_t seed : {0x11aull, 0x22bull, 0x33cull}) {
-    const Circuit c = logic::random_circuit(7, 50, 5, seed);
-    const auto faults = enumerate_obd_faults(c);
-    const std::uint64_t all = (1ull << c.inputs().size()) - 1;
-    util::Prng prng(seed * 7919);
-    std::vector<XTwoVectorTest> tests;
-    for (int i = 0; i < 24; ++i) {
-      XTwoVectorTest t;
-      t.v1.care_mask = prng.next_u64() & all;
-      t.v2.care_mask = prng.next_u64() & all;
-      t.v1.bits = prng.next_u64() & t.v1.care_mask;
-      t.v2.bits = prng.next_u64() & t.v2.care_mask;
-      tests.push_back(t);
-    }
-
-    const XMergeResult merged = merge_x_overlap(c, tests, faults);
-    EXPECT_LE(merged.tests.size(), tests.size());
-    ASSERT_EQ(merged.members.size(), merged.tests.size());
-
-    // Every constituent is represented, exactly once, without conflicts:
-    // the merged vector agrees with each member on the member's care bits
-    // and cares about at least those bits.
-    std::vector<int> seen(tests.size(), 0);
-    for (std::size_t s = 0; s < merged.tests.size(); ++s) {
-      for (std::size_t i : merged.members[s]) {
-        ++seen[i];
-        const XTwoVectorTest& orig = tests[i];
-        const XTwoVectorTest& m = merged.tests[s];
-        EXPECT_EQ((m.v1.bits ^ orig.v1.bits) & orig.v1.care_mask, 0u);
-        EXPECT_EQ((m.v2.bits ^ orig.v2.bits) & orig.v2.care_mask, 0u);
-        EXPECT_EQ(and_not(orig.v1.care_mask, m.v1.care_mask), 0u);
-        EXPECT_EQ(and_not(orig.v2.care_mask, m.v2.care_mask), 0u);
-      }
-    }
-    EXPECT_EQ(seen, std::vector<int>(tests.size(), 1));
-
-    // X-aware soundness through the public wrapper: the merged vector's
-    // definite detections include every member's (the merge invariant),
-    // and a definite detection is always a concrete one (Kleene
-    // conservatism — it holds for every fill of the X bits).
-    for (std::size_t s = 0; s < merged.tests.size(); ++s) {
-      const auto def_m = simulate_obd_x(c, merged.tests[s], faults);
-      const auto conc_m = simulate_obd(c, merged.tests[s].concrete(), faults);
-      for (std::size_t f = 0; f < faults.size(); ++f)
-        if (def_m[f]) EXPECT_TRUE(conc_m[f]) << "indefinite detection " << f;
-      for (std::size_t i : merged.members[s]) {
-        const auto def_i = simulate_obd_x(c, tests[i], faults);
-        for (std::size_t f = 0; f < faults.size(); ++f)
-          if (def_i[f]) EXPECT_TRUE(def_m[f]) << "lost definite " << f;
-      }
-    }
-
-    // Coverage parity: no originally-covered fault may be lost.
-    std::vector<TwoVectorTest> before, after;
-    for (const auto& t : tests) before.push_back(t.concrete());
-    for (const auto& t : merged.tests) after.push_back(t.concrete());
-    const auto cov_before = covered_by(c, before, faults);
-    const auto cov_after = covered_by(c, after, faults);
-    for (std::size_t f = 0; f < faults.size(); ++f)
-      if (cov_before[f]) EXPECT_TRUE(cov_after[f]) << "lost fault " << f;
-  }
-}
-
-TEST(XMerge, ConflictingCareBitsNeverMerge) {
-  const Circuit c = logic::c17();
-  const auto faults = enumerate_obd_faults(c);
-  // Same care bit, opposite values, in frame 2.
-  XTwoVectorTest a{{0b00001, 0b00001}, {0b00001, 0b00001}};
-  XTwoVectorTest b{{0b00000, 0b00001}, {0b00000, 0b00001}};
-  ASSERT_FALSE(a.compatible(b));
-  const XMergeResult merged = merge_x_overlap(c, {a, b}, faults);
-  EXPECT_EQ(merged.tests.size(), 2u);
-}
-
-TEST(XMerge, AtpgXTestsCompactWithoutCoverageLoss) {
-  // End to end: PODEM care masks -> X-overlap merge -> same OBD coverage.
-  const Circuit c = logic::ripple_carry_adder(4);
-  const auto faults = enumerate_obd_faults(c);
-  const AtpgRun run = run_obd_atpg(c, faults);
-  ASSERT_EQ(run.x_tests.size(), run.tests.size());
-  for (std::size_t i = 0; i < run.tests.size(); ++i)
-    EXPECT_EQ(run.x_tests[i].concrete(), run.tests[i]);
-
-  const XMergeResult merged = merge_x_overlap(c, run.x_tests, faults);
-  EXPECT_LT(merged.tests.size(), run.x_tests.size())
-      << "expected some X-overlap among PODEM tests";
-  std::vector<TwoVectorTest> after;
-  for (const auto& t : merged.tests) after.push_back(t.concrete());
-  EXPECT_GE(obd_coverage(c, after, faults),
-            obd_coverage(c, run.tests, faults) - 1e-12);
 }
 
 TEST(EvalWords, MatchesScalarEval) {

@@ -220,38 +220,6 @@ TEST(PatternBlockTest, PackPreservesOrderAndLanes) {
   }
 }
 
-TEST(EvalWords3, MatchesScalarEval3) {
-  using logic::Tri;
-  using logic::Words3;
-  util::Prng prng(0x3fa1);
-  for (const Circuit& c : zoo_circuits()) {
-    const std::size_t n_pi = c.inputs().size();
-    // 64 random lanes of {0, 1, X} per PI.
-    std::vector<Words3> pi_words(n_pi);
-    std::vector<std::vector<Tri>> lanes(64, std::vector<Tri>(n_pi, Tri::kX));
-    for (std::size_t i = 0; i < n_pi; ++i) {
-      for (int lane = 0; lane < 64; ++lane) {
-        const auto r = prng.next_u64() % 3;
-        const Tri v = r == 0 ? Tri::k0 : (r == 1 ? Tri::k1 : Tri::kX);
-        lanes[static_cast<std::size_t>(lane)][i] = v;
-        if (v != Tri::k1) pi_words[i].can0 |= 1ull << lane;
-        if (v != Tri::k0) pi_words[i].can1 |= 1ull << lane;
-      }
-    }
-    const auto words = c.eval3_words(pi_words);
-    for (int lane = 0; lane < 64; ++lane) {
-      const auto ref = c.eval3(lanes[static_cast<std::size_t>(lane)]);
-      for (std::size_t n = 0; n < c.num_nets(); ++n) {
-        const bool can0 = (words[n].can0 >> lane) & 1u;
-        const bool can1 = (words[n].can1 >> lane) & 1u;
-        const Tri got = can0 && can1 ? Tri::kX : (can1 ? Tri::k1 : Tri::k0);
-        ASSERT_EQ(got, ref[n]) << c.name() << " lane " << lane << " net "
-                               << c.net_name(static_cast<logic::NetId>(n));
-      }
-    }
-  }
-}
-
 TEST(FaultSimEngine, ObdCoverageMatchesMatrix) {
   const Circuit c = logic::mux_tree(2);
   const auto tests = random_tests(c, 100, 0x5eed7);

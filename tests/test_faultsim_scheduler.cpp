@@ -178,10 +178,9 @@ TEST(DefiniteObd, FullySpecifiedTestMatchesConcreteSimulation) {
     const auto faults = enumerate_obd_faults(c);
     const std::size_t n_pi = c.inputs().size();
     const std::uint64_t all = n_pi >= 64 ? ~0ull : ((1ull << n_pi) - 1);
-    FaultSimEngine engine(c);
     for (const auto& t : random_pairs(static_cast<int>(n_pi), 20, 0xdef1)) {
       const XTwoVectorTest xt{{t.v1, all}, {t.v2, all}};
-      EXPECT_EQ(engine.definite_obd(xt, faults),
+      EXPECT_EQ(simulate_obd_x(c, xt, faults),
                 legacy::simulate_obd(c, t, faults))
           << c.name();
     }
@@ -193,7 +192,6 @@ TEST(DefiniteObd, IsSoundUnderEveryFillOfTheXBits) {
   const Circuit c = logic::random_circuit(6, 40, 5, 0x50f7);
   const auto faults = enumerate_obd_faults(c);
   const std::size_t n_pi = c.inputs().size();
-  FaultSimEngine engine(c);
   util::Prng prng(0xdef2);
   for (int trial = 0; trial < 30; ++trial) {
     XTwoVectorTest xt;
@@ -201,7 +199,7 @@ TEST(DefiniteObd, IsSoundUnderEveryFillOfTheXBits) {
     xt.v2.care_mask = prng.next_u64() & ((1ull << n_pi) - 1);
     xt.v1.bits = prng.next_u64() & xt.v1.care_mask;
     xt.v2.bits = prng.next_u64() & xt.v2.care_mask;
-    const std::vector<bool> definite = engine.definite_obd(xt, faults);
+    const std::vector<bool> definite = simulate_obd_x(c, xt, faults);
     for (int fill = 0; fill < 8; ++fill) {
       const InputVec f1 = and_not(prng.next_u64(), xt.v1.care_mask);
       const InputVec f2 = and_not(prng.next_u64(), xt.v2.care_mask);
@@ -218,8 +216,7 @@ TEST(DefiniteObd, IsSoundUnderEveryFillOfTheXBits) {
 TEST(DefiniteObd, AllXDetectsNothing) {
   const Circuit c = logic::c17();
   const auto faults = enumerate_obd_faults(c);
-  FaultSimEngine engine(c);
-  const std::vector<bool> det = engine.definite_obd({}, faults);
+  const std::vector<bool> det = simulate_obd_x(c, {}, faults);
   for (bool d : det) EXPECT_FALSE(d);
 }
 

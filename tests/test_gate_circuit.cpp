@@ -7,6 +7,8 @@
 
 #include "io/bench.hpp"
 #include "logic/circuit.hpp"
+#include "oracle_common.hpp"
+#include "util/prng.hpp"
 
 namespace obd::logic {
 namespace {
@@ -145,6 +147,52 @@ TEST(Circuit, Eval3FullySpecifiedMatchesEval) {
     const auto vals = c.eval3(pis);
     EXPECT_EQ(vals[static_cast<std::size_t>(o)] == Tri::k1,
               c.eval_outputs(v) == 1u);
+  }
+}
+
+TEST(Circuit, Eval3ForcedNetMatchesEvalWords) {
+  // eval3's forced net is the faulty-circuit semantics SAT cube lifting
+  // judges cubes by. Unforced and with every net forced to 0 and to 1: a
+  // fully specified PI vector gives eval_words' lane-0 value on every known
+  // net, and X PIs give known values that every completion agrees with
+  // (lanes 0-7 of one eval_words call are 8 random completions).
+  util::Prng prng(0xe7a13);
+  for (const Circuit& c : atpg::oracle::zoo()) {
+    const std::size_t n_pi = c.inputs().size();
+    for (int trial = 0; trial < 4; ++trial) {
+      std::vector<Tri> full(n_pi), partial(n_pi);
+      std::vector<std::uint64_t> full_words(n_pi), fill_words(n_pi);
+      for (std::size_t i = 0; i < n_pi; ++i) {
+        full[i] = tri_of(prng.next_bool());
+        full_words[i] = full[i] == Tri::k1 ? ~0ull : 0ull;
+        const std::uint64_t r = prng.next_below(3);
+        partial[i] = r == 2 ? Tri::kX : tri_of(r == 1);
+        fill_words[i] = partial[i] == Tri::kX ? prng.next_u64()
+                        : partial[i] == Tri::k1 ? ~0ull
+                                                : 0ull;
+      }
+      for (NetId net = kNoNet; net < static_cast<NetId>(c.num_nets()); ++net) {
+        for (const bool v : {false, true}) {
+          if (net == kNoNet && v) continue;
+          const Tri forced = net == kNoNet ? Tri::kX : tri_of(v);
+          const std::uint64_t word = v ? ~0ull : 0ull;
+          const auto exact = c.eval3(full, net, forced);
+          const auto lanes = c.eval_words(full_words, net, word);
+          const auto kleene = c.eval3(partial, net, forced);
+          const auto fills = c.eval_words(fill_words, net, word);
+          for (std::size_t n = 0; n < c.num_nets(); ++n) {
+            if (exact[n] != Tri::kX) {
+              ASSERT_EQ(exact[n] == Tri::k1, (lanes[n] & 1u) != 0)
+                  << c.name() << " forced " << net << " net " << n;
+            }
+            if (kleene[n] == Tri::kX) continue;
+            const std::uint64_t want = kleene[n] == Tri::k1 ? 0xffu : 0u;
+            ASSERT_EQ(fills[n] & 0xffu, want)
+                << c.name() << " forced " << net << " net " << n;
+          }
+        }
+      }
+    }
   }
 }
 

@@ -1,7 +1,7 @@
 // The wide (>64 PI) InputVec path, end to end:
 //  - InputVec word/bit/shift/slice/hash algebra (the type every test vector
 //    now rides on);
-//  - XTwoVectorTest::compatible/merged property tests past one word;
+//  - X-aware definite OBD detection (simulate_obd_x) past one word;
 //  - the randomized engine-vs-legacy oracle swept across PI widths
 //    1/63/64/65/128/200 — the legacy scalar simulators stay the semantics
 //    reference at every width, and every lane-width x thread configuration
@@ -118,47 +118,6 @@ TEST(WidePatterns, RandomPairsSpanAllWords) {
   for (std::size_t w = 0; w < 4; ++w) EXPECT_NE(any.word(w), 0u) << w;
 }
 
-TEST(XWide, CompatibleAndMergedPastOneWord) {
-  util::Prng prng(0xcafe);
-  const std::size_t width = 150;
-  for (int trial = 0; trial < 200; ++trial) {
-    XTwoVectorTest a, b;
-    a.v1.care_mask = InputVec::random(width, prng);
-    a.v2.care_mask = InputVec::random(width, prng);
-    a.v1.bits = InputVec::random(width, prng) & a.v1.care_mask;
-    a.v2.bits = InputVec::random(width, prng) & a.v2.care_mask;
-    b.v1.care_mask = InputVec::random(width, prng);
-    b.v2.care_mask = InputVec::random(width, prng);
-    b.v1.bits = InputVec::random(width, prng) & b.v1.care_mask;
-    b.v2.bits = InputVec::random(width, prng) & b.v2.care_mask;
-
-    // compatible() is exactly "no conflicting care bit in either frame".
-    bool conflict = false;
-    for (std::size_t i = 0; i < width; ++i) {
-      if (a.v1.care_mask.bit(i) && b.v1.care_mask.bit(i) &&
-          a.v1.bits.bit(i) != b.v1.bits.bit(i))
-        conflict = true;
-      if (a.v2.care_mask.bit(i) && b.v2.care_mask.bit(i) &&
-          a.v2.bits.bit(i) != b.v2.bits.bit(i))
-        conflict = true;
-    }
-    EXPECT_EQ(a.compatible(b), !conflict);
-    EXPECT_TRUE(a.compatible(a));
-
-    if (!a.compatible(b)) continue;
-    const XTwoVectorTest m = a.merged(b);
-    EXPECT_EQ(m.v1.care_mask, a.v1.care_mask | b.v1.care_mask);
-    EXPECT_EQ(m.v2.care_mask, a.v2.care_mask | b.v2.care_mask);
-    // The merge agrees with each constituent on that constituent's cares.
-    for (const XTwoVectorTest* t : {&a, &b}) {
-      EXPECT_EQ((m.v1.bits ^ t->v1.bits) & t->v1.care_mask, InputVec{});
-      EXPECT_EQ((m.v2.bits ^ t->v2.bits) & t->v2.care_mask, InputVec{});
-    }
-    // Merged don't-cares fall back to 0.
-    EXPECT_EQ(and_not(m.v1.bits, m.v1.care_mask), InputVec{});
-  }
-}
-
 // --- Engine-vs-legacy oracle across PI widths --------------------------------
 
 class WideOracleTest : public testing::TestWithParam<int> {};
@@ -184,11 +143,10 @@ INSTANTIATE_TEST_SUITE_P(PiWidths, WideOracleTest,
                          testing::Values(1, 63, 64, 65, 128, 200));
 
 TEST(WideOracle, XAwareDefiniteObdSoundAt150Pis) {
-  // definite_obd through the word-strided care plumbing: anything proven
+  // simulate_obd_x through the multi-word care masks: anything proven
   // definite must hold for random fills of the X bits (Kleene soundness).
   const logic::Circuit c = logic::random_circuit(150, 300, 20, 0x50fa);
   const auto faults = enumerate_obd_faults(c);
-  FaultSimEngine engine(c);
   util::Prng prng(0xf111);
   for (int trial = 0; trial < 10; ++trial) {
     XTwoVectorTest xt;
@@ -196,7 +154,7 @@ TEST(WideOracle, XAwareDefiniteObdSoundAt150Pis) {
     xt.v2.care_mask = InputVec::random(150, prng);
     xt.v1.bits = InputVec::random(150, prng) & xt.v1.care_mask;
     xt.v2.bits = InputVec::random(150, prng) & xt.v2.care_mask;
-    const std::vector<bool> definite = engine.definite_obd(xt, faults);
+    const std::vector<bool> definite = simulate_obd_x(c, xt, faults);
     for (int fill = 0; fill < 4; ++fill) {
       const TwoVectorTest t{
           xt.v1.bits | and_not(InputVec::random(150, prng), xt.v1.care_mask),

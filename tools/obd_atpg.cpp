@@ -85,7 +85,9 @@
 //                                  env is the fallback)
 //
 // SIGINT/SIGTERM checkpoint in-flight shards and exit 75 (EX_TEMPFAIL);
-// rerunning with --resume continues where the campaign stopped.
+// rerunning with --resume continues where the campaign stopped. A run that
+// cannot allocate its working set (say, --random 2147483647) prints
+// "obd_atpg: out of memory" and exits 1.
 //
 // Results are bit-identical across --threads, --lanes and --shards
 // settings; the report's matrix_hash field is the witness.
@@ -98,6 +100,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <new>
 #include <string>
 
 #include <chrono>
@@ -223,7 +226,7 @@ bool write_trace(const std::string& path, bool fragment) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   std::string path, report_path, write_bench_path;
   flow::CampaignOptions opt;
   flow::SupervisorOptions sup;
@@ -536,4 +539,7 @@ int main(int argc, char** argv) {
     return 2;
   }
   return 0;
+} catch (const std::bad_alloc&) {
+  std::fputs("obd_atpg: out of memory\n", stderr);
+  return 1;
 }
