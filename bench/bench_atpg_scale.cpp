@@ -8,11 +8,12 @@
 // small factor for the two frames), not a different complexity class.
 // The bit-parallel engine comparison below (and BENCH_atpg_scale.json)
 // tracks the fault-simulation hot path: legacy one-fault-one-pattern
-// full-circuit evaluation vs multi-lane pattern blocks (64 lanes, plus the
-// 256-lane LaneBlock SIMD width) with event-driven frontier propagation
-// and fault dropping, at identical coverage. The sched section sweeps
-// lanes x threads; the c7552 rows are the regression sentinel
-// for the wide-tier cliff this engine exists to kill.
+// full-circuit evaluation vs the engine on multi-lane pattern blocks (64
+// lanes, plus the 256-lane LaneBlock SIMD width) with event-driven frontier
+// propagation, and the scheduler's fault-dropping campaign, at identical
+// coverage. The sched section sweeps threads (the scheduler sizes each
+// call's blocks); the c7552 rows are the regression sentinel for the
+// wide-tier cliff this engine exists to kill.
 #include "bench_common.hpp"
 #include <algorithm>
 #include <chrono>
@@ -57,8 +58,8 @@ struct SimComparison {
   std::size_t faults = 0;
   std::size_t patterns = 0;
   double legacy_s = 0.0;
-  double block_s = 0.0;       // 64-lane blocks
-  double block_wide_s = 0.0;  // 256-lane blocks (LaneBlock kernels)
+  double block_s = 0.0;       // engine on 64-lane blocks
+  double block_wide_s = 0.0;  // engine on 256-lane blocks (LaneBlock kernels)
   double drop_s = 0.0;
   int legacy_detected = 0;
   int block_detected = 0;
@@ -103,9 +104,24 @@ std::vector<logic::Circuit> iscas_circuits(bool wide = false) {
   return out;
 }
 
+/// Faults `blocks` detect, simulated on one engine directly: no scheduler,
+/// so the block width is the caller's.
+int engine_detected(FaultSimEngine& e, const std::vector<PatternBlock>& blocks,
+                    const std::vector<ObdFaultSite>& faults) {
+  std::vector<std::uint8_t> hit(faults.size(), 0);
+  std::vector<std::uint64_t> detect;
+  for (const PatternBlock& b : blocks) {
+    e.block_obd(b, faults, detect);
+    const auto W = static_cast<std::size_t>(b.lane_words());
+    for (std::size_t f = 0; f < faults.size(); ++f)
+      for (std::size_t w = 0; w < W; ++w) hit[f] |= detect[f * W + w] != 0;
+  }
+  return static_cast<int>(std::count(hit.begin(), hit.end(), 1));
+}
+
 /// Times legacy scalar vs pattern blocks over the same OBD fault list and
-/// test set, on a 1-thread scheduler: detection matrices at 64 and 256
-/// lanes, then a fault-dropping campaign at 64.
+/// test set: the engine on 1- and 4-word blocks (64 and 256 lanes, packing
+/// included), then a 1-thread scheduler's fault-dropping campaign.
 SimComparison compare_obd_sim(const logic::Circuit& c, int n_tests) {
   SimComparison r;
   r.circuit = c.name();
@@ -130,16 +146,15 @@ SimComparison compare_obd_sim(const logic::Circuit& c, int n_tests) {
     r.legacy_s = seconds_since(t0);
   }
   {
-    FaultSimScheduler sched(c, {1});
+    FaultSimEngine engine(c);
     r.block_s = min2([&] {
-      r.block_detected = sched.matrix_obd(tests, faults).covered_count;
+      r.block_detected =
+          engine_detected(engine, PatternBlock::pack(c, tests, 1), faults);
     });
-  }
-  {
-    FaultSimScheduler wide(c, {1, /*lane_words=*/4});
     int wide_detected = 0;
     r.block_wide_s = min2([&] {
-      wide_detected = wide.matrix_obd(tests, faults).covered_count;
+      wide_detected =
+          engine_detected(engine, PatternBlock::pack(c, tests, 4), faults);
     });
     if (wide_detected != r.block_detected) r.block_detected = -1;
   }
@@ -199,12 +214,11 @@ struct ObsOverheadRow {
 struct SchedRow {
   std::string circuit;
   int threads = 0;
-  int lanes = 64;
   std::size_t faults = 0;
   std::size_t patterns = 0;
   double secs = 0.0;
   double fps = 0.0;      // fault x patterns / sec
-  double speedup = 0.0;  // vs the 1-thread 64-lane baseline
+  double speedup = 0.0;  // vs the 1-thread baseline
   bool identical = false;
 };
 
@@ -233,8 +247,9 @@ std::string rows_json(const std::vector<SimComparison>& rows,
         out,
         "    {\"name\": \"%s\", \"gates\": %zu, \"obd_faults\": %zu, "
         "\"patterns\": %zu, \"detected\": %d, \"coverage_match\": %s, "
-        "\"legacy_fps\": %.4g, \"block_fps\": %.4g, \"block256_fps\": %.4g, "
-        "\"speedup\": %.4g, \"speedup256\": %.4g, \"drop_speedup\": %.4g}%s\n",
+        "\"legacy_fps\": %.4g, \"engine_fps\": %.4g, \"engine256_fps\": %.4g, "
+        "\"engine_speedup\": %.4g, \"engine256_speedup\": %.4g, "
+        "\"drop_speedup\": %.4g}%s\n",
         r.circuit.c_str(), r.gates, r.faults, r.patterns, r.block_detected,
         r.legacy_detected == r.block_detected ? "true" : "false",
         r.legacy_throughput(), r.block_throughput(), r.wide_throughput(),
@@ -246,11 +261,11 @@ std::string rows_json(const std::vector<SimComparison>& rows,
     const SchedRow& r = sched[i];
     appendf(
         out,
-        "    {\"name\": \"%s\", \"threads\": %d, \"lanes\": %d, "
+        "    {\"name\": \"%s\", \"threads\": %d, "
         "\"obd_faults\": %zu, \"patterns\": %zu, \"fps\": %.4g, "
         "\"speedup_vs_1t\": %.4g, \"identical\": %s}%s\n",
-        r.circuit.c_str(), r.threads, r.lanes, r.faults,
-        r.patterns, r.fps, r.speedup, r.identical ? "true" : "false",
+        r.circuit.c_str(), r.threads, r.faults, r.patterns, r.fps,
+        r.speedup, r.identical ? "true" : "false",
         i + 1 < sched.size() ? "," : "");
   }
   out += "  ],\n  \"sat_escalation\": [\n";
@@ -328,13 +343,12 @@ void emit_json(const std::vector<SimComparison>& rows,
   }
 }
 
-/// Scheduler scaling: lanes x threads over the largest zoo circuits, with
-/// every configuration's DetectionMatrix checked bit-identical against the
-/// 1-thread 64-lane baseline.
+/// Scheduler scaling: threads over the largest zoo circuits and the corpus,
+/// with every configuration's DetectionMatrix checked bit-identical against
+/// the 1-thread baseline.
 std::vector<SchedRow> reproduce_scheduler_scale() {
   std::printf(
-      "=== Scheduler scaling: lanes x threads (OBD detection matrix) "
-      "===\n\n");
+      "=== Scheduler scaling: threads (OBD detection matrix) ===\n\n");
   std::vector<SchedRow> rows;
   std::vector<logic::Circuit> circuits;
   circuits.push_back(logic::array_multiplier(4));
@@ -342,17 +356,15 @@ std::vector<SchedRow> reproduce_scheduler_scale() {
   for (auto& c : iscas_circuits()) circuits.push_back(std::move(c));
   for (auto& c : iscas_circuits(/*wide=*/true)) circuits.push_back(std::move(c));
 
-  const SimOptions configs[] = {  // {threads, lane_words}
-      {1}, {2}, {4}, {1, 4}, {1, 8}, {2, 4},
-  };
+  const SimOptions configs[] = {{1}, {2}, {4}};
 
   util::AsciiTable t("scheduler throughput (fault x patterns / sec)");
-  t.set_header({"circuit", "faults", "tests", "threads", "lanes", "fps",
-                "speedup", "identical"});
+  t.set_header({"circuit", "faults", "tests", "threads", "fps", "speedup",
+                "identical"});
   for (const auto& c : circuits) {
     const auto faults = enumerate_obd_faults(c);
     // The wide tier carries several-x larger fault lists; trim the pattern
-    // budget so the full lanes x threads sweep stays a bench, not a soak.
+    // budget so the thread sweep stays a bench, not a soak.
     const int n_tests = c.inputs().size() > 64 ? 256 : 1024;
     const auto tests =
         random_pairs(static_cast<int>(c.inputs().size()), n_tests, 0xca11ab1e);
@@ -378,11 +390,10 @@ std::vector<SchedRow> reproduce_scheduler_scale() {
       }
       row.circuit = c.name();
       row.threads = cfg.threads;
-      row.lanes = 64 * std::max(1, cfg.lane_words);
       row.faults = faults.size();
       row.patterns = tests.size();
       row.fps = work / row.secs;
-      const bool is_baseline = cfg.threads == 1 && cfg.lane_words <= 1;
+      const bool is_baseline = cfg.threads == 1;
       if (is_baseline) {
         baseline = m;
         baseline_s = row.secs;
@@ -393,7 +404,6 @@ std::vector<SchedRow> reproduce_scheduler_scale() {
       rows.push_back(row);
       t.add_row({row.circuit, std::to_string(row.faults),
                  std::to_string(row.patterns), std::to_string(row.threads),
-                 std::to_string(row.lanes),
                  util::format_g(row.fps, 3),
                  util::format_g(row.speedup, 3) + "x",
                  row.identical ? "yes" : "NO"});
@@ -401,14 +411,17 @@ std::vector<SchedRow> reproduce_scheduler_scale() {
   }
   t.print();
   std::printf(
-      "the scheduler shards blocks of `lanes` tests across the worker pool\n"
-      "(wide rows run the LaneBlock SIMD kernels). Detection matrices are\n"
-      "bit-identical across every row; sub-threshold circuits auto-serial.\n\n");
+      "a matrix on one worker packs up to 512 lanes per block (the LaneBlock\n"
+      "SIMD kernels); on several workers, the widest blocks that still give\n"
+      "each worker a full one. Detection matrices are bit-identical across\n"
+      "every row; sub-threshold circuits run on one worker at any thread\n"
+      "count.\n\n");
   return rows;
 }
 
-/// SAT top-off of the PODEM abort tail: the wide ISCAS tier at a tight
-/// backtrack budget, PODEM-only vs PODEM + CDCL escalation. The SAT rows
+/// SAT top-off of the PODEM abort tail at a tight backtrack budget,
+/// PODEM-only vs PODEM + CDCL escalation: c2670's planted redundant block
+/// and mul10's unplanted tail. The SAT rows
 /// must close every backtrack abort (cube or untestability proof) — the
 /// "sat unk" column is the regression sentinel for the conflict budget.
 std::vector<SatRow> reproduce_sat_escalation() {
@@ -419,7 +432,7 @@ std::vector<SatRow> reproduce_sat_escalation() {
   const struct {
     const char* file;
     long backtracks;
-  } specs[] = {{"c2670.bench", 20}, {"c7552.bench", 20}};
+  } specs[] = {{"c2670.bench", 20}, {"mul10.bench", 20}};
 
   util::AsciiTable t("PODEM-only vs PODEM + SAT top-off");
   t.set_header({"circuit", "faults", "bt", "aborts", "sat det", "sat unt",
@@ -577,7 +590,7 @@ void reproduce_faultsim_scale() {
 
   util::AsciiTable t("OBD fault-sim throughput (fault x patterns / sec)");
   t.set_header({"circuit", "gates", "faults", "tests", "cov ok", "legacy",
-                "block64", "x64", "x256", "w/ dropping"});
+                "engine64", "x64", "x256", "w/ dropping"});
   for (const auto& r : rows) {
     t.add_row({r.circuit, std::to_string(r.gates), std::to_string(r.faults),
                std::to_string(r.patterns),
@@ -591,9 +604,9 @@ void reproduce_faultsim_scale() {
   t.print();
   std::printf(
       "identical detections, one good evaluation per pattern block, and\n"
-      "event-driven frontier propagation per fault (x256 = 256-lane SIMD\n"
-      "blocks); fault dropping then removes covered faults from later\n"
-      "blocks.\n\n");
+      "event-driven frontier propagation per fault (engine alone; x256 =\n"
+      "256-lane SIMD blocks); the scheduler's fault dropping then removes\n"
+      "covered faults from later blocks.\n\n");
   const std::vector<SchedRow> sched_rows = reproduce_scheduler_scale();
   const std::vector<SatRow> sat_rows = reproduce_sat_escalation();
   const std::vector<ObsOverheadRow> obs_rows = reproduce_obs_overhead();

@@ -73,6 +73,29 @@ struct ExactSearch {
   std::vector<std::size_t> current;
   /// Word-packed mask of coverable faults (uncoverable ones never block).
   std::vector<std::uint64_t> coverable;
+  /// The matrix by column: the tests detecting each fault, ascending.
+  std::vector<std::vector<std::uint32_t>> detecting;
+  /// Per test: faults its row detects that are still uncovered. A pick
+  /// takes one off every test detecting a fault it newly covers and its
+  /// undo adds it back, so the bound never rescans rows.
+  std::vector<std::size_t> gain;
+
+  /// Newly covered bits of one pick, by word (only the words it touches).
+  struct Delta {
+    std::size_t word;
+    std::uint64_t bits;
+  };
+
+  void update_gains(const std::vector<Delta>& newly, bool undo) {
+    for (const Delta& d : newly)
+      for (std::uint64_t bits = d.bits; bits; bits &= bits - 1)
+        for (const std::uint32_t t :
+             detecting[d.word * 64 +
+                       static_cast<std::size_t>(std::countr_zero(bits))]) {
+          if (undo) ++gain[t];
+          else --gain[t];
+        }
+  }
 
   void run(std::vector<std::uint64_t>& covered, std::size_t remaining) {
     if (++nodes > max_nodes) return;
@@ -80,45 +103,41 @@ struct ExactSearch {
       if (current.size() < best.size()) best = current;
       return;
     }
-    // Words holding open (coverable, uncovered) faults.
-    std::vector<std::size_t> open_words;
-    for (std::size_t w = 0; w < covered.size(); ++w)
-      if (coverable[w] & ~covered[w]) open_words.push_back(w);
     // No test covers more than `widest` open faults, so finishing takes at
     // least ceil(remaining / widest) more picks; prune branches that can at
     // best tie the incumbent (greedy's cover at the root).
     std::size_t widest = 0;
-    for (std::size_t t = 0; t < m.n_tests; ++t) {
-      std::size_t gain = 0;
-      for (const std::size_t w : open_words)
-        gain += static_cast<std::size_t>(
-            std::popcount(m.row(t)[w] & ~covered[w]));
-      widest = std::max(widest, gain);
-    }
+    for (const std::size_t g : gain) widest = std::max(widest, g);
     // widest == 0 only when `covered` marks a fault no row detects.
     if (widest == 0 ||
         current.size() + (remaining + widest - 1) / widest >= best.size())
       return;
-    // Branch on the first open fault: some selected test must cover it.
-    const std::size_t w0 = open_words.front();
+    // Branch on the first open (coverable, uncovered) fault: some selected
+    // test must cover it.
+    std::size_t w0 = 0;
+    while (!(coverable[w0] & ~covered[w0])) ++w0;
     const std::size_t fault =
         w0 * 64 + static_cast<std::size_t>(
                       std::countr_zero(coverable[w0] & ~covered[w0]));
-    for (std::size_t t = 0; t < m.n_tests; ++t) {
-      if (!m.detects(t, fault)) continue;
+    std::vector<Delta> newly;
+    for (const std::uint32_t t : detecting[fault]) {
       // Apply, remembering the newly covered bits per word to undo.
       const std::uint64_t* row = m.row(t);
-      std::vector<std::uint64_t> newly(covered.size());
+      newly.clear();
       std::size_t gained = 0;
       for (std::size_t w = 0; w < covered.size(); ++w) {
-        newly[w] = row[w] & ~covered[w];
-        covered[w] |= newly[w];
-        gained += static_cast<std::size_t>(std::popcount(newly[w]));
+        const std::uint64_t bits = row[w] & ~covered[w];
+        if (!bits) continue;
+        newly.push_back({w, bits});
+        covered[w] |= bits;
+        gained += static_cast<std::size_t>(std::popcount(bits));
       }
+      update_gains(newly, false);
       current.push_back(t);
       run(covered, remaining - gained);
       current.pop_back();
-      for (std::size_t w = 0; w < covered.size(); ++w) covered[w] &= ~newly[w];
+      update_gains(newly, true);
+      for (const Delta& n : newly) covered[n.word] &= ~n.bits;
     }
   }
 };
@@ -138,6 +157,16 @@ std::vector<std::size_t> exact_cover(const DetectionMatrix& m,
   ExactSearch search{m, max_nodes};
   search.best = greedy;
   search.coverable = covered_mask(m);
+  search.detecting.resize(m.n_faults);
+  search.gain.assign(m.n_tests, 0);
+  for (std::size_t t = 0; t < m.n_tests; ++t)
+    for (std::size_t w = 0; w < m.words_per_row; ++w)
+      for (std::uint64_t bits = m.row(t)[w]; bits; bits &= bits - 1) {
+        search.detecting[w * 64 + static_cast<std::size_t>(
+                                      std::countr_zero(bits))]
+            .push_back(static_cast<std::uint32_t>(t));
+        ++search.gain[t];
+      }
   std::vector<std::uint64_t> covered(m.words_per_row, 0);
   search.run(covered, static_cast<std::size_t>(m.covered_count));
   return search.best;

@@ -12,7 +12,7 @@
 //
 // All set-level work runs through the FaultSimScheduler
 // (faultsim_engine.hpp), the fault simulator's only loop over pattern
-// blocks: it packs 64 * lane_words patterns per block, propagates each fault
+// blocks: it packs 64 to 512 patterns per block, propagates each fault
 // through its fanout cone once per block, optionally shards blocks across
 // worker threads with results bit-identical at any thread count, and always
 // drops detected faults in campaigns. The single-test functions below are
@@ -66,7 +66,7 @@ bool simulate_obd_timing(const Circuit& c, const TwoVectorTest& test,
                          const logic::DelayLibrary& lib = {});
 
 /// OBD detection matrix of a test set (DetectionMatrix lives in
-/// faultsim_engine.hpp); threads and lane width come from `sim`. Stuck-at
+/// faultsim_engine.hpp); worker threads come from `sim`. Stuck-at
 /// and transition matrices come from FaultSimScheduler::matrix_stuck and
 /// matrix_transition directly.
 DetectionMatrix build_obd_matrix(const Circuit& c,

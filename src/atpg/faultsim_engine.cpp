@@ -46,21 +46,18 @@ std::vector<PatternBlock> PatternBlock::pack(
   return blocks;
 }
 
-FaultSimEngine::FaultSimEngine(const Circuit& c, EngineOptions opt)
+FaultSimEngine::FaultSimEngine(const Circuit& c)
     : c_(c),
-      opt_(opt),
       gate_level_(c.gate_levels()),
       net_fence_(c.num_nets(), 0),
       po_mask_(c.num_nets(), 0),
       changed_(c.num_nets(), 0) {
-  if (opt_.lane_words < 1) opt_.lane_words = 1;
-  const auto W = static_cast<std::size_t>(opt_.lane_words);
-  bad_.assign(c.num_nets() * W, 0);
-  eval_tmp_.assign(W, 0);
-  force_.assign(W, 0);
-  diff_.assign(W, 0);
-  exc_.assign(W, 0);
-  masks_.assign(W, 0);
+  constexpr auto kMax = static_cast<std::size_t>(PatternBlock::kMaxWords);
+  eval_tmp_.assign(kMax, 0);
+  force_.assign(kMax, 0);
+  diff_.assign(kMax, 0);
+  exc_.assign(kMax, 0);
+  masks_.assign(kMax, 0);
   if (c.num_nets() > 0) c.fanout_cone(0);  // builds the shared table
   for (std::size_t n = 0; n < c.num_nets(); ++n)
     for (int g : c.fanout_of(static_cast<NetId>(n)))
@@ -92,6 +89,17 @@ const EngineMetricIds& EngineMetricIds::get() {
     return m;
   }();
   return ids;
+}
+
+std::size_t FaultSimEngine::start_block(const PatternBlock& b,
+                                        std::size_t n_faults,
+                                        std::vector<std::uint64_t>& detect) {
+  const auto W = static_cast<std::size_t>(b.lane_words());
+  detect.assign(n_faults * W, 0);
+  if (bad_.size() < c_.num_nets() * W) bad_.resize(c_.num_nets() * W);
+  for (std::size_t w = 0; w < W; ++w)
+    masks_[w] = b.lane_mask(static_cast<int>(w));
+  return W;
 }
 
 void FaultSimEngine::propagate(const std::uint64_t* good, std::size_t n_words,
@@ -163,12 +171,8 @@ void FaultSimEngine::block_stuck(const PatternBlock& b,
                                  const std::vector<StuckFault>& faults,
                                  std::vector<std::uint64_t>& detect,
                                  const std::vector<std::uint8_t>* active) {
-  assert(b.lane_words() == opt_.lane_words);
-  const auto W = static_cast<std::size_t>(opt_.lane_words);
-  detect.assign(faults.size() * W, 0);
+  const std::size_t W = start_block(b, faults.size(), detect);
   c_.eval_wide_into(b.pi2(), W, good2_);
-  for (std::size_t w = 0; w < W; ++w)
-    masks_[w] = b.lane_mask(static_cast<int>(w));
   for (std::size_t i = 0; i < faults.size(); ++i) {
     if (active && !(*active)[i]) continue;
     const StuckFault& f = faults[i];
@@ -192,13 +196,9 @@ void FaultSimEngine::block_transition(const PatternBlock& b,
                                       const std::vector<TransitionFault>& faults,
                                       std::vector<std::uint64_t>& detect,
                                       const std::vector<std::uint8_t>* active) {
-  assert(b.lane_words() == opt_.lane_words);
-  const auto W = static_cast<std::size_t>(opt_.lane_words);
-  detect.assign(faults.size() * W, 0);
+  const std::size_t W = start_block(b, faults.size(), detect);
   c_.eval_wide_into(b.pi1(), W, good1_);
   c_.eval_wide_into(b.pi2(), W, good2_);
-  for (std::size_t w = 0; w < W; ++w)
-    masks_[w] = b.lane_mask(static_cast<int>(w));
   for (std::size_t i = 0; i < faults.size(); ++i) {
     if (active && !(*active)[i]) continue;
     const TransitionFault& f = faults[i];
@@ -241,13 +241,9 @@ void FaultSimEngine::block_obd(const PatternBlock& b,
                                const std::vector<ObdFaultSite>& faults,
                                std::vector<std::uint64_t>& detect,
                                const std::vector<std::uint8_t>* active) {
-  assert(b.lane_words() == opt_.lane_words);
-  const auto W = static_cast<std::size_t>(opt_.lane_words);
-  detect.assign(faults.size() * W, 0);
+  const std::size_t W = start_block(b, faults.size(), detect);
   c_.eval_wide_into(b.pi1(), W, good1_);
   c_.eval_wide_into(b.pi2(), W, good2_);
-  for (std::size_t w = 0; w < W; ++w)
-    masks_[w] = b.lane_mask(static_cast<int>(w));
   for (std::size_t i = 0; i < faults.size(); ++i) {
     if (active && !(*active)[i]) continue;
     const ObdFaultSite& f = faults[i];
@@ -294,7 +290,6 @@ void FaultSimEngine::block_obd(const PatternBlock& b,
 FaultSimScheduler::FaultSimScheduler(const Circuit& c, SimOptions opt)
     : c_(c), opt_(opt) {
   if (opt_.threads < 1) opt_.threads = 1;
-  if (opt_.lane_words < 1) opt_.lane_words = 1;
   // Engine 0 warms the circuit's lazy topo-order and fanout-cone caches on
   // the caller's thread, so the shared Circuit is strictly read-only once
   // workers run. Further engines come with the calls that use them.
@@ -303,8 +298,7 @@ FaultSimScheduler::FaultSimScheduler(const Circuit& c, SimOptions opt)
 
 void FaultSimScheduler::add_engines(int workers) {
   while (engines_.size() < static_cast<std::size_t>(workers))
-    engines_.push_back(
-        std::make_unique<FaultSimEngine>(c_, EngineOptions{opt_.lane_words}));
+    engines_.push_back(std::make_unique<FaultSimEngine>(c_));
 }
 
 FaultSimScheduler::~FaultSimScheduler() = default;
@@ -336,8 +330,8 @@ SimStats FaultSimScheduler::stats() const {
 
 namespace {
 
-/// Below this many gates x blocks x lane_words, thread spawn + round
-/// barriers cost more than the parallel win (measured on the bench corpus:
+/// Below this many gates x 64-lane blocks, thread spawn + round barriers
+/// cost more than the parallel win (measured on the bench corpus:
 /// mul4x4/mul6x6-class shapes regressed to ~0.9x at 2 threads, c880-class
 /// and up still profit).
 constexpr std::size_t kSerialGateBlockThreshold = 8192;
@@ -347,11 +341,20 @@ constexpr std::size_t kSerialGateBlockThreshold = 8192;
 int FaultSimScheduler::pattern_workers(std::size_t n_blocks) const {
   const int w = static_cast<int>(
       std::min<std::size_t>(static_cast<std::size_t>(opt_.threads), n_blocks));
-  if (w > 1 && c_.num_gates() * n_blocks *
-                       static_cast<std::size_t>(opt_.lane_words) <
-                   kSerialGateBlockThreshold)
-    return 1;
+  if (w > 1 && c_.num_gates() * n_blocks < kSerialGateBlockThreshold) return 1;
   return w;
+}
+
+int FaultSimScheduler::block_lanes(std::size_t n_tests, int workers) {
+  constexpr std::size_t kMaxLanes =
+      PatternBlock::kLanes * PatternBlock::kMaxWords;
+  const auto w = static_cast<std::size_t>(std::max(workers, 1));
+  std::size_t lanes = PatternBlock::kLanes;
+  if (w == 1)  // the narrowest block that holds every test
+    while (lanes < kMaxLanes && lanes < n_tests) lanes *= 2;
+  else  // the widest that still gives every worker a full block
+    while (lanes < kMaxLanes && 2 * lanes * w <= n_tests) lanes *= 2;
+  return static_cast<int>(lanes);
 }
 
 std::size_t FaultSimScheduler::resolve_batch(std::size_t n_blocks,
@@ -407,11 +410,13 @@ DetectionMatrix FaultSimScheduler::build_matrix(
   if (tests.empty() || faults.empty()) return m;
 
   // Shard whole blocks: block b owns rows [capacity * b, + size).
-  const std::vector<PatternBlock> blocks =
-      PatternBlock::pack(c_, tests, opt_.lane_words);
-  const auto W = static_cast<std::size_t>(opt_.lane_words);
+  const std::size_t n64 = (tests.size() + PatternBlock::kLanes - 1) /
+                          PatternBlock::kLanes;
+  const int workers = pattern_workers(n64);
+  const int words = block_lanes(tests.size(), workers) / PatternBlock::kLanes;
+  const std::vector<PatternBlock> blocks = PatternBlock::pack(c_, tests, words);
+  const auto W = static_cast<std::size_t>(words);
   const std::size_t capacity = W * 64;
-  const int workers = pattern_workers(blocks.size());
   add_engines(workers);
   std::atomic<std::size_t> next{0};
   run_workers(workers, "matrix", [&](int w) {
@@ -472,9 +477,7 @@ FaultSimEngine::Campaign FaultSimScheduler::run_campaign(
   // spawned once for the whole campaign; the barrier's completion step (one
   // thread, all workers parked) reconciles each round and re-freezes the
   // active list, so no shared state is touched while blocks simulate.
-  const std::vector<PatternBlock> blocks =
-      PatternBlock::pack(c_, tests, opt_.lane_words);
-  const auto W = static_cast<std::size_t>(opt_.lane_words);
+  const std::vector<PatternBlock> blocks = PatternBlock::pack(c_, tests);
   std::vector<std::uint8_t> active(faults.size(), 1);
   long long n_active = static_cast<long long>(faults.size());
   const int workers = pattern_workers(blocks.size());
@@ -494,20 +497,13 @@ FaultSimEngine::Campaign FaultSimScheduler::run_campaign(
     const std::size_t n = round_blocks();
     for (std::size_t s = 0; s < n; ++s) {
       const std::size_t b = start + s;
-      const int base = static_cast<int>(b * W * 64);
+      const int base = static_cast<int>(b) * PatternBlock::kLanes;
       const auto& det = detect[s / batch][s % batch];
       for (std::size_t f = 0; f < faults.size(); ++f) {
-        if (r.first_test[f] >= 0) continue;
-        // Words ascend in lane (= test) order, so the first nonzero word's
-        // lowest bit is the first detection in the block.
-        for (std::size_t dw = 0; dw < W; ++dw) {
-          const std::uint64_t word = det[f * W + dw];
-          if (!word) continue;
-          r.first_test[f] =
-              base + static_cast<int>(dw) * 64 + std::countr_zero(word);
-          ++r.detected;
-          break;
-        }
+        // A block word's lowest set bit is its first detecting test.
+        if (r.first_test[f] >= 0 || !det[f]) continue;
+        r.first_test[f] = base + std::countr_zero(det[f]);
+        ++r.detected;
       }
     }
     for (std::size_t f = 0; f < faults.size(); ++f) {

@@ -7,7 +7,8 @@
 //
 //   - a PatternBlock packs up to 64 * lane_words (two-vector) tests, one
 //     per word-lane bit, with the multi-word LaneBlock SIMD kernels
-//     (logic/laneblock.hpp) fusing all words of a bundle per gate;
+//     (logic/laneblock.hpp) fusing all words of a bundle per gate; the
+//     scheduler picks each call's width (block_lanes);
 //   - the good circuit is evaluated once per block (per frame);
 //   - each fault is simulated against the whole block at once: its net is
 //     forced to per-lane words and the change is propagated event-driven
@@ -28,12 +29,13 @@
 // call, on the caller's thread, for the workers that call uses; all of them
 // read the circuit's one cone table. Fault dropping is reconciled in block
 // order after each round, so campaign results are bit-identical at any
-// thread count or lane width.
+// thread count, and detection matrices at any thread count and width.
 //
 // The set-level entry points in faultsim.hpp are thin wrappers over the
 // scheduler.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <map>
@@ -58,26 +60,22 @@ struct EngineMetricIds {
   static const EngineMetricIds& get();
 };
 
-/// Per-engine knobs (the scheduler forwards SimOptions::lane_words here).
-struct EngineOptions {
-  /// Words per pattern lane bundle: blocks carry 64 * lane_words tests and
-  /// every per-net value is lane_words words wide (the LaneBlock SIMD
-  /// kernels in logic/laneblock.hpp fuse them). Detection results are
-  /// bit-identical at any width.
-  int lane_words = 1;
-};
-
 /// Up to 64 * lane_words two-vector tests packed lane-per-test (stuck-at
 /// tests use only the second frame, with v1 == v2). Lane L lives at bit
 /// (L & 63) of word (L >> 6); a one-word block is bit-for-bit the engine's
-/// historical 64-lane block.
+/// historical 64-lane block. Every per-net value the engine computes for a
+/// block is lane_words words wide (the LaneBlock SIMD kernels in
+/// logic/laneblock.hpp fuse them); detection results are bit-identical at
+/// any width.
 class PatternBlock {
  public:
   /// Lanes per 64-bit word (the historical whole-block size).
   static constexpr int kLanes = 64;
+  /// Widest block: lane_words is clamped to [1, kMaxWords] (512 lanes).
+  static constexpr int kMaxWords = 8;
 
   explicit PatternBlock(const Circuit& c, int lane_words = 1)
-      : lane_words_(lane_words < 1 ? 1 : lane_words),
+      : lane_words_(std::clamp(lane_words, 1, kMaxWords)),
         pi1_(c.inputs().size() * static_cast<std::size_t>(lane_words_), 0),
         pi2_(c.inputs().size() * static_cast<std::size_t>(lane_words_), 0) {}
 
@@ -115,7 +113,7 @@ class PatternBlock {
 
 /// Detection matrix: row per test, bit-packed over the fault list (64
 /// faults per word). Built by the scheduler (each pattern block fills up
-/// to 64 * lane_words rows per engine call); consumed directly by
+/// to its capacity of rows per engine call); consumed directly by
 /// compaction, n-detect selection, and the diagnosis dictionary.
 struct DetectionMatrix {
   std::size_t n_tests = 0;
@@ -141,7 +139,7 @@ class FaultSimEngine {
  public:
   /// Builds the circuit's fanout-cone table if it is not built yet, so a
   /// circuit is read-only once its engines exist.
-  explicit FaultSimEngine(const Circuit& c, EngineOptions opt = {});
+  explicit FaultSimEngine(const Circuit& c);
 
   const Circuit& circuit() const { return c_; }
 
@@ -152,11 +150,11 @@ class FaultSimEngine {
   const obs::Sheet& metrics() const { return metrics_; }
 
   // --- Block primitives (pattern-major) --------------------------------
-  // Each fills `detect` (resized to faults.size() * lane_words) with
-  // lane_words words per fault at [i * lane_words, +lane_words); bit k of
-  // word w set = lane 64w + k of the block detects the fault. The block's
-  // lane_words must equal the engine's. When `active` is non-null, faults
-  // with active[i] == 0 are skipped (their words are 0).
+  // Each fills `detect` (resized to faults.size() * W, W = the block's
+  // lane_words) with W words per fault at [i * W, +W); bit k of word w set
+  // = lane 64w + k of the block detects the fault. Any block width runs on
+  // any engine. When `active` is non-null, faults with active[i] == 0 are
+  // skipped (their words are 0).
 
   void block_stuck(const PatternBlock& b, const std::vector<StuckFault>& faults,
                    std::vector<std::uint64_t>& detect,
@@ -181,6 +179,10 @@ class FaultSimEngine {
   };
 
  private:
+  /// Sizes `detect` and the per-net faulty scratch for the block's width
+  /// and fills the per-word live-lane masks; returns the width in words.
+  std::size_t start_block(const PatternBlock& b, std::size_t n_faults,
+                          std::vector<std::uint64_t>& detect);
   /// Event-driven frontier propagation, the engine's hot loop: pins
   /// `forced` to `forced_words` (W words) against the lane-strided good
   /// valuation `good`, walks the forced net's cone in level order
@@ -196,7 +198,6 @@ class FaultSimEngine {
                                                  const cells::TransistorRef& tr);
 
   const Circuit& c_;
-  EngineOptions opt_;
   std::vector<int> gate_level_;                  // gate -> logic level
   // Frontier fence input: per net, the maximum logic level of any gate
   // reading it (0 = no fanout). While the walk's level exceeds every
@@ -213,15 +214,16 @@ class FaultSimEngine {
   long long* frontier_early_exits_ = nullptr;
   std::map<std::tuple<int, bool, int>, std::array<std::uint16_t, 16>>
       obd_tables_;
-  // Lane-strided per-net scratch (lane_words words per net).
+  // Lane-strided per-net scratch (W words per net for the current block;
+  // bad_ only grows, and only nets marked changed_ are read from it).
   std::vector<std::uint64_t> good1_, good2_, bad_;
   // Propagation scratch: per-net changed flags with their reset list, the
   // gate-output staging words, and per-block masks / per-fault excitation
-  // and diff words. The W-word buffers sit on cache lines of their own:
-  // the scheduler creates engines back to back on one thread and then
-  // hands each to a different worker, and these few words are rewritten
-  // per fault, so a line shared with another engine would bounce between
-  // cores (false sharing).
+  // and diff words. The W-word buffers hold kMaxWords words and sit on
+  // cache lines of their own: the scheduler creates engines back to back on
+  // one thread and then hands each to a different worker, and these few
+  // words are rewritten per fault, so a line shared with another engine
+  // would bounce between cores (false sharing).
   std::vector<std::uint8_t> changed_;
   std::vector<NetId> touched_;
   template <typename T>
@@ -264,15 +266,18 @@ struct SimStats {
 /// every campaign runs here, and campaigns always drop detected faults.
 ///
 /// Determinism contract: matrices and campaigns are bit-identical across
-/// thread counts and lane widths (the randomized oracle harness in
+/// thread counts and block widths (the randomized oracle harness in
 /// tests/oracle_common.hpp enforces this against the legacy scalar
 /// simulators). Threads shard whole pattern blocks (matrix rows are
 /// disjoint per block); fault-dropping campaigns run rounds of
 /// `workers * resolve_batch` blocks against a frozen active list and
 /// reconcile detections in block order between rounds, trading a little
-/// redundant tail work for exact equivalence. Small shapes (gates x blocks
-/// x lane_words below a measured threshold) run single-threaded regardless
-/// of `threads` — the barrier tax exceeds the parallel win there.
+/// redundant tail work for exact equivalence. Small shapes (gates x 64-lane
+/// blocks below a measured threshold) run single-threaded regardless of
+/// `threads` — the barrier tax exceeds the parallel win there.
+///
+/// Block width is a property of each call, not a setting: campaigns pack
+/// 64 lanes, matrices follow block_lanes.
 ///
 /// Engines follow the workers a call uses, never the `threads` knob alone:
 /// the constructor builds engine 0 (warming the circuit's lazy caches), and
@@ -284,7 +289,6 @@ class FaultSimScheduler {
   ~FaultSimScheduler();
 
   const Circuit& circuit() const { return c_; }
-  const SimOptions& options() const { return opt_; }
 
   /// Counter sums over every engine created so far and the cone table's
   /// size.
@@ -295,14 +299,24 @@ class FaultSimScheduler {
   /// campaigns redo tail work per round by design).
   obs::Sheet merged_metrics() const;
 
-  /// Workers a call with this many blocks actually uses:
-  /// min(threads, blocks), gated to 1 when gates x blocks x lane_words
-  /// falls below a measured threshold — there the thread-spawn and round-
-  /// barrier tax exceeds any parallel win, so the call runs inline.
+  /// Workers a call with this many 64-lane blocks actually uses:
+  /// min(threads, blocks), gated to 1 when gates x blocks falls below a
+  /// measured threshold — there the thread-spawn and round-barrier tax
+  /// exceeds any parallel win, so the call runs inline.
   int pattern_workers(std::size_t n_blocks) const;
   /// Blocks per worker per campaign round, chosen from the block count (1
   /// on a serial call).
   std::size_t resolve_batch(std::size_t n_blocks, int workers) const;
+
+  /// Pattern lanes per block of a detection matrix over `n_tests` tests
+  /// whose 64-lane blocks run on `workers` workers (pattern_workers). One
+  /// worker packs the narrowest of 64/128/256/512 lanes that holds all the
+  /// tests (512 past that): fewer blocks mean fewer good evaluations and
+  /// cone walks. Several workers pack the widest of those that still gives
+  /// every worker a full block, so wide blocks never leave one idle. Campaigns
+  /// always pack 64 lanes, so fault dropping bites every 64 tests. Results
+  /// are bit-identical at every width.
+  static int block_lanes(std::size_t n_tests, int workers);
 
   // --- Detection matrices ----------------------------------------------
   DetectionMatrix matrix_stuck(const std::vector<InputVec>& patterns,

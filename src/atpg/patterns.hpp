@@ -67,13 +67,10 @@ std::vector<TwoVectorTest> consecutive_pairs(
 /// engine.
 struct SimOptions {
   /// Worker threads for sharding pattern blocks; 1 runs inline on the
-  /// calling thread. Results are bit-identical at any count.
+  /// calling thread. Results are bit-identical at any count. The block
+  /// width is not a knob: the scheduler picks it per call
+  /// (FaultSimScheduler::block_lanes).
   int threads = 1;
-  /// Words per pattern-block lane bundle: 1 = the classic 64-lane blocks,
-  /// 4 = 256 lanes, 8 = 512 (the CLI's --lanes divided by 64). Wide
-  /// bundles run through the LaneBlock SIMD kernels; detection matrices,
-  /// campaigns, and matrix_hash are bit-identical at every width.
-  int lane_words = 1;
 };
 
 }  // namespace obd::atpg

@@ -13,7 +13,7 @@
 //   - kUnknown when the conflict budget ran out before a verdict.
 //
 // Everything is deterministic, so campaign escalation preserves the
-// matrix-hash contract across threads, lanes, and shards.
+// matrix-hash contract across threads and shards.
 #pragma once
 
 #include "atpg/faults.hpp"

@@ -141,7 +141,7 @@ DetectionMatrix sim_matrix(FaultSimScheduler& s,
 /// capture keeps a context copyable and self-contained.
 template <typename Fault>
 struct ModelData {
-  logic::Circuit view;
+  std::shared_ptr<const logic::Circuit> view;  // the context's view
   std::vector<Fault> reps;
   PodemOptions popt;
   /// Lazily constructed on the first escalation; one persistent solver
@@ -171,21 +171,21 @@ std::shared_ptr<ModelData<Fault>> bind_model(detail::CampaignContext& ctx,
     return sim_matrix(s, ts, select_reps(data->reps, subset));
   };
   ctx.generate = [data](std::uint32_t i) {
-    return generate_test(data->view, goals_of(data->view, data->reps[i]),
+    return generate_test(*data->view, goals_of(*data->view, data->reps[i]),
                          data->popt);
   };
   sat::SatAtpgOptions satopt;
   satopt.conflict_budget = opt.sat_conflict_budget;
   ctx.escalate = [data, satopt](std::uint32_t i) {
     if (!data->session)
-      data->session = std::make_shared<sat::SatSession>(data->view, satopt);
-    return data->session->generate(goals_of(data->view, data->reps[i]));
+      data->session = std::make_shared<sat::SatSession>(*data->view, satopt);
+    return data->session->generate(goals_of(*data->view, data->reps[i]));
   };
   ctx.escalate_stats = [data]() -> const sat::SatSessionStats* {
     return data->session ? &data->session->stats() : nullptr;
   };
   ctx.rep_name = [data](std::uint32_t i) {
-    return fault_name(data->view, data->reps[i]);
+    return fault_name(*data->view, data->reps[i]);
   };
   return data;
 }
@@ -215,7 +215,9 @@ std::uint64_t hash_matrix(const DetectionMatrix& m) {
   return h;
 }
 
-void fill_structure(const logic::Circuit& view, CampaignReport& r) {
+void fill_structure(const CampaignContext& ctx, CampaignReport& r) {
+  if (!ctx.view) return;
+  const logic::Circuit& view = *ctx.view;
   r.gates = view.num_gates();
   r.nets = view.num_nets();
   r.pis = view.inputs().size();
@@ -227,7 +229,6 @@ void init_report(const logic::SequentialCircuit& seq,
                  const CampaignOptions& opt, CampaignReport& r) {
   r.model = opt.model;
   r.threads = opt.sim.threads;
-  r.lanes = 64 * std::max(1, opt.sim.lane_words);
   r.scan = !seq.flops().empty();
   r.flops = seq.flops().size();
   r.circuit = seq.core().name();
@@ -268,7 +269,7 @@ CampaignContext make_context(const logic::SequentialCircuit& seq,
     }
     const auto prim = std::make_shared<const logic::SequentialCircuit>(
         logic::decompose_composites(seq));
-    ctx.view = prim->scan_view();
+    ctx.view = std::make_shared<const logic::Circuit>(prim->scan_view());
     ctx.error = prim->validate();
     if (!ctx.error.empty()) return ctx;
     // Core fault indices carry over: scan_view preserves gate order.
@@ -291,7 +292,7 @@ CampaignContext make_context(const logic::SequentialCircuit& seq,
     };
     if (opt.random_patterns > 0)
       for (const ScanObdTest& t :
-           random_broadside_tests(*prim, ctx.view, opt.scan_style,
+           random_broadside_tests(*prim, *ctx.view, opt.scan_style,
                                   opt.random_patterns, opt.seed))
         ctx.pool.push_back(scan_view_vectors(*prim, t));
     return ctx;
@@ -300,14 +301,16 @@ CampaignContext make_context(const logic::SequentialCircuit& seq,
   // Full-scan application: flops become pseudo-PIs/POs and every test is a
   // plain (two-)vector on the view. InputVec test vectors carry any width,
   // so wide netlists and long scan chains need no special casing.
-  ctx.view = scan ? seq.scan_view() : seq.core();
+  logic::Circuit lowered = scan ? seq.scan_view() : seq.core();
   if (opt.model == FaultModel::kObd)
-    ctx.view = logic::decompose_composites(ctx.view);
-  ctx.error = ctx.view.validate();
+    lowered = logic::decompose_composites(lowered);
+  ctx.view = std::make_shared<const logic::Circuit>(std::move(lowered));
+  const logic::Circuit& view = *ctx.view;
+  ctx.error = view.validate();
   if (!ctx.error.empty()) return ctx;
 
   if (opt.random_patterns > 0) {
-    ctx.pool = random_pairs(static_cast<int>(ctx.view.inputs().size()),
+    ctx.pool = random_pairs(static_cast<int>(view.inputs().size()),
                             opt.random_patterns, opt.seed);
     if (opt.model == FaultModel::kStuck)
       for (auto& t : ctx.pool) t.v1 = t.v2;  // single-vector application
@@ -316,17 +319,17 @@ CampaignContext make_context(const logic::SequentialCircuit& seq,
   if (opt.model == FaultModel::kStuck) {
     const obs::Span span("collapse");
     const auto t0 = Clock::now();
-    const auto faults = enumerate_stuck_faults(ctx.view);
+    const auto faults = enumerate_stuck_faults(view);
     ctx.faults_total = faults.size();
-    auto reps = collapse_stuck_faults(ctx.view, faults).representatives;
+    auto reps = collapse_stuck_faults(view, faults).representatives;
     ctx.collapse_s = seconds_since(t0);
     bind_model(ctx, std::move(reps), opt);
   } else if (opt.model == FaultModel::kTransition) {
-    auto reps = enumerate_transition_faults(ctx.view);
+    auto reps = enumerate_transition_faults(view);
     ctx.faults_total = reps.size();  // no structural collapse
     bind_model(ctx, std::move(reps), opt);
   } else {
-    auto data = bind_model(ctx, collapse_obd(ctx.view, ctx), opt);
+    auto data = bind_model(ctx, collapse_obd(view, ctx), opt);
     ctx.ndetect = [data](const CampaignOptions& o,
                          const std::vector<FaultStatus>& status,
                          CampaignReport& r) {
@@ -348,7 +351,7 @@ CampaignContext make_context(const logic::SequentialCircuit& seq,
           targets.push_back(data->reps[i]);
       r.ndetect_pruned_untestable =
           static_cast<int>(data->reps.size() - targets.size());
-      const NDetectResult nd = build_ndetect_set(data->view, targets, nopt);
+      const NDetectResult nd = build_ndetect_set(*data->view, targets, nopt);
       r.ndetect_tests = static_cast<int>(nd.tests.size());
       r.ndetect_satisfied = nd.satisfied;
       r.time.ndetect_s = seconds_since(t1);
@@ -650,7 +653,7 @@ CampaignReport run_campaign(const logic::SequentialCircuit& seq,
   CampaignReport r;
   detail::init_report(seq, opt, r);
   const detail::CampaignContext ctx = detail::make_context(seq, opt);
-  detail::fill_structure(ctx.view, r);
+  detail::fill_structure(ctx, r);
   if (!ctx.error.empty()) {
     r.error = ctx.error;
     return r;
@@ -660,7 +663,7 @@ CampaignReport run_campaign(const logic::SequentialCircuit& seq,
   // resolution and report builder, with one scheduler for the prepass and
   // the matrix.
   const auto t_total = Clock::now();
-  FaultSimScheduler sched(ctx.view, opt.sim);
+  FaultSimScheduler sched(*ctx.view, opt.sim);
   const auto t0 = Clock::now();
   ShardState s = detail::start_partition(ctx, sched, 0, 1);
   r.time.random_s = seconds_since(t0);
@@ -756,7 +759,6 @@ std::string report_json(const CampaignReport& r) {
   std::snprintf(hash, sizeof hash, "0x%016llx",
                 static_cast<unsigned long long>(r.matrix_hash));
   j += "  \"sim\": {\"threads\": " + std::to_string(r.threads) +
-       ", \"lanes\": " + std::to_string(r.lanes) +
        ", \"fault_block_evals\": " + std::to_string(r.fault_block_evals) +
        ", \"matrix_hash\": \"" + hash +
        "\",\n          \"cone_peak_bytes\": " +
@@ -927,8 +929,7 @@ void print_report(const CampaignReport& r) {
   std::snprintf(hash, sizeof hash, "0x%016llx",
                 static_cast<unsigned long long>(r.matrix_hash));
   t.add_row({"matrix hash", hash});
-  t.add_row({"threads / lanes",
-             std::to_string(r.threads) + " / " + std::to_string(r.lanes)});
+  t.add_row({"threads", std::to_string(r.threads)});
   if (r.propagations > 0)
     t.add_row({"frontier evals / early exits",
                std::to_string(r.frontier_gate_evals) + " / " +

@@ -2,8 +2,8 @@
 // tool. One call chains everything the lower layers provide:
 //
 //   fault-list extraction -> structural collapse -> random-pattern
-//   fault-dropping prepass (FaultSimScheduler, threads/lanes from
-//   SimOptions) -> deterministic PODEM / two-frame top-off for the
+//   fault-dropping prepass (FaultSimScheduler, threads from SimOptions)
+//   -> deterministic PODEM / two-frame top-off for the
 //   survivors -> detection-matrix build -> greedy compaction -> optional
 //   n-detect growth -> a machine-readable report.
 //
@@ -12,7 +12,7 @@
 // two-vector machinery runs unchanged (enhanced-scan application).
 //
 // Determinism: everything is seeded, and the fault-simulation layer is
-// bit-identical across thread counts and lane widths, so two runs that differ
+// bit-identical across thread counts and block widths, so two runs that differ
 // only in `sim.threads` produce byte-identical reports up to the wall-clock
 // fields — `matrix_hash` is the cheap cross-run witness.
 #pragma once
@@ -46,7 +46,7 @@ struct CampaignOptions {
   /// pins PI2 == PI1) and run the two-frame scan ATPG — OBD model only.
   /// Ignored for purely combinational designs.
   atpg::ScanMode scan_style = atpg::ScanMode::kEnhanced;
-  /// Threads and lane width for every fault-sim call.
+  /// Worker threads for every fault-sim call.
   atpg::SimOptions sim;
   /// Random patterns (or two-vector pairs) in the fault-dropping prepass;
   /// 0 goes straight to the deterministic search.
@@ -63,7 +63,7 @@ struct CampaignOptions {
   /// (atpg/sat): each abort becomes a validated test cube, a proven-
   /// untestable verdict, or — only if the conflict budget runs out — stays
   /// aborted. Escalation is inline and deterministic, so the matrix-hash
-  /// contract across threads/lanes/shards is preserved. Time-budget aborts
+  /// contract across threads and shards is preserved. Time-budget aborts
   /// are NOT escalated (they are re-attempted on resume instead). The tail
   /// is solved in one persistent assumption-based session (sat::SatSession),
   /// whose verdicts and cubes equal the fresh per-goal solve's.
@@ -204,8 +204,6 @@ struct CampaignReport {
 
   PhaseTimes time;
   int threads = 1;
-  /// Pattern lanes per block (64 * SimOptions::lane_words).
-  int lanes = 64;
 
   bool ok() const { return error.empty(); }
 };

@@ -24,6 +24,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -49,7 +50,11 @@ struct CampaignContext {
   /// model/style combination); every other field is then unspecified.
   std::string error;
 
-  logic::Circuit view;  ///< full-scan or combinational view, model-lowered
+  /// Full-scan or combinational view, model-lowered; null when the
+  /// preamble failed before building it. The model hooks hold the same
+  /// circuit, so PODEM, SAT, n-detect and the schedulers all read one view
+  /// and one fanout-cone table.
+  std::shared_ptr<const logic::Circuit> view;
   std::size_t faults_total = 0;  ///< before structural collapse
   std::size_t n_reps = 0;        ///< collapsed representatives
   double collapse_s = 0.0;       ///< enumerate+collapse wall clock
@@ -134,8 +139,9 @@ void build_report(const CampaignContext& ctx, const CampaignOptions& opt,
 /// cross-shard, cross-resume witness.
 std::uint64_t hash_matrix(const atpg::DetectionMatrix& m);
 
-/// Structure stats shared by every campaign path.
-void fill_structure(const logic::Circuit& view, CampaignReport& r);
+/// Structure stats of the context's view, shared by every campaign path (a
+/// context without a view leaves them zero).
+void fill_structure(const CampaignContext& ctx, CampaignReport& r);
 
 /// Report preamble common to run_campaign and the supervisor's merge:
 /// circuit identity, model, sim configuration, scan detection and style.

@@ -105,7 +105,7 @@ ShardRunResult run_campaign_shard(const logic::SequentialCircuit& seq,
   };
 
   if (!have_state) {
-    FaultSimScheduler sched(ctx.view, opt.sim);
+    FaultSimScheduler sched(*ctx.view, opt.sim);
     s = detail::start_partition(ctx, sched, sopt.shard_index,
                                 sopt.shard_count);
     s.circuit = circuit;

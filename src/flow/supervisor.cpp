@@ -139,8 +139,6 @@ pid_t spawn_shard(const SupervisorOptions& sup, const CampaignOptions& opt,
       std::to_string(opt.max_backtracks),
       "--threads",
       std::to_string(opt.sim.threads),
-      "--lanes",
-      std::to_string(64 * std::max(1, opt.sim.lane_words)),
   };
   if (opt.podem_time_budget_s > 0.0) {
     char buf[32];
@@ -232,7 +230,7 @@ SupervisorResult run_supervised_campaign(const logic::SequentialCircuit& seq,
   }
 
   const detail::CampaignContext ctx = detail::make_context(seq, opt);
-  detail::fill_structure(ctx.view, r);
+  detail::fill_structure(ctx, r);
   if (!ctx.error.empty()) {
     r.error = ctx.error;
     return res;
@@ -567,7 +565,7 @@ SupervisorResult run_supervised_campaign(const logic::SequentialCircuit& seq,
     if (clean[i]) done.push_back(&states[i]);
   // total covers collapse plus the merge, not the shards' own runs.
   const auto t_merge = Clock::now();
-  FaultSimScheduler sched(ctx.view, opt.sim);
+  FaultSimScheduler sched(*ctx.view, opt.sim);
   detail::build_report(ctx, opt, sched, done, nullptr, r);
   r.time.total_s = seconds_since(t_merge) + ctx.collapse_s;
   return res;

@@ -172,7 +172,7 @@ inline void gate_eval_block(GateType t, const std::uint64_t* const* in,
 }
 
 /// Runtime-width dispatch to the compile-time kernels (1, 2, 4 and 8 words,
-/// the CLI's --lanes 64/128/256/512). Other widths fall back to a
+/// the scheduler's 64/128/256/512-lane blocks). Other widths fall back to a
 /// word-at-a-time loop (correct, unfused).
 inline void gate_eval_lanes(GateType t, const std::uint64_t* const* in,
                             std::uint64_t* out, std::size_t n_words) {

@@ -3,16 +3,18 @@
 // One reference, many implementations: the legacy scalar simulators
 // (one fault, one pattern, full-circuit evaluation — slow but obviously
 // correct) define the detection semantics; every scheduler configuration —
-// pattern blocks of 64 to 512 lanes at 1/2/4 workers — must reproduce
+// 1/2/4 workers, over test lists whose lengths put one-worker matrices in
+// blocks of 64, 128, 256 and 512 lanes (sweep_lengths) — must reproduce
 // their DetectionMatrix bit for bit, and every fault-dropping campaign must
 // report each fault's first detecting row of that legacy matrix (and at
-// one worker, exactly the block work dropping implies). The legacy
+// one worker, exactly the 64-lane block work dropping implies). The legacy
 // matrices share no packing or kernel code with the scheduler. Shared by
 // the fault-sim and wide-vector tests; test_gate_circuit.cpp reuses zoo().
 #pragma once
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -35,18 +37,17 @@ inline std::vector<logic::Circuit> zoo() {
   return out;
 }
 
-/// Engine configurations swept against the legacy reference: thread
-/// counts at 64 lanes, then the wide LaneBlock bundles (lane widths 2/4/8
-/// words x thread counts).
-inline std::vector<SimOptions> sweep_configs() {
-  return {// SimOptions: {threads, lane_words}
-          {1},    {2},    {4},    {1, 2}, {1, 4}, {1, 8},
-          {2, 2}, {2, 4}, {4, 4}, {4, 8}};
-}
+/// Scheduler configurations swept against the legacy reference.
+inline std::vector<SimOptions> sweep_configs() { return {{1}, {2}, {4}}; }
+
+/// Test-list lengths that give a one-worker matrix blocks of every width
+/// (FaultSimScheduler::block_lanes): a full 64-lane block, a 128-lane
+/// block with a partial word, a 256-lane one, and a full 512-lane block
+/// followed by a partial one.
+inline std::vector<int> sweep_lengths() { return {64, 96, 200, 520}; }
 
 inline std::string config_name(const SimOptions& o) {
-  return std::to_string(o.threads) + "t/" +
-         std::to_string(64 * (o.lane_words < 1 ? 1 : o.lane_words)) + "l";
+  return std::to_string(o.threads) + "t";
 }
 
 /// Builds a DetectionMatrix row-by-row from per-test detection flags.
@@ -110,8 +111,8 @@ inline long long serial_block_evals(const std::vector<int>& first,
 /// A campaign against the legacy matrix of the same tests: first_test is
 /// each fault's first detecting row, detected is covered_count, and a
 /// one-worker call does exactly the dropping work serial_block_evals
-/// implies (a threaded one at least that much: rounds simulate a dropped
-/// fault until they end).
+/// implies over 64-lane blocks (a threaded one at least that much: rounds
+/// simulate a dropped fault until they end).
 inline void expect_campaign_matches(const DetectionMatrix& ref,
                                     const FaultSimEngine::Campaign& got,
                                     const FaultSimScheduler& sched,
@@ -119,11 +120,9 @@ inline void expect_campaign_matches(const DetectionMatrix& ref,
   const std::vector<int> first = first_rows(ref);
   EXPECT_EQ(first, got.first_test) << label;
   EXPECT_EQ(ref.covered_count, got.detected) << label;
-  const int lanes = 64 * sched.options().lane_words;
+  constexpr int lanes = PatternBlock::kLanes;
   const long long serial = serial_block_evals(first, ref.n_tests, lanes);
-  const std::size_t n_blocks =
-      (ref.n_tests + static_cast<std::size_t>(lanes) - 1) /
-      static_cast<std::size_t>(lanes);
+  const std::size_t n_blocks = (ref.n_tests + lanes - 1) / lanes;
   if (sched.pattern_workers(n_blocks) == 1)
     EXPECT_EQ(serial, got.fault_block_evals) << label;
   else
@@ -161,24 +160,47 @@ struct LegacyReference {
   }
 };
 
-/// Sweeps one circuit under all three fault models: a random pattern set,
-/// legacy scalar reference matrices, and bit-identity of every engine
-/// configuration's matrix.
-inline void sweep_matrices(const logic::Circuit& c, int n_tests,
-                           std::uint64_t seed,
+/// The first n rows of `m`: the matrix of the first n tests.
+inline DetectionMatrix head_rows(const DetectionMatrix& m, std::size_t n) {
+  return reference_matrix(n, m.n_faults, [&m](std::size_t t) {
+    std::vector<bool> det(m.n_faults);
+    for (std::size_t f = 0; f < m.n_faults; ++f) det[f] = m.detects(t, f);
+    return det;
+  });
+}
+
+/// Sweeps one circuit under all three fault models: one random test list,
+/// its legacy scalar reference matrices, and bit-identity of every
+/// scheduler configuration's matrix over the first n tests, for each n in
+/// `lengths` (the legacy work is done once, for the longest).
+inline void sweep_matrices(const logic::Circuit& c,
+                           const std::vector<int>& lengths, std::uint64_t seed,
                            const std::vector<SimOptions>& configs =
                                sweep_configs()) {
-  const LegacyReference ref(c, n_tests, seed);
-  for (const SimOptions& cfg : configs) {
-    FaultSimScheduler sched(c, cfg);
-    const std::string label = c.name() + " " + config_name(cfg);
-    expect_matrices_identical(ref.stuck, sched.matrix_stuck(ref.patterns, ref.sf),
-                              label + " stuck");
-    expect_matrices_identical(ref.transition,
-                              sched.matrix_transition(ref.tests, ref.tf),
-                              label + " transition");
-    expect_matrices_identical(ref.obd, sched.matrix_obd(ref.tests, ref.of),
-                              label + " obd");
+  const LegacyReference ref(
+      c, *std::max_element(lengths.begin(), lengths.end()), seed);
+  for (const int n : lengths) {
+    const auto head = [n](const auto& v) {
+      return std::vector(v.begin(), v.begin() + n);
+    };
+    const auto tests = head(ref.tests);
+    const auto patterns = head(ref.patterns);
+    const auto rows = static_cast<std::size_t>(n);
+    const DetectionMatrix stuck = head_rows(ref.stuck, rows);
+    const DetectionMatrix transition = head_rows(ref.transition, rows);
+    const DetectionMatrix obd = head_rows(ref.obd, rows);
+    for (const SimOptions& cfg : configs) {
+      FaultSimScheduler sched(c, cfg);
+      const std::string label =
+          c.name() + " " + config_name(cfg) + " " + std::to_string(n);
+      expect_matrices_identical(stuck, sched.matrix_stuck(patterns, ref.sf),
+                                label + " stuck");
+      expect_matrices_identical(transition,
+                                sched.matrix_transition(tests, ref.tf),
+                                label + " transition");
+      expect_matrices_identical(obd, sched.matrix_obd(tests, ref.of),
+                                label + " obd");
+    }
   }
 }
 

@@ -19,13 +19,13 @@ using logic::Circuit;
 std::vector<Circuit> zoo_circuits() { return oracle::zoo(); }
 
 TEST(FaultSimOracle, EnginePackingsMatchLegacyScalar) {
-  // Single-threaded configurations only (the threaded sweep is owned by
-  // test_faultsim_scheduler, so the zoo-wide matrix build runs once per
-  // engine concern rather than twice in full), at every LaneBlock width.
-  const std::vector<SimOptions> configs = {{1}, {1, 2}, {1, 4}, {1, 8}};
+  // One thread only (the threaded sweep is owned by test_faultsim_scheduler,
+  // so the zoo-wide matrix build runs once per engine concern rather than
+  // twice in full), over test-list lengths that put the one-worker matrix
+  // in blocks of every LaneBlock width.
   std::uint64_t seed = 0x0bd0007;
   for (const Circuit& c : zoo_circuits())
-    oracle::sweep_matrices(c, 130, seed++, configs);
+    oracle::sweep_matrices(c, oracle::sweep_lengths(), seed++, {{1}});
 }
 
 std::vector<TwoVectorTest> random_tests(const Circuit& c, int count,
@@ -124,6 +124,39 @@ TEST(FaultSimEngine, CampaignFirstTestMatchesMatrix) {
     for (std::size_t t = 0; t < tests.size() && first < 0; ++t)
       if (m.detects(t, f)) first = static_cast<int>(t);
     EXPECT_EQ(campaign.first_test[f], first) << "fault " << f;
+  }
+}
+
+TEST(FaultSimEngine, OneEngineRunsEveryBlockWidth) {
+  // The width travels with each block: one engine simulates blocks of 8,
+  // 1, 4 and 2 words in turn (its faulty-value scratch grows to the widest
+  // and keeps its size), and each block's detections match the legacy
+  // simulator lane by lane.
+  const Circuit c = logic::random_circuit(10, 120, 8, 0xbead);
+  const auto faults = enumerate_obd_faults(c);
+  const auto tests = random_tests(c, 300, 0x5eed9);
+  std::vector<std::vector<bool>> ref;
+  for (const auto& t : tests) ref.push_back(legacy::simulate_obd(c, t, faults));
+  FaultSimEngine engine(c);
+  std::vector<std::uint64_t> detect;
+  for (const int words : {8, 1, 4, 2}) {
+    std::size_t first = 0;
+    const auto W = static_cast<std::size_t>(words);
+    for (const PatternBlock& b : PatternBlock::pack(c, tests, words)) {
+      engine.block_obd(b, faults, detect);
+      ASSERT_EQ(detect.size(), faults.size() * W);
+      for (int lane = 0; lane < b.size(); ++lane) {
+        const std::size_t t = first + static_cast<std::size_t>(lane);
+        for (std::size_t f = 0; f < faults.size(); ++f) {
+          const std::uint64_t word =
+              detect[f * W + static_cast<std::size_t>(lane >> 6)];
+          ASSERT_EQ(((word >> (lane & 63)) & 1u) != 0, ref[t][f])
+              << words << " words, test " << t << " fault " << f;
+        }
+      }
+      first += static_cast<std::size_t>(b.size());
+    }
+    EXPECT_EQ(first, tests.size());
   }
 }
 

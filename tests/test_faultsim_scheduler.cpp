@@ -16,7 +16,7 @@ using logic::Circuit;
 TEST(SchedulerOracle, MatricesBitIdenticalAcrossModesAndThreads) {
   std::uint64_t seed = 0x5c4ed001;
   for (const Circuit& c : oracle::zoo())
-    oracle::sweep_matrices(c, 96, seed++);
+    oracle::sweep_matrices(c, {96}, seed++);
 }
 
 TEST(SchedulerOracle, DroppingCampaignsMatchLegacyMatrices) {
@@ -31,7 +31,7 @@ TEST(SchedulerOracle, TinyTestListsMatchLegacy) {
   // (faults % 64 != 0 everywhere here).
   std::uint64_t seed = 0x5c4ed004;
   for (const Circuit& c : oracle::zoo())
-    for (int n_tests : {1, 3, 8}) oracle::sweep_matrices(c, n_tests, seed++);
+    for (int n_tests : {1, 3, 8}) oracle::sweep_matrices(c, {n_tests}, seed++);
 }
 
 TEST(Scheduler, ThreadCountDoesNotChangeDropWorkAccounting) {
@@ -58,9 +58,9 @@ TEST(Scheduler, ThreadCountDoesNotChangeDropWorkAccounting) {
 }
 
 TEST(Scheduler, SmallShapesAutoSerialize) {
-  // Below the gates x blocks x lane_words granularity threshold the
-  // scheduler runs inline regardless of the thread knob; past it the
-  // requested workers engage (capped by the block count).
+  // Below the gates x 64-lane blocks granularity threshold the scheduler
+  // runs inline regardless of the thread knob; past it the requested
+  // workers engage (capped by the block count).
   const Circuit c = logic::c17();  // 6 gates: always sub-threshold
   FaultSimScheduler sched(c, {4});
   EXPECT_EQ(sched.pattern_workers(4), 1);
@@ -70,13 +70,10 @@ TEST(Scheduler, SmallShapesAutoSerialize) {
   FaultSimScheduler bsched(big, {4});
   EXPECT_EQ(bsched.pattern_workers(64), 4);  // big shape: all 4 engage
   EXPECT_EQ(bsched.pattern_workers(8), 1);   // 444 x 8 < threshold: inline
-
-  // Wide lanes raise the per-block work, so fewer blocks cross the gate —
-  // and the block count still caps the workers past it.
-  FaultSimScheduler wsched(big, {4, 8});
-  EXPECT_EQ(wsched.pattern_workers(8), 4);
-  EXPECT_EQ(wsched.pattern_workers(3), 3);
-  EXPECT_EQ(wsched.pattern_workers(2), 1);  // 444 x 2 x 8 is sub-threshold
+  // Past the gate the block count caps the workers.
+  FaultSimScheduler tsched(big, {32});
+  EXPECT_EQ(tsched.pattern_workers(19), 19);  // 444 x 19 >= threshold
+  EXPECT_EQ(tsched.pattern_workers(18), 1);   // 444 x 18 < threshold
 
   // Serial calls take one block per round; threaded rounds batch up to 4
   // blocks per worker (64 blocks over 4 workers: 16 each, 4 per round).
@@ -84,42 +81,55 @@ TEST(Scheduler, SmallShapesAutoSerialize) {
   EXPECT_EQ(bsched.resolve_batch(64, 4), 4u);
 }
 
-TEST(Scheduler, BatchedRoundsMatchOneThreadAboveSerialThreshold) {
-  // mul4x4 with 3200 tests = 50 blocks (and 8192 tests = 32 blocks of 256
-  // lanes) puts gates x blocks x lane_words past the auto-serial gate, so
-  // these campaigns really run threaded rounds of several blocks per
-  // worker; each must reproduce the one-thread campaign (which the oracle
-  // sweep pins to the legacy matrices) exactly.
+TEST(Scheduler, BlockLanesFollowTestsAndWorkers) {
+  // The matrix lane-width rule: one worker packs the narrowest of
+  // 64/128/256/512 lanes that holds all the tests, 512 past that; several
+  // workers pack the widest that still gives each worker a full block.
   struct Row {
-    SimOptions sim;
-    int n_tests;
+    std::size_t n_tests;
+    int one_worker, two_workers, four_workers;
   };
+  for (const Row& r : std::vector<Row>{{1, 64, 64, 64},
+                                       {64, 64, 64, 64},
+                                       {65, 128, 64, 64},
+                                       {200, 256, 64, 64},
+                                       {257, 512, 128, 64},
+                                       {371, 512, 128, 64},
+                                       {592, 512, 256, 128},
+                                       {1023, 512, 256, 128},
+                                       {1024, 512, 512, 256},
+                                       {5000, 512, 512, 512}}) {
+    EXPECT_EQ(FaultSimScheduler::block_lanes(r.n_tests, 1), r.one_worker)
+        << r.n_tests;
+    EXPECT_EQ(FaultSimScheduler::block_lanes(r.n_tests, 2), r.two_workers)
+        << r.n_tests;
+    EXPECT_EQ(FaultSimScheduler::block_lanes(r.n_tests, 4), r.four_workers)
+        << r.n_tests;
+  }
+}
+
+TEST(Scheduler, BatchedRoundsMatchOneThreadAboveSerialThreshold) {
+  // mul4x4 with 3200 tests = 50 blocks puts gates x blocks past the
+  // auto-serial gate, so these campaigns really run threaded rounds of
+  // several blocks per worker; each must reproduce the one-thread campaign
+  // (which the oracle sweep pins to the legacy matrices) exactly.
   const Circuit c = logic::array_multiplier(4);
   const auto faults = enumerate_obd_faults(c);
-  for (const Row& row : std::vector<Row>{
-           {{2}, 3200},
-           {{4}, 3200},
-           {{2, 4}, 8192},  // wide lanes
-       }) {
-    const SimOptions& o = row.sim;
+  const auto tests =
+      random_pairs(static_cast<int>(c.inputs().size()), 3200, 0x5c4ed007);
+  const auto ref = FaultSimScheduler(c).campaign_obd(tests, faults);
+  for (const SimOptions& o : std::vector<SimOptions>{{2}, {4}}) {
     const std::string label = oracle::config_name(o);
-    const auto tests = random_pairs(static_cast<int>(c.inputs().size()),
-                                    row.n_tests, 0x5c4ed007);
-    const auto ref = FaultSimScheduler(c).campaign_obd(tests, faults);
     FaultSimScheduler sched(c, o);
-    const std::size_t lanes = static_cast<std::size_t>(64 * o.lane_words);
-    const std::size_t blocks = (tests.size() + lanes - 1) / lanes;
+    const std::size_t blocks = tests.size() / PatternBlock::kLanes;
     const int workers = sched.pattern_workers(blocks);
     ASSERT_GT(workers, 1) << label;
     ASSERT_GT(sched.resolve_batch(blocks, workers), 1u) << label;
     const auto got = sched.campaign_obd(tests, faults);
     EXPECT_EQ(got.first_test, ref.first_test) << label;
     EXPECT_EQ(got.detected, ref.detected) << label;
-    // Batched rounds pay at most extra redundant work; block counts only
-    // compare at the reference's 64-lane width.
-    if (o.lane_words == 1) {
-      EXPECT_GE(got.fault_block_evals, ref.fault_block_evals) << label;
-    }
+    // Batched rounds pay at most extra redundant work.
+    EXPECT_GE(got.fault_block_evals, ref.fault_block_evals) << label;
   }
 }
 

@@ -754,7 +754,7 @@ TEST(SatIncremental, SessionMatchesFreshOnCampaignTails) {
         flow::detail::make_context(p.seq, opt);
     ASSERT_TRUE(ctx.error.empty()) << ctx.error;
     const std::vector<ObdFaultSite> reps =
-        collapse_obd_faults(ctx.view, enumerate_obd_faults(ctx.view))
+        collapse_obd_faults(*ctx.view, enumerate_obd_faults(*ctx.view))
             .representatives;
     ASSERT_EQ(reps.size(), ctx.n_reps);
     std::map<std::string, std::uint32_t> rep_of;
@@ -763,11 +763,11 @@ TEST(SatIncremental, SessionMatchesFreshOnCampaignTails) {
     for (const std::string& name : r.aborted_faults) {
       const auto it = rep_of.find(name);
       ASSERT_NE(it, rep_of.end()) << name;
-      ASSERT_EQ(fault_name(ctx.view, reps[it->second]), name);
+      ASSERT_EQ(fault_name(*ctx.view, reps[it->second]), name);
       tail.push_back(reps[it->second]);
     }
 
-    const SessionTally t = session_vs_fresh(ctx.view, tail);
+    const SessionTally t = session_vs_fresh(*ctx.view, tail);
     EXPECT_EQ(t.untestable, row.untestable) << row.file;
     EXPECT_EQ(t.cubes + t.untestable, static_cast<int>(tail.size()))
         << row.file;

@@ -627,16 +627,17 @@ std::string flag_value(const std::vector<std::string>& argv,
   return it == argv.end() || it + 1 == argv.end() ? "" : *(it + 1);
 }
 
-TEST_F(SupervisorTest, SubprocessShardsGetLanes) {
-  // Shard children must simulate at the parent's --lanes, not at the CLI
-  // default, and get no flag the CLI does not accept.
+TEST_F(SupervisorTest, SubprocessShardsGetNoLaneOrConeFlags) {
+  // Shard children get no flag the CLI does not accept: the block width is
+  // the scheduler's per-call choice and the cone table is not sized, so
+  // neither --lanes nor --cone-cache is forwarded, and the merge still
+  // equals the one-shot report.
   const io::BenchParseResult p = load("c432.bench");
   ASSERT_TRUE(p.ok) << p.error;
 
   CampaignOptions opt;
   opt.random_patterns = 64;
   opt.sim.threads = 2;
-  opt.sim.lane_words = 4;
   const CampaignReport base = run_campaign(p.seq, opt);
   ASSERT_TRUE(base.ok()) << base.error;
 
@@ -649,12 +650,12 @@ TEST_F(SupervisorTest, SubprocessShardsGetLanes) {
   const SupervisorResult res = run_supervised_campaign(p.seq, opt, sup);
   ASSERT_TRUE(res.report.ok()) << res.report.error;
   EXPECT_EQ(count_outcome(res, ShardOutcome::kClean), 2);
-  expect_matches_baseline(res.report, base, "subprocess 256 lanes");
+  expect_matches_baseline(res.report, base, "subprocess 2 shards");
 
   const auto argvs = logged_argvs(wrap_dir);
   EXPECT_EQ(argvs.size(), 2u);
   for (const auto& argv : argvs) {
-    EXPECT_EQ(flag_value(argv, "--lanes"), "256");
+    EXPECT_EQ(std::count(argv.begin(), argv.end(), "--lanes"), 0);
     EXPECT_EQ(std::count(argv.begin(), argv.end(), "--cone-cache"), 0);
   }
 }
@@ -791,6 +792,20 @@ TEST_F(SupervisorTest, CliRejectsHostileNumbers) {
   EXPECT_FALSE(report_hash(lo).empty());
   EXPECT_NE(report_hash(lo), report_hash(hi));
   EXPECT_EQ(report_hash(sharded), report_hash(hi));
+}
+
+TEST_F(SupervisorTest, CliRejectsDeletedFlags) {
+  // Deleted knobs are unknown options like any other: exit 1 with the flag
+  // named on stderr, never silently ignored.
+  const std::string dir = fresh_dir("cli_deleted");
+  const std::string err = dir + "/stderr.txt";
+  const std::string c17 = "\"" + corpus("c17.bench") + "\"";
+  for (const std::string flag : {"--lanes", "--cone-cache", "--packing"}) {
+    EXPECT_EQ(run_cli(c17 + " " + flag + " 256", err), 1) << flag;
+    EXPECT_NE(slurp(err).find("unknown option '" + flag + "'"),
+              std::string::npos)
+        << flag << ": " << slurp(err);
+  }
 }
 
 /// Runs obd_atpg with `args` (no shell, output discarded); returns its exit

@@ -128,7 +128,9 @@ TEST_P(WideOracleTest, MatricesMatchLegacyAtEveryWidth) {
       logic::random_circuit(n_pis, std::max(40, n_pis * 2), 1 + n_pis / 4,
                             0x0b5e55ed + static_cast<std::uint64_t>(n_pis));
   ASSERT_EQ(c.inputs().size(), static_cast<std::size_t>(n_pis));
-  oracle::sweep_matrices(c, /*n_tests=*/24, 0x31d3);
+  // Every sweep length, so one-worker matrices run 64- to 512-lane blocks
+  // over multi-word PI vectors.
+  oracle::sweep_matrices(c, oracle::sweep_lengths(), 0x31d3);
 }
 
 TEST_P(WideOracleTest, CampaignsMatchLegacyAtEveryWidth) {

@@ -10,10 +10,9 @@
 //                                  scan application style for sequential
 //                                  designs (default enhanced; the LOC
 //                                  styles need --model obd)
-//   --threads N                    fault-sim worker threads (default 1)
-//   --lanes 64|128|256|512         pattern lanes per simulation block
-//                                  (default 64; wider blocks run the SIMD
-//                                  LaneBlock kernels, results identical)
+//   --threads N                    fault-sim worker threads (default 1;
+//                                  the simulator sizes its pattern blocks
+//                                  per call, results identical)
 //   --random N                     random prepass patterns (default 2048)
 //   --seed S                       PRNG seed (default 0x0bd5eed)
 //   --backtracks N                 PODEM backtrack budget (default 100000)
@@ -89,8 +88,8 @@
 // cannot allocate its working set (say, --random 2147483647) prints
 // "obd_atpg: out of memory" and exits 1.
 //
-// Results are bit-identical across --threads, --lanes and --shards
-// settings; the report's matrix_hash field is the witness.
+// Results are bit-identical across --threads and --shards settings; the
+// report's matrix_hash field is the witness.
 #include <cerrno>
 #include <climits>
 #include <cmath>
@@ -131,8 +130,7 @@ int usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s <circuit.bench> [--model stuck|transition|obd] "
                "[--scan-style enhanced|loc|loc-held]\n"
-               "       [--threads N] [--lanes 64|128|256|512] "
-               "[--random N] [--seed S]\n"
+               "       [--threads N] [--random N] [--seed S]\n"
                "       [--backtracks N] [--podem-time S] [--sat-escalate] "
                "[--sat-conflict-budget N] [--ndetect N]\n"
                "       [--no-compact] [--report FILE.json] "
@@ -275,15 +273,6 @@ int main(int argc, char** argv) try {
       }
     } else if (a == "--threads") {
       opt.sim.threads = static_cast<int>(int_value("--threads", 1, INT_MAX));
-    } else if (a == "--lanes") {
-      long long n = 0;
-      if (!parse_long(value("--lanes"), n) ||
-          (n != 64 && n != 128 && n != 256 && n != 512)) {
-        obs::logf(obs::LogLevel::kError,
-                  "--lanes must be 64, 128, 256, or 512");
-        return 1;
-      }
-      opt.sim.lane_words = static_cast<int>(n / 64);
     } else if (a == "--random") {
       opt.random_patterns = static_cast<int>(int_value("--random", 0, INT_MAX));
     } else if (a == "--seed") {
