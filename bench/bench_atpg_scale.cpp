@@ -18,7 +18,9 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdarg>
+#include <memory>
 #include <thread>
+#include <utility>
 
 #include "atpg/atpg.hpp"
 #include "flow/campaign.hpp"
@@ -38,18 +40,27 @@ double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
-/// Min-of-2 wall time: the first run warms the cone table and page tables,
-/// the min discards scheduler noise. Timing rows only — detection results
-/// are asserted identical elsewhere.
-template <typename Fn>
-double min2(Fn fn) {
-  double best = 1e300;
-  for (int rep = 0; rep < 2; ++rep) {
-    const auto t0 = Clock::now();
-    fn();
-    best = std::min(best, seconds_since(t0));
+/// Adaptive min-of-N, the repetition rule of the engine and overhead rows:
+/// `round` runs at least 10 times, then until `settled()` holds, at most 40
+/// times. Rep noise is one-sided (a rep is only ever slower than the
+/// quiet-host time), so more rounds only move a min toward the quiet time,
+/// and a round that landed on a busy window gets retried instead of shipped.
+/// A round samples every timer it compares once, so the timers' mins
+/// sample the same windows.
+template <typename Round, typename Settled>
+void adaptive_rounds(Round round, Settled settled) {
+  for (int n = 1; n <= 40; ++n) {
+    round();
+    if (n >= 10 && settled()) return;
   }
-  return best;
+}
+
+/// Lowers `best` to the wall time of one fn() call.
+template <typename Fn>
+void time_min(double& best, Fn fn) {
+  const auto t0 = Clock::now();
+  fn();
+  best = std::min(best, seconds_since(t0));
 }
 
 struct SimComparison {
@@ -119,54 +130,77 @@ int engine_detected(FaultSimEngine& e, const std::vector<PatternBlock>& blocks,
   return static_cast<int>(std::count(hit.begin(), hit.end(), 1));
 }
 
-/// Times legacy scalar vs pattern blocks over the same OBD fault list and
-/// test set: the engine on 1- and 4-word blocks (64 and 256 lanes, packing
-/// included), then a 1-thread scheduler's fault-dropping campaign.
-SimComparison compare_obd_sim(const logic::Circuit& c, int n_tests) {
-  SimComparison r;
-  r.circuit = c.name();
-  r.gates = c.num_gates();
-  const auto faults = enumerate_obd_faults(c);
-  r.faults = faults.size();
-  const auto tests =
-      random_pairs(static_cast<int>(c.inputs().size()), n_tests, 0xca11ab1e);
-  r.patterns = tests.size();
-
-  {
+/// Times legacy scalar vs pattern blocks over each circuit's OBD fault list
+/// and test set (`n_tests` random pairs): the legacy simulator once, then
+/// the engine on 1- and 4-word blocks (64 and 256 lanes, packing included)
+/// and a 1-thread scheduler's fault-dropping campaign. The engine timers run
+/// in adaptive rounds that visit every circuit, settled once the rounds span
+/// 3 s, so each row's min samples the whole table's span: a shared host's
+/// slow periods can last seconds, longer than one row's reps would. The
+/// first round also warms the cone tables and page tables.
+std::vector<SimComparison> compare_obd_sim(
+    const std::vector<std::pair<logic::Circuit, int>>& circuits) {
+  struct Setup {
+    std::vector<ObdFaultSite> faults;
+    std::vector<TwoVectorTest> tests;
+    std::unique_ptr<FaultSimEngine> engine;
+    std::unique_ptr<FaultSimScheduler> sched;
+    bool mismatch = false;
+  };
+  std::vector<SimComparison> rows(circuits.size());
+  std::vector<Setup> setups(circuits.size());
+  for (std::size_t i = 0; i < circuits.size(); ++i) {
+    const auto& [c, n_tests] = circuits[i];
+    SimComparison& r = rows[i];
+    Setup& u = setups[i];
+    r.circuit = c.name();
+    r.gates = c.num_gates();
+    u.faults = enumerate_obd_faults(c);
+    r.faults = u.faults.size();
+    u.tests =
+        random_pairs(static_cast<int>(c.inputs().size()), n_tests, 0xca11ab1e);
+    r.patterns = u.tests.size();
     const auto t0 = Clock::now();
-    std::vector<bool> covered(faults.size(), false);
-    for (const auto& t : tests) {
-      const auto det = legacy::simulate_obd(c, t, faults);
-      for (std::size_t f = 0; f < faults.size(); ++f)
+    std::vector<bool> covered(u.faults.size(), false);
+    for (const auto& t : u.tests) {
+      const auto det = legacy::simulate_obd(c, t, u.faults);
+      for (std::size_t f = 0; f < u.faults.size(); ++f)
         if (det[f] && !covered[f]) {
           covered[f] = true;
           ++r.legacy_detected;
         }
     }
     r.legacy_s = seconds_since(t0);
+    u.engine = std::make_unique<FaultSimEngine>(c);
+    u.sched = std::make_unique<FaultSimScheduler>(c, SimOptions{1});
+    r.block_s = r.block_wide_s = r.drop_s = 1e300;
   }
-  {
-    FaultSimEngine engine(c);
-    r.block_s = min2([&] {
-      r.block_detected =
-          engine_detected(engine, PatternBlock::pack(c, tests, 1), faults);
-    });
-    int wide_detected = 0;
-    r.block_wide_s = min2([&] {
-      wide_detected =
-          engine_detected(engine, PatternBlock::pack(c, tests, 4), faults);
-    });
-    if (wide_detected != r.block_detected) r.block_detected = -1;
-  }
-  {
-    FaultSimScheduler sched(c, {1});
-    int dropped_detected = 0;
-    r.drop_s = min2([&] {
-      dropped_detected = sched.campaign_obd(tests, faults).detected;
-    });
-    if (dropped_detected != r.block_detected) r.block_detected = -1;
-  }
-  return r;
+  const auto t_start = Clock::now();
+  adaptive_rounds(
+      [&] {
+        for (std::size_t i = 0; i < circuits.size(); ++i) {
+          const logic::Circuit& c = circuits[i].first;
+          SimComparison& r = rows[i];
+          Setup& u = setups[i];
+          int wide = 0, dropped = 0;
+          time_min(r.block_s, [&] {
+            r.block_detected = engine_detected(
+                *u.engine, PatternBlock::pack(c, u.tests, 1), u.faults);
+          });
+          time_min(r.block_wide_s, [&] {
+            wide = engine_detected(*u.engine, PatternBlock::pack(c, u.tests, 4),
+                                   u.faults);
+          });
+          time_min(r.drop_s, [&] {
+            dropped = u.sched->campaign_obd(u.tests, u.faults).detected;
+          });
+          u.mismatch |= wide != r.block_detected || dropped != r.block_detected;
+        }
+      },
+      [&] { return seconds_since(t_start) >= 3.0; });
+  for (std::size_t i = 0; i < rows.size(); ++i)
+    if (setups[i].mismatch) rows[i].block_detected = -1;
+  return rows;
 }
 
 /// PODEM-only vs PODEM + SAT top-off on the wide corpus tier: same OBD
@@ -523,27 +557,23 @@ std::vector<ObsOverheadRow> reproduce_obs_overhead() {
   // times for all three configurations.
   FaultSimScheduler sched(c, {1});
   const auto sample = [&] {
-    const auto t0 = Clock::now();
     benchmark::DoNotOptimize(sched.matrix_obd(tests, faults).covered_count);
-    return seconds_since(t0);
   };
   sample();  // warm-up: excitation tables and first-touch pages off the clock
   const auto spread_of = [](double a, double b) {
     return (std::max(a, b) / std::min(a, b) - 1.0) * 100.0;
   };
-  // Adaptive round count (same idea as the timing rows' adaptive
-  // min-of-N): run at least 9 rounds, then keep going until the two off
-  // mins agree to well under the gate, so a round that landed on a busy
-  // window gets retried instead of shipped.
+  // Settled once the two off mins agree to well under the gate.
   row.off_a_s = row.off_b_s = row.traced_s = 1e300;
-  for (int round = 0; round < 40; ++round) {
-    row.off_a_s = std::min(row.off_a_s, sample());
-    row.off_b_s = std::min(row.off_b_s, sample());
-    obs::Recorder::instance().enable(0, "bench");
-    row.traced_s = std::min(row.traced_s, sample());
-    obs::Recorder::instance().disable();
-    if (round >= 8 && spread_of(row.off_a_s, row.off_b_s) <= 0.75) break;
-  }
+  adaptive_rounds(
+      [&] {
+        time_min(row.off_a_s, sample);
+        time_min(row.off_b_s, sample);
+        obs::Recorder::instance().enable(0, "bench");
+        time_min(row.traced_s, sample);
+        obs::Recorder::instance().disable();
+      },
+      [&] { return spread_of(row.off_a_s, row.off_b_s) <= 0.75; });
   row.spread_pct = spread_of(row.off_a_s, row.off_b_s);
   row.traced_overhead_pct =
       (row.traced_s / std::min(row.off_a_s, row.off_b_s) - 1.0) * 100.0;
@@ -573,20 +603,20 @@ void reproduce_faultsim_scale() {
   std::printf(
       "=== Bit-parallel fault simulation: legacy scalar vs multi-lane "
       "blocks ===\n\n");
-  std::vector<SimComparison> rows;
-  rows.push_back(compare_obd_sim(logic::full_adder_sum_circuit(), 512));
-  rows.push_back(compare_obd_sim(logic::ripple_carry_adder(8), 256));
-  rows.push_back(compare_obd_sim(logic::ripple_carry_adder(16), 256));
-  rows.push_back(compare_obd_sim(logic::parity_tree(16), 256));
-  rows.push_back(compare_obd_sim(logic::array_multiplier(4), 256));
+  std::vector<std::pair<logic::Circuit, int>> circuits;
+  circuits.emplace_back(logic::full_adder_sum_circuit(), 512);
+  circuits.emplace_back(logic::ripple_carry_adder(8), 256);
+  circuits.emplace_back(logic::ripple_carry_adder(16), 256);
+  circuits.emplace_back(logic::parity_tree(16), 256);
+  circuits.emplace_back(logic::array_multiplier(4), 256);
   // ISCAS corpus rows: the legacy baseline pays a full-circuit evaluation
   // per (fault, test), so the test budget is smaller on these — and smaller
   // still on the wide (>64 PI) tier, whose fault lists are several times
   // larger.
-  for (const auto& c : iscas_circuits())
-    rows.push_back(compare_obd_sim(c, 128));
-  for (const auto& c : iscas_circuits(/*wide=*/true))
-    rows.push_back(compare_obd_sim(c, 32));
+  for (auto& c : iscas_circuits()) circuits.emplace_back(std::move(c), 128);
+  for (auto& c : iscas_circuits(/*wide=*/true))
+    circuits.emplace_back(std::move(c), 32);
+  const std::vector<SimComparison> rows = compare_obd_sim(circuits);
 
   util::AsciiTable t("OBD fault-sim throughput (fault x patterns / sec)");
   t.set_header({"circuit", "gates", "faults", "tests", "cov ok", "legacy",

@@ -32,7 +32,11 @@ NDetectResult build_ndetect_set(const Circuit& c,
   // opt.sim.threads workers), then replay the greedy growth over matrix
   // rows: keep any test that raises a below-target fault's count. (Counts
   // must reach n, so no fault dropping here.)
-  const DetectionMatrix m = build_obd_matrix(c, pool, faults, opt.sim);
+  FaultSimScheduler sched(c, opt.sim);
+  const DetectionMatrix m = sched.matrix_obd(pool, faults);
+  result.sim = sched.stats();
+  result.implications = base.total_implications;
+  result.backtracks = base.total_backtracks;
   for (std::size_t t = 0; t < pool.size(); ++t) {
     bool useful = false;
     for (std::size_t i = 0; i < faults.size(); ++i)

@@ -26,6 +26,11 @@ struct NDetectResult {
   int satisfied = 0;
   /// Faults detectable at all (count > 0 achievable).
   int detectable = 0;
+  /// Effort of the pass: the pool simulation's counters (cone_peak_bytes
+  /// is the circuit's one cone table) and the PODEM search's totals.
+  SimStats sim;
+  long long implications = 0;
+  long long backtracks = 0;
 };
 
 struct NDetectOptions {

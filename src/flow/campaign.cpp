@@ -48,6 +48,8 @@ struct FlowMetricIds {
   obs::MetricId sat_inc_fresh;
   obs::MetricId sat_inc_vars_shared;
   obs::MetricId sat_inc_clauses_kept;
+  obs::MetricId ndetect_implications;
+  obs::MetricId ndetect_backtracks;
   static const FlowMetricIds& get() {
     static const FlowMetricIds ids = [] {
       FlowMetricIds m;
@@ -69,6 +71,8 @@ struct FlowMetricIds {
       m.sat_inc_fresh = obs::counter("sat.fresh_fallbacks");
       m.sat_inc_vars_shared = obs::counter("sat.vars_shared");
       m.sat_inc_clauses_kept = obs::counter("sat.clauses_kept");
+      m.ndetect_implications = obs::counter("ndetect.implications");
+      m.ndetect_backtracks = obs::counter("ndetect.backtracks");
       return m;
     }();
     return ids;
@@ -332,7 +336,7 @@ CampaignContext make_context(const logic::SequentialCircuit& seq,
     auto data = bind_model(ctx, collapse_obd(view, ctx), opt);
     ctx.ndetect = [data](const CampaignOptions& o,
                          const std::vector<FaultStatus>& status,
-                         CampaignReport& r) {
+                         obs::Sheet& effort, CampaignReport& r) {
       if (data->reps.empty()) return;
       const obs::Span span("ndetect");
       const auto t1 = Clock::now();
@@ -354,8 +358,17 @@ CampaignContext make_context(const logic::SequentialCircuit& seq,
       const NDetectResult nd = build_ndetect_set(*data->view, targets, nopt);
       r.ndetect_tests = static_cast<int>(nd.tests.size());
       r.ndetect_satisfied = nd.satisfied;
+      // Its pool simulation counts as simulation work (the cone table is
+      // the campaign's own); its PODEM search stays out of atpg.podem_*.
+      const EngineMetricIds& sim = EngineMetricIds::get();
+      effort.add(sim.propagations, nd.sim.propagations);
+      effort.add(sim.frontier_events, nd.sim.frontier_events);
+      effort.add(sim.frontier_gate_evals, nd.sim.frontier_gate_evals);
+      effort.add(sim.frontier_early_exits, nd.sim.frontier_early_exits);
+      const FlowMetricIds& mids = FlowMetricIds::get();
+      effort.add(mids.ndetect_implications, nd.implications);
+      effort.add(mids.ndetect_backtracks, nd.backtracks);
       r.time.ndetect_s = seconds_since(t1);
-      r.time.total_s += r.time.ndetect_s;
     };
   }
   return ctx;
@@ -580,15 +593,18 @@ void build_report(const CampaignContext& ctx, const CampaignOptions& opt,
     r.time.compact_s = seconds_since(t1);
   }
 
-  const SimStats sim = sched.stats();
-  r.cone_peak_bytes = sim.cone_peak_bytes;
-  r.propagations = sim.propagations;
-  r.frontier_events = sim.frontier_events;
-  r.frontier_gate_evals = sim.frontier_gate_evals;
-  r.frontier_early_exits = sim.frontier_early_exits;
+  // The sim fields read the sheet metrics.sim.* come from, so simulation
+  // work on the effort sheet (the n-detect pool) counts in both.
+  obs::Sheet merged = sched.merged_metrics();
+  if (effort) merged.merge_from(*effort);
+  const EngineMetricIds& sim = EngineMetricIds::get();
+  r.cone_peak_bytes =
+      static_cast<std::size_t>(merged.value(sim.cone_peak_bytes));
+  r.propagations = merged.value(sim.propagations);
+  r.frontier_events = merged.value(sim.frontier_events);
+  r.frontier_gate_evals = merged.value(sim.frontier_gate_evals);
+  r.frontier_early_exits = merged.value(sim.frontier_early_exits);
   if (effort) {
-    obs::Sheet merged = sched.merged_metrics();
-    merged.merge_from(*effort);
     if (ss) {
       const FlowMetricIds& mids = FlowMetricIds::get();
       merged.add(mids.sat_inc_pairs, ss->pairs_total);
@@ -676,10 +692,12 @@ CampaignReport run_campaign(const logic::SequentialCircuit& seq,
         r.time.sat_s += detail::resolve_fault(ctx, opt, s, i, effort);
     r.time.atpg_s = seconds_since(t1);
   }
+  // n-detect growth reads the final statuses; its effort lands on the sheet
+  // the report builder snapshots.
+  if (opt.ndetect > 0 && ctx.ndetect) ctx.ndetect(opt, s.status, effort, r);
   detail::build_report(ctx, opt, sched, {&s}, &effort, r);
-  // total == the sum of the reported phases (ndetect adds its own).
+  // total == the sum of the reported phases.
   r.time.total_s = seconds_since(t_total) + ctx.collapse_s;
-  if (opt.ndetect > 0 && ctx.ndetect) ctx.ndetect(opt, s.status, r);
   return r;
 }
 

@@ -91,9 +91,11 @@ struct CampaignContext {
       matrix;
   /// n-detect growth tail (OBD model only; null otherwise) over a one-shot
   /// campaign's statuses: SAT-proven-untestable representatives are dropped
-  /// from the target set — they can never reach n detections.
+  /// from the target set — they can never reach n detections. Its pool
+  /// simulation and PODEM effort land on `effort` (sim.*, ndetect.*).
   std::function<void(const CampaignOptions&,
-                     const std::vector<FaultStatus>& status, CampaignReport&)>
+                     const std::vector<FaultStatus>& status,
+                     obs::Sheet& effort, CampaignReport&)>
       ndetect;
 };
 

@@ -32,17 +32,6 @@ bool parse_int(const std::string& s, int* out) {
 
 }  // namespace
 
-const char* to_string(CrashPoint p) {
-  switch (p) {
-    case CrashPoint::kShardStart: return "shard-start";
-    case CrashPoint::kCheckpointSave: return "checkpoint-save";
-    case CrashPoint::kCheckpointMidWrite: return "checkpoint-mid-write";
-    case CrashPoint::kCheckpointBeforeRename: return "checkpoint-before-rename";
-    case CrashPoint::kCheckpointCorrupt: return "checkpoint-corrupt";
-  }
-  return "?";
-}
-
 FaultInjector& FaultInjector::instance() {
   static FaultInjector inj;
   return inj;
@@ -109,13 +98,6 @@ bool FaultInjector::configure(const std::string& spec, std::string* err) {
       if (err) *err = "inject entry '" + raw + "': '" + mode + "' takes no =arg";
       return false;
     }
-    // Keep the mode name alive for diagnostics (static strings only).
-    e.mode = mode == "abort-before-rename" ? "abort-before-rename"
-             : mode == "abort-mid-write"   ? "abort-mid-write"
-             : mode == "corrupt-crc"       ? "corrupt-crc"
-             : mode == "sigkill"           ? "sigkill"
-                                           : "delay";
-
     const std::size_t colon = target.find(':');
     std::string shard_s = target.substr(0, colon);
     if (shard_s == "*") {
@@ -154,7 +136,6 @@ void FaultInjector::fire(Entry& e) {
     std::this_thread::sleep_for(std::chrono::milliseconds(e.arg_ms));
     return;
   }
-  if (in_process_) throw InjectedCrash{e.point, e.mode};
   if (e.point == CrashPoint::kCheckpointSave) {
     std::raise(SIGKILL);  // never returns
   }
@@ -186,13 +167,6 @@ bool FaultInjector::should_corrupt() {
     return true;
   }
   return false;
-}
-
-void FaultInjector::reset() {
-  entries_.clear();
-  shard_ = -1;
-  attempt_ = 0;
-  in_process_ = false;
 }
 
 }  // namespace obd::flow

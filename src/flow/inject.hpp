@@ -4,7 +4,9 @@
 // rejection, corrupt-checkpoint retry, watchdog timeout, poison-shard
 // quarantine) is exercised in tests and CI by *injecting* the failure at a
 // named crash point instead of hoping for it. The spec comes from the
-// `--inject` CLI option or the FLOW_FAULT_INJECT environment variable:
+// `--inject` CLI option (sharded runs only: a one-shot run reaches no crash
+// point, so the CLI rejects the flag there) or the FLOW_FAULT_INJECT
+// environment variable:
 //
 //   spec     := entry (',' entry)*
 //   entry    := mode ['#' occurrence] ['=' arg] '@' shard [':' attempt]
@@ -31,10 +33,10 @@
 // attempt and ends quarantined.
 //
 // The injector is process-global (shard processes are single-campaign by
-// construction). In process mode crashes are real (_Exit / raise); the
-// in-process mode used by unit tests throws InjectedCrash instead, which
-// the in-process supervisor executor catches and classifies exactly like a
-// child-process death.
+// construction), and every crash is real: a firing abort-* entry ends the
+// process with _Exit(70) (EX_SOFTWARE), a sigkill entry raises SIGKILL. The
+// supervisor validates a spec before it starts any child, then classifies
+// each child's death like any other crash.
 #pragma once
 
 #include <cstdint>
@@ -51,14 +53,6 @@ enum class CrashPoint : std::uint8_t {
   kCheckpointCorrupt,     ///< payload byte flip after CRC (not a crash)
 };
 
-const char* to_string(CrashPoint p);
-
-/// Thrown by in-process-mode crash actions (abort-* / sigkill entries).
-struct InjectedCrash {
-  CrashPoint point;
-  const char* mode;
-};
-
 class FaultInjector {
  public:
   static FaultInjector& instance();
@@ -69,12 +63,10 @@ class FaultInjector {
   /// Which (shard, attempt) this process/run is executing; entries only
   /// fire when they match. Resets the per-entry occurrence counters.
   void set_context(int shard_index, int attempt);
-  /// In-process mode throws InjectedCrash instead of killing the process.
-  void set_in_process(bool in_process) { in_process_ = in_process; }
 
   /// Fires any armed crash/delay entry for this point (counting one visit),
-  /// then disarms it for the current context. May not return (process
-  /// mode) or may throw InjectedCrash (in-process mode).
+  /// then disarms it for the current context. A crash entry does not
+  /// return: it ends the process.
   void visit(CrashPoint p);
   /// Like visit for the corrupt-crc entry: returns true when this save's
   /// payload should be corrupted. Stays armed from the configured
@@ -83,12 +75,10 @@ class FaultInjector {
   bool should_corrupt();
 
   bool active() const { return !entries_.empty(); }
-  void reset();
 
  private:
   struct Entry {
     CrashPoint point = CrashPoint::kShardStart;
-    const char* mode = "";
     int occurrence = 1;  // 1-based visit index that fires
     int arg_ms = 0;      // delay argument
     int shard = -1;      // -1 = any
@@ -102,7 +92,6 @@ class FaultInjector {
   std::vector<Entry> entries_;
   int shard_ = -1;
   int attempt_ = 0;
-  bool in_process_ = false;
 };
 
 }  // namespace obd::flow

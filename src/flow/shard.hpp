@@ -11,10 +11,10 @@
 // co-simulated (the scheduler's determinism contract), the merge
 // reproduces the one-shot campaign result exactly.
 //
-// This is the unit of crash tolerance: run as a child process by the shard
-// supervisor (obd_atpg --shard i/n) or in-process by tests. A SIGINT/
-// SIGTERM stop flag interrupts between fault searches after flushing a
-// valid checkpoint, so an interrupted shard loses no committed work.
+// This is the unit of crash tolerance: the shard supervisor runs it as a
+// child process (obd_atpg --shard i/n); tests also call it directly. A
+// SIGINT/SIGTERM stop flag interrupts between fault searches after flushing
+// a valid checkpoint, so an interrupted shard loses no committed work.
 #pragma once
 
 #include <csignal>
@@ -66,9 +66,8 @@ struct ShardRunResult {
 /// Runs (or resumes) one shard of any scan style (the launch-on-capture
 /// styles run their scan generator per fault, like a one-shot run). n-detect
 /// growth is a whole-campaign construct and is rejected. Fault-injection
-/// crash points fire inside
-/// (checkpoint saves, shard start) — in process mode this function may not
-/// return; in in-process mode it may throw InjectedCrash.
+/// crash points fire inside (checkpoint saves, shard start): a firing crash
+/// entry ends the process, so this function may not return.
 ShardRunResult run_campaign_shard(const logic::SequentialCircuit& seq,
                                   const CampaignOptions& opt,
                                   const ShardRunOptions& sopt);

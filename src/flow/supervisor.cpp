@@ -5,15 +5,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
-#include <thread>
-
 #include <fstream>
-#include <sstream>
+#include <thread>
 
 #include "flow/campaign_detail.hpp"
 #include "flow/checkpoint.hpp"
 #include "flow/inject.hpp"
-#include "flow/shard.hpp"
 #include "obs/log.hpp"
 #include "obs/progress.hpp"
 #include "obs/trace.hpp"
@@ -216,17 +213,19 @@ SupervisorResult run_supervised_campaign(const logic::SequentialCircuit& seq,
     r.error = "--ndetect is not supported with sharded campaigns";
     return res;
   }
-  if (!sup.in_process) {
 #ifndef OBD_POSIX_SPAWN
-    r.error = "subprocess shard supervision needs a POSIX platform "
-              "(use in_process mode)";
-    return res;
-#else
-    if (sup.child_exe.empty() || sup.circuit_path.empty()) {
-      r.error = "subprocess shard supervision needs child_exe + circuit_path";
-      return res;
-    }
+  r.error = "sharded campaigns need a POSIX platform (fork/exec)";
+  return res;
 #endif
+  if (sup.child_exe.empty() || sup.circuit_path.empty()) {
+    r.error = "shard supervision needs child_exe + circuit_path";
+    return res;
+  }
+  // Parsed once, before any child starts: a malformed spec would otherwise
+  // kill every attempt and end in quarantine instead of an error.
+  if (std::string ierr; !FaultInjector().configure(sup.inject_spec, &ierr)) {
+    r.error = "bad fault-injection spec: " + ierr;
+    return res;
   }
 
   const detail::CampaignContext ctx = detail::make_context(seq, opt);
@@ -275,277 +274,195 @@ SupervisorResult run_supervised_campaign(const logic::SequentialCircuit& seq,
     return true;
   };
 
-  bool stopping = false;
-
-  if (sup.in_process) {
-    FaultInjector& inj = FaultInjector::instance();
-    std::string ierr;
-    if (!inj.configure(sup.inject_spec, &ierr)) {
-      r.error = "bad fault-injection spec: " + ierr;
-      return res;
-    }
-    inj.set_in_process(true);
-
-    for (int shard = 0; shard < sup.shards && !res.interrupted; ++shard) {
-      for (int attempt = 0;; ++attempt) {
-        if (sup.stop && *sup.stop) {
-          res.interrupted = true;
-          break;
-        }
-        inj.set_context(shard, attempt);
-        ShardRunOptions so;
-        so.checkpoint_dir = sup.checkpoint_dir;
-        so.shard_index = static_cast<std::uint32_t>(shard);
-        so.shard_count = shard_count;
-        so.resume = true;  // continue from any committed progress
-        so.stop = sup.stop;
-        if (sup.progress) {
-          so.progress_path = obs::progress_path(sup.checkpoint_dir, shard);
-          so.progress_interval_s = sup.progress_interval_s;
-        }
-
-        ShardOutcome outcome = ShardOutcome::kCrash;
-        std::string what;
-        const auto t0 = Clock::now();
-        try {
-          const ShardRunResult rr = run_campaign_shard(seq, opt, so);
-          if (sup.shard_timeout_s > 0.0 &&
-              seconds_since(t0) > sup.shard_timeout_s) {
-            outcome = ShardOutcome::kTimeout;
-            char buf[64];
-            std::snprintf(buf, sizeof buf, "ran %.3fs past the %.3fs deadline",
-                          seconds_since(t0), sup.shard_timeout_s);
-            what = buf;
-          } else if (rr.status == ShardRunStatus::kDone) {
-            outcome = validate_shard(shard, &what) ? ShardOutcome::kClean
-                                                   : ShardOutcome::kCorrupt;
-          } else if (rr.status == ShardRunStatus::kInterrupted) {
-            outcome = ShardOutcome::kInterrupted;
-            what = rr.error;
-          } else if (rr.status == ShardRunStatus::kBadCheckpoint) {
-            outcome = ShardOutcome::kCorrupt;
-            what = rr.error;
-          } else {
-            outcome = ShardOutcome::kCrash;
-            what = rr.error;
-          }
-        } catch (const InjectedCrash& c) {
-          outcome = ShardOutcome::kCrash;
-          what = std::string("injected ") + c.mode + " at " +
-                 to_string(c.point);
-        }
-        res.attempts.push_back({shard, attempt, outcome, what});
-
-        if (outcome == ShardOutcome::kClean) {
-          clean[shard] = 1;
-          break;
-        }
-        if (outcome == ShardOutcome::kInterrupted) {
-          res.interrupted = true;
-          break;
-        }
-        if (outcome == ShardOutcome::kCorrupt)
-          remove_checkpoint(sup.checkpoint_dir, shard);
-        if (attempt >= sup.max_retries) {
-          res.quarantined.push_back(shard);
-          break;
-        }
-        ++res.retries;
-        std::this_thread::sleep_for(std::chrono::duration<double>(
-            backoff_seconds(sup, attempt + 1)));
-      }
-    }
-    inj.reset();
-  } else {
 #ifdef OBD_POSIX_SPAWN
-    struct Pending {
-      int shard;
-      int attempt;
-      Clock::time_point eligible;
-    };
-    struct Running {
-      pid_t pid;
-      int shard;
-      int attempt;
-      Clock::time_point deadline;
-      bool has_deadline;
-      bool watchdog_killed;
-      /// Heartbeat-file size when the current deadline was armed; growth
-      /// past it proves the shard is alive and re-arms the deadline.
-      long long progress_size;
-    };
-    std::vector<Pending> pending;
-    std::vector<Running> running;
-    const auto t_campaign = Clock::now();
-    auto next_status = t_campaign + std::chrono::duration_cast<Clock::duration>(
-                                        std::chrono::duration<double>(
-                                            sup.progress_interval_s));
-    for (int i = 0; i < sup.shards; ++i)
-      pending.push_back({i, 0, Clock::now()});
-    const std::size_t jobs =
-        static_cast<std::size_t>(sup.jobs > 0 ? sup.jobs : sup.shards);
+  struct Pending {
+    int shard;
+    int attempt;
+    Clock::time_point eligible;
+  };
+  struct Running {
+    pid_t pid;
+    int shard;
+    int attempt;
+    Clock::time_point deadline;
+    bool has_deadline;
+    bool watchdog_killed;
+    /// Heartbeat-file size when the current deadline was armed; growth
+    /// past it proves the shard is alive and re-arms the deadline.
+    long long progress_size;
+  };
+  std::vector<Pending> pending;
+  std::vector<Running> running;
+  bool stopping = false;
+  const auto t_campaign = Clock::now();
+  auto next_status = t_campaign + std::chrono::duration_cast<Clock::duration>(
+                                      std::chrono::duration<double>(
+                                          sup.progress_interval_s));
+  for (int i = 0; i < sup.shards; ++i)
+    pending.push_back({i, 0, Clock::now()});
+  const std::size_t jobs =
+      static_cast<std::size_t>(sup.jobs > 0 ? sup.jobs : sup.shards);
 
-    auto handle_failure = [&](int shard, int attempt, ShardOutcome outcome,
-                              std::string what) {
-      res.attempts.push_back({shard, attempt, outcome, std::move(what)});
-      if (outcome == ShardOutcome::kCorrupt)
-        remove_checkpoint(sup.checkpoint_dir, shard);
-      if (stopping) return;
-      if (attempt >= sup.max_retries) {
-        obs::logf(obs::LogLevel::kWarn,
-                  "shard %d quarantined after %d attempt(s)", shard,
-                  attempt + 1);
-        res.quarantined.push_back(shard);
-        return;
+  auto handle_failure = [&](int shard, int attempt, ShardOutcome outcome,
+                            std::string what) {
+    res.attempts.push_back({shard, attempt, outcome, std::move(what)});
+    if (outcome == ShardOutcome::kCorrupt)
+      remove_checkpoint(sup.checkpoint_dir, shard);
+    if (stopping) return;
+    if (attempt >= sup.max_retries) {
+      obs::logf(obs::LogLevel::kWarn,
+                "shard %d quarantined after %d attempt(s)", shard,
+                attempt + 1);
+      res.quarantined.push_back(shard);
+      return;
+    }
+    ++res.retries;
+    obs::logf(obs::LogLevel::kInfo,
+              "shard %d attempt %d failed (%s); retrying in %.2fs", shard,
+              attempt, to_string(outcome), backoff_seconds(sup, attempt + 1));
+    pending.push_back(
+        {shard, attempt + 1,
+         Clock::now() + std::chrono::duration_cast<Clock::duration>(
+                            std::chrono::duration<double>(
+                                backoff_seconds(sup, attempt + 1)))});
+  };
+
+  while (!pending.empty() || !running.empty()) {
+    if (!stopping && sup.stop && *sup.stop) {
+      // Graceful stop: children checkpoint on SIGTERM and exit 75. A
+      // 10 s grace deadline escalates to SIGKILL — no hangs.
+      stopping = true;
+      res.interrupted = true;
+      pending.clear();
+      for (Running& c : running) {
+        kill(c.pid, SIGTERM);
+        c.deadline = Clock::now() + std::chrono::seconds(10);
+        c.has_deadline = true;
       }
-      ++res.retries;
-      obs::logf(obs::LogLevel::kInfo,
-                "shard %d attempt %d failed (%s); retrying in %.2fs", shard,
-                attempt, to_string(outcome), backoff_seconds(sup, attempt + 1));
-      pending.push_back(
-          {shard, attempt + 1,
-           Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                              std::chrono::duration<double>(
-                                  backoff_seconds(sup, attempt + 1)))});
-    };
+    }
 
-    while (!pending.empty() || !running.empty()) {
-      if (!stopping && sup.stop && *sup.stop) {
-        // Graceful stop: children checkpoint on SIGTERM and exit 75. A
-        // 10 s grace deadline escalates to SIGKILL — no hangs.
-        stopping = true;
-        res.interrupted = true;
-        pending.clear();
-        for (Running& c : running) {
-          kill(c.pid, SIGTERM);
-          c.deadline = Clock::now() + std::chrono::seconds(10);
-          c.has_deadline = true;
-        }
-      }
-
-      if (!stopping) {
-        const auto now = Clock::now();
-        for (auto it = pending.begin();
-             it != pending.end() && running.size() < jobs;) {
-          if (it->eligible > now) {
-            ++it;
-            continue;
-          }
-          const pid_t pid = spawn_shard(sup, opt, it->shard, it->attempt);
-          if (pid < 0) {
-            const int shard = it->shard, attempt = it->attempt;
-            it = pending.erase(it);
-            handle_failure(shard, attempt, ShardOutcome::kCrash,
-                           "fork failed");
-            continue;
-          }
-          Running c;
-          c.pid = pid;
-          c.shard = it->shard;
-          c.attempt = it->attempt;
-          c.has_deadline = sup.shard_timeout_s > 0.0;
-          c.watchdog_killed = false;
-          c.progress_size = sup.progress
-                                ? obs::file_size_or_negative(obs::progress_path(
-                                      sup.checkpoint_dir, it->shard))
-                                : -1;
-          if (c.has_deadline)
-            c.deadline = now + std::chrono::duration_cast<Clock::duration>(
-                                   std::chrono::duration<double>(
-                                       sup.shard_timeout_s));
-          running.push_back(c);
-          it = pending.erase(it);
-        }
-      }
-
-      for (auto it = running.begin(); it != running.end();) {
-        if (it->has_deadline && !it->watchdog_killed &&
-            Clock::now() > it->deadline) {
-          // Liveness check before the kill: a healthy-but-slow shard keeps
-          // appending heartbeats, so a grown progress file re-arms the
-          // deadline instead of SIGKILLing real work (stopping-mode grace
-          // deadlines stay hard — those children were already told to exit).
-          const long long sz =
-              sup.progress && !stopping
-                  ? obs::file_size_or_negative(
-                        obs::progress_path(sup.checkpoint_dir, it->shard))
-                  : -1;
-          if (sz > it->progress_size) {
-            it->progress_size = sz;
-            it->deadline =
-                Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                                   std::chrono::duration<double>(
-                                       sup.shard_timeout_s));
-            obs::logf(obs::LogLevel::kInfo,
-                      "shard %d past its deadline but heartbeating; deadline "
-                      "extended",
-                      it->shard);
-          } else {
-            kill(it->pid, SIGKILL);
-            it->watchdog_killed = true;
-          }
-        }
-        int st = 0;
-        const pid_t w = waitpid(it->pid, &st, WNOHANG);
-        if (w != it->pid) {
+    if (!stopping) {
+      const auto now = Clock::now();
+      for (auto it = pending.begin();
+           it != pending.end() && running.size() < jobs;) {
+        if (it->eligible > now) {
           ++it;
           continue;
         }
-        const int shard = it->shard;
-        const int attempt = it->attempt;
-        const bool timed_out = it->watchdog_killed && !stopping;
-        it = running.erase(it);
+        const pid_t pid = spawn_shard(sup, opt, it->shard, it->attempt);
+        if (pid < 0) {
+          const int shard = it->shard, attempt = it->attempt;
+          it = pending.erase(it);
+          handle_failure(shard, attempt, ShardOutcome::kCrash,
+                         "fork failed");
+          continue;
+        }
+        Running c;
+        c.pid = pid;
+        c.shard = it->shard;
+        c.attempt = it->attempt;
+        c.has_deadline = sup.shard_timeout_s > 0.0;
+        c.watchdog_killed = false;
+        c.progress_size = sup.progress
+                              ? obs::file_size_or_negative(obs::progress_path(
+                                    sup.checkpoint_dir, it->shard))
+                              : -1;
+        if (c.has_deadline)
+          c.deadline = now + std::chrono::duration_cast<Clock::duration>(
+                                 std::chrono::duration<double>(
+                                     sup.shard_timeout_s));
+        running.push_back(c);
+        it = pending.erase(it);
+      }
+    }
 
-        if (WIFEXITED(st)) {
-          const int code = WEXITSTATUS(st);
-          if (code == 0) {
-            std::string why;
-            if (validate_shard(shard, &why)) {
-              res.attempts.push_back(
-                  {shard, attempt, ShardOutcome::kClean, ""});
-              clean[shard] = 1;
-            } else {
-              handle_failure(shard, attempt, ShardOutcome::kCorrupt, why);
-            }
-          } else if (code == 75) {
-            // EX_TEMPFAIL: the child checkpointed and stopped on a
-            // signal. Retryable unless we are the ones stopping it.
-            if (stopping)
-              res.attempts.push_back({shard, attempt,
-                                      ShardOutcome::kInterrupted, ""});
-            else
-              handle_failure(shard, attempt, ShardOutcome::kInterrupted,
-                             "child interrupted");
-          } else if (code == 71) {
-            handle_failure(shard, attempt, ShardOutcome::kCorrupt,
-                           "child rejected its resume checkpoint");
-          } else {
-            handle_failure(shard, attempt, ShardOutcome::kCrash,
-                           "exit code " + std::to_string(code));
-          }
-        } else if (WIFSIGNALED(st)) {
-          const int sig = WTERMSIG(st);
-          handle_failure(shard, attempt,
-                         timed_out ? ShardOutcome::kTimeout
-                                   : ShardOutcome::kCrash,
-                         "signal " + std::to_string(sig));
+    for (auto it = running.begin(); it != running.end();) {
+      if (it->has_deadline && !it->watchdog_killed &&
+          Clock::now() > it->deadline) {
+        // Liveness check before the kill: a healthy-but-slow shard keeps
+        // appending heartbeats, so a grown progress file re-arms the
+        // deadline instead of SIGKILLing real work (stopping-mode grace
+        // deadlines stay hard — those children were already told to exit).
+        const long long sz =
+            sup.progress && !stopping
+                ? obs::file_size_or_negative(
+                      obs::progress_path(sup.checkpoint_dir, it->shard))
+                : -1;
+        if (sz > it->progress_size) {
+          it->progress_size = sz;
+          it->deadline =
+              Clock::now() + std::chrono::duration_cast<Clock::duration>(
+                                 std::chrono::duration<double>(
+                                     sup.shard_timeout_s));
+          obs::logf(obs::LogLevel::kInfo,
+                    "shard %d past its deadline but heartbeating; deadline "
+                    "extended",
+                    it->shard);
+        } else {
+          kill(it->pid, SIGKILL);
+          it->watchdog_killed = true;
         }
       }
-
-      if (sup.progress && Clock::now() >= next_status) {
-        emit_status_line(sup, t_campaign);
-        next_status += std::chrono::duration_cast<Clock::duration>(
-            std::chrono::duration<double>(
-                std::max(0.05, sup.progress_interval_s)));
+      int st = 0;
+      const pid_t w = waitpid(it->pid, &st, WNOHANG);
+      if (w != it->pid) {
+        ++it;
+        continue;
       }
+      const int shard = it->shard;
+      const int attempt = it->attempt;
+      const bool timed_out = it->watchdog_killed && !stopping;
+      it = running.erase(it);
 
-      if (pending.empty() && running.empty()) break;
-      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+      if (WIFEXITED(st)) {
+        const int code = WEXITSTATUS(st);
+        if (code == 0) {
+          std::string why;
+          if (validate_shard(shard, &why)) {
+            res.attempts.push_back(
+                {shard, attempt, ShardOutcome::kClean, ""});
+            clean[shard] = 1;
+          } else {
+            handle_failure(shard, attempt, ShardOutcome::kCorrupt, why);
+          }
+        } else if (code == 75) {
+          // EX_TEMPFAIL: the child checkpointed and stopped on a
+          // signal. Retryable unless we are the ones stopping it.
+          if (stopping)
+            res.attempts.push_back({shard, attempt,
+                                    ShardOutcome::kInterrupted, ""});
+          else
+            handle_failure(shard, attempt, ShardOutcome::kInterrupted,
+                           "child interrupted");
+        } else if (code == 71) {
+          handle_failure(shard, attempt, ShardOutcome::kCorrupt,
+                         "child rejected its resume checkpoint");
+        } else {
+          handle_failure(shard, attempt, ShardOutcome::kCrash,
+                         "exit code " + std::to_string(code));
+        }
+      } else if (WIFSIGNALED(st)) {
+        const int sig = WTERMSIG(st);
+        handle_failure(shard, attempt,
+                       timed_out ? ShardOutcome::kTimeout
+                                 : ShardOutcome::kCrash,
+                       "signal " + std::to_string(sig));
+      }
     }
-    if (sup.progress) emit_status_line(sup, t_campaign);
-    stitch_trace_fragments(sup);
-#endif  // OBD_POSIX_SPAWN
+
+    if (sup.progress && Clock::now() >= next_status) {
+      emit_status_line(sup, t_campaign);
+      next_status += std::chrono::duration_cast<Clock::duration>(
+          std::chrono::duration<double>(
+              std::max(0.05, sup.progress_interval_s)));
+    }
+
+    if (pending.empty() && running.empty()) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
+  if (sup.progress) emit_status_line(sup, t_campaign);
+  stitch_trace_fragments(sup);
+#endif  // OBD_POSIX_SPAWN
 
   if (res.interrupted) {
     r.error = "campaign interrupted; shard checkpoints preserved in '" +

@@ -6,14 +6,11 @@
 // merged report equals the one-shot report (matrix_hash is the witness;
 // see tests/test_supervisor.cpp).
 //
-// Execution modes:
-//   - subprocess (default for the CLI): each attempt is a child
-//     `obd_atpg --shard i/n` process. A polling watchdog SIGKILLs children
-//     past the per-shard wall-clock deadline; exits are classified as
-//     clean / crash / timeout / corrupt-output / interrupted.
-//   - in-process (tests): shards run serially in this process; injected
-//     crashes arrive as InjectedCrash exceptions and are classified the
-//     same way.
+// Execution: every attempt is a child `obd_atpg --shard i/n` process, in
+// the CLI and in the tests alike. A polling watchdog SIGKILLs children past
+// the per-shard wall-clock deadline; exits are classified as clean / crash /
+// timeout / corrupt-output / interrupted. An injection spec is parsed once,
+// before any child starts: a malformed spec is a configuration error.
 //
 // Failed attempts retry with capped exponential backoff. A shard that
 // exhausts 1 + max_retries attempts is quarantined: the campaign still
@@ -36,7 +33,7 @@ struct SupervisorOptions {
   /// `resume`, stale shard checkpoints in it are deleted first.
   std::string checkpoint_dir;
   int shards = 2;
-  /// Max concurrent shard processes (subprocess mode); 0 = shards.
+  /// Max concurrent shard processes; 0 = shards.
   int jobs = 0;
   /// Per-attempt wall-clock deadline, seconds; 0 disables the watchdog.
   double shard_timeout_s = 0.0;
@@ -46,12 +43,10 @@ struct SupervisorOptions {
   double backoff_base_s = 0.25;
   /// Continue from committed checkpoints instead of starting fresh.
   bool resume = false;
-  /// Run shards serially in this process (tests / no-fork platforms).
-  bool in_process = false;
-  /// Fault-injection spec (see flow/inject.hpp); forwarded to children
-  /// via FLOW_FAULT_INJECT, or configured on the in-process injector.
+  /// Fault-injection spec (see flow/inject.hpp); validated here, forwarded
+  /// to children via FLOW_FAULT_INJECT.
   std::string inject_spec;
-  /// obd_atpg binary for subprocess mode.
+  /// obd_atpg binary every shard attempt runs.
   std::string child_exe;
   /// Circuit file passed to child processes (they re-parse it).
   std::string circuit_path;
@@ -77,7 +72,7 @@ std::string trace_fragment_path(const std::string& checkpoint_dir, int shard);
 
 enum class ShardOutcome {
   kClean,        ///< exit 0 with a valid kDone checkpoint
-  kCrash,        ///< abnormal exit / injected crash / shard error
+  kCrash,        ///< killed by a signal or an unexpected exit code
   kTimeout,      ///< watchdog SIGKILL past the per-shard deadline
   kCorrupt,      ///< output rejected by checkpoint validation
   kInterrupted,  ///< shard saw a stop signal (checkpoint committed)

@@ -47,17 +47,11 @@ bool write_file_atomic(const std::string& path, std::string_view data,
     return false;
   }
   // Two-chunk write so the mid-write crash hook fires with a genuinely torn
-  // temp file on disk. Hook exceptions propagate with the fd closed and the
-  // torn temp left in place — exactly the post-crash state.
+  // temp file on disk.
   const std::size_t half = hooks && hooks->mid_write ? data.size() / 2 : 0;
   bool io_ok = write_all(fd, data.data(), half ? half : data.size());
   if (io_ok && half) {
-    try {
-      hooks->mid_write(half, data.size());
-    } catch (...) {
-      ::close(fd);
-      throw;
-    }
+    hooks->mid_write(half, data.size());
     io_ok = write_all(fd, data.data() + half, data.size() - half);
   }
   if (io_ok && ::fsync(fd) != 0) io_ok = false;

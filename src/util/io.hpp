@@ -10,9 +10,9 @@
 //
 // AtomicWriteHooks exist for the fault-injection harness: they are called
 // at the two interesting crash points (mid-write and before-rename) so
-// tests can abort the process there and prove the recovery paths. Hooks may
-// throw or _Exit; on a thrown hook the temp file is deliberately left
-// behind, torn, exactly as a real crash would leave it.
+// tests can kill the process there and prove the recovery paths. A hook
+// either returns or ends the process (_Exit or SIGKILL); a mid-write death
+// leaves the temp file behind, torn, exactly as a real crash would.
 #pragma once
 
 #include <functional>

@@ -172,6 +172,39 @@ TEST(FlowCampaign, ObdGoldenDecisionIdentity) {
   }
 }
 
+TEST(FlowCampaign, NdetectEffortIsReported) {
+  // The n-detect pass re-runs PODEM over every target and fault-simulates
+  // its pool. Its simulation counts in sim.* and metrics.sim.* (the cone
+  // table stays the campaign's one), its search in ndetect.*, and
+  // atpg.podem_* stays the top-off phase's: every other field matches the
+  // same campaign without n-detect.
+  const io::BenchParseResult p = io::load_bench_file(corpus("c1355.bench"));
+  ASSERT_TRUE(p.ok) << p.error;
+  CampaignOptions opt = golden_options(FaultModel::kObd);
+  const CampaignReport plain = run_campaign(p.seq, opt);
+  ASSERT_TRUE(plain.ok()) << plain.error;
+  opt.ndetect = 4;
+  const CampaignReport nd = run_campaign(p.seq, opt);
+  ASSERT_TRUE(nd.ok()) << nd.error;
+  EXPECT_GT(nd.ndetect_tests, 0);
+  EXPECT_EQ(nd.matrix_hash, plain.matrix_hash);
+  EXPECT_EQ(nd.tests_final, plain.tests_final);
+
+  EXPECT_GT(nd.propagations, plain.propagations);
+  EXPECT_GT(nd.frontier_gate_evals, plain.frontier_gate_evals);
+  EXPECT_EQ(metric_value(nd, "sim.propagations"), nd.propagations);
+  EXPECT_EQ(metric_value(nd, "sim.frontier_gate_evals"),
+            nd.frontier_gate_evals);
+  EXPECT_EQ(nd.cone_peak_bytes, plain.cone_peak_bytes);
+  EXPECT_EQ(metric_value(nd, "sim.cone_peak_bytes"),
+            static_cast<long long>(plain.cone_peak_bytes));
+
+  for (const char* podem : {"atpg.podem_implications", "atpg.podem_backtracks"})
+    EXPECT_EQ(metric_value(nd, podem), metric_value(plain, podem)) << podem;
+  EXPECT_GT(metric_value(nd, "ndetect.implications"), 0);
+  EXPECT_EQ(find_metric(plain, "ndetect.implications"), nullptr);
+}
+
 TEST(FlowCampaign, ScanSequentialCampaign) {
   const io::BenchParseResult p = io::load_bench_file(corpus("s27.bench"));
   ASSERT_TRUE(p.ok) << p.error;

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
 #include <map>
 #include <string>
 #include <vector>
@@ -511,16 +512,27 @@ std::string fresh_dir(const std::string& name) {
   return p.string();
 }
 
+/// A sharded run of `c` on real `obd_atpg --shard` children. The children
+/// read `c` from `dir`/<name>.bench, so the supervisor runs on the circuit
+/// parsed back from that file.
 flow::CampaignReport run_sharded(const Circuit& c,
                                  const flow::CampaignOptions& opt, int shards,
                                  const std::string& dir, bool resume) {
+  const std::string path = dir + "/" + c.name() + ".bench";
+  std::ofstream(path) << io::write_bench(c);
+  const io::BenchParseResult parsed = io::load_bench_file(path);
+  if (!parsed.ok) {
+    flow::CampaignReport r;
+    r.error = path + ": " + parsed.error;
+    return r;
+  }
   flow::SupervisorOptions sup;
   sup.checkpoint_dir = dir;
   sup.shards = shards;
-  sup.in_process = true;
   sup.resume = resume;
-  return flow::run_supervised_campaign(logic::SequentialCircuit(c), opt, sup)
-      .report;
+  sup.child_exe = OBD_ATPG_BIN;
+  sup.circuit_path = path;
+  return flow::run_supervised_campaign(parsed.seq, opt, sup).report;
 }
 
 }  // namespace

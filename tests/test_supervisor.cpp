@@ -2,13 +2,15 @@
 // (matrix_hash identity across shard counts and thread counts), the full
 // fault-injection matrix (torn writes, crashes after committed progress,
 // corrupt checkpoints, watchdog timeouts, poison shards), interrupt/resume
-// on the shard executor, and — when OBD_ATPG_BIN is defined — the real
-// child-process supervision path and the CLI's number parsing.
+// on the shard executor, and the CLI's flag parsing. Every supervised run
+// spawns real `obd_atpg --shard` children (OBD_ATPG_BIN), so injected
+// crashes are real process deaths: exit code 70 or SIGKILL.
 #include "flow/supervisor.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <csignal>
 #include <cstdlib>
 #include <filesystem>
@@ -19,12 +21,10 @@
 #include <utility>
 #include <vector>
 
-#ifdef OBD_ATPG_BIN
 #include <fcntl.h>
 #include <sys/resource.h>
 #include <sys/wait.h>
 #include <unistd.h>
-#endif
 
 #include "flow/campaign.hpp"
 #include "flow/checkpoint.hpp"
@@ -68,7 +68,6 @@ void expect_matches_baseline(const CampaignReport& r,
 class SupervisorTest : public ::testing::Test {
  protected:
   void TearDown() override {
-    FaultInjector::instance().reset();
     for (const std::string& d : dirs_) std::filesystem::remove_all(d);
   }
 
@@ -83,6 +82,17 @@ class SupervisorTest : public ::testing::Test {
 
   io::BenchParseResult load(const std::string& file) {
     return io::load_bench_file(corpus(file));
+  }
+
+  /// A supervised run of corpus `file` on real `obd_atpg --shard` children,
+  /// checkpointing into the fresh directory `name`.
+  SupervisorOptions supervise(const std::string& file,
+                              const std::string& name) {
+    SupervisorOptions sup;
+    sup.checkpoint_dir = fresh_dir(name);
+    sup.child_exe = OBD_ATPG_BIN;
+    sup.circuit_path = corpus(file);
+    return sup;
   }
 
   std::vector<std::string> dirs_;
@@ -104,10 +114,8 @@ TEST_F(SupervisorTest, MergeIsBitIdenticalToOneShotC2670) {
 
   for (const int threads : {1, 2, 4}) {
     for (const int shards : {1, 2, 4, 8}) {
-      SupervisorOptions sup;
-      sup.checkpoint_dir = fresh_dir("c2670");
+      SupervisorOptions sup = supervise("c2670.bench", "c2670");
       sup.shards = shards;
-      sup.in_process = true;
       opt.sim.threads = threads;
       const SupervisorResult res = run_supervised_campaign(p.seq, opt, sup);
       const std::string what = std::to_string(threads) + " threads, " +
@@ -134,10 +142,8 @@ TEST_F(SupervisorTest, MergeIsBitIdenticalToOneShotC7552) {
 
   const int combos[][2] = {{2, 2}, {4, 4}};  // {threads, shards}
   for (const auto& c : combos) {
-    SupervisorOptions sup;
-    sup.checkpoint_dir = fresh_dir("c7552");
+    SupervisorOptions sup = supervise("c7552.bench", "c7552");
     sup.shards = c[1];
-    sup.in_process = true;
     opt.sim.threads = c[0];
     const SupervisorResult res = run_supervised_campaign(p.seq, opt, sup);
     const std::string what = std::to_string(c[0]) + " threads, " +
@@ -160,10 +166,8 @@ TEST_F(SupervisorTest, ObdMergeIsBitIdenticalToOneShotC2670) {
   ASSERT_NE(base.matrix_hash, 0u);
 
   for (const int shards : {1, 4}) {
-    SupervisorOptions sup;
-    sup.checkpoint_dir = fresh_dir("c2670_obd");
+    SupervisorOptions sup = supervise("c2670.bench", "c2670_obd");
     sup.shards = shards;
-    sup.in_process = true;
     const SupervisorResult res = run_supervised_campaign(p.seq, opt, sup);
     const std::string what = "obd, " + std::to_string(shards) + " shards";
     ASSERT_TRUE(res.report.ok()) << what << ": " << res.report.error;
@@ -186,11 +190,9 @@ TEST_F(SupervisorTest, LocMergeIsBitIdenticalToOneShotS1423) {
     const CampaignReport base = run_campaign(p.seq, opt);
     ASSERT_TRUE(base.ok()) << base.error;
 
-    SupervisorOptions sup;
-    sup.checkpoint_dir = fresh_dir(std::string("s1423_") +
-                                   scan_style_name(style));
+    SupervisorOptions sup = supervise(
+        "s1423.bench", std::string("s1423_") + scan_style_name(style));
     sup.shards = 3;
-    sup.in_process = true;
     const SupervisorResult res = run_supervised_campaign(p.seq, opt, sup);
     const std::string what = std::string(scan_style_name(style)) +
                              ", 3 shards";
@@ -219,10 +221,8 @@ TEST_F(SupervisorTest, KilledCampaignResumesToOneShotHashOnC2670) {
     const std::string what = std::to_string(c[0]) + " threads, " +
                              std::to_string(c[1]) + " shards";
     opt.sim.threads = c[0];
-    SupervisorOptions sup;
-    sup.checkpoint_dir = fresh_dir("kill_resume");
+    SupervisorOptions sup = supervise("c2670.bench", "kill_resume");
     sup.shards = c[1];
-    sup.in_process = true;
     // Shard 1 dies at its *second* checkpoint save — after the prepass
     // checkpoint committed — on every attempt, and retries are off: the
     // first run ends partial with shard 1 quarantined.
@@ -248,7 +248,7 @@ TEST_F(SupervisorTest, KilledCampaignResumesToOneShotHashOnC2670) {
   }
 }
 
-// --- Fault-injection matrix (in-process mode) ----------------------------
+// --- Fault-injection matrix ----------------------------------------------
 
 struct InjectCase {
   const char* spec;
@@ -268,26 +268,25 @@ TEST_F(SupervisorTest, EveryInjectedFailureRecoversToIdenticalResult) {
   ASSERT_TRUE(base.ok()) << base.error;
 
   const InjectCase cases[] = {
-      // Torn write: the half-written temp file never commits.
-      {"abort-mid-write@1", ShardOutcome::kCrash, "abort-mid-write"},
+      // Torn write: the half-written temp file never commits. An abort-*
+      // entry ends the child with _Exit(70).
+      {"abort-mid-write@1", ShardOutcome::kCrash, "exit code 70"},
       // Durable temp, crash before rename: old checkpoint still in place.
-      {"abort-before-rename@1", ShardOutcome::kCrash, "abort-before-rename"},
-      // Death at the very first checkpoint save.
-      {"sigkill@1", ShardOutcome::kCrash, "sigkill"},
-      // Death *after* the prepass checkpoint committed — the retry resumes
+      {"abort-before-rename@1", ShardOutcome::kCrash, "exit code 70"},
+      // SIGKILL at the very first checkpoint save.
+      {"sigkill@1", ShardOutcome::kCrash, "signal 9"},
+      // SIGKILL *after* the prepass checkpoint committed — the retry resumes
       // from real progress instead of starting over.
-      {"sigkill#2@1", ShardOutcome::kCrash, "sigkill"},
+      {"sigkill#2@1", ShardOutcome::kCrash, "signal 9"},
       // The checkpoint commits but can never validate; the supervisor must
       // detect it, delete it, and retry fresh.
       {"corrupt-crc@1", ShardOutcome::kCorrupt, "crc mismatch"},
   };
 
   for (const InjectCase& c : cases) {
-    SupervisorOptions sup;
-    sup.checkpoint_dir = fresh_dir(std::string("inj_") +
-                                   std::to_string(&c - cases));
+    SupervisorOptions sup = supervise(
+        "c432.bench", std::string("inj_") + std::to_string(&c - cases));
     sup.shards = 3;
-    sup.in_process = true;
     sup.inject_spec = c.spec;
     sup.backoff_base_s = 0.01;  // keep retry sleeps out of the test budget
     const SupervisorResult res = run_supervised_campaign(p.seq, opt, sup);
@@ -318,20 +317,33 @@ TEST_F(SupervisorTest, WatchdogTimeoutIsClassifiedAndRetried) {
   const io::BenchParseResult p = load("s27.bench");
   ASSERT_TRUE(p.ok) << p.error;
 
+  // The first attempt of shard 1 stalls for a minute at shard start. The
+  // watchdog must SIGKILL it at the 2 s deadline, not wait for the stall to
+  // end; the retry does not stall. The deadline leaves every clean s27
+  // child (milliseconds of work, sanitizer builds included) ample room.
   CampaignOptions opt;
-  SupervisorOptions sup;
-  sup.checkpoint_dir = fresh_dir("timeout");
+  SupervisorOptions sup = supervise("s27.bench", "timeout");
   sup.shards = 2;
-  sup.in_process = true;
-  sup.inject_spec = "delay=400@1";  // first attempt of shard 1 stalls
-  sup.shard_timeout_s = 0.2;
+  sup.inject_spec = "delay=60000@1";
+  sup.shard_timeout_s = 2.0;
   sup.backoff_base_s = 0.01;
+  const auto t0 = std::chrono::steady_clock::now();
   const SupervisorResult res = run_supervised_campaign(p.seq, opt, sup);
+  const double wall_s = std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - t0)
+                            .count();
   ASSERT_TRUE(res.report.ok()) << res.report.error;
   EXPECT_EQ(count_outcome(res, ShardOutcome::kTimeout), 1);
   EXPECT_EQ(count_outcome(res, ShardOutcome::kClean), 2);
   EXPECT_EQ(res.retries, 1);
   EXPECT_DOUBLE_EQ(res.report.coverage, 1.0);
+  for (const ShardAttempt& a : res.attempts) {
+    if (a.outcome != ShardOutcome::kTimeout) continue;
+    EXPECT_EQ(a.shard, 1);
+    EXPECT_EQ(a.attempt, 0);
+    EXPECT_EQ(a.detail, "signal 9");
+  }
+  EXPECT_LT(wall_s, 30.0) << "the stalled child was not killed at its deadline";
 }
 
 TEST_F(SupervisorTest, PoisonShardIsQuarantinedWithPartialReport) {
@@ -344,10 +356,8 @@ TEST_F(SupervisorTest, PoisonShardIsQuarantinedWithPartialReport) {
   const CampaignReport base = run_campaign(p.seq, opt);
   ASSERT_TRUE(base.ok()) << base.error;
 
-  SupervisorOptions sup;
-  sup.checkpoint_dir = fresh_dir("poison");
+  SupervisorOptions sup = supervise("c432.bench", "poison");
   sup.shards = 3;
-  sup.in_process = true;
   sup.inject_spec = "abort-before-rename@1:*";  // every attempt dies
   sup.max_retries = 1;
   sup.backoff_base_s = 0.01;
@@ -362,6 +372,10 @@ TEST_F(SupervisorTest, PoisonShardIsQuarantinedWithPartialReport) {
   EXPECT_EQ(res.report.shards, 3);
   EXPECT_EQ(count_outcome(res, ShardOutcome::kCrash), 2);  // 1 + max_retries
   EXPECT_EQ(count_outcome(res, ShardOutcome::kClean), 2);
+  for (const ShardAttempt& a : res.attempts) {
+    if (a.outcome != ShardOutcome::kCrash) continue;
+    EXPECT_EQ(a.detail, "exit code 70");
+  }
   EXPECT_LT(res.report.detected, base.detected);
   EXPECT_LT(res.report.coverage, base.coverage);
 
@@ -378,13 +392,12 @@ TEST_F(SupervisorTest, PresetStopFlagReportsInterrupted) {
   ASSERT_TRUE(p.ok) << p.error;
   static volatile std::sig_atomic_t stop = 1;
   CampaignOptions opt;
-  SupervisorOptions sup;
-  sup.checkpoint_dir = fresh_dir("stop");
+  SupervisorOptions sup = supervise("c432.bench", "stop");
   sup.shards = 2;
-  sup.in_process = true;
   sup.stop = &stop;
   const SupervisorResult res = run_supervised_campaign(p.seq, opt, sup);
   EXPECT_TRUE(res.interrupted);
+  EXPECT_TRUE(res.attempts.empty());  // no child was started
   EXPECT_FALSE(res.report.ok());
   EXPECT_NE(res.report.error.find("--resume"), std::string::npos)
       << res.report.error;
@@ -462,21 +475,26 @@ TEST_F(SupervisorTest, ResumeRejectsACheckpointFromDifferentOptions) {
 // --- Configuration and spec validation -----------------------------------
 
 TEST_F(SupervisorTest, BadInjectSpecIsAnErrorNotASilentNoOp) {
+  // The parent parses the spec before any child starts: a typo is a
+  // configuration error, not every attempt dying on it and a quarantine.
   const io::BenchParseResult p = load("c432.bench");
   ASSERT_TRUE(p.ok) << p.error;
   CampaignOptions opt;
-  SupervisorOptions sup;
-  sup.checkpoint_dir = fresh_dir("badspec");
-  sup.in_process = true;
+  SupervisorOptions sup = supervise("c432.bench", "badspec");
   sup.inject_spec = "frobnicate@1";
   const SupervisorResult res = run_supervised_campaign(p.seq, opt, sup);
   EXPECT_FALSE(res.report.ok());
-  EXPECT_NE(res.report.error.find("inject"), std::string::npos)
+  EXPECT_NE(res.report.error.find("inject entry 'frobnicate@1'"),
+            std::string::npos)
       << res.report.error;
+  EXPECT_TRUE(res.attempts.empty());
+  for (int shard = 0; shard < sup.shards; ++shard)
+    EXPECT_FALSE(std::filesystem::exists(
+        checkpoint_path(sup.checkpoint_dir, shard)));
 }
 
 TEST_F(SupervisorTest, InjectSpecParserRejectsEveryMalformedEntry) {
-  FaultInjector& inj = FaultInjector::instance();
+  FaultInjector inj;
   std::string err;
   for (const char* bad : {
            "sigkill",            // no @shard
@@ -498,14 +516,13 @@ TEST_F(SupervisorTest, InjectSpecParserRejectsEveryMalformedEntry) {
   EXPECT_TRUE(inj.configure("sigkill#2@*,delay=10@1:*,corrupt-crc@0", &err))
       << err;
   EXPECT_TRUE(inj.active());
-  inj.reset();
 }
 
 TEST_F(SupervisorTest, InjectSpecSeededMutationsNeverHalfInstall) {
   // Hostile specs: fixed-seed mutants of valid ones. Each is configured
   // over an installed valid spec; a rejected mutant must leave the injector
   // inactive and name the offending entry in its diagnostic.
-  FaultInjector& inj = FaultInjector::instance();
+  FaultInjector inj;
   util::Prng prng(0x1ec7f022);
   const std::string specials = "@#=:*,-0123456789";
   const std::vector<std::string> valid = {
@@ -531,7 +548,6 @@ TEST_F(SupervisorTest, InjectSpecSeededMutationsNeverHalfInstall) {
   }
   EXPECT_GT(accepted, 0);
   EXPECT_GT(rejected, 0);
-  inj.reset();
 }
 
 TEST_F(SupervisorTest, ConfigurationErrorsAreDefinedStates) {
@@ -539,22 +555,24 @@ TEST_F(SupervisorTest, ConfigurationErrorsAreDefinedStates) {
   ASSERT_TRUE(p.ok) << p.error;
   CampaignOptions opt;
 
-  SupervisorOptions no_dir;
-  no_dir.in_process = true;
+  SupervisorOptions no_dir = supervise("c432.bench", "cfg0");
+  no_dir.checkpoint_dir.clear();
   EXPECT_FALSE(run_supervised_campaign(p.seq, opt, no_dir).report.ok());
 
-  SupervisorOptions bad_shards;
-  bad_shards.checkpoint_dir = fresh_dir("cfg");
+  SupervisorOptions bad_shards = supervise("c432.bench", "cfg");
   bad_shards.shards = 0;
-  bad_shards.in_process = true;
   EXPECT_FALSE(run_supervised_campaign(p.seq, opt, bad_shards).report.ok());
 
-  SupervisorOptions sup;
-  sup.checkpoint_dir = fresh_dir("cfg2");
-  sup.in_process = true;
+  SupervisorOptions sup = supervise("c432.bench", "cfg2");
   CampaignOptions nd = opt;
   nd.ndetect = 2;
   EXPECT_FALSE(run_supervised_campaign(p.seq, nd, sup).report.ok());
+
+  SupervisorOptions no_child = supervise("c432.bench", "cfg4");
+  no_child.child_exe.clear();
+  const SupervisorResult orphan = run_supervised_campaign(p.seq, opt, no_child);
+  EXPECT_FALSE(orphan.report.ok());
+  EXPECT_TRUE(orphan.attempts.empty());
 
   ShardRunOptions so;
   so.checkpoint_dir = fresh_dir("cfg3");
@@ -567,32 +585,7 @@ TEST_F(SupervisorTest, ConfigurationErrorsAreDefinedStates) {
             ShardRunStatus::kError);
 }
 
-// --- Subprocess supervision (the production path) ------------------------
-//
-// OBD_ATPG_BIN points at the real obd_atpg binary; these run actual child
-// processes through fork/exec, watchdog, and exit-code classification.
-#ifdef OBD_ATPG_BIN
-
-TEST_F(SupervisorTest, SubprocessShardsMatchOneShot) {
-  const io::BenchParseResult p = load("c432.bench");
-  ASSERT_TRUE(p.ok) << p.error;
-
-  CampaignOptions opt;
-  opt.random_patterns = 64;
-  opt.sim.threads = 2;
-  const CampaignReport base = run_campaign(p.seq, opt);
-  ASSERT_TRUE(base.ok()) << base.error;
-
-  SupervisorOptions sup;
-  sup.checkpoint_dir = fresh_dir("proc");
-  sup.shards = 2;
-  sup.child_exe = OBD_ATPG_BIN;
-  sup.circuit_path = corpus("c432.bench");
-  const SupervisorResult res = run_supervised_campaign(p.seq, opt, sup);
-  ASSERT_TRUE(res.report.ok()) << res.report.error;
-  EXPECT_EQ(count_outcome(res, ShardOutcome::kClean), 2);
-  expect_matches_baseline(res.report, base, "subprocess 2 shards");
-}
+// --- Child argv ----------------------------------------------------------
 
 /// A shard child executable that appends its argv to `dir`/argv.log, one
 /// line per child, then execs obd_atpg.
@@ -642,11 +635,9 @@ TEST_F(SupervisorTest, SubprocessShardsGetNoLaneOrConeFlags) {
   ASSERT_TRUE(base.ok()) << base.error;
 
   const std::string wrap_dir = fresh_dir("proc_wrap");
-  SupervisorOptions sup;
-  sup.checkpoint_dir = fresh_dir("proc_fwd");
+  SupervisorOptions sup = supervise("c432.bench", "proc_fwd");
   sup.shards = 2;
   sup.child_exe = argv_logging_wrapper(wrap_dir);
-  sup.circuit_path = corpus("c432.bench");
   const SupervisorResult res = run_supervised_campaign(p.seq, opt, sup);
   ASSERT_TRUE(res.report.ok()) << res.report.error;
   EXPECT_EQ(count_outcome(res, ShardOutcome::kClean), 2);
@@ -673,11 +664,9 @@ TEST_F(SupervisorTest, SubprocessLocShardsGetScanStyle) {
   ASSERT_TRUE(base.ok()) << base.error;
 
   const std::string wrap_dir = fresh_dir("proc_loc_wrap");
-  SupervisorOptions sup;
-  sup.checkpoint_dir = fresh_dir("proc_loc");
+  SupervisorOptions sup = supervise("s1423.bench", "proc_loc");
   sup.shards = 2;
   sup.child_exe = argv_logging_wrapper(wrap_dir);
-  sup.circuit_path = corpus("s1423.bench");
   const SupervisorResult res = run_supervised_campaign(p.seq, opt, sup);
   ASSERT_TRUE(res.report.ok()) << res.report.error;
   EXPECT_EQ(count_outcome(res, ShardOutcome::kClean), 2);
@@ -689,36 +678,7 @@ TEST_F(SupervisorTest, SubprocessLocShardsGetScanStyle) {
     EXPECT_EQ(flag_value(argv, "--scan-style"), "loc");
 }
 
-TEST_F(SupervisorTest, SubprocessSigkillIsRetriedToIdenticalResult) {
-  const io::BenchParseResult p = load("c432.bench");
-  ASSERT_TRUE(p.ok) << p.error;
-
-  CampaignOptions opt;
-  opt.random_patterns = 64;
-  opt.sim.threads = 2;
-  const CampaignReport base = run_campaign(p.seq, opt);
-  ASSERT_TRUE(base.ok()) << base.error;
-
-  SupervisorOptions sup;
-  sup.checkpoint_dir = fresh_dir("proc_kill");
-  sup.shards = 2;
-  sup.child_exe = OBD_ATPG_BIN;
-  sup.circuit_path = corpus("c432.bench");
-  sup.inject_spec = "sigkill#2@1";  // dies after the prepass committed
-  sup.backoff_base_s = 0.01;
-  const SupervisorResult res = run_supervised_campaign(p.seq, opt, sup);
-  ASSERT_TRUE(res.report.ok()) << res.report.error;
-  EXPECT_EQ(res.retries, 1);
-  bool saw_kill = false;
-  for (const ShardAttempt& a : res.attempts)
-    if (a.outcome == ShardOutcome::kCrash) {
-      saw_kill = true;
-      EXPECT_EQ(a.shard, 1);
-      EXPECT_NE(a.detail.find("signal 9"), std::string::npos) << a.detail;
-    }
-  EXPECT_TRUE(saw_kill);
-  expect_matches_baseline(res.report, base, "subprocess sigkill retry");
-}
+// --- The CLI ---------------------------------------------------------------
 
 /// Runs obd_atpg with `args` (shell words), stdout discarded and stderr
 /// written to `err_path`; returns the exit status, or -1 on a signal.
@@ -808,6 +768,36 @@ TEST_F(SupervisorTest, CliRejectsDeletedFlags) {
   }
 }
 
+TEST_F(SupervisorTest, CliRejectsMisplacedOrMalformedInject) {
+  // --inject on a one-shot run reaches no crash point, so it is an error
+  // that names the flag, valid spec or not. A malformed spec on a sharded
+  // run exits 1 before any child starts and writes no checkpoint.
+  const std::string dir = fresh_dir("cli_inject");
+  const std::string err = dir + "/stderr.txt";
+  const std::string c17 = "\"" + corpus("c17.bench") + "\"";
+  for (const std::string spec : {"frobnicate@1", "sigkill@0"}) {
+    EXPECT_EQ(run_cli(c17 + " --inject '" + spec + "'", err), 1) << spec;
+    EXPECT_NE(slurp(err).find("--inject"), std::string::npos)
+        << spec << ": " << slurp(err);
+  }
+  const std::string ck = dir + "/ck_bad";
+  EXPECT_EQ(run_cli(c17 + " --shards 2 --checkpoint-dir \"" + ck +
+                        "\" --inject 'frobnicate@1'",
+                    err),
+            1);
+  EXPECT_NE(slurp(err).find("inject entry 'frobnicate@1'"), std::string::npos)
+      << slurp(err);
+  for (int shard = 0; shard < 2; ++shard)
+    EXPECT_FALSE(std::filesystem::exists(checkpoint_path(ck, shard)));
+
+  // The FLOW_FAULT_INJECT fallback is not the flag: a one-shot run still
+  // ignores it.
+  setenv("FLOW_FAULT_INJECT", "sigkill@0", 1);
+  const int env_status = run_cli(c17 + " --quiet", err);
+  unsetenv("FLOW_FAULT_INJECT");
+  EXPECT_EQ(env_status, 0) << slurp(err);
+}
+
 /// Runs obd_atpg with `args` (no shell, output discarded); returns its exit
 /// status (-1 on a signal) and its peak resident set in KiB from wait4. The
 /// peak also counts the pages the child shares with this process between
@@ -851,8 +841,6 @@ TEST_F(SupervisorTest, CliThreadsBeyondBlocksBuildNoIdleEngines) {
   EXPECT_GT(one_kib, 0);
   EXPECT_LT(many_kib, 2 * one_kib) << "peak KiB at 1 thread: " << one_kib;
 }
-
-#endif  // OBD_ATPG_BIN
 
 }  // namespace
 }  // namespace obd::flow

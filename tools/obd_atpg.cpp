@@ -1,5 +1,5 @@
-// obd_atpg — end-to-end ATPG campaign driver for ISCAS `.bench` (and
-// BLIF-flavoured `.netlist`) circuits.
+// obd_atpg — end-to-end ATPG campaign driver for ISCAS `.bench` circuits
+// (the only netlist format it reads).
 //
 // Usage:
 //   obd_atpg <circuit.bench> [options]
@@ -81,7 +81,11 @@
 //   --shard-jobs N                 concurrent shard processes (default N)
 //   --inject SPEC                  deterministic fault injection (see
 //                                  src/flow/inject.hpp; FLOW_FAULT_INJECT
-//                                  env is the fallback)
+//                                  env is the fallback). Needs --shards or
+//                                  --shard: a one-shot run reaches no crash
+//                                  point, so the flag is an error there. A
+//                                  malformed spec exits 1 before any shard
+//                                  child starts
 //
 // SIGINT/SIGTERM checkpoint in-flight shards and exit 75 (EX_TEMPFAIL);
 // rerunning with --resume continues where the campaign stopped. A run that
@@ -238,6 +242,7 @@ int main(int argc, char** argv) try {
   int shard_index = -1, shard_count = 0;  // --shard I/N
   int shards = 0;                         // --shards N (supervisor)
   std::string checkpoint_dir, inject_spec;
+  bool inject_flag = false;  // --inject given (the env fallback is not)
 
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
@@ -352,6 +357,7 @@ int main(int argc, char** argv) try {
       sup.jobs = static_cast<int>(int_value("--shard-jobs", 1, INT_MAX));
     } else if (a == "--inject") {
       inject_spec = value("--inject");
+      inject_flag = true;
     } else if (!a.empty() && a[0] == '-') {
       obs::logf(obs::LogLevel::kError, "unknown option '%s'", a.c_str());
       return usage(argv[0]);
@@ -365,6 +371,12 @@ int main(int argc, char** argv) try {
   if (shards > 0 && shard_index >= 0) {
     obs::logf(obs::LogLevel::kError,
               "--shards and --shard are mutually exclusive");
+    return 1;
+  }
+  if (inject_flag && shards == 0 && shard_index < 0) {
+    obs::logf(obs::LogLevel::kError,
+              "--inject needs --shards or --shard: a one-shot run reaches no "
+              "crash point");
     return 1;
   }
   if (inject_spec.empty())
