@@ -379,69 +379,84 @@ void emit_json(const std::vector<SimComparison>& rows,
 
 /// Scheduler scaling: threads over the largest zoo circuits and the corpus,
 /// with every configuration's DetectionMatrix checked bit-identical against
-/// the 1-thread baseline.
+/// the 1-thread baseline. Each (circuit, threads) row keeps its scheduler,
+/// warmed by one untimed call so every engine the call uses exists before
+/// the clock starts; the rows are then timed once per adaptive round, so a
+/// row's min and its 1-thread baseline's sample the same span of the host.
 std::vector<SchedRow> reproduce_scheduler_scale() {
   std::printf(
       "=== Scheduler scaling: threads (OBD detection matrix) ===\n\n");
-  std::vector<SchedRow> rows;
   std::vector<logic::Circuit> circuits;
   circuits.push_back(logic::array_multiplier(4));
   circuits.push_back(logic::array_multiplier(6));
   for (auto& c : iscas_circuits()) circuits.push_back(std::move(c));
   for (auto& c : iscas_circuits(/*wide=*/true)) circuits.push_back(std::move(c));
 
-  const SimOptions configs[] = {{1}, {2}, {4}};
+  struct Setup {
+    std::vector<ObdFaultSite> faults;
+    std::vector<TwoVectorTest> tests;
+  };
+  struct Timed {
+    const Setup* setup = nullptr;
+    std::unique_ptr<FaultSimScheduler> sched;
+    std::size_t baseline = 0;  // index of the circuit's 1-thread row
+  };
+  std::vector<Setup> setups(circuits.size());
+  std::vector<SchedRow> rows;
+  std::vector<Timed> timed;
+  for (std::size_t i = 0; i < circuits.size(); ++i) {
+    const logic::Circuit& c = circuits[i];
+    Setup& u = setups[i];
+    u.faults = enumerate_obd_faults(c);
+    // The wide tier carries several-x larger fault lists; trim the pattern
+    // budget so the thread sweep stays a bench, not a soak.
+    const int n_tests = c.inputs().size() > 64 ? 256 : 1024;
+    u.tests =
+        random_pairs(static_cast<int>(c.inputs().size()), n_tests, 0xca11ab1e);
+    const std::size_t baseline = rows.size();
+    DetectionMatrix base_m;
+    for (const int threads : {1, 2, 4}) {
+      Timed t{&u, std::make_unique<FaultSimScheduler>(c, SimOptions{threads}),
+              baseline};
+      const DetectionMatrix m = t.sched->matrix_obd(u.tests, u.faults);
+      if (threads == 1) base_m = m;
+      SchedRow row;
+      row.circuit = c.name();
+      row.threads = threads;
+      row.faults = u.faults.size();
+      row.patterns = u.tests.size();
+      row.secs = 1e300;
+      row.identical = m.rows == base_m.rows &&
+                      m.covered_count == base_m.covered_count;
+      rows.push_back(row);
+      timed.push_back(std::move(t));
+    }
+  }
+  const auto t_start = Clock::now();
+  adaptive_rounds(
+      [&] {
+        for (std::size_t r = 0; r < rows.size(); ++r) {
+          const Setup& u = *timed[r].setup;
+          time_min(rows[r].secs, [&] {
+            benchmark::DoNotOptimize(
+                timed[r].sched->matrix_obd(u.tests, u.faults).covered_count);
+          });
+        }
+      },
+      [&] { return seconds_since(t_start) >= 3.0; });
 
   util::AsciiTable t("scheduler throughput (fault x patterns / sec)");
   t.set_header({"circuit", "faults", "tests", "threads", "fps", "speedup",
                 "identical"});
-  for (const auto& c : circuits) {
-    const auto faults = enumerate_obd_faults(c);
-    // The wide tier carries several-x larger fault lists; trim the pattern
-    // budget so the thread sweep stays a bench, not a soak.
-    const int n_tests = c.inputs().size() > 64 ? 256 : 1024;
-    const auto tests =
-        random_pairs(static_cast<int>(c.inputs().size()), n_tests, 0xca11ab1e);
-    const double work = static_cast<double>(faults.size() * tests.size());
-    DetectionMatrix baseline;
-    double baseline_s = 0.0;
-    for (const SimOptions& cfg : configs) {
-      DetectionMatrix m;
-      SchedRow row;
-      // Engine construction (topo caches, per-worker state) stays off the
-      // clock. Repeats adapt to row cost — ms-scale rows get up to 8 so
-      // sub-threshold circuits, which run the identical auto-serial path at
-      // any thread count, don't read as phantom slowdowns on a noisy host.
-      row.secs = 1e300;
-      double spent = 0.0;
-      for (int rep = 0; rep < 3 || (rep < 8 && spent < 0.12); ++rep) {
-        FaultSimScheduler sched(c, cfg);
-        const auto t0 = Clock::now();
-        m = sched.matrix_obd(tests, faults);
-        const double s = seconds_since(t0);
-        spent += s;
-        row.secs = std::min(row.secs, s);
-      }
-      row.circuit = c.name();
-      row.threads = cfg.threads;
-      row.faults = faults.size();
-      row.patterns = tests.size();
-      row.fps = work / row.secs;
-      const bool is_baseline = cfg.threads == 1;
-      if (is_baseline) {
-        baseline = m;
-        baseline_s = row.secs;
-      }
-      row.identical = is_baseline || (m.rows == baseline.rows &&
-                                      m.covered_count == baseline.covered_count);
-      row.speedup = baseline_s / row.secs;
-      rows.push_back(row);
-      t.add_row({row.circuit, std::to_string(row.faults),
-                 std::to_string(row.patterns), std::to_string(row.threads),
-                 util::format_g(row.fps, 3),
-                 util::format_g(row.speedup, 3) + "x",
-                 row.identical ? "yes" : "NO"});
-    }
+  for (std::size_t r = 0; r < rows.size(); ++r) {
+    SchedRow& row = rows[r];
+    row.fps = static_cast<double>(row.faults * row.patterns) / row.secs;
+    row.speedup = rows[timed[r].baseline].secs / row.secs;
+    t.add_row({row.circuit, std::to_string(row.faults),
+               std::to_string(row.patterns), std::to_string(row.threads),
+               util::format_g(row.fps, 3),
+               util::format_g(row.speedup, 3) + "x",
+               row.identical ? "yes" : "NO"});
   }
   t.print();
   std::printf(
@@ -550,11 +565,10 @@ std::vector<ObsOverheadRow> reproduce_obs_overhead() {
   row.patterns = tests.size();
   // Single-threaded, interleaved off/off/traced rounds, min per
   // configuration. One thread because the gate measures instrumentation
-  // cost, not scheduling: the 2-thread round barrier alone jitters 3-5%
-  // run to run, which swamps a 2% gate no matter the estimator. Rep noise
-  // is one-sided (a rep is only ever slower than the quiet-host time), so
-  // the min over interleaved rounds converges to comparable quiet-window
-  // times for all three configurations.
+  // cost, not scheduling: thread-scheduling jitter would swamp a 2% gate no
+  // matter the estimator. Rep noise is one-sided (a rep is only ever slower
+  // than the quiet-host time), so the min over interleaved rounds converges
+  // to comparable quiet-window times for all three configurations.
   FaultSimScheduler sched(c, {1});
   const auto sample = [&] {
     benchmark::DoNotOptimize(sched.matrix_obd(tests, faults).covered_count);

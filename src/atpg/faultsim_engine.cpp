@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <barrier>
 #include <bit>
 #include <cassert>
 #include <thread>
@@ -169,12 +168,10 @@ void FaultSimEngine::propagate(const std::uint64_t* good, std::size_t n_words,
 
 void FaultSimEngine::block_stuck(const PatternBlock& b,
                                  const std::vector<StuckFault>& faults,
-                                 std::vector<std::uint64_t>& detect,
-                                 const std::vector<std::uint8_t>* active) {
+                                 std::vector<std::uint64_t>& detect) {
   const std::size_t W = start_block(b, faults.size(), detect);
   c_.eval_wide_into(b.pi2(), W, good2_);
   for (std::size_t i = 0; i < faults.size(); ++i) {
-    if (active && !(*active)[i]) continue;
     const StuckFault& f = faults[i];
     const std::uint64_t value_word = f.value ? ~0ull : 0ull;
     // Lanes where the fault does not even change its own net are unaffected
@@ -194,13 +191,11 @@ void FaultSimEngine::block_stuck(const PatternBlock& b,
 
 void FaultSimEngine::block_transition(const PatternBlock& b,
                                       const std::vector<TransitionFault>& faults,
-                                      std::vector<std::uint64_t>& detect,
-                                      const std::vector<std::uint8_t>* active) {
+                                      std::vector<std::uint64_t>& detect) {
   const std::size_t W = start_block(b, faults.size(), detect);
   c_.eval_wide_into(b.pi1(), W, good1_);
   c_.eval_wide_into(b.pi2(), W, good2_);
   for (std::size_t i = 0; i < faults.size(); ++i) {
-    if (active && !(*active)[i]) continue;
     const TransitionFault& f = faults[i];
     const auto net = static_cast<std::size_t>(f.net);
     std::uint64_t any = 0;
@@ -239,13 +234,11 @@ const std::array<std::uint16_t, 16>& FaultSimEngine::obd_table(
 
 void FaultSimEngine::block_obd(const PatternBlock& b,
                                const std::vector<ObdFaultSite>& faults,
-                               std::vector<std::uint64_t>& detect,
-                               const std::vector<std::uint8_t>* active) {
+                               std::vector<std::uint64_t>& detect) {
   const std::size_t W = start_block(b, faults.size(), detect);
   c_.eval_wide_into(b.pi1(), W, good1_);
   c_.eval_wide_into(b.pi2(), W, good2_);
   for (std::size_t i = 0; i < faults.size(); ++i) {
-    if (active && !(*active)[i]) continue;
     const ObdFaultSite& f = faults[i];
     const auto& g = c_.gate(f.gate_index);
     if (!logic::is_primitive_cmos(g.type)) continue;
@@ -330,10 +323,10 @@ SimStats FaultSimScheduler::stats() const {
 
 namespace {
 
-/// Below this many gates x 64-lane blocks, thread spawn + round barriers
-/// cost more than the parallel win (measured on the bench corpus:
-/// mul4x4/mul6x6-class shapes regressed to ~0.9x at 2 threads, c880-class
-/// and up still profit).
+/// Below this many gates x 64-lane blocks, spawning worker threads costs
+/// more than the parallel win (measured on the bench corpus: mul4x4/mul6x6-
+/// class shapes regressed to ~0.9x at 2 threads, c880-class and up still
+/// profit).
 constexpr std::size_t kSerialGateBlockThreshold = 8192;
 
 }  // namespace
@@ -355,17 +348,6 @@ int FaultSimScheduler::block_lanes(std::size_t n_tests, int workers) {
   else  // the widest that still gives every worker a full block
     while (lanes < kMaxLanes && 2 * lanes * w <= n_tests) lanes *= 2;
   return static_cast<int>(lanes);
-}
-
-std::size_t FaultSimScheduler::resolve_batch(std::size_t n_blocks,
-                                             int workers) const {
-  if (workers <= 1) return 1;
-  // Amortize the round barrier over a few blocks per worker, but keep at
-  // least ~4 reconciliation rounds so fault dropping still prunes the tail.
-  const std::size_t per_worker =
-      (n_blocks + static_cast<std::size_t>(workers) - 1) /
-      static_cast<std::size_t>(workers);
-  return std::max<std::size_t>(1, std::min<std::size_t>(4, per_worker / 4));
 }
 
 namespace {
@@ -397,10 +379,10 @@ void run_workers(int n, const char* span_name, Job job) {
 
 }  // namespace
 
-template <typename Fault, typename BlockFn>
+template <typename Fault>
 DetectionMatrix FaultSimScheduler::build_matrix(
     const std::vector<TwoVectorTest>& tests, const std::vector<Fault>& faults,
-    BlockFn block_fn) {
+    BlockFn<Fault> block_fn) {
   DetectionMatrix m;
   m.n_tests = tests.size();
   m.n_faults = faults.size();
@@ -424,7 +406,7 @@ DetectionMatrix FaultSimScheduler::build_matrix(
     std::vector<std::uint64_t> detect;
     for (std::size_t b = next.fetch_add(1); b < blocks.size();
          b = next.fetch_add(1)) {
-      block_fn(e, blocks[b], faults, detect);
+      (e.*block_fn)(blocks[b], faults, detect);
       const std::size_t base = b * capacity;
       for (std::size_t f = 0; f < faults.size(); ++f) {
         const std::size_t fw = f >> 6;
@@ -460,141 +442,119 @@ DetectionMatrix FaultSimScheduler::build_matrix(
   return m;
 }
 
-template <typename Fault, typename BlockFn>
+template <typename Fault>
 FaultSimEngine::Campaign FaultSimScheduler::run_campaign(
     const std::vector<TwoVectorTest>& tests, const std::vector<Fault>& faults,
-    BlockFn block_fn) {
+    BlockFn<Fault> block_fn) {
   FaultSimEngine::Campaign r;
   r.first_test.assign(faults.size(), -1);
   if (tests.empty() || faults.empty()) return r;
 
-  // Rounds of `workers * batch` blocks against a frozen active list,
-  // reconciled in block order: first_test is the true first detection at
-  // any thread count, and a serial call (one block per round) simulates
-  // each fault on every block up to the one that first detects it. Worker w
-  // owns the round's contiguous slots [w * batch, (w + 1) * batch);
-  // batching amortizes the round barrier on small blocks. Workers are
-  // spawned once for the whole campaign; the barrier's completion step (one
-  // thread, all workers parked) reconciles each round and re-freezes the
-  // active list, so no shared state is touched while blocks simulate.
+  // Fault stripes: a fault word is 64 consecutive faults of the list, and
+  // worker w owns words w, w + workers, ... in a live list kept in list
+  // order. It walks every block in order and drops a fault at its first
+  // detection, so each fault is simulated on the blocks up to that one, as
+  // in a one-worker campaign, and first_test is its true first detection.
+  // A worker writes only its own faults' first_test entries. Words, not
+  // single faults: untestable faults cluster in list order, and every worker
+  // holding one walks and good-evaluates every block; a word keeps a cluster
+  // on one or two workers.
   const std::vector<PatternBlock> blocks = PatternBlock::pack(c_, tests);
-  std::vector<std::uint8_t> active(faults.size(), 1);
-  long long n_active = static_cast<long long>(faults.size());
-  const int workers = pattern_workers(blocks.size());
+  const std::size_t n_words = (faults.size() + 63) / 64;
+  const int workers = static_cast<int>(std::min<std::size_t>(
+      static_cast<std::size_t>(pattern_workers(blocks.size())), n_words));
   add_engines(workers);
-  const std::size_t batch = resolve_batch(blocks.size(), workers);
-  const std::size_t round_cap = static_cast<std::size_t>(workers) * batch;
-  std::vector<std::vector<std::vector<std::uint64_t>>> detect(
-      static_cast<std::size_t>(workers),
-      std::vector<std::vector<std::uint64_t>>(batch));
-  std::size_t start = 0;
-  bool stop = false;
-  const auto round_blocks = [&] {
-    return std::min<std::size_t>(round_cap, blocks.size() - start);
+  // Built here, before the workers start; a worker only shrinks its own.
+  // Cache-line aligned: each worker rewrites its stripe's sizes and counters
+  // every block.
+  struct alignas(64) Stripe {
+    std::vector<Fault> live;
+    std::vector<std::size_t> index;  // live[i] is faults[index[i]]
+    std::vector<std::uint64_t> detect;
+    int detected = 0;
+    long long evals = 0;
   };
-  r.fault_block_evals += n_active * static_cast<long long>(round_blocks());
-  std::barrier sync(workers, [&]() noexcept {
-    const std::size_t n = round_blocks();
-    for (std::size_t s = 0; s < n; ++s) {
-      const std::size_t b = start + s;
-      const int base = static_cast<int>(b) * PatternBlock::kLanes;
-      const auto& det = detect[s / batch][s % batch];
-      for (std::size_t f = 0; f < faults.size(); ++f) {
-        // A block word's lowest set bit is its first detecting test.
-        if (r.first_test[f] >= 0 || !det[f]) continue;
-        r.first_test[f] = base + std::countr_zero(det[f]);
-        ++r.detected;
-      }
-    }
-    for (std::size_t f = 0; f < faults.size(); ++f) {
-      if (active[f] && r.first_test[f] >= 0) {
-        active[f] = 0;
-        --n_active;
-      }
-    }
-    start += n;
-    if (obs::tracing_on())
-      obs::Recorder::instance().counter("active_faults", n_active);
-    stop = start >= blocks.size() || n_active == 0;
-    if (!stop)
-      r.fault_block_evals += n_active * static_cast<long long>(round_blocks());
-  });
+  std::vector<Stripe> stripes(static_cast<std::size_t>(workers));
+  for (std::size_t f = 0; f < faults.size(); ++f) {
+    Stripe& s = stripes[(f / 64) % static_cast<std::size_t>(workers)];
+    s.live.push_back(faults[f]);
+    s.index.push_back(f);
+  }
+  for (Stripe& s : stripes) s.detect.reserve(s.live.size());
   run_workers(workers, "campaign", [&](int w) {
-    auto& mine = detect[static_cast<std::size_t>(w)];
-    while (!stop) {
-      for (std::size_t j = 0; j < batch; ++j) {
-        const std::size_t b =
-            start + static_cast<std::size_t>(w) * batch + j;
-        if (b < blocks.size())
-          block_fn(engine(w), blocks[b], faults, mine[j], &active);
+    Stripe& s = stripes[static_cast<std::size_t>(w)];
+    for (std::size_t b = 0; b < blocks.size() && !s.live.empty(); ++b) {
+      (engine(w).*block_fn)(blocks[b], s.live, s.detect);
+      s.evals += static_cast<long long>(s.live.size());
+      const int base = static_cast<int>(b) * PatternBlock::kLanes;
+      std::size_t kept = 0;
+      for (std::size_t i = 0; i < s.live.size(); ++i) {
+        if (s.detect[i]) {
+          // A block word's lowest set bit is its first detecting test.
+          r.first_test[s.index[i]] = base + std::countr_zero(s.detect[i]);
+          ++s.detected;
+        } else {
+          s.live[kept] = s.live[i];
+          s.index[kept++] = s.index[i];
+        }
       }
-      sync.arrive_and_wait();
+      s.live.resize(kept);
+      s.index.resize(kept);
     }
   });
+  for (const Stripe& s : stripes) {
+    r.detected += s.detected;
+    r.fault_block_evals += s.evals;
+  }
   return r;
 }
+
+namespace {
+
+/// A stuck-at pattern as the two-vector test the engine packs (v1 == v2).
+std::vector<TwoVectorTest> as_tests(const std::vector<InputVec>& patterns) {
+  std::vector<TwoVectorTest> tests;
+  tests.reserve(patterns.size());
+  for (const InputVec& p : patterns) tests.push_back({p, p});
+  return tests;
+}
+
+}  // namespace
 
 DetectionMatrix FaultSimScheduler::matrix_stuck(
     const std::vector<InputVec>& patterns,
     const std::vector<StuckFault>& faults) {
-  std::vector<TwoVectorTest> tests;
-  tests.reserve(patterns.size());
-  for (const InputVec& p : patterns) tests.push_back({p, p});
-  return build_matrix(
-      tests, faults,
-      [](FaultSimEngine& e, const PatternBlock& b, const auto& fl, auto& det) {
-        e.block_stuck(b, fl, det);
-      });
+  return build_matrix(as_tests(patterns), faults, &FaultSimEngine::block_stuck);
 }
 
 DetectionMatrix FaultSimScheduler::matrix_transition(
     const std::vector<TwoVectorTest>& tests,
     const std::vector<TransitionFault>& faults) {
-  return build_matrix(
-      tests, faults,
-      [](FaultSimEngine& e, const PatternBlock& b, const auto& fl, auto& det) {
-        e.block_transition(b, fl, det);
-      });
+  return build_matrix(tests, faults, &FaultSimEngine::block_transition);
 }
 
 DetectionMatrix FaultSimScheduler::matrix_obd(
     const std::vector<TwoVectorTest>& tests,
     const std::vector<ObdFaultSite>& faults) {
-  return build_matrix(
-      tests, faults,
-      [](FaultSimEngine& e, const PatternBlock& b, const auto& fl, auto& det) {
-        e.block_obd(b, fl, det);
-      });
+  return build_matrix(tests, faults, &FaultSimEngine::block_obd);
 }
 
 FaultSimEngine::Campaign FaultSimScheduler::campaign_stuck(
     const std::vector<InputVec>& patterns,
     const std::vector<StuckFault>& faults) {
-  std::vector<TwoVectorTest> tests;
-  tests.reserve(patterns.size());
-  for (const InputVec& p : patterns) tests.push_back({p, p});
-  return run_campaign(
-      tests, faults,
-      [](FaultSimEngine& e, const PatternBlock& b, const auto& fl, auto& det,
-         const auto* act) { e.block_stuck(b, fl, det, act); });
+  return run_campaign(as_tests(patterns), faults, &FaultSimEngine::block_stuck);
 }
 
 FaultSimEngine::Campaign FaultSimScheduler::campaign_transition(
     const std::vector<TwoVectorTest>& tests,
     const std::vector<TransitionFault>& faults) {
-  return run_campaign(
-      tests, faults,
-      [](FaultSimEngine& e, const PatternBlock& b, const auto& fl, auto& det,
-         const auto* act) { e.block_transition(b, fl, det, act); });
+  return run_campaign(tests, faults, &FaultSimEngine::block_transition);
 }
 
 FaultSimEngine::Campaign FaultSimScheduler::campaign_obd(
     const std::vector<TwoVectorTest>& tests,
     const std::vector<ObdFaultSite>& faults) {
-  return run_campaign(
-      tests, faults,
-      [](FaultSimEngine& e, const PatternBlock& b, const auto& fl, auto& det,
-         const auto* act) { e.block_obd(b, fl, det, act); });
+  return run_campaign(tests, faults, &FaultSimEngine::block_obd);
 }
 
 }  // namespace obd::atpg

@@ -20,16 +20,17 @@
 //     cost a table probe instead of a topology walk.
 //
 // FaultSimEngine is a per-block kernel: it simulates one PatternBlock
-// against a fault list and keeps no state across blocks beyond its scratch,
-// counters and excitation tables. FaultSimScheduler is the only loop over
-// blocks. It builds detection matrices and runs fault-dropping campaigns
-// (a fault leaves the active list at its first detection, so late blocks
-// only pay for the hard remainder), sharding whole blocks across a small
-// std::thread pool with one engine per worker. Engines are created per
-// call, on the caller's thread, for the workers that call uses; all of them
-// read the circuit's one cone table. Fault dropping is reconciled in block
-// order after each round, so campaign results are bit-identical at any
-// thread count, and detection matrices at any thread count and width.
+// against the fault list it is handed and keeps no state across blocks
+// beyond its scratch, counters and excitation tables. FaultSimScheduler is
+// the only loop over blocks, on a small std::thread pool with one engine per
+// worker. Matrices shard whole blocks across the workers. Fault-dropping
+// campaigns shard the fault list instead: each worker owns stripes of
+// 64-fault words, walks every block in order and drops a fault at its first
+// detection, so late blocks only pay for the hard remainder. Engines are
+// created per call, on the caller's thread, for the workers that call uses;
+// all of them read the circuit's one cone table. A fault's first detection
+// depends on no other fault, so campaigns are bit-identical at any thread
+// count, and detection matrices at any thread count and width.
 //
 // The set-level entry points in faultsim.hpp are thin wrappers over the
 // scheduler.
@@ -153,19 +154,15 @@ class FaultSimEngine {
   // Each fills `detect` (resized to faults.size() * W, W = the block's
   // lane_words) with W words per fault at [i * W, +W); bit k of word w set
   // = lane 64w + k of the block detects the fault. Any block width runs on
-  // any engine. When `active` is non-null, faults with active[i] == 0 are
-  // skipped (their words are 0).
+  // any engine.
 
   void block_stuck(const PatternBlock& b, const std::vector<StuckFault>& faults,
-                   std::vector<std::uint64_t>& detect,
-                   const std::vector<std::uint8_t>* active = nullptr);
+                   std::vector<std::uint64_t>& detect);
   void block_transition(const PatternBlock& b,
                         const std::vector<TransitionFault>& faults,
-                        std::vector<std::uint64_t>& detect,
-                        const std::vector<std::uint8_t>* active = nullptr);
+                        std::vector<std::uint64_t>& detect);
   void block_obd(const PatternBlock& b, const std::vector<ObdFaultSite>& faults,
-                 std::vector<std::uint64_t>& detect,
-                 const std::vector<std::uint8_t>* active = nullptr);
+                 std::vector<std::uint64_t>& detect);
 
   /// Result of a fault-dropping campaign (FaultSimScheduler::campaign_*):
   /// first_test is each fault's first detecting test index (-1 =
@@ -173,8 +170,9 @@ class FaultSimEngine {
   struct Campaign {
     std::vector<int> first_test;
     int detected = 0;
-    /// Work metric fault dropping shrinks: (active fault x block) pairs
-    /// simulated (an upper bound on cone evaluations).
+    /// Work metric fault dropping shrinks: (live fault x block) pairs
+    /// simulated (an upper bound on cone evaluations). Each fault counts the
+    /// blocks up to its first detection, or all of them, at any thread count.
     long long fault_block_evals = 0;
   };
 
@@ -268,21 +266,23 @@ struct SimStats {
 /// Determinism contract: matrices and campaigns are bit-identical across
 /// thread counts and block widths (the randomized oracle harness in
 /// tests/oracle_common.hpp enforces this against the legacy scalar
-/// simulators). Threads shard whole pattern blocks (matrix rows are
-/// disjoint per block); fault-dropping campaigns run rounds of
-/// `workers * resolve_batch` blocks against a frozen active list and
-/// reconcile detections in block order between rounds, trading a little
-/// redundant tail work for exact equivalence. Small shapes (gates x 64-lane
-/// blocks below a measured threshold) run single-threaded regardless of
-/// `threads` — the barrier tax exceeds the parallel win there.
+/// simulators). Matrix workers shard whole pattern blocks (matrix rows are
+/// disjoint per block). Campaign workers shard fault words: a fault word is
+/// 64 consecutive faults of the call's list, and worker w owns words w,
+/// w + workers, ...; it walks every block in order and drops each of its
+/// faults at that fault's first detection, so first_test, detected and
+/// fault_block_evals are the one-worker campaign's at any thread count.
+/// Small shapes (gates x 64-lane blocks below a measured threshold) run
+/// single-threaded regardless of `threads` — the thread-spawn tax exceeds
+/// the parallel win there.
 ///
 /// Block width is a property of each call, not a setting: campaigns pack
 /// 64 lanes, matrices follow block_lanes.
 ///
 /// Engines follow the workers a call uses, never the `threads` knob alone:
 /// the constructor builds engine 0 (warming the circuit's lazy caches), and
-/// each call adds the engines its min(threads, blocks) workers need, on the
-/// caller's thread, before any worker starts.
+/// each call adds the engines its workers need, on the caller's thread,
+/// before any worker starts.
 class FaultSimScheduler {
  public:
   explicit FaultSimScheduler(const Circuit& c, SimOptions opt = {});
@@ -294,19 +294,17 @@ class FaultSimScheduler {
   /// size.
   SimStats stats() const;
   /// Worker sheets folded in engine-index order, plus the cone table's size
-  /// as `sim.cone_peak_bytes` — deterministic totals for any thread count
-  /// whenever the work partition is (matrix builds are; fault-dropping
-  /// campaigns redo tail work per round by design).
+  /// as `sim.cone_peak_bytes` — deterministic totals: a campaign's are the
+  /// same at any thread count, a matrix's at any thread count of the same
+  /// block width.
   obs::Sheet merged_metrics() const;
 
   /// Workers a call with this many 64-lane blocks actually uses:
   /// min(threads, blocks), gated to 1 when gates x blocks falls below a
-  /// measured threshold — there the thread-spawn and round-barrier tax
-  /// exceeds any parallel win, so the call runs inline.
+  /// measured threshold — there the thread-spawn tax exceeds any parallel
+  /// win, so the call runs inline. A campaign further caps it at its number
+  /// of fault words.
   int pattern_workers(std::size_t n_blocks) const;
-  /// Blocks per worker per campaign round, chosen from the block count (1
-  /// on a serial call).
-  std::size_t resolve_batch(std::size_t n_blocks, int workers) const;
 
   /// Pattern lanes per block of a detection matrix over `n_tests` tests
   /// whose 64-lane blocks run on `workers` workers (pattern_workers). One
@@ -327,8 +325,8 @@ class FaultSimScheduler {
                              const std::vector<ObdFaultSite>& faults);
 
   // --- Fault-dropping campaigns -----------------------------------------
-  // A fault leaves the active list at its first detection; first_test is
-  // the first detecting test either way.
+  // A fault leaves its worker's live list at its first detection; first_test
+  // is that detection's test index.
   FaultSimEngine::Campaign campaign_stuck(const std::vector<InputVec>& patterns,
                                           const std::vector<StuckFault>& faults);
   FaultSimEngine::Campaign campaign_transition(
@@ -338,14 +336,19 @@ class FaultSimScheduler {
                                         const std::vector<ObdFaultSite>& faults);
 
  private:
-  template <typename Fault, typename BlockFn>
+  /// One of FaultSimEngine's block_* kernels.
+  template <typename Fault>
+  using BlockFn = void (FaultSimEngine::*)(const PatternBlock&,
+                                           const std::vector<Fault>&,
+                                           std::vector<std::uint64_t>&);
+  template <typename Fault>
   DetectionMatrix build_matrix(const std::vector<TwoVectorTest>& tests,
                                const std::vector<Fault>& faults,
-                               BlockFn block_fn);
-  template <typename Fault, typename BlockFn>
+                               BlockFn<Fault> block_fn);
+  template <typename Fault>
   FaultSimEngine::Campaign run_campaign(const std::vector<TwoVectorTest>& tests,
                                         const std::vector<Fault>& faults,
-                                        BlockFn block_fn);
+                                        BlockFn<Fault> block_fn);
 
   /// Creates engines until there is one per worker of a call; runs on the
   /// caller's thread before the workers start.

@@ -820,8 +820,9 @@ std::string report_json(const CampaignReport& r) {
     j += "},\n";
   }
   // Every metric the run touched, self-describing (kind-tagged), sorted by
-  // name. Deterministic given a deterministic work partition; campaign
-  // counters at > 1 thread legitimately vary (redundant tail work).
+  // name. Deterministic: the prepass counters are the same at any thread
+  // count; the matrix's sim counters follow its block width, which the
+  // thread count can change.
   if (!r.metrics.empty()) {
     j += "  \"metrics\": {";
     bool first = true;
@@ -953,15 +954,17 @@ void print_report(const CampaignReport& r) {
                std::to_string(r.frontier_gate_evals) + " / " +
                    std::to_string(r.frontier_early_exits)});
   {
-    std::string phases = "prepass " + util::format_g(r.time.random_s, 3) +
-                         ", topoff " +
-                         util::format_g(
-                             std::max(0.0, r.time.atpg_s - r.time.sat_s), 3);
+    std::string phases =
+        "collapse " + util::format_g(r.time.collapse_s, 3) + ", prepass " +
+        util::format_g(r.time.random_s, 3) + ", topoff " +
+        util::format_g(std::max(0.0, r.time.atpg_s - r.time.sat_s), 3);
     if (r.time.sat_s > 0.0)
       phases += ", sat " + util::format_g(r.time.sat_s, 3);
     phases += ", matrix " + util::format_g(r.time.matrix_s, 3);
     if (r.time.compact_s > 0.0)
       phases += ", compact " + util::format_g(r.time.compact_s, 3);
+    if (r.time.ndetect_s > 0.0)
+      phases += ", ndetect " + util::format_g(r.time.ndetect_s, 3);
     t.add_row({"wall clock",
                util::format_g(r.time.total_s, 3) + " s  (" + phases + ")"});
   }

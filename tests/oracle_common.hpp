@@ -6,10 +6,11 @@
 // 1/2/4 workers, over test lists whose lengths put one-worker matrices in
 // blocks of 64, 128, 256 and 512 lanes (sweep_lengths) — must reproduce
 // their DetectionMatrix bit for bit, and every fault-dropping campaign must
-// report each fault's first detecting row of that legacy matrix (and at
-// one worker, exactly the 64-lane block work dropping implies). The legacy
-// matrices share no packing or kernel code with the scheduler. Shared by
-// the fault-sim and wide-vector tests; test_gate_circuit.cpp reuses zoo().
+// report each fault's first detecting row of that legacy matrix and, at
+// every worker count, exactly the 64-lane block work dropping implies. The
+// legacy matrices share no packing or kernel code with the scheduler.
+// Shared by the fault-sim and wide-vector tests; test_gate_circuit.cpp
+// reuses zoo().
 #pragma once
 
 #include <gtest/gtest.h>
@@ -95,9 +96,9 @@ inline std::vector<int> first_rows(const DetectionMatrix& m) {
   return first;
 }
 
-/// fault_block_evals of a campaign whose rounds are one block each (one
-/// worker): every fault is simulated on each block up to and including the
-/// one that first detects it, and on every block when none does.
+/// fault_block_evals of a fault-dropping campaign: every fault is simulated
+/// on each block up to and including the one that first detects it, and on
+/// every block when none does.
 inline long long serial_block_evals(const std::vector<int>& first,
                                     std::size_t n_tests, int lanes) {
   const auto n_blocks =
@@ -109,24 +110,19 @@ inline long long serial_block_evals(const std::vector<int>& first,
 }
 
 /// A campaign against the legacy matrix of the same tests: first_test is
-/// each fault's first detecting row, detected is covered_count, and a
-/// one-worker call does exactly the dropping work serial_block_evals
-/// implies over 64-lane blocks (a threaded one at least that much: rounds
-/// simulate a dropped fault until they end).
+/// each fault's first detecting row, detected is covered_count, and the
+/// call does exactly the dropping work serial_block_evals implies over
+/// 64-lane blocks at any thread count (each worker drops its own faults at
+/// their first detections).
 inline void expect_campaign_matches(const DetectionMatrix& ref,
                                     const FaultSimEngine::Campaign& got,
-                                    const FaultSimScheduler& sched,
                                     const std::string& label) {
   const std::vector<int> first = first_rows(ref);
   EXPECT_EQ(first, got.first_test) << label;
   EXPECT_EQ(ref.covered_count, got.detected) << label;
-  constexpr int lanes = PatternBlock::kLanes;
-  const long long serial = serial_block_evals(first, ref.n_tests, lanes);
-  const std::size_t n_blocks = (ref.n_tests + lanes - 1) / lanes;
-  if (sched.pattern_workers(n_blocks) == 1)
-    EXPECT_EQ(serial, got.fault_block_evals) << label;
-  else
-    EXPECT_LE(serial, got.fault_block_evals) << label;
+  EXPECT_EQ(serial_block_evals(first, ref.n_tests, PatternBlock::kLanes),
+            got.fault_block_evals)
+      << label;
 }
 
 /// Random tests for one circuit with their stuck-at patterns (the second
@@ -213,13 +209,13 @@ inline void sweep_campaigns(const logic::Circuit& c, int n_tests,
     FaultSimScheduler sched(c, cfg);
     const std::string label = c.name() + " " + config_name(cfg);
     expect_campaign_matches(ref.stuck,
-                            sched.campaign_stuck(ref.patterns, ref.sf), sched,
+                            sched.campaign_stuck(ref.patterns, ref.sf),
                             label + " stuck");
     expect_campaign_matches(ref.transition,
-                            sched.campaign_transition(ref.tests, ref.tf), sched,
+                            sched.campaign_transition(ref.tests, ref.tf),
                             label + " transition");
     expect_campaign_matches(ref.obd, sched.campaign_obd(ref.tests, ref.of),
-                            sched, label + " obd");
+                            label + " obd");
   }
 }
 

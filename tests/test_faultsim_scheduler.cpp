@@ -1,6 +1,6 @@
-// FaultSimScheduler: thread sharding, deterministic fault-drop
-// reconciliation, and the X-aware (3-valued) detection path — all pinned to
-// the legacy scalar oracle by the randomized harness.
+// FaultSimScheduler: block sharding for matrices, fault-word stripes for
+// fault-dropping campaigns, and the X-aware (3-valued) detection path — all
+// pinned to the legacy scalar oracle by the randomized harness.
 #include <gtest/gtest.h>
 
 #include "atpg/atpg.hpp"
@@ -35,9 +35,9 @@ TEST(SchedulerOracle, TinyTestListsMatchLegacy) {
 }
 
 TEST(Scheduler, ThreadCountDoesNotChangeDropWorkAccounting) {
-  // fault_block_evals may only grow with threads (round-granular dropping
-  // simulates a dropped fault until its round ends), never shrink below the
-  // serial count, and detection must be unchanged.
+  // Every fault is simulated on the blocks up to its first detection at any
+  // thread count: fault_block_evals is the serial count, and detection is
+  // unchanged.
   const Circuit c = logic::ripple_carry_adder(4);
   const auto faults = enumerate_obd_faults(c);
   const auto tests = random_pairs(static_cast<int>(c.inputs().size()), 400,
@@ -50,10 +50,7 @@ TEST(Scheduler, ThreadCountDoesNotChangeDropWorkAccounting) {
     const auto got = sched.campaign_obd(tests, faults);
     EXPECT_EQ(got.first_test, first) << threads;
     EXPECT_EQ(got.detected, m.covered_count) << threads;
-    EXPECT_GE(got.fault_block_evals, serial) << threads;
-    if (threads == 1) {
-      EXPECT_EQ(got.fault_block_evals, serial);
-    }
+    EXPECT_EQ(got.fault_block_evals, serial) << threads;
   }
 }
 
@@ -74,11 +71,6 @@ TEST(Scheduler, SmallShapesAutoSerialize) {
   FaultSimScheduler tsched(big, {32});
   EXPECT_EQ(tsched.pattern_workers(19), 19);  // 444 x 19 >= threshold
   EXPECT_EQ(tsched.pattern_workers(18), 1);   // 444 x 18 < threshold
-
-  // Serial calls take one block per round; threaded rounds batch up to 4
-  // blocks per worker (64 blocks over 4 workers: 16 each, 4 per round).
-  EXPECT_EQ(sched.resolve_batch(100, 1), 1u);
-  EXPECT_EQ(bsched.resolve_batch(64, 4), 4u);
 }
 
 TEST(Scheduler, BlockLanesFollowTestsAndWorkers) {
@@ -108,28 +100,35 @@ TEST(Scheduler, BlockLanesFollowTestsAndWorkers) {
   }
 }
 
-TEST(Scheduler, BatchedRoundsMatchOneThreadAboveSerialThreshold) {
+TEST(Scheduler, FaultStripesMatchOneThreadAboveSerialThreshold) {
   // mul4x4 with 3200 tests = 50 blocks puts gates x blocks past the
-  // auto-serial gate, so these campaigns really run threaded rounds of
-  // several blocks per worker; each must reproduce the one-thread campaign
-  // (which the oracle sweep pins to the legacy matrices) exactly.
+  // auto-serial gate, so these campaigns really split their fault words over
+  // several workers; each must reproduce the one-thread campaign (which the
+  // oracle sweep pins to the legacy matrices) exactly, dropping work
+  // included. The 100- and 64-fault prefixes leave more workers than fault
+  // words (a full word plus a partial one, and a single word).
   const Circuit c = logic::array_multiplier(4);
-  const auto faults = enumerate_obd_faults(c);
+  const auto all = enumerate_obd_faults(c);
   const auto tests =
       random_pairs(static_cast<int>(c.inputs().size()), 3200, 0x5c4ed007);
-  const auto ref = FaultSimScheduler(c).campaign_obd(tests, faults);
-  for (const SimOptions& o : std::vector<SimOptions>{{2}, {4}}) {
-    const std::string label = oracle::config_name(o);
-    FaultSimScheduler sched(c, o);
-    const std::size_t blocks = tests.size() / PatternBlock::kLanes;
-    const int workers = sched.pattern_workers(blocks);
-    ASSERT_GT(workers, 1) << label;
-    ASSERT_GT(sched.resolve_batch(blocks, workers), 1u) << label;
-    const auto got = sched.campaign_obd(tests, faults);
-    EXPECT_EQ(got.first_test, ref.first_test) << label;
-    EXPECT_EQ(got.detected, ref.detected) << label;
-    // Batched rounds pay at most extra redundant work.
-    EXPECT_GE(got.fault_block_evals, ref.fault_block_evals) << label;
+  ASSERT_GT(all.size(), 4u * 64u);
+  for (const std::size_t n : {all.size(), std::size_t{100}, std::size_t{64}}) {
+    const std::vector<ObdFaultSite> faults(
+        all.begin(), all.begin() + static_cast<std::ptrdiff_t>(n));
+    const auto ref = FaultSimScheduler(c).campaign_obd(tests, faults);
+    ASSERT_GT(ref.detected, 0);
+    for (int threads : {2, 4}) {
+      const std::string label = std::to_string(n) + " faults, " +
+                                std::to_string(threads) + " threads";
+      FaultSimScheduler sched(c, {threads});
+      ASSERT_EQ(sched.pattern_workers(tests.size() / PatternBlock::kLanes),
+                threads)
+          << label;
+      const auto got = sched.campaign_obd(tests, faults);
+      EXPECT_EQ(got.first_test, ref.first_test) << label;
+      EXPECT_EQ(got.detected, ref.detected) << label;
+      EXPECT_EQ(got.fault_block_evals, ref.fault_block_evals) << label;
+    }
   }
 }
 

@@ -205,6 +205,30 @@ TEST(FlowCampaign, NdetectEffortIsReported) {
   EXPECT_EQ(find_metric(plain, "ndetect.implications"), nullptr);
 }
 
+TEST(FlowCampaign, WallClockRowNamesCollapseAndNdetect) {
+  // The summary table's wall-clock total includes collapse and n-detect, so
+  // its phase list names them: collapse always, ndetect when the pass ran.
+  const io::BenchParseResult p = io::load_bench_file(corpus("c1355.bench"));
+  ASSERT_TRUE(p.ok) << p.error;
+  const auto wall_clock_row = [](const CampaignReport& r) {
+    testing::internal::CaptureStdout();
+    print_report(r);
+    const std::string out = testing::internal::GetCapturedStdout();
+    const std::size_t at = out.find("wall clock");
+    return at == std::string::npos
+               ? std::string()
+               : out.substr(at, out.find('\n', at) - at);
+  };
+  CampaignOptions opt = golden_options(FaultModel::kObd);
+  const std::string plain = wall_clock_row(run_campaign(p.seq, opt));
+  opt.ndetect = 4;
+  const std::string nd = wall_clock_row(run_campaign(p.seq, opt));
+  EXPECT_NE(plain.find("(collapse "), std::string::npos) << plain;
+  EXPECT_EQ(plain.find("ndetect"), std::string::npos) << plain;
+  EXPECT_NE(nd.find("(collapse "), std::string::npos) << nd;
+  EXPECT_NE(nd.find(", ndetect "), std::string::npos) << nd;
+}
+
 TEST(FlowCampaign, ScanSequentialCampaign) {
   const io::BenchParseResult p = io::load_bench_file(corpus("s27.bench"));
   ASSERT_TRUE(p.ok) << p.error;

@@ -707,8 +707,8 @@ std::string report_hash(const std::string& path) {
 
 TEST_F(SupervisorTest, CliRejectsHostileNumbers) {
   // A number no flag can hold must be an error that names the flag, never
-  // a NaN that disables a check, a value wrapped into int, or a clamped
-  // seed.
+  // a NaN that disables a check, a value wrapped into int, a negative seed
+  // wrapped to 2^64 - 1, or a clamped seed.
   const std::string dir = fresh_dir("cli_numbers");
   const std::string err = dir + "/stderr.txt";
   const std::string c17 = "\"" + corpus("c17.bench") + "\"";
@@ -723,6 +723,7 @@ TEST_F(SupervisorTest, CliRejectsHostileNumbers) {
       {"--shard", "0/4294967297"},     {"--shard", "4294967296/4294967297"},
       {"--seed", "0x10000000000000000"},
       {"--seed", "18446744073709551616"},
+      {"--seed", "-1"},                {"--seed", "-0x1"},
   };
   for (const auto& [flag, v] : hostile) {
     EXPECT_EQ(run_cli(c17 + ck + " " + flag + " " + v, err), 1)

@@ -159,8 +159,10 @@ bool parse_long(const char* s, long long& out) {
 }
 
 /// The full 64-bit range, so a seed the supervisor forwards in decimal
-/// round-trips.
+/// round-trips. A '-' is rejected: strtoull negates a leading one, so "-1"
+/// would wrap to 2^64 - 1.
 bool parse_u64(const char* s, std::uint64_t& out) {
+  if (std::strchr(s, '-')) return false;
   char* end = nullptr;
   errno = 0;
   out = std::strtoull(s, &end, 0);
