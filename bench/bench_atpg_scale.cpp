@@ -554,10 +554,10 @@ std::vector<ObsOverheadRow> reproduce_obs_overhead() {
   }
   const logic::Circuit c = logic::decompose_composites(pr.circuit());
   const auto faults = enumerate_obd_faults(c);
-  // 512 patterns: long enough (~100ms/run) that thread-scheduling jitter
-  // stays well inside the 2% gate at the min.
+  // 8192 patterns: long enough (~100 ms per sample on a 4-core Xeon) that
+  // thread-scheduling jitter stays well inside the 2% gate at the min.
   const auto tests =
-      random_pairs(static_cast<int>(c.inputs().size()), 512, 0xca11ab1e);
+      random_pairs(static_cast<int>(c.inputs().size()), 8192, 0xca11ab1e);
 
   ObsOverheadRow row;
   row.circuit = c.name();

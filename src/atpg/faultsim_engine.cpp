@@ -50,14 +50,14 @@ FaultSimEngine::FaultSimEngine(const Circuit& c)
       gate_level_(c.gate_levels()),
       net_fence_(c.num_nets(), 0),
       po_mask_(c.num_nets(), 0),
+      reach_gen_(c.num_nets(), 0),
       changed_(c.num_nets(), 0) {
   constexpr auto kMax = static_cast<std::size_t>(PatternBlock::kMaxWords);
   eval_tmp_.assign(kMax, 0);
-  force_.assign(kMax, 0);
-  diff_.assign(kMax, 0);
-  exc_.assign(kMax, 0);
+  flipped_.assign(kMax, 0);
+  flip_.assign(kMax, 0);
   masks_.assign(kMax, 0);
-  if (c.num_nets() > 0) c.fanout_cone(0);  // builds the shared table
+  if (c.num_nets() > 0) c.ffr_stem(0);  // builds the shared tables
   for (std::size_t n = 0; n < c.num_nets(); ++n)
     for (int g : c.fanout_of(static_cast<NetId>(n)))
       net_fence_[n] = std::max(net_fence_[n],
@@ -94,36 +94,91 @@ std::size_t FaultSimEngine::start_block(const PatternBlock& b,
                                         std::size_t n_faults,
                                         std::vector<std::uint64_t>& detect) {
   const auto W = static_cast<std::size_t>(b.lane_words());
+  W_ = W;
   detect.assign(n_faults * W, 0);
-  if (bad_.size() < c_.num_nets() * W) bad_.resize(c_.num_nets() * W);
+  if (bad_.size() < c_.num_nets() * W) {
+    bad_.resize(c_.num_nets() * W);
+    reach_.resize(c_.num_nets() * W);
+  }
   for (std::size_t w = 0; w < W; ++w)
     masks_[w] = b.lane_mask(static_cast<int>(w));
+  if (++gen_ == 0) {  // wrapped: no stale entry may match the new generation
+    std::fill(reach_gen_.begin(), reach_gen_.end(), 0);
+    gen_ = 1;
+  }
   return W;
 }
 
-void FaultSimEngine::propagate(const std::uint64_t* good, std::size_t n_words,
-                               NetId forced,
-                               const std::uint64_t* forced_words,
-                               std::uint64_t* diff) {
-  const std::size_t W = n_words;
-  for (std::size_t w = 0; w < W; ++w) diff[w] = 0;
-  const auto fs = static_cast<std::size_t>(forced);
-  {
-    std::uint64_t seed = 0;
-    for (std::size_t w = 0; w < W; ++w)
-      seed |= forced_words[w] ^ good[fs * W + w];
-    if (!seed) return;  // the forced value is the good value everywhere
+void FaultSimEngine::observe(NetId net, const std::uint64_t* flip,
+                             std::uint64_t* out) {
+  const std::size_t W = W_;
+  const NetId stem = c_.ffr_stem(net);
+  const std::uint64_t* path = stem == net ? masks_.data() : path_to_stem(net);
+  std::uint64_t any = 0;
+  for (std::size_t w = 0; w < W; ++w) {
+    out[w] = flip[w] & path[w];
+    any |= out[w];
   }
+  // Done when the flip dies before the stem, or the stem is a PO (observed
+  // in every lane); else AND the stem's observability, one propagation per
+  // stem per block.
+  const auto s = static_cast<std::size_t>(stem);
+  if (!any || po_mask_[s]) return;
+  std::uint64_t* obs = reach_.data() + s * W;
+  if (reach_gen_[s] != gen_) {
+    propagate(stem, obs);
+    reach_gen_[s] = gen_;
+  }
+  for (std::size_t w = 0; w < W; ++w) out[w] &= obs[w];
+}
+
+const std::uint64_t* FaultSimEngine::path_to_stem(NetId net) {
+  const std::size_t W = W_;
+  // Walk towards the stem until a net whose path is known this block.
+  path_.clear();
+  for (NetId n = net; c_.ffr_stem(n) != n &&
+                      reach_gen_[static_cast<std::size_t>(n)] != gen_;
+       n = c_.gate(c_.fanout_of(n).front()).output)
+    path_.push_back(n);
+  // Fill back to front: a net's path is its reader's sensitivity to a flip
+  // of that one input, AND the reader output's own path (none at the stem).
+  const std::uint64_t* ins[8];
+  for (auto it = path_.rbegin(); it != path_.rend(); ++it) {
+    const auto n = static_cast<std::size_t>(*it);
+    const auto& gate = c_.gate(c_.fanout_of(*it).front());
+    for (std::size_t k = 0; k < gate.inputs.size(); ++k) {
+      const auto in = static_cast<std::size_t>(gate.inputs[k]);
+      ins[k] = good2_.data() + in * W;
+      if (in == n) {
+        for (std::size_t w = 0; w < W; ++w) flipped_[w] = ~ins[k][w];
+        ins[k] = flipped_.data();
+      }
+    }
+    logic::gate_eval_lanes(gate.type, ins, eval_tmp_.data(), W);
+    const auto out = static_cast<std::size_t>(gate.output);
+    const std::uint64_t* next = c_.ffr_stem(gate.output) == gate.output
+                                    ? masks_.data()
+                                    : reach_.data() + out * W;
+    for (std::size_t w = 0; w < W; ++w)
+      reach_[n * W + w] = (eval_tmp_[w] ^ good2_[out * W + w]) & next[w];
+    reach_gen_[n] = gen_;
+  }
+  return reach_.data() + static_cast<std::size_t>(net) * W;
+}
+
+void FaultSimEngine::propagate(NetId stem, std::uint64_t* diff) {
+  const std::size_t W = W_;
+  const std::uint64_t* good = good2_.data();
+  for (std::size_t w = 0; w < W; ++w) diff[w] = 0;
   ++*propagations_;
   ++*frontier_events_;
-  const std::vector<int>& cone = c_.fanout_cone(forced);
+  const auto fs = static_cast<std::size_t>(stem);
+  const std::vector<int>& cone = c_.fanout_cone(stem);
   std::uint64_t* bad = bad_.data();
-  for (std::size_t w = 0; w < W; ++w) bad[fs * W + w] = forced_words[w];
+  for (std::size_t w = 0; w < W; ++w)
+    bad[fs * W + w] = good[fs * W + w] ^ masks_[w];
   changed_[fs] = 1;
-  touched_.push_back(forced);
-  if (po_mask_[fs])
-    for (std::size_t w = 0; w < W; ++w)
-      diff[w] |= forced_words[w] ^ good[fs * W + w];
+  touched_.push_back(stem);
   int fence = net_fence_[fs];
 
   const std::uint64_t* ins[8];
@@ -132,7 +187,7 @@ void FaultSimEngine::propagate(const std::uint64_t* good, std::size_t n_words,
   for (int gi : cone) {
     if (gate_level_[static_cast<std::size_t>(gi)] > fence) {
       // Every changed net's fanout lies behind the walk: nothing ahead can
-      // see a change, so the remaining cone is untouched by this fault.
+      // see a change, so the remaining cone is untouched by this flip.
       early = true;
       break;
     }
@@ -174,18 +229,14 @@ void FaultSimEngine::block_stuck(const PatternBlock& b,
   for (std::size_t i = 0; i < faults.size(); ++i) {
     const StuckFault& f = faults[i];
     const std::uint64_t value_word = f.value ? ~0ull : 0ull;
-    // Lanes where the fault does not even change its own net are unaffected
-    // (lane-independent logic), so an all-equal block needs no cone pass.
+    // The fault flips its net in the lanes whose good value differs.
     const auto net = static_cast<std::size_t>(f.net);
-    std::uint64_t excitable = 0;
+    std::uint64_t any = 0;
     for (std::size_t w = 0; w < W; ++w) {
-      force_[w] = value_word;
-      excitable |= (good2_[net * W + w] ^ value_word) & masks_[w];
+      flip_[w] = (good2_[net * W + w] ^ value_word) & masks_[w];
+      any |= flip_[w];
     }
-    if (!excitable) continue;
-    propagate(good2_.data(), W, f.net, force_.data(), diff_.data());
-    for (std::size_t w = 0; w < W; ++w)
-      detect[i * W + w] = diff_[w] & masks_[w];
+    if (any) observe(f.net, flip_.data(), &detect[i * W]);
   }
 }
 
@@ -198,17 +249,16 @@ void FaultSimEngine::block_transition(const PatternBlock& b,
   for (std::size_t i = 0; i < faults.size(); ++i) {
     const TransitionFault& f = faults[i];
     const auto net = static_cast<std::size_t>(f.net);
+    // The slow net holds its frame-1 value during capture, so it flips
+    // exactly where the transition is excited.
     std::uint64_t any = 0;
     for (std::size_t w = 0; w < W; ++w) {
       const std::uint64_t o1 = good1_[net * W + w];
       const std::uint64_t o2 = good2_[net * W + w];
-      exc_[w] = (f.slow_to_rise ? (~o1 & o2) : (o1 & ~o2)) & masks_[w];
-      any |= exc_[w];
+      flip_[w] = (f.slow_to_rise ? (~o1 & o2) : (o1 & ~o2)) & masks_[w];
+      any |= flip_[w];
     }
-    if (!any) continue;
-    // The slow output holds its per-lane frame-1 values during capture.
-    propagate(good2_.data(), W, f.net, good1_.data() + net * W, diff_.data());
-    for (std::size_t w = 0; w < W; ++w) detect[i * W + w] = diff_[w] & exc_[w];
+    if (any) observe(f.net, flip_.data(), &detect[i * W]);
   }
 }
 
@@ -232,6 +282,25 @@ const std::array<std::uint16_t, 16>& FaultSimEngine::obd_table(
   return obd_tables_.emplace(key, table).first->second;
 }
 
+namespace {
+
+/// The 2^n minterm words of n input words: bit k of m[v] is set when the
+/// inputs read v (input j as bit j) in lane k.
+void minterms(const std::uint64_t* const* in, std::size_t n, std::size_t w,
+              std::uint64_t* m) {
+  m[0] = ~0ull;
+  for (std::size_t k = 0; k < n; ++k) {
+    const std::uint64_t x = in[k][w];
+    const std::size_t half = std::size_t{1} << k;
+    for (std::size_t v = 0; v < half; ++v) {
+      m[v | half] = m[v] & x;
+      m[v] &= ~x;
+    }
+  }
+}
+
+}  // namespace
+
 void FaultSimEngine::block_obd(const PatternBlock& b,
                                const std::vector<ObdFaultSite>& faults,
                                std::vector<std::uint64_t>& detect) {
@@ -244,37 +313,40 @@ void FaultSimEngine::block_obd(const PatternBlock& b,
     if (!logic::is_primitive_cmos(g.type)) continue;
     const auto& table = obd_table(g.type, f.transistor);
 
-    // Per-lane local two-vectors at the gate, probed against the table.
+    // Gross-delay: the excited gate output keeps its frame-1 value, so the
+    // fault flips it where it is excited and the output switches. The
+    // excitation is bit-sliced: the OR over the table's (v1, v2) pairs of
+    // the lanes whose local inputs read v1 in frame 1 and v2 in frame 2.
     const std::size_t n_in = g.inputs.size();
+    const std::size_t n_vec = std::size_t{1} << n_in;
     const std::uint64_t* in1[4];
     const std::uint64_t* in2[4];
     for (std::size_t k = 0; k < n_in; ++k) {
       in1[k] = good1_.data() + static_cast<std::size_t>(g.inputs[k]) * W;
       in2[k] = good2_.data() + static_cast<std::size_t>(g.inputs[k]) * W;
     }
-    std::uint64_t any = 0;
-    for (std::size_t w = 0; w < W; ++w) exc_[w] = 0;
-    for (int lane = 0; lane < b.size(); ++lane) {
-      const auto word = static_cast<std::size_t>(lane) >> 6;
-      const int bit = lane & 63;
-      std::uint32_t lv1 = 0, lv2 = 0;
-      for (std::size_t k = 0; k < n_in; ++k) {
-        lv1 |= static_cast<std::uint32_t>((in1[k][word] >> bit) & 1u) << k;
-        lv2 |= static_cast<std::uint32_t>((in2[k][word] >> bit) & 1u) << k;
-      }
-      if ((table[lv1] >> lv2) & 1u) {
-        exc_[word] |= 1ull << bit;
-        any = 1;
-      }
-    }
-    if (!any) continue;
-    // Gross-delay: the excited gate output keeps its per-lane frame-1
-    // values.
     const auto out = static_cast<std::size_t>(g.output);
-    propagate(good2_.data(), W, g.output, good1_.data() + out * W,
-              diff_.data());
-    for (std::size_t w = 0; w < W; ++w)
-      detect[i * W + w] = diff_[w] & exc_[w] & masks_[w];
+    std::uint64_t any = 0;
+    for (std::size_t w = 0; w < W; ++w) {
+      std::uint64_t exc = 0;
+      const std::uint64_t toggles =
+          (good1_[out * W + w] ^ good2_[out * W + w]) & masks_[w];
+      if (toggles) {
+        std::uint64_t m1[16], m2[16];
+        minterms(in1, n_in, w, m1);
+        minterms(in2, n_in, w, m2);
+        for (std::size_t v1 = 0; v1 < n_vec; ++v1) {
+          if (!table[v1]) continue;
+          std::uint64_t to = 0;
+          for (std::size_t v2 = 0; v2 < n_vec; ++v2)
+            if ((table[v1] >> v2) & 1u) to |= m2[v2];
+          exc |= m1[v1] & to;
+        }
+      }
+      flip_[w] = exc & toggles;
+      any |= flip_[w];
+    }
+    if (any) observe(g.output, flip_.data(), &detect[i * W]);
   }
 }
 

@@ -10,14 +10,21 @@
 //     (logic/laneblock.hpp) fusing all words of a bundle per gate; the
 //     scheduler picks each call's width (block_lanes);
 //   - the good circuit is evaluated once per block (per frame);
-//   - each fault is simulated against the whole block at once: its net is
-//     forced to per-lane words and the change is propagated event-driven
-//     through the fault's levelized fanout cone (Circuit::fanout_cone) —
-//     only gates with a changed input are evaluated, and the walk
-//     short-circuits when the frontier empties before reaching a PO;
-//   - OBD excitation is decided per lane from a per-(gate type, transistor)
-//     lookup table over local two-vectors, so input-specific conditions
-//     cost a table probe instead of a topology walk.
+//   - a fault is detected in the lanes where it flips its net, the flip
+//     survives the net's unique path to its fanout-free-region (FFR) stem
+//     (Circuit::ffr_stem), and a flip of that stem reaches a PO. The path
+//     sensitization is a single-input flip of the good values at each gate
+//     of the path (critical-path tracing inside FFRs: Antreich & Schulz
+//     1987; Lee & Ha's HOPE, 1996), exact for two-valued logic; the stem's
+//     observability is one event-driven propagation of the flipped stem
+//     through its levelized fanout cone (Circuit::fanout_cone), which
+//     evaluates only gates with a changed input and short-circuits when the
+//     frontier empties before reaching a PO. Both are memoized per net per
+//     block, so every fault of an FFR shares one propagation per block;
+//   - OBD excitation is bit-sliced from a per-(gate type, transistor) table
+//     over local two-vectors: the OR of the table's (v1, v2) minterms over
+//     AND-ed gate-input words, so input-specific conditions cost a few word
+//     operations instead of a topology walk.
 //
 // FaultSimEngine is a per-block kernel: it simulates one PatternBlock
 // against the fault list it is handed and keeps no state across blocks
@@ -28,9 +35,9 @@
 // 64-fault words, walks every block in order and drops a fault at its first
 // detection, so late blocks only pay for the hard remainder. Engines are
 // created per call, on the caller's thread, for the workers that call uses;
-// all of them read the circuit's one cone table. A fault's first detection
-// depends on no other fault, so campaigns are bit-identical at any thread
-// count, and detection matrices at any thread count and width.
+// all of them read the circuit's one stem and cone tables. A fault's first
+// detection depends on no other fault, so campaigns are bit-identical at any
+// thread count, and detection matrices at any thread count and width.
 //
 // The set-level entry points in faultsim.hpp are thin wrappers over the
 // scheduler.
@@ -138,16 +145,16 @@ struct DetectionMatrix {
 
 class FaultSimEngine {
  public:
-  /// Builds the circuit's fanout-cone table if it is not built yet, so a
-  /// circuit is read-only once its engines exist.
+  /// Builds the circuit's FFR stem and fanout-cone tables if they are not
+  /// built yet, so a circuit is read-only once its engines exist.
   explicit FaultSimEngine(const Circuit& c);
 
   const Circuit& circuit() const { return c_; }
 
-  /// This engine's counters (EngineMetricIds: propagations, frontier events,
-  /// cone gates evaluated, early exits), bumped by the hot loop through
-  /// cached slot pointers. Single-owner; merged by the scheduler in worker
-  /// order.
+  /// This engine's counters (EngineMetricIds: stem propagations, frontier
+  /// events, cone gates evaluated, early exits), bumped by the hot loop
+  /// through cached slot pointers. Single-owner; merged by the scheduler in
+  /// worker order.
   const obs::Sheet& metrics() const { return metrics_; }
 
   // --- Block primitives (pattern-major) --------------------------------
@@ -177,19 +184,29 @@ class FaultSimEngine {
   };
 
  private:
-  /// Sizes `detect` and the per-net faulty scratch for the block's width
-  /// and fills the per-word live-lane masks; returns the width in words.
+  /// Sizes `detect` and the per-net scratch for the block's width, fills
+  /// the per-word live-lane masks and starts a new memo generation; returns
+  /// the width in words.
   std::size_t start_block(const PatternBlock& b, std::size_t n_faults,
                           std::vector<std::uint64_t>& detect);
-  /// Event-driven frontier propagation, the engine's hot loop: pins
-  /// `forced` to `forced_words` (W words) against the lane-strided good
-  /// valuation `good`, walks the forced net's cone in level order
-  /// evaluating only gates with a changed input, marks a net changed only
-  /// when its W-word value really differs from good, and stops as soon as
-  /// every changed net's fanout level is behind the walk (the frontier
-  /// fence). `diff` (W words) gets the OR over POs of (faulty ^ good).
-  void propagate(const std::uint64_t* good, std::size_t n_words, NetId forced,
-                 const std::uint64_t* forced_words, std::uint64_t* diff);
+  /// Detection words of a fault that flips `net` in the lanes of `flip`
+  /// (W words, live lanes only): flip AND the net's path sensitization to
+  /// its stem AND the lanes in which a flip of the stem flips some PO, into
+  /// `out` (W words). The stem's observability is memoized per block; a
+  /// miss on a non-PO stem costs one propagate().
+  void observe(NetId net, const std::uint64_t* flip, std::uint64_t* out);
+  /// Lanes in which a flip of the non-stem `net` flips its stem: the AND of
+  /// the single-input flip sensitivities of the gates on its unique fanout
+  /// path, against the good capture frame. Memoized per net per block.
+  const std::uint64_t* path_to_stem(NetId net);
+  /// Event-driven frontier propagation, the engine's hot loop: flips the
+  /// non-PO `stem` in every live lane against the good capture frame, walks
+  /// the stem's cone in level order evaluating only gates with a changed
+  /// input, marks a net changed only when its W-word value really differs
+  /// from good, and stops as soon as every changed net's fanout level is
+  /// behind the walk (the frontier fence). `diff` (W words) gets the OR over
+  /// POs of (faulty ^ good).
+  void propagate(NetId stem, std::uint64_t* diff);
   /// 2^n x 2^n excitation table for (gate type, transistor): row bit v2 of
   /// entry v1 set when (v1 -> v2) excites the OBD defect.
   const std::array<std::uint16_t, 16>& obd_table(logic::GateType t,
@@ -212,18 +229,25 @@ class FaultSimEngine {
   long long* frontier_early_exits_ = nullptr;
   std::map<std::tuple<int, bool, int>, std::array<std::uint16_t, 16>>
       obd_tables_;
+  // The current block's width in words.
+  std::size_t W_ = 1;
   // Lane-strided per-net scratch (W words per net for the current block;
-  // bad_ only grows, and only nets marked changed_ are read from it).
-  std::vector<std::uint64_t> good1_, good2_, bad_;
+  // bad_ and reach_ only grow). Only nets marked changed_ are read from
+  // bad_, and only nets stamped with the current generation from reach_:
+  // a non-stem's path_to_stem, a non-PO stem's observability.
+  std::vector<std::uint64_t> good1_, good2_, bad_, reach_;
+  std::vector<std::uint32_t> reach_gen_;
+  std::uint32_t gen_ = 0;
   // Propagation scratch: per-net changed flags with their reset list, the
-  // gate-output staging words, and per-block masks / per-fault excitation
-  // and diff words. The W-word buffers hold kMaxWords words and sit on
-  // cache lines of their own: the scheduler creates engines back to back on
-  // one thread and then hands each to a different worker, and these few
-  // words are rewritten per fault, so a line shared with another engine
-  // would bounce between cores (false sharing).
+  // path walk's net list, and the gate-output staging, flipped-input and
+  // per-block mask / per-fault flip words. The W-word buffers hold
+  // kMaxWords words and sit on cache lines of their own: the scheduler
+  // creates engines back to back on one thread and then hands each to a
+  // different worker, and these few words are rewritten per fault, so a
+  // line shared with another engine would bounce between cores (false
+  // sharing).
   std::vector<std::uint8_t> changed_;
-  std::vector<NetId> touched_;
+  std::vector<NetId> touched_, path_;
   template <typename T>
   struct LineAllocator {
     using value_type = T;
@@ -240,15 +264,15 @@ class FaultSimEngine {
     }
     bool operator==(const LineAllocator&) const { return true; }
   };
-  std::vector<std::uint64_t, LineAllocator<std::uint64_t>> eval_tmp_, force_,
-      diff_, exc_, masks_;
+  std::vector<std::uint64_t, LineAllocator<std::uint64_t>> eval_tmp_,
+      flipped_, flip_, masks_;
 };
 
 /// Aggregated per-engine counters (summed over the scheduler's workers),
-/// plus the size of the circuit's fanout-cone table, which all workers
-/// share and which is counted once. Surfaced in the campaign JSON report so
-/// cone memory and frontier behaviour are observable without rerunning the
-/// bench.
+/// plus the size of the circuit's stem-only fanout-cone table, which all
+/// workers share and which is counted once. Surfaced in the campaign JSON
+/// report so cone memory and frontier behaviour are observable without
+/// rerunning the bench.
 struct SimStats {
   std::size_t cone_peak_bytes = 0;
   long long propagations = 0;
@@ -293,10 +317,13 @@ class FaultSimScheduler {
   /// Counter sums over every engine created so far and the cone table's
   /// size.
   SimStats stats() const;
-  /// Worker sheets folded in engine-index order, plus the cone table's size
-  /// as `sim.cone_peak_bytes` — deterministic totals: a campaign's are the
-  /// same at any thread count, a matrix's at any thread count of the same
-  /// block width.
+  /// Worker sheets folded in engine-index order, plus the stem-only cone
+  /// table's size as `sim.cone_peak_bytes` — deterministic totals for a
+  /// given configuration. A matrix's are the same at any thread count of
+  /// the same block width. A campaign's depend on how its fault words split
+  /// each FFR across workers (each worker propagates a stem once per block
+  /// for its own faults), so they may differ between thread counts;
+  /// first_test and fault_block_evals do not.
   obs::Sheet merged_metrics() const;
 
   /// Workers a call with this many 64-lane blocks actually uses:

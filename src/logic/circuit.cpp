@@ -25,7 +25,11 @@ NetId Circuit::add_input(const std::string& name) {
   return n;
 }
 
-void Circuit::mark_output(NetId n) { outputs_.push_back(n); }
+void Circuit::mark_output(NetId n) {
+  outputs_.push_back(n);
+  stem_cache_.clear();  // a PO is a stem
+  cone_cache_.clear();
+}
 
 int Circuit::add_gate(GateType type, const std::string& name,
                       const std::vector<NetId>& inputs, NetId output) {
@@ -35,6 +39,7 @@ int Circuit::add_gate(GateType type, const std::string& name,
   driver_[static_cast<std::size_t>(output)] = idx;
   for (NetId in : inputs) fanouts_[static_cast<std::size_t>(in)].push_back(idx);
   topo_valid_ = false;
+  stem_cache_.clear();
   cone_cache_.clear();
   return idx;
 }
@@ -90,9 +95,17 @@ std::vector<int> Circuit::gate_levels() const {
   return level;
 }
 
+NetId Circuit::ffr_stem(NetId n) const {
+  if (stem_cache_.size() != net_names_.size()) build_cones();
+  return stem_cache_[static_cast<std::size_t>(n)];
+}
+
 const std::vector<int>& Circuit::fanout_cone(NetId n) const {
-  if (cone_cache_.size() == net_names_.size())
-    return cone_cache_[static_cast<std::size_t>(n)];
+  if (cone_cache_.size() != net_names_.size()) build_cones();
+  return cone_cache_[static_cast<std::size_t>(n)];
+}
+
+void Circuit::build_cones() const {
   const std::vector<int>& order = topo_order();
   const std::vector<int> level = gate_levels();
   std::vector<int> rank(gates_.size(), 0);
@@ -103,17 +116,46 @@ const std::vector<int>& Circuit::fanout_cone(NetId n) const {
     const auto sb = static_cast<std::size_t>(b);
     return level[sa] != level[sb] ? level[sa] < level[sb] : rank[sa] < rank[sb];
   };
-  // A net's cone is the ordered union of its fanout gates (each sorts before
-  // its output's cone) and their output nets' cones. Visiting driven nets in
-  // reverse topological order of their drivers, then undriven nets, finds
-  // every cone a merge reads already built: no per-net search or sort.
+  std::vector<bool> po(net_names_.size(), false);
+  for (NetId o : outputs_) po[static_cast<std::size_t>(o)] = true;
+  stem_cache_.resize(net_names_.size());
+  for (std::size_t net = 0; net < net_names_.size(); ++net)
+    stem_cache_[net] = static_cast<NetId>(net);
   cone_cache_.assign(net_names_.size(), {});
-  std::vector<int> merged, scratch;
+
+  // A non-stem's cone is its chain followed by its stem's cone (its levels
+  // rise along the chain, and every stem-cone gate lies past the chain's
+  // last gate, so the concatenation is already sorted). `chain` holds it
+  // while a merge reads it.
+  std::vector<int> merged, scratch, chain;
+  const auto cone_of = [&](NetId x) -> const std::vector<int>& {
+    const NetId stem = stem_cache_[static_cast<std::size_t>(x)];
+    if (stem == x) return cone_cache_[static_cast<std::size_t>(x)];
+    chain.clear();
+    for (NetId m = x; m != stem;) {
+      const int g = fanouts_[static_cast<std::size_t>(m)].front();
+      chain.push_back(g);
+      m = gate(g).output;
+    }
+    const std::vector<int>& tail = cone_cache_[static_cast<std::size_t>(stem)];
+    chain.insert(chain.end(), tail.begin(), tail.end());
+    return chain;
+  };
+  // A stem's cone is the ordered union of its fanout gates (each sorts
+  // before its output's cone) and their output nets' cones. Visiting driven
+  // nets in reverse topological order of their drivers, then undriven nets,
+  // finds every stem and cone a net reads already built: no per-net search
+  // or sort.
   const auto build = [&](std::size_t net) {
+    const std::vector<int>& fanout = fanouts_[net];
+    if (fanout.size() == 1 && !po[net]) {
+      stem_cache_[net] = stem_cache_[static_cast<std::size_t>(
+          gate(fanout.front()).output)];
+      return;
+    }
     merged.clear();
-    for (int g : fanouts_[net]) {
-      const std::vector<int>& sub =
-          cone_cache_[static_cast<std::size_t>(gate(g).output)];
+    for (int g : fanout) {
+      const std::vector<int>& sub = cone_of(gate(g).output);
       scratch.clear();
       std::set_union(merged.begin(), merged.end(), sub.begin(), sub.end(),
                      std::back_inserter(scratch), before);
@@ -128,7 +170,6 @@ const std::vector<int>& Circuit::fanout_cone(NetId n) const {
     build(static_cast<std::size_t>(gate(*g).output));
   for (std::size_t net = 0; net < net_names_.size(); ++net)
     if (driver_[net] < 0) build(net);
-  return cone_cache_[static_cast<std::size_t>(n)];
 }
 
 int Circuit::depth() const {

@@ -68,13 +68,23 @@ class Circuit {
   std::vector<int> gate_levels() const;
   /// Maximum gate level.
   int depth() const;
-  /// Transitive-fanout gates of a net (every gate whose value can depend on
+  /// The stem of a net's fanout-free region (FFR). A stem is a PO, or a net
+  /// whose fanout count is not 1 (a gate reading the net on two pins counts
+  /// twice); it is its own stem. Any other net feeds exactly one gate pin,
+  /// and its stem is that gate's output's stem, so a change at the net
+  /// reaches the rest of the circuit only through its stem. Built with the
+  /// cone table.
+  NetId ffr_stem(NetId n) const;
+  /// Transitive-fanout gates of a stem (every gate whose value can depend on
   /// it), sorted by (gate level, topological rank) — a topological order in
-  /// which a change at `n` reaches each gate only after all of its cone
-  /// predecessors. Built for every net at once on first use and cached like
-  /// topo_order(); invalidated by add_gate. The first call writes the cache,
-  /// so make it on one thread before sharing the circuit across threads
-  /// (the fault-sim engine's constructor does); later calls only read.
+  /// which a change at the stem reaches each gate only after all of its cone
+  /// predecessors. Empty for a non-stem, whose cone is its chain (the gates
+  /// from it to its stem) followed by its stem's cone. Built for every stem
+  /// in one pass on first use and cached like topo_order(); invalidated by
+  /// add_gate and mark_output. The first call of this or ffr_stem writes
+  /// the cache, so make it on one thread before sharing the circuit across
+  /// threads (the fault-sim engine's constructor does); later calls only
+  /// read.
   const std::vector<int>& fanout_cone(NetId n) const;
 
   /// Checks structural sanity: every net driven at most once, every gate
@@ -137,8 +147,11 @@ class Circuit {
   std::vector<std::vector<int>> fanouts_;
   mutable std::vector<int> topo_cache_;
   mutable bool topo_valid_ = false;
-  // fanout_cone() per net; stale whenever its size is not num_nets().
+  // ffr_stem() and fanout_cone() per net; stale whenever their size is not
+  // num_nets().
+  mutable std::vector<NetId> stem_cache_;
   mutable std::vector<std::vector<int>> cone_cache_;
+  void build_cones() const;
 };
 
 /// Rewrites composite gates (BUF/AND/OR/XOR/XNOR) into primitive CMOS gates

@@ -24,8 +24,36 @@
 
 namespace obd::atpg::oracle {
 
+/// Fanout-free-region (FFR) edge shapes in primitive CMOS gates: single-
+/// fanout PIs (a, c, d) inside a region, a PO in the middle of a chain (n2),
+/// a gate reading one net twice (n3 into g4), a PI feeding two regions (b),
+/// and a dangling gate output (dn: no fanout, no PO).
+inline logic::Circuit ffr_edges() {
+  using logic::GateType;
+  using logic::NetId;
+  logic::Circuit c("ffr_edges");
+  const NetId a = c.add_input("a"), b = c.add_input("b");
+  const NetId ci = c.add_input("c"), d = c.add_input("d");
+  const NetId e = c.add_input("e");
+  NetId n[7];
+  for (int i = 0; i < 7; ++i) n[i] = c.net("n" + std::to_string(i));
+  const NetId dn = c.net("dn");
+  c.add_gate(GateType::kNand2, "g0", {a, b}, n[0]);
+  c.add_gate(GateType::kInv, "g1", {n[0]}, n[1]);
+  c.add_gate(GateType::kNor2, "g2", {n[1], ci}, n[2]);
+  c.mark_output(n[2]);
+  c.add_gate(GateType::kInv, "g3", {n[2]}, n[3]);
+  c.add_gate(GateType::kNand2, "g4", {n[3], n[3]}, n[4]);
+  c.add_gate(GateType::kNand3, "g5", {n[4], b, d}, n[5]);
+  c.add_gate(GateType::kInv, "g6", {n[5]}, dn);
+  c.add_gate(GateType::kNor2, "g7", {n[5], e}, n[6]);
+  c.mark_output(n[6]);
+  return c;
+}
+
 /// The circuit zoo swept by the oracle: the paper's full adder, small
-/// benchmarks, and random primitive-gate DAGs (fuzz coverage).
+/// benchmarks, random primitive-gate DAGs (fuzz coverage) and FFR edge
+/// shapes.
 inline std::vector<logic::Circuit> zoo() {
   std::vector<logic::Circuit> out;
   out.push_back(logic::full_adder_sum_circuit());
@@ -35,6 +63,7 @@ inline std::vector<logic::Circuit> zoo() {
   out.push_back(logic::decoder(3));
   out.push_back(logic::random_circuit(8, 60, 6, 0xfeed));
   out.push_back(logic::random_circuit(10, 120, 8, 0xbead));
+  out.push_back(ffr_edges());
   return out;
 }
 

@@ -188,13 +188,16 @@ TEST(PatternBlockTest, WideBlocksStrideLanesAcrossWords) {
 
 TEST(FrontierPropagation, ExitsEarlyWhenTheFrontierDies) {
   // x stuck-at-1 under x=y=0: the fault flips x but AND(1, 0) still
-  // evaluates to 0, so the frontier dies at the AND gate and the inverter
-  // chain behind it is never evaluated.
+  // evaluates to 0 at both of x's readers, so the frontier dies at the AND
+  // gates and the inverter chain behind them is never evaluated. x's second
+  // reader (a dangling AND) makes it a stem, so its flip is propagated.
   Circuit c("chain");
   const logic::NetId x = c.add_input("x");
   const logic::NetId y = c.add_input("y");
   const logic::NetId g = c.net("g");
+  const logic::NetId h = c.net("h");
   c.add_gate(logic::GateType::kAnd2, "g", {x, y}, g);
+  c.add_gate(logic::GateType::kAnd2, "h", {x, y}, h);
   logic::NetId prev = g;
   for (int i = 0; i < 4; ++i) {
     const logic::NetId n = c.net("n" + std::to_string(i));
@@ -202,6 +205,7 @@ TEST(FrontierPropagation, ExitsEarlyWhenTheFrontierDies) {
     prev = n;
   }
   c.mark_output(prev);
+  ASSERT_EQ(c.ffr_stem(x), x);
 
   const std::vector<StuckFault> faults = {{x, true}};
   const EngineMetricIds& ids = EngineMetricIds::get();
@@ -214,12 +218,12 @@ TEST(FrontierPropagation, ExitsEarlyWhenTheFrontierDies) {
     const obs::Sheet& m = engine.metrics();
     EXPECT_EQ(detect[0], 0u);
     EXPECT_EQ(m.value(ids.propagations), 1);
-    EXPECT_EQ(m.value(ids.frontier_gate_evals), 1);  // the AND gate only
+    EXPECT_EQ(m.value(ids.frontier_gate_evals), 2);  // the AND gates only
     EXPECT_EQ(m.value(ids.frontier_early_exits), 1);
-    EXPECT_EQ(m.value(ids.frontier_events), 1);  // the forced net itself
+    EXPECT_EQ(m.value(ids.frontier_events), 1);  // the flipped stem itself
   }
   {
-    // Add a lane with y=1: now the AND output flips, the frontier survives
+    // Add a lane with y=1: now both AND outputs flip, the frontier survives
     // the full chain, and the detection lands in that lane only.
     FaultSimEngine engine(c);
     PatternBlock b(c);
@@ -229,10 +233,89 @@ TEST(FrontierPropagation, ExitsEarlyWhenTheFrontierDies) {
     const obs::Sheet& m = engine.metrics();
     EXPECT_EQ(detect[0], 0b10u);
     EXPECT_EQ(m.value(ids.propagations), 1);
-    EXPECT_EQ(m.value(ids.frontier_gate_evals), 5);  // AND + 4 inverters
+    EXPECT_EQ(m.value(ids.frontier_gate_evals), 6);  // 2 ANDs + 4 inverters
     EXPECT_EQ(m.value(ids.frontier_early_exits), 0);
-    EXPECT_EQ(m.value(ids.frontier_events), 6);  // x, g, n0..n3
+    EXPECT_EQ(m.value(ids.frontier_events), 7);  // x, g, h, n0..n3
   }
+}
+
+TEST(FrontierPropagation, OnePropagationPerRegionPerBlock) {
+  // A NAND tree of single-fanout PIs and nets feeds the stem s, which fans
+  // out to two inverter POs. Every stuck-at, transition and OBD fault of the
+  // tree lies in s's fanout-free region: the faults share one propagation
+  // of s per block (the PO stems need none), and detect what the legacy
+  // simulators detect.
+  Circuit c("ffr_tree");
+  std::vector<logic::NetId> pi;
+  for (int i = 0; i < 8; ++i)
+    pi.push_back(c.add_input("p" + std::to_string(i)));
+  std::vector<logic::NetId> level = pi;
+  int k = 0;
+  while (level.size() > 1) {
+    std::vector<logic::NetId> next;
+    for (std::size_t i = 0; i < level.size(); i += 2) {
+      const logic::NetId n = c.net("t" + std::to_string(k));
+      c.add_gate(logic::GateType::kNand2, "t" + std::to_string(k++),
+                 {level[i], level[i + 1]}, n);
+      next.push_back(n);
+    }
+    level = next;
+  }
+  const logic::NetId s = level.front();
+  for (const char* o : {"o0", "o1"}) {
+    const logic::NetId n = c.net(o);
+    c.add_gate(logic::GateType::kInv, o, {s}, n);
+    c.mark_output(n);
+  }
+  std::vector<StuckFault> sf;
+  for (const StuckFault& f : enumerate_stuck_faults(c))
+    if (c.ffr_stem(f.net) == s) sf.push_back(f);
+  std::vector<TransitionFault> tf;
+  for (const TransitionFault& f : enumerate_transition_faults(c))
+    if (c.ffr_stem(f.net) == s) tf.push_back(f);
+  std::vector<ObdFaultSite> of;
+  for (const ObdFaultSite& f : enumerate_obd_faults(c))
+    if (c.ffr_stem(c.gate(f.gate_index).output) == s) of.push_back(f);
+  ASSERT_EQ(sf.size(), 30u);  // 8 PIs + 7 tree nets, both polarities
+  ASSERT_EQ(tf.size(), 14u);
+  ASSERT_GT(of.size(), 14u);
+
+  const auto tests = random_tests(c, 150, 0x5eeda);
+  const auto blocks = PatternBlock::pack(c, tests);
+  ASSERT_EQ(blocks.size(), 3u);
+  const auto run = [&](auto block_fn, const auto& faults,
+                       auto legacy_fn) -> long long {
+    FaultSimEngine engine(c);
+    std::vector<std::uint64_t> detect;
+    std::size_t first = 0;
+    for (const PatternBlock& b : blocks) {
+      (engine.*block_fn)(b, faults, detect);
+      for (int lane = 0; lane < b.size(); ++lane) {
+        const auto ref =
+            legacy_fn(tests[first + static_cast<std::size_t>(lane)]);
+        for (std::size_t f = 0; f < faults.size(); ++f)
+          EXPECT_EQ((detect[f] >> lane) & 1u, ref[f] ? 1u : 0u)
+              << "lane " << lane << " fault " << f;
+      }
+      first += static_cast<std::size_t>(b.size());
+    }
+    return engine.metrics().value(EngineMetricIds::get().propagations);
+  };
+  EXPECT_EQ(run(&FaultSimEngine::block_stuck, sf,
+                [&](const TwoVectorTest& t) {
+                  return legacy::simulate_stuck_at(c, t.v2, sf);
+                }),
+            3);
+  EXPECT_EQ(run(&FaultSimEngine::block_transition, tf,
+                [&](const TwoVectorTest& t) {
+                  return legacy::simulate_transition(c, t, tf);
+                }),
+            3);
+  EXPECT_EQ(run(&FaultSimEngine::block_obd, of,
+                [&](const TwoVectorTest& t) {
+                  return legacy::simulate_obd(c, t, of);
+                }),
+            3);
 }
 
 TEST(PatternBlockTest, PackPreservesOrderAndLanes) {

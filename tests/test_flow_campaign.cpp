@@ -229,6 +229,55 @@ TEST(FlowCampaign, WallClockRowNamesCollapseAndNdetect) {
   EXPECT_NE(nd.find(", ndetect "), std::string::npos) << nd;
 }
 
+/// An inverter chain from one PI to one PO: a single fanout-free region
+/// whose only stem is the PO.
+logic::Circuit inverter_chain(int length) {
+  logic::Circuit c("inv_chain");
+  logic::NetId prev = c.add_input("a");
+  for (int i = 0; i < length; ++i) {
+    const logic::NetId n = c.net("n" + std::to_string(i));
+    c.add_gate(logic::GateType::kInv, "inv" + std::to_string(i), {prev}, n);
+    prev = n;
+  }
+  c.mark_output(prev);
+  return c;
+}
+
+TEST(FlowCampaign, TotalIsTheSumOfThePhases) {
+  // total is the sum of the reported phases: building the scheduler (its
+  // first engine and the circuit's stem and cone tables) counts in the
+  // prepass. On this chain that build once took 90% of the wall time and
+  // landed in no phase.
+  CampaignOptions opt;
+  opt.sim.threads = 1;
+  const CampaignReport r = run_campaign(inverter_chain(16000), opt);
+  ASSERT_TRUE(r.ok()) << r.error;
+  const PhaseTimes& t = r.time;
+  const double phases = t.parse_s + t.collapse_s + t.random_s + t.atpg_s +
+                        t.matrix_s + t.compact_s + t.ndetect_s;
+  EXPECT_LE(t.total_s - phases, 0.005 + 0.2 * t.total_s)
+      << "total " << t.total_s << " s, phases " << phases << " s";
+}
+
+TEST(FlowCampaign, DeepChainConeTableIsLinear) {
+  // Only FFR stems have cones, so a 16 000-inverter chain's table is one
+  // empty entry per net (a per-net table held every net's downstream chain:
+  // 512 MB). The detection matrix is the same at 1 and 4 threads.
+  const logic::Circuit c = inverter_chain(16000);
+  CampaignOptions opt;
+  opt.sim.threads = 1;
+  const CampaignReport r1 = run_campaign(c, opt);
+  ASSERT_TRUE(r1.ok()) << r1.error;
+  EXPECT_DOUBLE_EQ(r1.coverage, 1.0);
+  EXPECT_LE(r1.cone_peak_bytes,
+            c.num_nets() * (sizeof(std::vector<int>) + 2 * sizeof(int)));
+  opt.sim.threads = 4;
+  const CampaignReport r4 = run_campaign(c, opt);
+  ASSERT_TRUE(r4.ok()) << r4.error;
+  EXPECT_EQ(r4.matrix_hash, r1.matrix_hash);
+  EXPECT_EQ(r4.cone_peak_bytes, r1.cone_peak_bytes);
+}
+
 TEST(FlowCampaign, ScanSequentialCampaign) {
   const io::BenchParseResult p = io::load_bench_file(corpus("s27.bench"));
   ASSERT_TRUE(p.ok) << p.error;

@@ -238,11 +238,41 @@ std::vector<std::vector<int>> searched_cones(const Circuit& c) {
   return cones;
 }
 
+/// A net's whole fanout cone from the stem-only table: the gates of its
+/// chain to its FFR stem, then the stem's cone.
+std::vector<int> chain_then_stem_cone(const Circuit& c, NetId n) {
+  const NetId stem = c.ffr_stem(n);
+  std::vector<int> cone;
+  for (NetId m = n; m != stem; m = c.gate(cone.back()).output)
+    cone.push_back(c.fanout_of(m).front());
+  const std::vector<int>& tail = c.fanout_cone(stem);
+  cone.insert(cone.end(), tail.begin(), tail.end());
+  return cone;
+}
+
+/// Every stem's cone, and every non-stem's chain followed by its stem's
+/// cone, against the search; a stem is exactly a PO or a net whose fanout
+/// count is not 1, and only stems have a table entry.
 void expect_cones_match_search(const Circuit& c) {
   const auto ref = searched_cones(c);
-  for (std::size_t n = 0; n < c.num_nets(); ++n)
-    ASSERT_EQ(c.fanout_cone(static_cast<NetId>(n)), ref[n])
-        << c.name() << " net " << c.net_name(static_cast<NetId>(n));
+  std::vector<bool> po(c.num_nets(), false);
+  for (NetId o : c.outputs()) po[static_cast<std::size_t>(o)] = true;
+  for (std::size_t n = 0; n < c.num_nets(); ++n) {
+    const auto net = static_cast<NetId>(n);
+    const NetId stem = c.ffr_stem(net);
+    ASSERT_EQ(stem == net, po[n] || c.fanout_of(net).size() != 1)
+        << c.name() << " net " << c.net_name(net);
+    ASSERT_EQ(c.ffr_stem(stem), stem) << c.name() << " net " << c.net_name(net);
+    if (stem == net) {
+      ASSERT_EQ(c.fanout_cone(net), ref[n])
+          << c.name() << " stem " << c.net_name(net);
+    } else {
+      ASSERT_TRUE(c.fanout_cone(net).empty())
+          << c.name() << " net " << c.net_name(net);
+      ASSERT_EQ(chain_then_stem_cone(c, net), ref[n])
+          << c.name() << " net " << c.net_name(net);
+    }
+  }
 }
 
 TEST(Circuit, FanoutConeMatchesSearchAndSortOnCorpus) {
@@ -256,6 +286,7 @@ TEST(Circuit, FanoutConeMatchesSearchAndSortOnCorpus) {
       io::load_bench_file(std::string(OBD_CORPUS_DIR) + "/s1423.bench");
   ASSERT_TRUE(s.ok) << s.error;
   expect_cones_match_search(s.seq.scan_view());
+  for (const Circuit& c : atpg::oracle::zoo()) expect_cones_match_search(c);
 }
 
 TEST(Circuit, FanoutConeOnEdgeShapes) {
@@ -276,9 +307,13 @@ TEST(Circuit, FanoutConeOnEdgeShapes) {
   const int g4 = c.add_gate(GateType::kNand2, "g4", {n2, n3}, n4);
   c.mark_output(n4);
   expect_cones_match_search(c);
+  // Stems: a (a PO, read twice), n0 (two readers), n4 (a PO) and idle (no
+  // fanout); b, u and the chains n1 -> n2 and n3 lie in n4's region.
+  for (const NetId stem : {a, n0, n4, idle}) EXPECT_EQ(c.ffr_stem(stem), stem);
+  for (const NetId inner : {b, u, n1, n2, n3}) EXPECT_EQ(c.ffr_stem(inner), n4);
   // Same-level gates (g2, g3) follow topological rank; compare members.
   const auto members = [&](NetId n) {
-    std::vector<int> m = c.fanout_cone(n);
+    std::vector<int> m = chain_then_stem_cone(c, n);
     std::sort(m.begin(), m.end());
     return m;
   };
@@ -287,6 +322,7 @@ TEST(Circuit, FanoutConeOnEdgeShapes) {
   EXPECT_EQ(members(u), (std::vector<int>{g3, g4}));
   EXPECT_EQ(c.fanout_cone(a).front(), g0);
   EXPECT_EQ(c.fanout_cone(a).back(), g4);
+  EXPECT_TRUE(c.fanout_cone(b).empty());  // not a stem
   EXPECT_TRUE(c.fanout_cone(n4).empty());
   EXPECT_TRUE(c.fanout_cone(idle).empty());
 }
@@ -298,14 +334,38 @@ TEST(Circuit, AddGateDropsFanoutCone) {
   const NetId x = c.net("x");
   const int g0 = c.add_gate(GateType::kNand2, "g0", {a, b}, x);
   c.mark_output(x);
-  EXPECT_EQ(c.fanout_cone(a), std::vector<int>{g0});
+  EXPECT_EQ(c.ffr_stem(a), x);
+  EXPECT_EQ(c.fanout_cone(x), std::vector<int>{});
+  EXPECT_EQ(chain_then_stem_cone(c, a), std::vector<int>{g0});
+  // A second reader makes b a stem.
   const NetId y = c.net("y");
   const int g1 = c.add_gate(GateType::kNor2, "g1", {x, b}, y);
-  c.mark_output(y);
-  EXPECT_EQ(c.fanout_cone(a), (std::vector<int>{g0, g1}));
-  EXPECT_EQ(c.fanout_cone(b), (std::vector<int>{g0, g1}));
-  EXPECT_EQ(c.fanout_cone(x), std::vector<int>{g1});
+  const NetId z = c.net("z");
+  const int g2 = c.add_gate(GateType::kInv, "g2", {y}, z);
+  c.mark_output(z);
+  EXPECT_EQ(c.ffr_stem(b), b);
+  EXPECT_EQ(c.fanout_cone(b), (std::vector<int>{g0, g1, g2}));
+  EXPECT_EQ(c.ffr_stem(a), x);
+  EXPECT_EQ(chain_then_stem_cone(c, a), (std::vector<int>{g0, g1, g2}));
+  EXPECT_EQ(c.fanout_cone(x), (std::vector<int>{g1, g2}));
+  EXPECT_EQ(c.ffr_stem(y), z);
+  expect_cones_match_search(c);
+}
+
+TEST(Circuit, MarkOutputMakesAStem) {
+  Circuit c;
+  const NetId a = c.add_input("a");
+  const NetId y = c.net("y"), z = c.net("z");
+  const int g0 = c.add_gate(GateType::kInv, "g0", {a}, y);
+  const int g1 = c.add_gate(GateType::kInv, "g1", {y}, z);
+  c.mark_output(z);
+  EXPECT_EQ(c.ffr_stem(y), z);
   EXPECT_TRUE(c.fanout_cone(y).empty());
+  c.mark_output(y);  // a PO in the middle of the chain
+  EXPECT_EQ(c.ffr_stem(a), y);
+  EXPECT_EQ(c.ffr_stem(y), y);
+  EXPECT_EQ(c.fanout_cone(y), std::vector<int>{g1});
+  EXPECT_EQ(chain_then_stem_cone(c, a), (std::vector<int>{g0, g1}));
   expect_cones_match_search(c);
 }
 
