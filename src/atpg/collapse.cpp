@@ -1,31 +1,16 @@
 #include "atpg/collapse.hpp"
 
 #include <map>
+#include <unordered_map>
 
-#include "core/excitation.hpp"
+#include "atpg/goals.hpp"
 
 namespace obd::atpg {
-namespace {
-
-/// Canonical key of a fault's local excitation set: sorted (v1, v2) pairs.
-std::vector<std::uint64_t> excitation_key(const logic::Gate& gate,
-                                          const cells::TransistorRef& t) {
-  const auto topo = logic::gate_topology(gate.type);
-  std::vector<std::uint64_t> key;
-  if (!topo.has_value()) return key;
-  for (const auto& tv : core::obd_excitations(*topo, t))
-    key.push_back((static_cast<std::uint64_t>(tv.v1) << 32) | tv.v2);
-  return key;  // obd_excitations enumerates in a fixed order: canonical.
-}
-
-}  // namespace
 
 bool gate_equivalent(const Circuit& c, const ObdFaultSite& a,
                      const ObdFaultSite& b) {
-  if (a.gate_index != b.gate_index) return false;
-  const auto& gate = c.gate(a.gate_index);
-  return excitation_key(gate, a.transistor) ==
-         excitation_key(gate, b.transistor);
+  return a.gate_index == b.gate_index &&
+         obd_facts(c, a).class_id == obd_facts(c, b).class_id;
 }
 
 CollapsedFaults collapse_obd_faults(const Circuit& c,
@@ -33,21 +18,17 @@ CollapsedFaults collapse_obd_faults(const Circuit& c,
   CollapsedFaults out;
   out.original_count = faults.size();
   out.class_of.resize(faults.size());
-  // Group by (gate, excitation key).
-  std::map<std::pair<int, std::vector<std::uint64_t>>, std::size_t> classes;
+  // Group by (gate, class id): one flat key per fault.
+  std::unordered_map<std::uint64_t, std::size_t> classes;
   for (std::size_t i = 0; i < faults.size(); ++i) {
     const auto& f = faults[i];
-    auto key = std::make_pair(
-        f.gate_index, excitation_key(c.gate(f.gate_index), f.transistor));
-    const auto it = classes.find(key);
-    if (it != classes.end()) {
-      out.class_of[i] = it->second;
-      continue;
-    }
-    const std::size_t id = out.representatives.size();
-    classes.emplace(std::move(key), id);
-    out.representatives.push_back(f);
-    out.class_of[i] = id;
+    const std::uint64_t key =
+        (static_cast<std::uint64_t>(static_cast<std::uint32_t>(f.gate_index))
+         << 32) |
+        static_cast<std::uint32_t>(obd_facts(c, f).class_id);
+    const auto [it, fresh] = classes.emplace(key, out.representatives.size());
+    if (fresh) out.representatives.push_back(f);
+    out.class_of[i] = it->second;
   }
   return out;
 }

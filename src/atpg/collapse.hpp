@@ -11,7 +11,11 @@
 //
 // collapse_obd_faults() keeps one representative per equivalence class.
 // For a NAND-k this halves the NMOS list (k -> 1) while all PMOS faults
-// stay distinct — mirroring the paper's input-specificity result.
+// stay distinct — mirroring the paper's input-specificity result. The
+// excitation sets are never rebuilt here: the per-cell OBD table
+// (obd_cell, atpg/goals.hpp) gives each transistor a class id that is equal
+// exactly when two excitation sets are, so a fault's class is the flat key
+// (gate, class id).
 #pragma once
 
 #include "atpg/faults.hpp"

@@ -1,5 +1,7 @@
 #include "atpg/faults.hpp"
 
+#include "atpg/goals.hpp"
+
 namespace obd::atpg {
 
 std::vector<StuckFault> enumerate_stuck_faults(const Circuit& c) {
@@ -31,9 +33,8 @@ std::vector<ObdFaultSite> enumerate_obd_faults(const Circuit& c,
     if (nand_only && g.type != logic::GateType::kNand2 &&
         g.type != logic::GateType::kNand3 && g.type != logic::GateType::kNand4)
       continue;
-    const auto topo = logic::gate_topology(g.type);
-    for (const auto& t : topo->transistors())
-      out.push_back({static_cast<int>(gi), t});
+    for (const ObdTransistor& t : obd_cell(g.type)->transistors)
+      out.push_back({static_cast<int>(gi), t.transistor});
   }
   return out;
 }

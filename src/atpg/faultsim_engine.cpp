@@ -6,7 +6,7 @@
 #include <cassert>
 #include <thread>
 
-#include "core/excitation.hpp"
+#include "atpg/goals.hpp"
 #include "logic/laneblock.hpp"
 #include "obs/trace.hpp"
 
@@ -262,26 +262,6 @@ void FaultSimEngine::block_transition(const PatternBlock& b,
   }
 }
 
-const std::array<std::uint16_t, 16>& FaultSimEngine::obd_table(
-    logic::GateType t, const cells::TransistorRef& tr) {
-  const auto key = std::make_tuple(static_cast<int>(t), tr.pmos, tr.input);
-  auto it = obd_tables_.find(key);
-  if (it != obd_tables_.end()) return it->second;
-  std::array<std::uint16_t, 16> table{};
-  const auto topo = logic::gate_topology(t);
-  if (topo.has_value()) {
-    const int n_vec = 1 << topo->num_inputs;
-    for (int v1 = 0; v1 < n_vec; ++v1)
-      for (int v2 = 0; v2 < n_vec; ++v2)
-        if (core::excites_obd(*topo, tr,
-                              cells::TwoVector{static_cast<std::uint32_t>(v1),
-                                               static_cast<std::uint32_t>(v2)}))
-          table[static_cast<std::size_t>(v1)] |=
-              static_cast<std::uint16_t>(1u << v2);
-  }
-  return obd_tables_.emplace(key, table).first->second;
-}
-
 namespace {
 
 /// The 2^n minterm words of n input words: bit k of m[v] is set when the
@@ -310,8 +290,9 @@ void FaultSimEngine::block_obd(const PatternBlock& b,
   for (std::size_t i = 0; i < faults.size(); ++i) {
     const ObdFaultSite& f = faults[i];
     const auto& g = c_.gate(f.gate_index);
-    if (!logic::is_primitive_cmos(g.type)) continue;
-    const auto& table = obd_table(g.type, f.transistor);
+    const ObdCell* cell = obd_cell(g.type);
+    if (cell == nullptr) continue;
+    const auto& table = cell->at(f.transistor).mask;
 
     // Gross-delay: the excited gate output keeps its frame-1 value, so the
     // fault flips it where it is excited and the output switches. The
@@ -395,18 +376,32 @@ SimStats FaultSimScheduler::stats() const {
 
 namespace {
 
-/// Below this many gates x 64-lane blocks, spawning worker threads costs
-/// more than the parallel win (measured on the bench corpus: mul4x4/mul6x6-
-/// class shapes regressed to ~0.9x at 2 threads, c880-class and up still
-/// profit).
-constexpr std::size_t kSerialGateBlockThreshold = 8192;
+/// Below these many gates x 64-lane blocks a call runs on one worker:
+/// extra workers cost more than they win there. Swept twice on a 4-core
+/// Xeon VM (Release, OBD on the decomposed corpus, min of 5-21 runs per
+/// shape, 4 workers against 1):
+///  - a matrix's workers shard whole blocks. From 2^15 gate-blocks they won
+///    on 22 of 24 shapes (c7552 with 700 tests, 33 979: 0.42x; c2670 with
+///    8 192, 273 280: 0.45x) and lost on c2670 with 2 048 tests (68 320:
+///    1.18x) and c880 with 4 096 (49 024: 1.16x). Below it results were
+///    mixed, and the campaigns' own matrices lost (c880 400 tests: 1.87x,
+///    c2670 371 tests: 1.74x);
+///  - a campaign's workers each good-evaluate every block they walk for
+///    their own fault words. Over 2 048-262 144 pairs on c880, c2670,
+///    c7552 and mul10 they took 0.56x-2.08x with no trend in gate-blocks
+///    (c2670 262 144 pairs, 8 744 960: 1.26x; mul10 2 048 pairs read 1.40x
+///    and 0.56x in the two sweeps), so the gate sits above every shape.
+constexpr std::size_t kSerialMatrixGateBlocks = std::size_t{1} << 15;
+constexpr std::size_t kSerialCampaignGateBlocks = std::size_t{1} << 24;
 
 }  // namespace
 
-int FaultSimScheduler::pattern_workers(std::size_t n_blocks) const {
+int FaultSimScheduler::pattern_workers(Call call, std::size_t n_blocks) const {
+  const std::size_t gate = call == Call::kMatrix ? kSerialMatrixGateBlocks
+                                                 : kSerialCampaignGateBlocks;
   const int w = static_cast<int>(
       std::min<std::size_t>(static_cast<std::size_t>(opt_.threads), n_blocks));
-  if (w > 1 && c_.num_gates() * n_blocks < kSerialGateBlockThreshold) return 1;
+  if (w > 1 && c_.num_gates() * n_blocks < gate) return 1;
   return w;
 }
 
@@ -466,7 +461,7 @@ DetectionMatrix FaultSimScheduler::build_matrix(
   // Shard whole blocks: block b owns rows [capacity * b, + size).
   const std::size_t n64 = (tests.size() + PatternBlock::kLanes - 1) /
                           PatternBlock::kLanes;
-  const int workers = pattern_workers(n64);
+  const int workers = pattern_workers(Call::kMatrix, n64);
   const int words = block_lanes(tests.size(), workers) / PatternBlock::kLanes;
   const std::vector<PatternBlock> blocks = PatternBlock::pack(c_, tests, words);
   const auto W = static_cast<std::size_t>(words);
@@ -534,7 +529,9 @@ FaultSimEngine::Campaign FaultSimScheduler::run_campaign(
   const std::vector<PatternBlock> blocks = PatternBlock::pack(c_, tests);
   const std::size_t n_words = (faults.size() + 63) / 64;
   const int workers = static_cast<int>(std::min<std::size_t>(
-      static_cast<std::size_t>(pattern_workers(blocks.size())), n_words));
+      static_cast<std::size_t>(
+          pattern_workers(Call::kCampaign, blocks.size())),
+      n_words));
   add_engines(workers);
   // Built here, before the workers start; a worker only shrinks its own.
   // Cache-line aligned: each worker rewrites its stripe's sizes and counters

@@ -21,14 +21,15 @@
 //     evaluates only gates with a changed input and short-circuits when the
 //     frontier empties before reaching a PO. Both are memoized per net per
 //     block, so every fault of an FFR shares one propagation per block;
-//   - OBD excitation is bit-sliced from a per-(gate type, transistor) table
-//     over local two-vectors: the OR of the table's (v1, v2) minterms over
-//     AND-ed gate-input words, so input-specific conditions cost a few word
-//     operations instead of a topology walk.
+//   - OBD excitation is bit-sliced from the transistor's (v1 -> v2) mask in
+//     the process-wide cell table (obd_cell, atpg/goals.hpp): the OR of the
+//     mask's minterms over AND-ed gate-input words, so input-specific
+//     conditions cost a few word operations instead of a topology walk.
 //
 // FaultSimEngine is a per-block kernel: it simulates one PatternBlock
 // against the fault list it is handed and keeps no state across blocks
-// beyond its scratch, counters and excitation tables. FaultSimScheduler is
+// beyond its scratch and counters; it derives no excitation facts of its
+// own, so a new worker engine has no table to fill. FaultSimScheduler is
 // the only loop over blocks, on a small std::thread pool with one engine per
 // worker. Matrices shard whole blocks across the workers. Fault-dropping
 // campaigns shard the fault list instead: each worker owns stripes of
@@ -44,12 +45,9 @@
 #pragma once
 
 #include <algorithm>
-#include <array>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <new>
-#include <tuple>
 
 #include "atpg/faults.hpp"
 #include "atpg/patterns.hpp"
@@ -143,6 +141,11 @@ struct DetectionMatrix {
   std::size_t row_count(std::size_t test) const;
 };
 
+/// Precondition: every net the circuit reads (a gate input or a PO) is a PI
+/// or a gate output. The engine would read an undriven net as 0 and detect
+/// its stuck-at-1, where the legacy simulators, Circuit::eval_words and
+/// eval3 never force it and PODEM's backtrace cannot set it; campaigns
+/// refuse such a circuit when they build their view.
 class FaultSimEngine {
  public:
   /// Builds the circuit's FFR stem and fanout-cone tables if they are not
@@ -207,10 +210,6 @@ class FaultSimEngine {
   /// behind the walk (the frontier fence). `diff` (W words) gets the OR over
   /// POs of (faulty ^ good).
   void propagate(NetId stem, std::uint64_t* diff);
-  /// 2^n x 2^n excitation table for (gate type, transistor): row bit v2 of
-  /// entry v1 set when (v1 -> v2) excites the OBD defect.
-  const std::array<std::uint16_t, 16>& obd_table(logic::GateType t,
-                                                 const cells::TransistorRef& tr);
 
   const Circuit& c_;
   std::vector<int> gate_level_;                  // gate -> logic level
@@ -227,8 +226,6 @@ class FaultSimEngine {
   long long* frontier_events_ = nullptr;
   long long* frontier_gate_evals_ = nullptr;
   long long* frontier_early_exits_ = nullptr;
-  std::map<std::tuple<int, bool, int>, std::array<std::uint16_t, 16>>
-      obd_tables_;
   // The current block's width in words.
   std::size_t W_ = 1;
   // Lane-strided per-net scratch (W words per net for the current block;
@@ -296,9 +293,12 @@ struct SimStats {
 /// w + workers, ...; it walks every block in order and drops each of its
 /// faults at that fault's first detection, so first_test, detected and
 /// fault_block_evals are the one-worker campaign's at any thread count.
-/// Small shapes (gates x 64-lane blocks below a measured threshold) run
-/// single-threaded regardless of `threads` — the thread-spawn tax exceeds
-/// the parallel win there.
+/// Small shapes (gates x 64-lane blocks below a threshold measured per call
+/// kind) run single-threaded regardless of `threads` — extra workers cost
+/// more than they win there. Matrix workers pay from about 2^15 gate-blocks;
+/// campaign workers each good-evaluate every block they walk and showed no
+/// reliable win at any measured corpus shape, so campaigns stay on one
+/// worker below 2^24.
 ///
 /// Block width is a property of each call, not a setting: campaigns pack
 /// 64 lanes, matrices follow block_lanes.
@@ -326,12 +326,15 @@ class FaultSimScheduler {
   /// first_test and fault_block_evals do not.
   obs::Sheet merged_metrics() const;
 
-  /// Workers a call with this many 64-lane blocks actually uses:
-  /// min(threads, blocks), gated to 1 when gates x blocks falls below a
-  /// measured threshold — there the thread-spawn tax exceeds any parallel
+  /// The two kinds of call; each has its own measured serial gate.
+  enum class Call { kMatrix, kCampaign };
+
+  /// Workers a call of this kind with this many 64-lane blocks actually
+  /// uses: min(threads, blocks), gated to 1 when gates x blocks falls below
+  /// the kind's measured threshold — there extra workers cost more than they
   /// win, so the call runs inline. A campaign further caps it at its number
   /// of fault words.
-  int pattern_workers(std::size_t n_blocks) const;
+  int pattern_workers(Call call, std::size_t n_blocks) const;
 
   /// Pattern lanes per block of a detection matrix over `n_tests` tests
   /// whose 64-lane blocks run on `workers` workers (pattern_workers). One

@@ -70,6 +70,8 @@ struct PodemResult {
 struct NetConstraint {
   NetId net = logic::kNoNet;
   bool value = false;
+
+  bool operator==(const NetConstraint&) const = default;
 };
 
 /// Generates a test for a stuck-at fault (activation + propagation to a PO).

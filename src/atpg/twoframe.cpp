@@ -1,5 +1,7 @@
 #include "atpg/twoframe.hpp"
 
+#include <algorithm>
+
 namespace obd::atpg {
 
 TwoFrameResult generate_test(const Circuit& c,
@@ -8,24 +10,46 @@ TwoFrameResult generate_test(const Circuit& c,
   TwoFrameResult result;
   bool any_aborted = false;
   AbortReason abort_reason = AbortReason::kNone;
-  auto tally = [&](const PodemResult& r) {
-    result.backtracks += r.backtracks;
-    result.implications += r.implications;
+  auto note_abort = [&](const PodemResult& r) {
     if (r.status != PodemStatus::kAborted) return;
     any_aborted = true;
     if (abort_reason != AbortReason::kTime) abort_reason = r.reason;
   };
+  auto tally = [&](const PodemResult& r) {
+    result.backtracks += r.backtracks;
+    result.implications += r.implications;
+    note_abort(r);
+  };
+  // Capture frames searched so far. A search depends only on its frame, so
+  // a goal repeating an earlier goal's frame (a NAND-k NMOS site's 2^k - 1
+  // goals share one) reuses that result: the outcome is the goal-by-goal
+  // loop's, at the cost of one search per distinct frame.
+  std::vector<std::pair<const FrameGoal*, PodemResult>> searched;
+  searched.reserve(goals.size());
   for (const TwoFrameGoal& goal : goals) {
     // Frame 2: the goal's pins hold in the good circuit while the faulty
     // circuit sees the forced net at its stuck value.
-    const StuckFault& forced = *goal.fault_frame.fault;
-    const PodemResult f2 = podem_constrained_fault(
-        c, goal.fault_frame.constraints, forced.net, forced.value, opt);
-    tally(f2);
-    if (f2.status != PodemStatus::kFound) continue;
+    const FrameGoal& frame = goal.fault_frame;
+    const auto seen =
+        std::find_if(searched.begin(), searched.end(),
+                     [&](const auto& s) { return *s.first == frame; });
+    const PodemResult* f2 = nullptr;
+    if (seen != searched.end()) {
+      f2 = &seen->second;
+      note_abort(*f2);
+    } else {
+      const StuckFault& forced = *frame.fault;
+      f2 = &searched
+                .emplace_back(&frame, podem_constrained_fault(
+                                          c, frame.constraints, forced.net,
+                                          forced.value, opt))
+                .second;
+      tally(*f2);
+    }
+    if (f2->status != PodemStatus::kFound) continue;
 
     // Frame 1: justify the launch vector (single-frame goals reuse v2).
-    InputVec v1 = f2.vector.bits;
+    InputVec v1 = f2->vector.bits;
     if (goal.justify_frame) {
       const PodemResult f1 =
           podem_justify(c, goal.justify_frame->constraints, opt);
@@ -35,7 +59,7 @@ TwoFrameResult generate_test(const Circuit& c,
     }
 
     result.status = PodemStatus::kFound;
-    result.test = TwoVectorTest{v1, f2.vector.bits};
+    result.test = TwoVectorTest{v1, f2->vector.bits};
     return result;
   }
   result.status =

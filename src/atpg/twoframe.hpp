@@ -1,8 +1,9 @@
 // Two-vector test generation for dynamic faults: one PODEM loop over a
 // fault's goal list (atpg/goals.hpp), run frame 2 first, then frame 1, goal
-// by goal, plus the whole-fault-list runs the paper benches use. Those
-// run_*_atpg drivers are plain per-fault loops; a random prepass runs only
-// in the campaign executor (flow/campaign.hpp).
+// by goal, searching each distinct capture frame once, plus the
+// whole-fault-list runs the paper benches use. Those run_*_atpg drivers are
+// plain per-fault loops; a random prepass runs only in the campaign
+// executor (flow/campaign.hpp).
 #pragma once
 
 #include "atpg/goals.hpp"
@@ -25,7 +26,10 @@ struct TwoFrameResult {
 /// goals) PODEM justification of the launch frame; the first goal with both
 /// frames found is the test. Untestable when every goal is refuted, aborted
 /// when some search aborted and none found a test. A single-frame goal's
-/// test applies its one vector as v1 == v2.
+/// test applies its one vector as v1 == v2. Each distinct fault (capture)
+/// frame is searched once: a goal whose pins and forced net/value equal an
+/// earlier goal's reuses that search, so status, test and abort reason are
+/// the goal-by-goal loop's and only the effort counts are smaller.
 TwoFrameResult generate_test(const Circuit& c,
                              const std::vector<TwoFrameGoal>& goals,
                              const PodemOptions& opt = {});

@@ -207,6 +207,29 @@ std::vector<ObdFaultSite> collapse_obd(const logic::Circuit& core,
   return reps;
 }
 
+/// Names the first net `view` reads (a gate input or a PO) that is neither
+/// a PI nor a gate output; "" when there is none. The fault simulator would
+/// read such a net as 0 while the legacy simulators, Circuit::eval3 and
+/// PODEM's backtrace never set it, so a campaign refuses it. A sequential
+/// core's undriven present-state nets are PIs of its scan view.
+std::string undriven_read_net(const logic::Circuit& view) {
+  std::vector<std::uint8_t> is_pi(view.num_nets(), 0);
+  for (NetId pi : view.inputs()) is_pi[static_cast<std::size_t>(pi)] = 1;
+  const auto undriven = [&](NetId n) {
+    return !is_pi[static_cast<std::size_t>(n)] && view.driver_of(n) < 0;
+  };
+  for (const auto& g : view.gates())
+    for (NetId in : g.inputs)
+      if (undriven(in))
+        return "net '" + view.net_name(in) + "' is read by gate '" + g.name +
+               "' but is neither a primary input nor driven";
+  for (NetId po : view.outputs())
+    if (undriven(po))
+      return "primary output '" + view.net_name(po) +
+             "' is neither a primary input nor driven";
+  return "";
+}
+
 }  // namespace
 
 namespace detail {
@@ -275,6 +298,7 @@ CampaignContext make_context(const logic::SequentialCircuit& seq,
         logic::decompose_composites(seq));
     ctx.view = std::make_shared<const logic::Circuit>(prim->scan_view());
     ctx.error = prim->validate();
+    if (ctx.error.empty()) ctx.error = undriven_read_net(*ctx.view);
     if (!ctx.error.empty()) return ctx;
     // Core fault indices carry over: scan_view preserves gate order.
     auto data = bind_model(ctx, collapse_obd(prim->core(), ctx), opt);
@@ -311,6 +335,7 @@ CampaignContext make_context(const logic::SequentialCircuit& seq,
   ctx.view = std::make_shared<const logic::Circuit>(std::move(lowered));
   const logic::Circuit& view = *ctx.view;
   ctx.error = view.validate();
+  if (ctx.error.empty()) ctx.error = undriven_read_net(view);
   if (!ctx.error.empty()) return ctx;
 
   if (opt.random_patterns > 0) {

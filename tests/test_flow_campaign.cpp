@@ -87,11 +87,15 @@ TEST(FlowCampaign, ObdGoldenDecisionIdentity) {
   // OBD, SAT escalation, both LOC styles, stuck-at and transition. The
   // search counts of the OBD rows were recorded from the full-re-evaluation
   // PODEM engine; every hash and fault count predates the shared executor
-  // (the LOC rows' effort counts were first reported by it). sat_conflicts
-  // pins the SAT effort of the incremental session, the campaign's one
-  // escalation path, sensitized-path clauses included (c2670 took 155
-  // conflicts and mul10 21 022 with the miter alone). The fresh path that
-  // lifts every cube is pinned per fault by test_sat_atpg's
+  // (the LOC rows' effort counts were first reported by it). The four
+  // enhanced-scan OBD rows' counts then fell by exactly the effort of the
+  // capture-frame searches generate_test stopped repeating (implications /
+  // backtracks: c880 1551 / 0, c2670 1924 / 934, c2670 at budget 20
+  // 1074 / 504, mul10 860 / 346); their other columns did not move.
+  // sat_conflicts pins the SAT effort of the incremental session, the
+  // campaign's one escalation path, sensitized-path clauses included (c2670
+  // took 155 conflicts and mul10 21 022 with the miter alone). The fresh
+  // path that lifts every cube is pinned per fault by test_sat_atpg's
   // SessionMatchesFreshOnCampaignTails.
   struct Golden {
     const char* file;
@@ -111,16 +115,16 @@ TEST(FlowCampaign, ObdGoldenDecisionIdentity) {
   const ScanMode held = ScanMode::kLaunchOnCaptureHeldPi;
   for (const Golden& g : {
            Golden{"c880.bench", golden_options(obd), 0xab4af0760b18a4e0ull,
-                  175, 2077, 0, 0, 0, 12829, 78, 0},
+                  175, 2077, 0, 0, 0, 11278, 78, 0},
            Golden{"c2670.bench", golden_options(obd), 0x879931ea3ebbcb87ull,
-                  221, 5780, 48, 0, 0, 8268, 3223, 0},
+                  221, 5780, 48, 0, 0, 6344, 2289, 0},
            Golden{"c2670.bench",
                   golden_options(obd, ScanMode::kEnhanced, 20, true),
-                  0x879931ea3ebbcb87ull, 221, 5780, 1, 47, 0, 4939, 1542, 106},
+                  0x879931ea3ebbcb87ull, 221, 5780, 1, 47, 0, 3865, 1038, 106},
            // An unplanted abort tail: logic::array_multiplier(10).
            Golden{"mul10.bench",
                   golden_options(obd, ScanMode::kEnhanced, 20, true),
-                  0x05dae9c4a8c86126ull, 133, 3930, 5, 15, 0, 1763, 695, 38},
+                  0x05dae9c4a8c86126ull, 133, 3930, 5, 15, 0, 903, 349, 38},
            Golden{"s1423.bench", golden_options(obd, loc),
                   0xaf7adee893c99740ull, 49, 1333, 133, 0, 0, 1292, 507, 0},
            Golden{"s1423.bench", golden_options(obd, held),
@@ -375,6 +379,38 @@ TEST(FlowCampaign, LocScanStyleRejectsNonObdModels) {
   const CampaignReport r = run_campaign(seq, opt);
   EXPECT_FALSE(r.ok());
   EXPECT_NE(r.error.find("obd"), std::string::npos) << r.error;
+}
+
+TEST(FlowCampaign, UndrivenReadNetIsRejected) {
+  // u is read by the NAND but is neither a PI nor driven. The fault
+  // simulator would read it as 0 and detect u/sa1; the legacy simulators,
+  // eval3 and PODEM never set it. Every model refuses the circuit by name.
+  logic::Circuit c("undriven");
+  const NetId a = c.add_input("a");
+  const NetId u = c.net("u");
+  const NetId y = c.net("y");
+  c.add_gate(logic::GateType::kNand2, "g", {a, u}, y);
+  c.mark_output(y);
+  for (const FaultModel model :
+       {FaultModel::kStuck, FaultModel::kTransition, FaultModel::kObd}) {
+    CampaignOptions opt;
+    opt.model = model;
+    const CampaignReport r = run_campaign(c, opt);
+    EXPECT_FALSE(r.ok()) << to_string(model);
+    EXPECT_NE(r.error.find("net 'u'"), std::string::npos) << r.error;
+  }
+  // A sequential core's undriven present-state net is a PI of its scan
+  // view, so a scan design stays legal.
+  logic::SequentialCircuit seq(c);
+  seq.add_flop("ff", u, y);
+  for (const ScanMode style :
+       {ScanMode::kEnhanced, ScanMode::kLaunchOnCapture}) {
+    CampaignOptions opt;
+    opt.model = FaultModel::kObd;
+    opt.scan_style = style;
+    const CampaignReport r = run_campaign(seq, opt);
+    EXPECT_TRUE(r.ok()) << to_string(style) << ": " << r.error;
+  }
 }
 
 TEST(FlowCampaign, ReportJsonWellFormed) {

@@ -39,27 +39,28 @@ Circuit load_prim(const std::string& file) {
 }
 
 /// Matrix bit-identity across threads against the 1-thread matrix, which
-/// runs one 512-lane block. 300 tests are 5 64-lane blocks, enough gates x
-/// blocks on both circuits for 2 and 4 threads to run several workers:
-/// 128-lane blocks on 2, 64-lane ones on 4.
+/// runs 512-lane blocks. 1 000 tests are 16 64-lane blocks, enough gates x
+/// blocks on both circuits (past 2^15) for 2 and 4 threads to run several
+/// workers: 256-lane blocks on 2, 128-lane ones on 4.
 void sweep_threads(const std::string& file) {
   const Circuit c = load_prim(file);
   const auto faults = enumerate_obd_faults(c);
   const auto tests =
-      random_pairs(static_cast<int>(c.inputs().size()), 300, 0x1a9e5);
+      random_pairs(static_cast<int>(c.inputs().size()), 1000, 0x1a9e5);
   const std::size_t n64 = (tests.size() + 63) / 64;
+  const auto matrix = FaultSimScheduler::Call::kMatrix;
 
   FaultSimScheduler base(c, {1});
   ASSERT_EQ(FaultSimScheduler::block_lanes(tests.size(),
-                                           base.pattern_workers(n64)),
+                                           base.pattern_workers(matrix, n64)),
             512);
   const DetectionMatrix ref = base.matrix_obd(tests, faults);
   EXPECT_GT(ref.covered_count, 0) << file;
 
   for (const auto& [o, lanes] :
-       std::vector<std::pair<SimOptions, int>>{{{2}, 128}, {{4}, 64}}) {
+       std::vector<std::pair<SimOptions, int>>{{{2}, 256}, {{4}, 128}}) {
     FaultSimScheduler sched(c, o);
-    const int workers = sched.pattern_workers(n64);
+    const int workers = sched.pattern_workers(matrix, n64);
     ASSERT_EQ(workers, o.threads) << file;
     ASSERT_EQ(FaultSimScheduler::block_lanes(tests.size(), workers), lanes);
     oracle::expect_matrices_identical(ref, sched.matrix_obd(tests, faults),
