@@ -13,9 +13,10 @@
 // All set-level work runs through the FaultSimScheduler
 // (faultsim_engine.hpp), the fault simulator's only loop over pattern
 // blocks: it packs 64 to 512 patterns per block, propagates each fault
-// through its fanout cone once per block, optionally shards blocks across
-// worker threads with results bit-identical at any thread count, and always
-// drops detected faults in campaigns. The single-test functions below are
+// through its fanout cone once per block, optionally shards a detection
+// matrix's blocks across worker threads with results bit-identical at any
+// thread count, and always drops detected faults in campaigns (which run on
+// one worker). The single-test functions below are
 // one-test wrappers (a block with one live lane) kept for API compatibility,
 // except simulate_obd_x, which evaluates partially specified tests in
 // three-valued logic on Circuit::eval3; `legacy::` holds the original

@@ -376,32 +376,22 @@ SimStats FaultSimScheduler::stats() const {
 
 namespace {
 
-/// Below these many gates x 64-lane blocks a call runs on one worker:
+/// Below this many gates x 64-lane blocks a matrix runs on one worker:
 /// extra workers cost more than they win there. Swept twice on a 4-core
 /// Xeon VM (Release, OBD on the decomposed corpus, min of 5-21 runs per
-/// shape, 4 workers against 1):
-///  - a matrix's workers shard whole blocks. From 2^15 gate-blocks they won
-///    on 22 of 24 shapes (c7552 with 700 tests, 33 979: 0.42x; c2670 with
-///    8 192, 273 280: 0.45x) and lost on c2670 with 2 048 tests (68 320:
-///    1.18x) and c880 with 4 096 (49 024: 1.16x). Below it results were
-///    mixed, and the campaigns' own matrices lost (c880 400 tests: 1.87x,
-///    c2670 371 tests: 1.74x);
-///  - a campaign's workers each good-evaluate every block they walk for
-///    their own fault words. Over 2 048-262 144 pairs on c880, c2670,
-///    c7552 and mul10 they took 0.56x-2.08x with no trend in gate-blocks
-///    (c2670 262 144 pairs, 8 744 960: 1.26x; mul10 2 048 pairs read 1.40x
-///    and 0.56x in the two sweeps), so the gate sits above every shape.
+/// shape, 4 workers against 1): from 2^15 gate-blocks they won on 22 of 24
+/// shapes (c7552 with 700 tests, 33 979: 0.42x; c2670 with 8 192, 273 280:
+/// 0.45x) and lost on c2670 with 2 048 tests (68 320: 1.18x) and c880 with
+/// 4 096 (49 024: 1.16x). Below it results were mixed, and the campaigns'
+/// own matrices lost (c880 400 tests: 1.87x, c2670 371 tests: 1.74x).
 constexpr std::size_t kSerialMatrixGateBlocks = std::size_t{1} << 15;
-constexpr std::size_t kSerialCampaignGateBlocks = std::size_t{1} << 24;
 
 }  // namespace
 
-int FaultSimScheduler::pattern_workers(Call call, std::size_t n_blocks) const {
-  const std::size_t gate = call == Call::kMatrix ? kSerialMatrixGateBlocks
-                                                 : kSerialCampaignGateBlocks;
+int FaultSimScheduler::pattern_workers(std::size_t n_blocks) const {
   const int w = static_cast<int>(
       std::min<std::size_t>(static_cast<std::size_t>(opt_.threads), n_blocks));
-  if (w > 1 && c_.num_gates() * n_blocks < gate) return 1;
+  if (w > 1 && c_.num_gates() * n_blocks < kSerialMatrixGateBlocks) return 1;
   return w;
 }
 
@@ -461,7 +451,7 @@ DetectionMatrix FaultSimScheduler::build_matrix(
   // Shard whole blocks: block b owns rows [capacity * b, + size).
   const std::size_t n64 = (tests.size() + PatternBlock::kLanes - 1) /
                           PatternBlock::kLanes;
-  const int workers = pattern_workers(Call::kMatrix, n64);
+  const int workers = pattern_workers(n64);
   const int words = block_lanes(tests.size(), workers) / PatternBlock::kLanes;
   const std::vector<PatternBlock> blocks = PatternBlock::pack(c_, tests, words);
   const auto W = static_cast<std::size_t>(words);
@@ -517,63 +507,36 @@ FaultSimEngine::Campaign FaultSimScheduler::run_campaign(
   r.first_test.assign(faults.size(), -1);
   if (tests.empty() || faults.empty()) return r;
 
-  // Fault stripes: a fault word is 64 consecutive faults of the list, and
-  // worker w owns words w, w + workers, ... in a live list kept in list
-  // order. It walks every block in order and drops a fault at its first
-  // detection, so each fault is simulated on the blocks up to that one, as
-  // in a one-worker campaign, and first_test is its true first detection.
-  // A worker writes only its own faults' first_test entries. Words, not
-  // single faults: untestable faults cluster in list order, and every worker
-  // holding one walks and good-evaluates every block; a word keeps a cluster
-  // on one or two workers.
+  // One worker walks the 64-lane blocks in order and drops a fault at its
+  // first detection, so each fault is simulated on the blocks up to that
+  // one and first_test is its true first detection. Campaigns take no extra
+  // workers: a worker holding any live fault good-evaluates every block it
+  // walks, and 4 workers splitting the fault list took 0.56x-2.08x of one
+  // worker's time, with no trend in size, over 2 048-262 144 pairs on c880,
+  // c2670, c7552 and mul10 (two sweeps, 4-core Xeon VM, Release).
   const std::vector<PatternBlock> blocks = PatternBlock::pack(c_, tests);
-  const std::size_t n_words = (faults.size() + 63) / 64;
-  const int workers = static_cast<int>(std::min<std::size_t>(
-      static_cast<std::size_t>(
-          pattern_workers(Call::kCampaign, blocks.size())),
-      n_words));
-  add_engines(workers);
-  // Built here, before the workers start; a worker only shrinks its own.
-  // Cache-line aligned: each worker rewrites its stripe's sizes and counters
-  // every block.
-  struct alignas(64) Stripe {
-    std::vector<Fault> live;
-    std::vector<std::size_t> index;  // live[i] is faults[index[i]]
-    std::vector<std::uint64_t> detect;
-    int detected = 0;
-    long long evals = 0;
-  };
-  std::vector<Stripe> stripes(static_cast<std::size_t>(workers));
-  for (std::size_t f = 0; f < faults.size(); ++f) {
-    Stripe& s = stripes[(f / 64) % static_cast<std::size_t>(workers)];
-    s.live.push_back(faults[f]);
-    s.index.push_back(f);
-  }
-  for (Stripe& s : stripes) s.detect.reserve(s.live.size());
-  run_workers(workers, "campaign", [&](int w) {
-    Stripe& s = stripes[static_cast<std::size_t>(w)];
-    for (std::size_t b = 0; b < blocks.size() && !s.live.empty(); ++b) {
-      (engine(w).*block_fn)(blocks[b], s.live, s.detect);
-      s.evals += static_cast<long long>(s.live.size());
-      const int base = static_cast<int>(b) * PatternBlock::kLanes;
-      std::size_t kept = 0;
-      for (std::size_t i = 0; i < s.live.size(); ++i) {
-        if (s.detect[i]) {
-          // A block word's lowest set bit is its first detecting test.
-          r.first_test[s.index[i]] = base + std::countr_zero(s.detect[i]);
-          ++s.detected;
-        } else {
-          s.live[kept] = s.live[i];
-          s.index[kept++] = s.index[i];
-        }
+  std::vector<Fault> live = faults;
+  std::vector<std::size_t> index(faults.size());  // live[i] is faults[index[i]]
+  for (std::size_t f = 0; f < index.size(); ++f) index[f] = f;
+  std::vector<std::uint64_t> detect;
+  FaultSimEngine& e = engine(0);
+  for (std::size_t b = 0; b < blocks.size() && !live.empty(); ++b) {
+    (e.*block_fn)(blocks[b], live, detect);
+    r.fault_block_evals += static_cast<long long>(live.size());
+    const int base = static_cast<int>(b) * PatternBlock::kLanes;
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < live.size(); ++i) {
+      if (detect[i]) {
+        // A block word's lowest set bit is its first detecting test.
+        r.first_test[index[i]] = base + std::countr_zero(detect[i]);
+        ++r.detected;
+      } else {
+        live[kept] = live[i];
+        index[kept++] = index[i];
       }
-      s.live.resize(kept);
-      s.index.resize(kept);
     }
-  });
-  for (const Stripe& s : stripes) {
-    r.detected += s.detected;
-    r.fault_block_evals += s.evals;
+    live.resize(kept);
+    index.resize(kept);
   }
   return r;
 }

@@ -30,15 +30,14 @@
 // against the fault list it is handed and keeps no state across blocks
 // beyond its scratch and counters; it derives no excitation facts of its
 // own, so a new worker engine has no table to fill. FaultSimScheduler is
-// the only loop over blocks, on a small std::thread pool with one engine per
-// worker. Matrices shard whole blocks across the workers. Fault-dropping
-// campaigns shard the fault list instead: each worker owns stripes of
-// 64-fault words, walks every block in order and drops a fault at its first
-// detection, so late blocks only pay for the hard remainder. Engines are
-// created per call, on the caller's thread, for the workers that call uses;
-// all of them read the circuit's one stem and cone tables. A fault's first
-// detection depends on no other fault, so campaigns are bit-identical at any
-// thread count, and detection matrices at any thread count and width.
+// the only loop over blocks. Detection matrices shard whole blocks over a
+// small std::thread pool with one engine per worker; engines are created
+// per call, on the caller's thread, for the workers that call uses, and all
+// of them read the circuit's one stem and cone tables. Fault-dropping
+// campaigns run on one worker, which walks every block in order and drops a
+// fault at its first detection, so late blocks only pay for the hard
+// remainder. Detection matrices are bit-identical at any thread count and
+// width.
 //
 // The set-level entry points in faultsim.hpp are thin wrappers over the
 // scheduler.
@@ -278,34 +277,30 @@ struct SimStats {
   long long frontier_early_exits = 0;
 };
 
-/// Schedules fault-simulation calls as pattern blocks over a worker pool.
+/// Schedules fault-simulation calls as pattern blocks: detection matrices
+/// over a worker pool, fault-dropping campaigns on one worker.
 /// (SimOptions lives in patterns.hpp.)
 ///
 /// The fault simulator's only loop over pattern blocks: every matrix and
 /// every campaign runs here, and campaigns always drop detected faults.
 ///
-/// Determinism contract: matrices and campaigns are bit-identical across
-/// thread counts and block widths (the randomized oracle harness in
-/// tests/oracle_common.hpp enforces this against the legacy scalar
-/// simulators). Matrix workers shard whole pattern blocks (matrix rows are
-/// disjoint per block). Campaign workers shard fault words: a fault word is
-/// 64 consecutive faults of the call's list, and worker w owns words w,
-/// w + workers, ...; it walks every block in order and drops each of its
-/// faults at that fault's first detection, so first_test, detected and
-/// fault_block_evals are the one-worker campaign's at any thread count.
-/// Small shapes (gates x 64-lane blocks below a threshold measured per call
-/// kind) run single-threaded regardless of `threads` — extra workers cost
-/// more than they win there. Matrix workers pay from about 2^15 gate-blocks;
-/// campaign workers each good-evaluate every block they walk and showed no
-/// reliable win at any measured corpus shape, so campaigns stay on one
-/// worker below 2^24.
+/// Determinism contract: matrices are bit-identical across thread counts and
+/// block widths, and campaigns do not depend on `threads` at all (the
+/// randomized oracle harness in tests/oracle_common.hpp pins both to the
+/// legacy scalar simulators). Matrix workers shard whole pattern blocks
+/// (matrix rows are disjoint per block). Small matrices (gates x 64-lane
+/// blocks below a measured threshold, 2^15) run single-threaded regardless
+/// of `threads` — extra workers cost more than they win there. Campaigns
+/// always run on one worker: any worker that holds a live fault must
+/// good-evaluate every block it walks, and splitting the fault list over
+/// workers showed no reliable win at any measured shape.
 ///
 /// Block width is a property of each call, not a setting: campaigns pack
 /// 64 lanes, matrices follow block_lanes.
 ///
 /// Engines follow the workers a call uses, never the `threads` knob alone:
 /// the constructor builds engine 0 (warming the circuit's lazy caches), and
-/// each call adds the engines its workers need, on the caller's thread,
+/// each matrix adds the engines its workers need, on the caller's thread,
 /// before any worker starts.
 class FaultSimScheduler {
  public:
@@ -320,21 +315,14 @@ class FaultSimScheduler {
   /// Worker sheets folded in engine-index order, plus the stem-only cone
   /// table's size as `sim.cone_peak_bytes` — deterministic totals for a
   /// given configuration. A matrix's are the same at any thread count of
-  /// the same block width. A campaign's depend on how its fault words split
-  /// each FFR across workers (each worker propagates a stem once per block
-  /// for its own faults), so they may differ between thread counts;
-  /// first_test and fault_block_evals do not.
+  /// the same block width; a campaign's are the same at any thread count.
   obs::Sheet merged_metrics() const;
 
-  /// The two kinds of call; each has its own measured serial gate.
-  enum class Call { kMatrix, kCampaign };
-
-  /// Workers a call of this kind with this many 64-lane blocks actually
+  /// Workers a detection matrix with this many 64-lane blocks actually
   /// uses: min(threads, blocks), gated to 1 when gates x blocks falls below
-  /// the kind's measured threshold — there extra workers cost more than they
-  /// win, so the call runs inline. A campaign further caps it at its number
-  /// of fault words.
-  int pattern_workers(Call call, std::size_t n_blocks) const;
+  /// the measured threshold — there extra workers cost more than they win,
+  /// so the call runs inline.
+  int pattern_workers(std::size_t n_blocks) const;
 
   /// Pattern lanes per block of a detection matrix over `n_tests` tests
   /// whose 64-lane blocks run on `workers` workers (pattern_workers). One
@@ -355,8 +343,8 @@ class FaultSimScheduler {
                              const std::vector<ObdFaultSite>& faults);
 
   // --- Fault-dropping campaigns -----------------------------------------
-  // A fault leaves its worker's live list at its first detection; first_test
-  // is that detection's test index.
+  // One worker; a fault leaves the live list at its first detection, and
+  // first_test is that detection's test index.
   FaultSimEngine::Campaign campaign_stuck(const std::vector<InputVec>& patterns,
                                           const std::vector<StuckFault>& faults);
   FaultSimEngine::Campaign campaign_transition(
@@ -380,7 +368,7 @@ class FaultSimScheduler {
                                         const std::vector<Fault>& faults,
                                         BlockFn<Fault> block_fn);
 
-  /// Creates engines until there is one per worker of a call; runs on the
+  /// Creates engines until there is one per worker of a matrix; runs on the
   /// caller's thread before the workers start.
   void add_engines(int workers);
   FaultSimEngine& engine(int worker) { return *engines_[static_cast<std::size_t>(worker)]; }

@@ -66,10 +66,10 @@ std::vector<TwoVectorTest> consecutive_pairs(
 /// options structs like PodemOptions can name it without pulling in the
 /// engine.
 struct SimOptions {
-  /// Worker threads for sharding pattern blocks; 1 runs inline on the
-  /// calling thread. Results are bit-identical at any count. The block
-  /// width is not a knob: the scheduler picks it per call
-  /// (FaultSimScheduler::block_lanes).
+  /// Worker threads for sharding a detection matrix's pattern blocks; 1
+  /// runs inline on the calling thread, and so do campaigns at any count.
+  /// Results are bit-identical at any count. The block width is not a
+  /// knob: the scheduler picks it per call (FaultSimScheduler::block_lanes).
   int threads = 1;
 };
 

@@ -20,10 +20,11 @@ TwoFrameResult generate_test(const Circuit& c,
     result.implications += r.implications;
     note_abort(r);
   };
-  // Capture frames searched so far. A search depends only on its frame, so
-  // a goal repeating an earlier goal's frame (a NAND-k NMOS site's 2^k - 1
-  // goals share one) reuses that result: the outcome is the goal-by-goal
-  // loop's, at the cost of one search per distinct frame.
+  // Capture frames searched so far. A search depends only on its frame (and,
+  // under a time budget, the clock), so a goal repeating an earlier goal's
+  // frame (a NAND-k NMOS site's 2^k - 1 goals share one) reuses that result:
+  // without a time budget the outcome is the goal-by-goal loop's, at the
+  // cost of one search per distinct frame.
   std::vector<std::pair<const FrameGoal*, PodemResult>> searched;
   searched.reserve(goals.size());
   for (const TwoFrameGoal& goal : goals) {

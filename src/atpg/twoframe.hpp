@@ -28,8 +28,12 @@ struct TwoFrameResult {
 /// when some search aborted and none found a test. A single-frame goal's
 /// test applies its one vector as v1 == v2. Each distinct fault (capture)
 /// frame is searched once: a goal whose pins and forced net/value equal an
-/// earlier goal's reuses that search, so status, test and abort reason are
-/// the goal-by-goal loop's and only the effort counts are smaller.
+/// earlier goal's reuses that search. With no per-search time budget
+/// (opt.time_budget_s == 0, the default) status, test and abort reason are
+/// the goal-by-goal loop's and only the effort counts are smaller. With a
+/// budget, a frame whose search ran out of time is not searched again for
+/// the later goals that share it, where the goal-by-goal loop gave each of
+/// them a fresh budget.
 TwoFrameResult generate_test(const Circuit& c,
                              const std::vector<TwoFrameGoal>& goals,
                              const PodemOptions& opt = {});

@@ -46,7 +46,7 @@ struct CampaignOptions {
   /// pins PI2 == PI1) and run the two-frame scan ATPG — OBD model only.
   /// Ignored for purely combinational designs.
   atpg::ScanMode scan_style = atpg::ScanMode::kEnhanced;
-  /// Worker threads for every fault-sim call.
+  /// Worker threads for the detection matrices (campaigns run on one).
   atpg::SimOptions sim;
   /// Random patterns (or two-vector pairs) in the fault-dropping prepass;
   /// 0 goes straight to the deterministic search.

@@ -141,8 +141,7 @@ inline long long serial_block_evals(const std::vector<int>& first,
 /// A campaign against the legacy matrix of the same tests: first_test is
 /// each fault's first detecting row, detected is covered_count, and the
 /// call does exactly the dropping work serial_block_evals implies over
-/// 64-lane blocks at any thread count (each worker drops its own faults at
-/// their first detections).
+/// 64-lane blocks at any thread count.
 inline void expect_campaign_matches(const DetectionMatrix& ref,
                                     const FaultSimEngine::Campaign& got,
                                     const std::string& label) {

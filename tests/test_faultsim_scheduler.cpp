@@ -1,6 +1,6 @@
-// FaultSimScheduler: block sharding for matrices, fault-word stripes for
-// fault-dropping campaigns, and the X-aware (3-valued) detection path — all
-// pinned to the legacy scalar oracle by the randomized harness.
+// FaultSimScheduler: block sharding for matrices, one-worker fault-dropping
+// campaigns, and the X-aware (3-valued) detection path — all pinned to the
+// legacy scalar oracle by the randomized harness.
 #include <gtest/gtest.h>
 
 #include "atpg/atpg.hpp"
@@ -55,30 +55,23 @@ TEST(Scheduler, ThreadCountDoesNotChangeDropWorkAccounting) {
 }
 
 TEST(Scheduler, SmallShapesAutoSerialize) {
-  // Below a call kind's gates x 64-lane blocks threshold the scheduler runs
-  // inline regardless of the thread knob; past it the requested workers
-  // engage (capped by the block count). Matrices cross at 2^15 gate-blocks,
-  // campaigns at 2^24.
-  using Call = FaultSimScheduler::Call;
+  // Below 2^15 gates x 64-lane blocks a matrix runs inline regardless of
+  // the thread knob; past it the requested workers engage (capped by the
+  // block count).
   const Circuit c = logic::c17();  // 6 gates: always sub-threshold
   FaultSimScheduler sched(c, {4});
-  for (const Call call : {Call::kMatrix, Call::kCampaign}) {
-    EXPECT_EQ(sched.pattern_workers(call, 4), 1);
-    EXPECT_EQ(sched.pattern_workers(call, 100), 1);
-  }
+  EXPECT_EQ(sched.pattern_workers(4), 1);
+  EXPECT_EQ(sched.pattern_workers(100), 1);
 
   const Circuit big = logic::array_multiplier(6);  // 444 gates
   ASSERT_EQ(big.num_gates(), 444u);
   FaultSimScheduler bsched(big, {4});
-  EXPECT_EQ(bsched.pattern_workers(Call::kMatrix, 74), 4);  // 32 856 >= 2^15
-  EXPECT_EQ(bsched.pattern_workers(Call::kMatrix, 73), 1);  // 32 412: inline
-  EXPECT_EQ(bsched.pattern_workers(Call::kCampaign, 73), 1);
-  EXPECT_EQ(bsched.pattern_workers(Call::kCampaign, 37787), 4);  // >= 2^24
-  EXPECT_EQ(bsched.pattern_workers(Call::kCampaign, 37786), 1);
+  EXPECT_EQ(bsched.pattern_workers(74), 4);  // 32 856 >= 2^15
+  EXPECT_EQ(bsched.pattern_workers(73), 1);  // 32 412: inline
   // Past the gate the block count caps the workers.
   FaultSimScheduler tsched(big, {100});
-  EXPECT_EQ(tsched.pattern_workers(Call::kMatrix, 74), 74);
-  EXPECT_EQ(tsched.pattern_workers(Call::kMatrix, 73), 1);
+  EXPECT_EQ(tsched.pattern_workers(74), 74);
+  EXPECT_EQ(tsched.pattern_workers(73), 1);
 }
 
 TEST(Scheduler, BlockLanesFollowTestsAndWorkers) {
@@ -108,53 +101,6 @@ TEST(Scheduler, BlockLanesFollowTestsAndWorkers) {
   }
 }
 
-TEST(Scheduler, FaultStripesMatchOneThreadAboveSerialThreshold) {
-  // A campaign runs on several workers only from 2^24 gates x 64-lane
-  // blocks. mul4x4 plus a dangling 16 384-inverter chain on one PI, with
-  // 65 536 tests (1 024 blocks), is past that gate, so these campaigns
-  // really split their fault words over several workers; each must
-  // reproduce the one-thread campaign (which the oracle sweep pins to the
-  // legacy matrices) exactly, dropping work included. The faults are the
-  // multiplier's OBD faults the one-thread campaign detects, so workers
-  // drop them all within the first blocks instead of walking all 1 024.
-  // The 100- and 64-fault prefixes leave more workers than fault words (a
-  // full word plus a partial one, and a single word).
-  using Call = FaultSimScheduler::Call;
-  Circuit c = logic::array_multiplier(4);
-  const auto multiplier = enumerate_obd_faults(c);
-  NetId tail = c.inputs().front();
-  for (int k = 0; k < 16384; ++k) {
-    const NetId next = c.net("pad" + std::to_string(k));
-    c.add_gate(logic::GateType::kInv, "pad" + std::to_string(k), {tail}, next);
-    tail = next;
-  }
-  const auto tests =
-      random_pairs(static_cast<int>(c.inputs().size()), 65536, 0x5c4ed007);
-  const std::size_t blocks = tests.size() / PatternBlock::kLanes;
-  const auto first = FaultSimScheduler(c).campaign_obd(tests, multiplier);
-  std::vector<ObdFaultSite> all;
-  for (std::size_t f = 0; f < multiplier.size(); ++f)
-    if (first.first_test[f] >= 0) all.push_back(multiplier[f]);
-  ASSERT_GT(all.size(), 4u * 64u);
-  for (const std::size_t n : {all.size(), std::size_t{100}, std::size_t{64}}) {
-    const std::vector<ObdFaultSite> faults(
-        all.begin(), all.begin() + static_cast<std::ptrdiff_t>(n));
-    const auto ref = FaultSimScheduler(c).campaign_obd(tests, faults);
-    ASSERT_EQ(ref.detected, static_cast<int>(n));
-    for (int threads : {2, 4}) {
-      const std::string label = std::to_string(n) + " faults, " +
-                                std::to_string(threads) + " threads";
-      FaultSimScheduler sched(c, {threads});
-      ASSERT_EQ(sched.pattern_workers(Call::kCampaign, blocks), threads)
-          << label;
-      const auto got = sched.campaign_obd(tests, faults);
-      EXPECT_EQ(got.first_test, ref.first_test) << label;
-      EXPECT_EQ(got.detected, ref.detected) << label;
-      EXPECT_EQ(got.fault_block_evals, ref.fault_block_evals) << label;
-    }
-  }
-}
-
 TEST(Scheduler, ConeTableCountedOnceAtAnyThreadCount) {
   // Every worker reads the circuit's one fanout-cone table, so the cone
   // bytes a 4-worker matrix reports are the 1-worker figure: the table's
@@ -170,9 +116,7 @@ TEST(Scheduler, ConeTableCountedOnceAtAnyThreadCount) {
   FaultSimScheduler one(c, {1});
   const DetectionMatrix ref = one.matrix_obd(tests, faults);
   FaultSimScheduler four(c, {4});
-  ASSERT_EQ(four.pattern_workers(FaultSimScheduler::Call::kMatrix,
-                                 tests.size() / PatternBlock::kLanes),
-            4);
+  ASSERT_EQ(four.pattern_workers(tests.size() / PatternBlock::kLanes), 4);
   oracle::expect_matrices_identical(ref, four.matrix_obd(tests, faults),
                                     "c2670, 4 workers");
   EXPECT_GT(one.stats().cone_peak_bytes, 0u);

@@ -48,11 +48,10 @@ void sweep_threads(const std::string& file) {
   const auto tests =
       random_pairs(static_cast<int>(c.inputs().size()), 1000, 0x1a9e5);
   const std::size_t n64 = (tests.size() + 63) / 64;
-  const auto matrix = FaultSimScheduler::Call::kMatrix;
 
   FaultSimScheduler base(c, {1});
   ASSERT_EQ(FaultSimScheduler::block_lanes(tests.size(),
-                                           base.pattern_workers(matrix, n64)),
+                                           base.pattern_workers(n64)),
             512);
   const DetectionMatrix ref = base.matrix_obd(tests, faults);
   EXPECT_GT(ref.covered_count, 0) << file;
@@ -60,7 +59,7 @@ void sweep_threads(const std::string& file) {
   for (const auto& [o, lanes] :
        std::vector<std::pair<SimOptions, int>>{{{2}, 256}, {{4}, 128}}) {
     FaultSimScheduler sched(c, o);
-    const int workers = sched.pattern_workers(matrix, n64);
+    const int workers = sched.pattern_workers(n64);
     ASSERT_EQ(workers, o.threads) << file;
     ASSERT_EQ(FaultSimScheduler::block_lanes(tests.size(), workers), lanes);
     oracle::expect_matrices_identical(ref, sched.matrix_obd(tests, faults),

@@ -10,9 +10,10 @@
 //                                  scan application style for sequential
 //                                  designs (default enhanced; the LOC
 //                                  styles need --model obd)
-//   --threads N                    fault-sim worker threads (default 1;
-//                                  the simulator sizes its pattern blocks
-//                                  per call, results identical)
+//   --threads N                    detection-matrix worker threads
+//                                  (default 1; the simulator sizes its
+//                                  pattern blocks per call, results
+//                                  identical)
 //   --random N                     random prepass patterns (default 2048)
 //   --seed S                       PRNG seed (default 0x0bd5eed)
 //   --backtracks N                 PODEM backtrack budget (default 100000)
